@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -158,7 +159,27 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _strict_json(doc: dict) -> dict:
+    """Replace non-finite floats by None, each flagged "nonfinite:<field>"."""
+    flags = []
+
+    def clean(value, path):
+        if isinstance(value, dict):
+            return {k: clean(v, f"{path}.{k}" if path else k) for k, v in value.items()}
+        if isinstance(value, float) and not math.isfinite(value):
+            flags.append(f"nonfinite:{path}")
+            return None
+        return value
+
+    out = clean(doc, "")
+    out["flags"] = list(doc.get("flags", [])) + sorted(flags)
+    return out
+
+
 def cmd_histogram(args) -> int:
+    if not math.isfinite(args.duration) or args.duration < 0.0:
+        raise ConfigError(
+            f"--duration must be a finite non-negative number of seconds, got {args.duration}")
     cfg = _load(args)
     out = _out_dir(args)
     result = run_tia(cfg.setup, args.duration, args.seed)
@@ -191,7 +212,7 @@ def cmd_histogram(args) -> int:
         doc = {"flags": ["empty"]}
         print("empty histogram (no counts); analysis flagged")
     with open(analysis_path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(doc), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     outputs.append(analysis_path)
 

@@ -144,11 +144,14 @@ def _require(section: dict, name: str, keys: set, optional: set = frozenset()):
         raise ConfigError(f"missing key(s) in {name}: {sorted(missing)}")
 
 
-def _number(section: dict, name: str, key: str) -> float:
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{name}.{key} must be a number, got {v!r}")
+def _finite(v, name: str, key: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigError(f"{name}.{key} must be a finite number, got {v!r}")
     return float(v)
+
+
+def _number(section: dict, name: str, key: str) -> float:
+    return _finite(section[key], name, key)
 
 
 def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
@@ -187,7 +190,7 @@ def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
     if eta_alpha == "analytic":
         mode, value = "analytic", None
     elif isinstance(eta_alpha, (int, float)) and not isinstance(eta_alpha, bool):
-        mode, value = "calibrated", float(eta_alpha)
+        mode, value = "calibrated", _number(raw, "waveguide", "eta_alpha")
     else:
         raise ConfigError("waveguide.eta_alpha must be 'analytic' or a number")
 
@@ -273,10 +276,13 @@ def _build_noise(raw: dict) -> NoiseModel:
         isinstance(row, list) and len(row) == 2 for row in table
     ):
         raise ConfigError("noise.raman_table must be a list of [detuning_thz, rho] pairs")
+    raman_table = tuple((float(d) * 1e12, float(r)) for d, r in table)
+    if not all(math.isfinite(d) and math.isfinite(r) for d, r in raman_table):
+        raise ConfigError("noise.raman_table entries must be finite numbers")
     rej = raw["pump_rejection"]
     _require(rej, "noise.pump_rejection", {"base_db", "floor_db", "ramp_thz"})
     return NoiseModel(
-        raman_table=tuple((float(d) * 1e12, float(r)) for d, r in table),
+        raman_table=raman_table,
         temperature_k=_number(raw, "noise", "temperature_k"),
         pump_rejection=PumpRejection(
             base_db=_number(rej, "pump_rejection", "base_db"),
@@ -300,7 +306,7 @@ def _build_analysis(raw: dict) -> AnalysisOptions:
         accidental_mode=str(raw["accidental_mode"]),
         tia=TiaConfig(
             bin_width_s=_number(tia, "tia", "bin_ps") * 1e-12,
-            range_s=(float(rng[0]) * 1e-9, float(rng[1]) * 1e-9),
+            range_s=tuple(_finite(v, "analysis.tia", "range_ns") * 1e-9 for v in rng),
             policy=str(tia["policy"]),
             stop_delay_s=_number(tia, "tia", "stop_delay_ns") * 1e-9,
         ),

@@ -6,6 +6,15 @@ counts, dead time), and histogrammed start-against-stop the way a time
 interval analyzer does.  The result is an independent statistical check of
 the analytic predictions.
 
+Restricted-domain sampling: in CW the start arm's non-pair events form a
+homogeneous Poisson process, and only starts a little before a stop can
+give a histogram entry.  ``run_tia`` therefore draws that process only on
+the start times that can reach the histogram given the stops already
+generated (about 0.3 % of the run at the shipped range) and counts the rest
+as one Poisson number (Kingman, *Poisson Processes*, 1993).  The result is
+identical in distribution to generating every start; the CW streams for a
+given seed changed when this was introduced.
+
 Determinism: every stochastic routine takes a seed and uses a counter-based
 Philox generator; identical seeds and configurations give bit-identical
 outputs.
@@ -268,18 +277,18 @@ def write_histogram_csv(hist: HistogramResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _expand_start_ranges(starts, stops, i0, i1):
-    """Delays stop - start for start indices [i0[j], i1[j]) of each stop."""
+def _expand_stop_ranges(starts, stops, i0, i1):
+    """Delays stop - start for stop indices [i0[j], i1[j]) of each start."""
     counts = i1 - i0
-    nz = np.nonzero(counts > 0)[0]
-    if nz.size == 0:
-        return np.empty(0, dtype=np.float64)
-    counts = counts[nz]
     total = int(counts.sum())
-    shift = np.repeat(np.cumsum(counts) - counts - i0[nz], counts)
-    flat = np.arange(total) - shift
-    delays = np.repeat(stops[nz], counts)
-    np.subtract(delays, starts[flat], out=delays)
+    if total == 0:
+        return np.empty(0, dtype=np.float64)
+    # flat[m] = i0[j] + (m - first output slot of start j)
+    flat = np.arange(total)
+    flat -= np.repeat(np.cumsum(counts) - counts - i0, counts)
+    delays = stops[flat]
+    del flat
+    delays -= np.repeat(starts, counts)
     return delays
 
 
@@ -289,25 +298,83 @@ def _pair_delays(
     """Delays (stop - start) selected by the TIA policy, limited to delays
     below the histogram range maximum (larger delays cannot be binned).
 
-    Enumerated per stop rather than per start: the candidate starts of one
-    stop form a contiguous index range, which keeps the work proportional
-    to the matched pairs instead of the (much larger) start count.
+    Enumerated per start, the way a time-tag correlator walks sorted tags
+    (Wahl et al., Opt. Express 11, 3583, 2003): the matching stops of one
+    start form a contiguous index range of the sorted stop array.
     """
     if starts.size == 0 or stops.size == 0:
         return np.empty(0, dtype=np.float64)
     lo, hi = cfg.range_s
     if cfg.policy == "first-stop":
-        # Stop p is the first stop of start s iff s <= p and no stop lies in
-        # (s, p); with delay < hi that means s in (max(prev_stop, p - hi), p].
-        lower = stops - hi
-        np.maximum(lower[1:], stops[:-1], out=lower[1:])
-        i0 = np.searchsorted(starts, lower, side="right")
-        i1 = np.searchsorted(starts, stops, side="right")
-        return _expand_start_ranges(starts, stops, i0, i1)
-    # multi-stop: every pair with lo <= delay < hi, i.e. s in (p-hi, p-lo].
-    i0 = np.searchsorted(starts, stops - hi, side="right")
-    i1 = np.searchsorted(starts, stops - lo, side="right")
-    return _expand_start_ranges(starts, stops, i0, i1)
+        # The first stop of start s is the earliest stop p >= s.
+        j = np.searchsorted(stops, starts, side="left")
+        found = j < stops.size
+        delays = stops[j[found]]
+        delays -= starts[found]
+        return delays[delays < hi]
+    # multi-stop: every stop p with lo <= p - s < hi.
+    i0 = np.searchsorted(stops, starts + lo, side="left")
+    i1 = np.searchsorted(stops, starts + hi, side="left")
+    return _expand_stop_ranges(starts, stops, i0, i1)
+
+
+def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
+    """Start times in [t_lo, t_hi] that can give a histogram entry.
+
+    Returns sorted, disjoint segments ``(seg_lo, seg_hi)``; every start that
+    pairs with one of ``stops`` at a binnable delay lies inside one of them.
+    Multi-stop: the union of (p - hi, p - lo] over stops p, with windows of
+    consecutive stops merged where they overlap.  First-stop: one window
+    (max(prev_stop, p - hi), p - max(lo, 0)] per stop; starts later than
+    p - lo only reach delays below the range.  Windows are clipped to
+    [t_lo, t_hi]; a window cut away entirely stays as an empty segment.
+    """
+    lo, hi = cfg.range_s
+    first = cfg.policy == "first-stop"
+    if first:
+        lo = max(lo, 0.0)
+    # Only stops whose window can reach [t_lo, t_hi] matter.
+    i0 = int(np.searchsorted(stops, t_lo + lo, side="left"))
+    i1 = int(np.searchsorted(stops, t_hi + hi, side="right"))
+    p = stops[i0:i1]
+    seg_lo = p - hi
+    seg_hi = p - lo
+    if first:
+        np.maximum(seg_lo[1:], p[:-1], out=seg_lo[1:])
+        if i0 > 0 and p.size:
+            seg_lo[0] = max(seg_lo[0], stops[i0 - 1])
+    elif p.size:
+        # Window g ends a segment and window g + 1 begins the next one.
+        gaps = np.flatnonzero(seg_lo[1:] > seg_hi[:-1])
+        seg_lo = seg_lo[np.insert(gaps + 1, 0, 0)]
+        seg_hi = seg_hi[np.append(gaps, p.size - 1)]
+    np.clip(seg_lo, t_lo, t_hi, out=seg_lo)
+    np.maximum(seg_hi, seg_lo, out=seg_hi)
+    np.minimum(seg_hi, t_hi, out=seg_hi)
+    return seg_lo, seg_hi
+
+
+def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
+    """Homogeneous Poisson arrivals restricted to the given segments.
+
+    By the restriction theorem (Kingman, *Poisson Processes*, 1993) the
+    arrivals of a rate-r process inside a set of total length L are
+    Poisson(r L) points placed uniformly on it, independent of the
+    arrivals outside.  Returns the sorted times and L.
+    """
+    cum = seg_hi - seg_lo
+    np.cumsum(cum, out=cum)
+    covered = float(cum[-1]) if cum.size else 0.0
+    u = _poisson_times(rate_hz, 0.0, covered, rng)
+    if u.size == 0:
+        return u, covered
+    # Segment k holds the offsets [cum[k-1], cum[k]), so an offset u maps
+    # to seg_lo[k] + u - cum[k-1] = u + seg_hi[k] - cum[k] (up to rounding).
+    k = np.searchsorted(cum, u, side="right")
+    np.minimum(k, cum.size - 1, out=k)
+    np.subtract(seg_hi, cum, out=cum)
+    u += cum[k]
+    return u, covered
 
 
 def tia_histogram(starts: EventStream, stops: EventStream, cfg: TiaConfig) -> HistogramResult:
@@ -502,22 +569,26 @@ def _jittered(times, fwhm_s, rng) -> np.ndarray:
     return smear
 
 
+def _cw_bulk_rate(rates, arm) -> float:
+    """CW rate of one arm's non-pair events: the one-arm pair leftovers,
+    scattering/leakage noise and darks, independent homogeneous processes
+    that merge into a single Poisson bulk."""
+    return rates[f"only{arm}"] + rates[f"noise{arm}"] + rates[f"dark{arm}"]
+
+
 def _uncorrelated_arm_times(setup, rates, arm, t0, t1, children) -> np.ndarray:
     """Sorted timestamps of all non-pair events of one arm in [t0, t1).
 
-    CW: the one-arm pair leftovers, scattering/leakage noise and darks are
-    independent homogeneous processes, so they merge into a single Poisson
-    bulk; Gaussian timing jitter displaces a homogeneous process into an
-    identically distributed one and is skipped.  Pulsed: the pulse comb
-    makes jitter observable (it smears the comb), so gated components are
-    generated and jittered explicitly.
+    CW: a single Poisson bulk (``_cw_bulk_rate``); Gaussian timing jitter
+    displaces a homogeneous process into an identically distributed one and
+    is skipped.  Pulsed: the pulse comb makes jitter observable (it smears
+    the comb), so gated components are generated and jittered explicitly.
     """
     pump = setup.pump
     ch = setup.idler if arm == 0 else setup.signal
     if pump.mode == "cw":
-        bulk_rate = rates[f"only{arm}"] + rates[f"noise{arm}"] + rates[f"dark{arm}"]
         rng = _generator(children[f"bulk{arm}"])
-        return _poisson_times(bulk_rate, t0, t1, rng)
+        return _poisson_times(_cw_bulk_rate(rates, arm), t0, t1, rng)
     parts = [
         _category_times(rates[f"only{arm}"], pump, t0, t1,
                         _generator(children[f"only{arm}"]), gated=True),
@@ -532,14 +603,15 @@ def _uncorrelated_arm_times(setup, rates, arm, t0, t1, children) -> np.ndarray:
     return merged
 
 
-def _arm_chunk(setup, rates, t0, t1, duration, seed_seq, stop_delay_s):
+def _arm_chunk(setup, rates, t0, t1, duration, children, stop_delay_s):
     """Raw (arm0, arm1) timestamp arrays for emissions in [t0, t1).
 
-    Events may leave the interval after jitter or the stop-arm delay; they
-    are clipped to [0, duration) only, so adjacent chunks tile the full run
-    exactly.
+    In CW, arm 0 holds only its pair photons: the caller draws arm 0's
+    bulk (``_cw_bulk_rate``) with ``children["bulk0"]`` on the start times
+    it needs.  Events may leave the interval after jitter or the stop-arm
+    delay; they are clipped to [0, duration) only, so adjacent chunks tile
+    the full run exactly.
     """
-    children = dict(zip(_CATEGORIES, seed_seq.spawn(len(_CATEGORIES))))
     pump = setup.pump
 
     pair_times = _category_times(rates["both"], pump, t0, t1,
@@ -552,14 +624,21 @@ def _arm_chunk(setup, rates, t0, t1, duration, seed_seq, stop_delay_s):
         if pairs is pair_times:
             pairs = pair_times.copy()
         pairs.sort()
-        a = _merge_sorted(_uncorrelated_arm_times(setup, rates, arm, t0, t1, children),
-                          pairs)
+        if arm == 0 and pump.mode == "cw":
+            a = pairs
+        else:
+            a = _merge_sorted(
+                _uncorrelated_arm_times(setup, rates, arm, t0, t1, children), pairs)
         if arm == 1 and stop_delay_s != 0.0 and a.size:
             a = a + stop_delay_s
         lo = int(np.searchsorted(a, 0.0, side="left"))
         hi = int(np.searchsorted(a, duration, side="left"))
         out.append(a[lo:hi])
     return out[0], out[1]
+
+
+def _chunk_children(seed_seq) -> dict:
+    return dict(zip(_CATEGORIES, seed_seq.spawn(len(_CATEGORIES))))
 
 
 def make_pair_streams(setup, duration_s: float, rng_seed, stop_delay_s=None):
@@ -574,8 +653,14 @@ def make_pair_streams(setup, duration_s: float, rng_seed, stop_delay_s=None):
     if stop_delay_s is None:
         stop_delay_s = setup.analysis.tia.stop_delay_s
     rates = component_rates(setup)
-    seed_seq = np.random.SeedSequence(rng_seed)
-    arm0, arm1 = _arm_chunk(setup, rates, 0.0, duration_s, duration_s, seed_seq, stop_delay_s)
+    children = _chunk_children(np.random.SeedSequence(rng_seed))
+    arm0, arm1 = _arm_chunk(setup, rates, 0.0, duration_s, duration_s, children, stop_delay_s)
+    if setup.pump.mode == "cw":
+        # The whole run is the start arm's domain.
+        bulk0, _ = _restricted_poisson(
+            _cw_bulk_rate(rates, 0), np.array([0.0]), np.array([duration_s]),
+            _generator(children["bulk0"]))
+        arm0 = _merge_sorted(bulk0, arm0)
     return (
         EventStream(times=arm0, duration=duration_s, label="start"),
         EventStream(times=arm1, duration=duration_s, label="stop"),
@@ -600,6 +685,59 @@ class TiaRunResult:
         return self.n_stops / self.duration
 
 
+def _chunk_grid(setup, singles0, duration_s, max_events_per_chunk):
+    """(step, count) of equal time chunks; the last one may be shorter.
+
+    A chunk spans about ``max_events_per_chunk`` start-arm singles.  Pulsed
+    chunks are whole numbers of pulse periods.
+    """
+    arm0_rate = max(singles0, 1.0)
+    chunk = min(duration_s, max(max_events_per_chunk / arm0_rate, 1e-3))
+    if chunk <= 0.0:
+        return duration_s, 1
+    count = math.ceil(duration_s / chunk)
+    step = duration_s / count
+    if setup.pump.mode == "pulsed" and count > 1:
+        # Align chunk boundaries to the pulse grid.
+        rep = setup.pump.rep_rate_hz
+        step = math.ceil(step * rep) / rep
+        count = math.ceil(duration_s / step)
+    return step, count
+
+
+def _tia_chunk(setup, rates, tia, t0, t1, duration_s, seed, slab, carry):
+    """Generate one time chunk and histogram the starts of its slab.
+
+    ``slab`` = (s_lo, s_hi) is the start-time interval whose stops are all
+    known once the chunk is generated.  ``carry`` = (starts, stops) holds
+    the explicit starts at or after s_lo and the stops a later slab can
+    still pair with.  Returns (counts, n_starts, n_stops, carry').
+    """
+    s_lo, s_hi = slab
+    children = _chunk_children(seed)
+    arm0, arm1 = _arm_chunk(setup, rates, t0, t1, duration_s, children, tia.stop_delay_s)
+    n0, n1 = arm0.size, arm1.size
+    # The carried tails are tiny (a guard interval's worth of events), so
+    # merging beats a full re-sort.
+    explicit = _merge_sorted(arm0, carry[0])
+    stops = _merge_sorted(arm1, carry[1])
+    del arm0, arm1
+    cut = int(np.searchsorted(explicit, s_hi, side="left"))
+    starts = explicit[:cut]
+    if setup.pump.mode == "cw":
+        bulk0_rate = _cw_bulk_rate(rates, 0)
+        seg_lo, seg_hi = _start_domain(stops, tia, s_lo, s_hi)
+        rng = _generator(children["bulk0"])
+        bulk, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng)
+        del seg_lo, seg_hi
+        # Bulk starts outside the domain are only counted.
+        n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
+        starts = _merge_sorted(bulk, starts)
+    counts, _ = np.histogram(_pair_delays(starts, stops, tia), bins=tia.bin_edges)
+    keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
+    return counts, n0, n1, (explicit[cut:].copy(), stops[keep:].copy())
+
+
 def run_tia(
     setup,
     duration_s: float,
@@ -610,63 +748,54 @@ def run_tia(
     """Simulate a full counting run, chunked in time to bound memory.
 
     Chunks are statistically independent intervals of the same Poisson
-    processes; counts are additive, and start-stop pairs that straddle a
-    boundary are resolved by carrying the unpaired tail into the next
-    chunk, so the result is identical in distribution to a single pass.
-    Deterministic for a fixed seed, config and chunk size.
+    processes, and counts are additive.  After chunk k every stop below
+    t1 + stop_delay - jitter pad is final, so the starts of the slab
+    [S_{k-1}, S_k), with S_k that bound minus the range maximum, are
+    histogrammed then; later starts and the stops they need are carried.
+
+    CW uses restricted-domain sampling: the start arm's bulk (one-arm pair
+    leftovers, noise and darks) is a homogeneous Poisson process, so it is
+    drawn only on the start times that can reach the histogram given the
+    stops (``_start_domain``), about 0.3 % of the run at the shipped range;
+    the rest of it is one Poisson count added to ``n_starts``.  The result
+    is identical in distribution to generating every start, though the
+    streams for a given seed differ from releases that did.  Deterministic
+    for a fixed seed, config and chunk size.
     """
     if tia is None:
         tia = setup.analysis.tia
-    if duration_s < 0.0:
-        raise ConfigError(f"duration must be non-negative, got {duration_s}")
+    if not math.isfinite(duration_s) or duration_s < 0.0:
+        raise ConfigError(f"duration must be finite and non-negative, got {duration_s}")
 
     rates = component_rates(setup)
-    obs = rates["observables"]
-    arm0_rate = max(obs.singles0, 1.0)
-    chunk = min(duration_s, max(max_events_per_chunk / arm0_rate, 1e-3)) or duration_s
-    if setup.pump.mode == "pulsed" and chunk < duration_s:
-        # Align chunk boundaries to the pulse grid.
-        chunk = max(round(chunk * setup.pump.rep_rate_hz), 1) / setup.pump.rep_rate_hz
-
+    step, n_chunks = _chunk_grid(setup, rates["observables"].singles0, duration_s,
+                                  max_events_per_chunk)
     jitter_pad = 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
-    guard = tia.range_s[1] + tia.stop_delay_s + jitter_pad + 1e-9
-
-    edges = [0.0]
-    while duration_s - edges[-1] > chunk * 1.5:
-        edges.append(edges[-1] + chunk)
-    edges.append(duration_s)
+    # Stops of later chunks lie at or above t1 + stop_delay - jitter_pad;
+    # a start below that minus the range maximum cannot reach them.
+    lag = tia.stop_delay_s - jitter_pad - tia.range_s[1] - 1e-9
 
     seed_seq = np.random.SeedSequence(rng_seed)
-    chunk_seeds = seed_seq.spawn(len(edges) - 1)
-
     counts = np.zeros(tia.n_bins, dtype=np.int64)
-    bin_edges = tia.bin_edges
-    carry_starts = np.empty(0, dtype=np.float64)
-    carry_stops = np.empty(0, dtype=np.float64)
+    carry = (np.empty(0), np.empty(0))
     n0 = 0
     n1 = 0
-
-    for k, (t0, t1) in enumerate(zip(edges[:-1], edges[1:])):
-        arm0, arm1 = _arm_chunk(
-            setup, rates, t0, t1, duration_s, chunk_seeds[k], tia.stop_delay_s
-        )
-        n0 += arm0.size
-        n1 += arm1.size
-        # The carried tails are tiny (a guard interval's worth of events),
-        # so merging beats a full re-sort.
-        starts = _merge_sorted(arm0, carry_starts)
-        stops = _merge_sorted(arm1, carry_stops)
-        last = k == len(edges) - 2
-        boundary = math.inf if last else t1 - guard
-        resolvable = starts < boundary
-        delays = _pair_delays(starts[resolvable], stops, tia)
-        c, _ = np.histogram(delays, bins=bin_edges)
+    s_lo = 0.0
+    for k in range(n_chunks):
+        t0 = k * step
+        last = k == n_chunks - 1
+        t1 = duration_s if last else (k + 1) * step
+        s_hi = duration_s if last else min(max(t1 + lag, s_lo), duration_s)
+        c, dn0, dn1, carry = _tia_chunk(
+            setup, rates, tia, t0, t1, duration_s, seed_seq.spawn(1)[0],
+            (s_lo, s_hi), carry)
         counts += c
-        carry_starts = starts[~resolvable]
-        carry_stops = stops[stops >= (t1 - guard)] if not last else np.empty(0)
+        n0 += dn0
+        n1 += dn1
+        s_lo = s_hi
 
     hist = HistogramResult(
-        bin_edges=bin_edges,
+        bin_edges=tia.bin_edges,
         counts=counts,
         acquisition_time=duration_s,
         metadata={

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,19 @@ class TestConfigDocument:
         clean_raw["waveguide"]["a_eff_um2"] = 0.86
         cfg = load_config(clean_raw)
         assert cfg.setup.waveguide.gamma_per_w_m == pytest.approx(14.15, abs=0.05)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pump", "power_mw", math.nan),
+        ("waveguide", "eta_alpha", math.inf),
+        ("coupling", "total_insertion_loss_db", -math.inf),
+        ("tia", "range_ns", [10.0, math.inf]),
+        ("noise", "raman_table", [[-1.4, math.nan], [1.4, 0.4]]),
+    ])
+    def test_non_finite_numbers_rejected(self, clean_raw, section, key, value):
+        target = clean_raw["analysis"]["tia"] if section == "tia" else clean_raw[section]
+        target[key] = value
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(clean_raw)
 
     def test_effective_passband_is_narrower_filter(self, paper_cfg):
         # 50 GHz demux channel against a ~62 GHz bandpass: the demux wins.
@@ -180,6 +194,38 @@ class TestCli:
         assert a == b
         svg = (tmp_path / "a" / "histogram.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_rates_nan_power_exit_code(self, tmp_path, capsys):
+        code = main(["rates", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--power-mw", "nan"])
+        assert code == 2
+        assert "power_mw" in capsys.readouterr().err
+        assert not (tmp_path / "rates.csv").exists()
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_histogram_bad_duration_exit_code(self, tmp_path, capsys, duration):
+        code = main(["histogram", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--duration", duration])
+        assert code == 2
+        assert "--duration" in capsys.readouterr().err
+        assert not (tmp_path / "histogram.csv").exists()
+
+    def test_analysis_json_is_strict(self, tmp_path):
+        # The shipped engineered-defaults range has no off-pulse floor, so
+        # the CAR estimate and its uncertainty are infinite / undefined.
+        code = main(["histogram", "--config", "engineered-defaults", "--out", str(tmp_path),
+                     "--duration", "300"])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads((tmp_path / "analysis.json").read_text(), parse_constant=reject)
+        assert doc["car_estimate"] is None
+        assert doc["uncertainties"]["car"] is None
+        assert "nonfinite:car_estimate" in doc["flags"]
+        assert "nonfinite:uncertainties.car" in doc["flags"]
+        assert doc["coincidence_rate_per_s"] > 0.0
 
     def test_sweep_command_with_fit(self, tmp_path, capsys):
         code = main([

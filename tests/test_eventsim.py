@@ -10,6 +10,10 @@ from sfwmlab.eventsim import (
     EventStream,
     HistogramResult,
     TiaConfig,
+    _pair_delays,
+    _poisson_times,
+    _restricted_poisson,
+    _start_domain,
     analyze_histogram,
     detect,
     make_pair_streams,
@@ -279,11 +283,292 @@ class TestRunTia:
         assert abs(result.n_starts - expected0) < 4 * math.sqrt(expected0)
         assert abs(result.n_stops - expected1) < 4 * math.sqrt(expected1)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_duration(self, paper_cfg, duration):
+        with pytest.raises(ConfigError, match="duration"):
+            run_tia(paper_cfg.setup, duration, 1)
+
+    def test_chunks_have_equal_length(self, paper_cfg, monkeypatch):
+        import sfwmlab.eventsim as eventsim
+
+        spans = []
+        arm_chunk = eventsim._arm_chunk
+
+        def record(setup, rates, t0, t1, *args):
+            spans.append(t1 - t0)
+            return arm_chunk(setup, rates, t0, t1, *args)
+
+        monkeypatch.setattr(eventsim, "_arm_chunk", record)
+        # 3.45e6 starts/s and 4e5 events per chunk: 0.116 s nominal, so a
+        # 0.3 s run takes three chunks of 0.1 s.
+        run_tia(paper_cfg.setup, 0.3, 1, max_events_per_chunk=4e5)
+        assert spans == pytest.approx([0.1, 0.1, 0.1])
+
     def test_zero_duration_gives_empty(self, paper_cfg):
         result = run_tia(paper_cfg.setup, 0.0, 1)
         assert result.histogram.total_counts == 0
         analysis = analyze_histogram(result.histogram, peak_window_s=800e-12)
         assert "empty" in analysis.flags
+
+
+def _segments(stops, policy, rng, t_lo, t_hi, stop_delay=2.0):
+    cfg = TiaConfig(bin_width_s=0.5, range_s=rng, policy=policy, stop_delay_s=stop_delay)
+    seg_lo, seg_hi = _start_domain(np.array(stops, dtype=float), cfg, t_lo, t_hi)
+    assert np.all(seg_hi >= seg_lo)
+    assert np.all(seg_lo[1:] >= seg_hi[:-1])  # sorted and disjoint
+    return [(a, b) for a, b in zip(seg_lo, seg_hi) if b > a]
+
+
+class TestStartDomain:
+    def test_multi_stop_windows_merge_where_they_overlap(self):
+        # Windows (p - 3, p - 1]: (2, 4] and (3, 5] overlap, (7, 9] does not.
+        assert _segments([5.0, 6.0, 10.0], "multi-stop", (1.0, 3.0), 0.0, 20.0) == [
+            (2.0, 5.0), (7.0, 9.0)]
+
+    def test_multi_stop_negative_range_start(self):
+        assert _segments([5.0], "multi-stop", (-1.0, 3.0), 0.0, 20.0,
+                         stop_delay=0.0) == [(2.0, 6.0)]
+
+    def test_first_stop_window_cut_off_at_previous_stop(self):
+        # (max(prev, p - 3), p - 1]: the second window starts at the first
+        # stop, the third is empty, the fourth is not cut.
+        assert _segments([5.0, 7.0, 7.5, 12.0], "first-stop", (1.0, 3.0), 0.0, 20.0) == [
+            (2.0, 4.0), (5.0, 6.0), (9.0, 11.0)]
+
+    def test_first_stop_delays_below_zero_do_not_widen_windows(self):
+        assert _segments([5.0], "first-stop", (-1.0, 3.0), 0.0, 20.0,
+                         stop_delay=0.0) == [(2.0, 5.0)]
+
+    def test_clipped_to_interval(self):
+        stops = [5.0, 7.0, 7.5, 12.0]
+        assert _segments(stops, "first-stop", (1.0, 3.0), 3.0, 10.0) == [
+            (3.0, 4.0), (5.0, 6.0), (9.0, 10.0)]
+        # A stop before the interval still cuts the window of the next one.
+        assert _segments(stops, "first-stop", (1.0, 3.0), 5.5, 20.0) == [
+            (5.5, 6.0), (9.0, 11.0)]
+        assert _segments([2.0, 5.0, 30.0], "multi-stop", (1.0, 3.0), 0.0, 8.0) == [
+            (0.0, 1.0), (2.0, 4.0)]
+
+    @pytest.mark.parametrize("policy", ["first-stop", "multi-stop"])
+    @pytest.mark.parametrize("rng", [(10.0, 40.0), (0.0, 25.0), (-8.0, 30.0)])
+    def test_domain_holds_every_productive_start(self, policy, rng):
+        # Every start outside the domain gives no entry: restricting the
+        # starts to it leaves the delays unchanged.  Integer times make
+        # starts sit exactly on window edges.
+        gen = np.random.default_rng(3)
+        stops = np.sort(gen.integers(0, 4000, 150)).astype(float)
+        starts = np.arange(0.0, 4000.0, 0.5)
+        cfg = TiaConfig(bin_width_s=1.0, range_s=rng, policy=policy,
+                        stop_delay_s=max(rng[0], 0.0))
+        seg_lo, seg_hi = _start_domain(stops, cfg, 0.0, 4000.0)
+        k = np.searchsorted(seg_lo, starts, side="right") - 1
+        inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
+        assert inside.mean() < 0.9
+        full = np.sort(_pair_delays(starts, stops, cfg))
+        full = full[full >= rng[0]]  # shorter delays are never binned
+        restricted = np.sort(_pair_delays(starts[inside], stops, cfg))
+        restricted = restricted[restricted >= rng[0]]
+        assert full.size > 100
+        assert np.array_equal(full, restricted)
+
+
+class TestRestrictedPoisson:
+    def test_single_segment_is_the_plain_process(self):
+        a, covered = _restricted_poisson(
+            1e4, np.array([0.0]), np.array([2.0]), np.random.default_rng(5))
+        b = _poisson_times(1e4, 0.0, 2.0, np.random.default_rng(5))
+        assert covered == 2.0
+        assert np.array_equal(a, b)
+
+    def test_points_fill_segments_uniformly(self):
+        seg_lo = np.array([0.0, 2.0, 5.0])
+        seg_hi = np.array([1.0, 2.0, 7.0])
+        rate = 1e5
+        times, covered = _restricted_poisson(rate, seg_lo, seg_hi, np.random.default_rng(6))
+        assert covered == pytest.approx(3.0)
+        assert np.all(np.diff(times) >= 0.0)
+        in_first = (times >= 0.0) & (times <= 1.0)
+        in_last = (times >= 5.0) & (times <= 7.0)
+        assert np.all(in_first | in_last)
+        n = times.size
+        assert abs(n - rate * 3.0) < 4 * math.sqrt(rate * 3.0)
+        frac = in_last.sum() / n
+        assert abs(frac - 2.0 / 3.0) < 4 * math.sqrt(frac * (1 - frac) / n)
+        assert stats.kstest(times[in_last], "uniform", args=(5.0, 2.0)).pvalue > 1e-3
+
+
+def _brute_force_delays(starts, stops, cfg):
+    """O(n m) reference: every (start, stop) pair checked."""
+    lo, hi = cfg.range_s
+    d = stops[None, :] - starts[:, None]
+    if cfg.policy == "multi-stop":
+        return np.sort(d[(d >= lo) & (d < hi)])
+    out = []
+    for row in d:
+        after = row[row >= 0.0]
+        if after.size and after.min() < hi:
+            out.append(after.min())
+    return np.sort(np.array(out))
+
+
+class TestPairDelays:
+    @pytest.mark.parametrize("policy", ["first-stop", "multi-stop"])
+    @pytest.mark.parametrize("rng", [(10.0, 40.0), (0.0, 25.0), (-8.0, 30.0)])
+    def test_matches_brute_force(self, policy, rng):
+        # Integer times give ties at every boundary: equal start and stop,
+        # delays of exactly lo and hi.
+        gen = np.random.default_rng(11)
+        cfg = TiaConfig(bin_width_s=1.0, range_s=rng, policy=policy,
+                        stop_delay_s=max(rng[0], 0.0))
+        for _ in range(20):
+            starts = np.sort(gen.integers(0, 500, gen.integers(0, 80))).astype(float)
+            stops = np.sort(gen.integers(0, 500, gen.integers(0, 80))).astype(float)
+            expected = _brute_force_delays(starts, stops, cfg)
+            got = np.sort(_pair_delays(starts, stops, cfg))
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("policy", ["first-stop", "multi-stop"])
+    def test_matches_brute_force_on_continuous_times(self, policy):
+        gen = np.random.default_rng(12)
+        cfg = TiaConfig(bin_width_s=1e-9, range_s=(2e-9, 50e-9), policy=policy,
+                        stop_delay_s=10e-9)
+        starts = np.sort(gen.random(400)) * 1e-6
+        stops = np.sort(gen.random(300)) * 1e-6
+        assert np.array_equal(np.sort(_pair_delays(starts, stops, cfg)),
+                              _brute_force_delays(starts, stops, cfg))
+
+
+class TestRunTiaStatistics:
+    """Restricted-domain CW runs against the analytic model, over many
+    chunk edges (chunks of 0.14 s) and fixed seeds."""
+
+    SEEDS = (1, 2, 3, 4, 5, 6)
+    DURATION = 2.5
+    BIN = 16e-12
+    RANGE = (10e-9, 12.208e-9)
+    DELAY = 11.1e-9
+
+    def _runs(self, setup, policy):
+        tia = TiaConfig(bin_width_s=self.BIN, range_s=self.RANGE, policy=policy,
+                        stop_delay_s=self.DELAY)
+        return [run_tia(setup, self.DURATION, seed, tia=tia, max_events_per_chunk=5e5)
+                for seed in self.SEEDS]
+
+    def _check(self, setup, policy):
+        obs = setup.predict()
+        runs = self._runs(setup, policy)
+        t_total = self.DURATION * len(runs)
+        for run in runs:
+            for n, rate in ((run.n_starts, obs.singles0), (run.n_stops, obs.singles1)):
+                expected = rate * self.DURATION
+                assert abs(n - expected) < 4 * math.sqrt(expected)
+        n0 = sum(r.n_starts for r in runs)
+        n1 = sum(r.n_stops for r in runs)
+        counts = sum(r.histogram.counts for r in runs)
+        hist = HistogramResult(bin_edges=runs[0].histogram.bin_edges, counts=counts,
+                               acquisition_time=t_total)
+        analysis = analyze_histogram(hist, peak_window_s=800e-12)
+
+        lo, hi = hist.bin_edges[:-1], hist.bin_edges[1:]
+        r1 = n1 / t_total
+        if policy == "first-stop":
+            # Coates, J. Phys. E 1, 878 (1968): a start's first stop lands in
+            # [a, b) with probability exp(-r1 a) - exp(-r1 b).
+            floor = n0 * (np.exp(-r1 * lo) - np.exp(-r1 * hi))
+            survival = math.exp(-r1 * self.DELAY)
+        else:
+            floor = n0 * r1 * (hi - lo)
+            survival = 1.0
+        off = np.abs(hist.bin_centers - self.DELAY) > 400e-12
+        observed, expected = counts[off].sum(), floor[off].sum()
+        assert abs(observed - expected) < 4 * math.sqrt(expected)
+        if policy == "first-stop":
+            # The depletion is resolved: a flat floor is rejected.
+            flat = (n0 * r1 * (hi - lo))[off].sum()
+            assert abs(observed - flat) > 2 * math.sqrt(flat)
+        else:
+            # Flat: no trend across the off-peak bins.
+            x = hist.bin_centers[off]
+            slope = np.polyfit(x - x.mean(), counts[off], 1)[0]
+            sigma_slope = math.sqrt(floor[off].mean() / np.sum((x - x.mean()) ** 2))
+            assert abs(slope) < 4 * sigma_slope
+
+        dc = analysis.coincidence_rate - obs.coincidences * survival
+        assert abs(dc) < 4 * analysis.uncertainties["coincidence_rate"]
+
+    def test_first_stop(self, paper_cfg):
+        self._check(paper_cfg.setup, "first-stop")
+
+    def test_multi_stop(self, paper_cfg):
+        self._check(paper_cfg.setup, "multi-stop")
+
+
+class TestRunTiaChunking:
+    """Chunked, restricted-domain runs against one pass over the same events.
+
+    ``_arm_chunk`` and ``_restricted_poisson`` are replaced by views of
+    fixed event sets: pair photons and stop-arm noise selected by emission
+    time, and a start-arm bulk selected by the requested domain.  The
+    histogram must then equal ``tia_histogram`` over all events exactly:
+    no start is lost or counted twice at a chunk edge, and every start
+    outside the domain is one that cannot reach the histogram.
+    """
+
+    DURATION = 0.05  # 50 chunks of the 1 ms minimum
+
+    @pytest.fixture()
+    def events(self, monkeypatch):
+        import sfwmlab.eventsim as eventsim
+
+        gen = np.random.default_rng(21)
+        n = self.DURATION
+        emit = np.sort(gen.random(2000)) * n
+        start_jitter = gen.normal(0.0, 30e-12, emit.size)
+        bulk0 = np.sort(gen.random(20000)) * n
+        stop_emit = np.concatenate([emit, np.sort(gen.random(5000)) * n])
+        stop_jitter = np.concatenate([gen.normal(0.0, 30e-12, emit.size),
+                                      np.zeros(stop_emit.size - emit.size)])
+
+        def clip(t):
+            t = np.sort(t)
+            return t[(t >= 0.0) & (t < n)]
+
+        def arm_chunk(setup, rates, t0, t1, duration, children, stop_delay_s):
+            pairs = (emit >= t0) & (emit < t1)
+            noise = (stop_emit >= t0) & (stop_emit < t1)
+            return (clip(emit[pairs] + start_jitter[pairs]),
+                    clip(stop_emit[noise] + stop_jitter[noise] + stop_delay_s))
+
+        def restricted(rate_hz, seg_lo, seg_hi, rng):
+            if seg_lo.size == 0:
+                return np.empty(0), 0.0
+            k = np.searchsorted(seg_lo, bulk0, side="right") - 1
+            inside = (k >= 0) & (bulk0 <= seg_hi[np.maximum(k, 0)])
+            return bulk0[inside], float(np.sum(seg_hi - seg_lo))
+
+        monkeypatch.setattr(eventsim, "_arm_chunk", arm_chunk)
+        monkeypatch.setattr(eventsim, "_restricted_poisson", restricted)
+        starts = clip(np.concatenate([emit + start_jitter, bulk0]))
+        return starts, lambda delay: clip(stop_emit + stop_jitter + delay)
+
+    @pytest.mark.parametrize("policy, range_s, delay, width", [
+        ("first-stop", (10e-9, 12.208e-9), 11.1e-9, 16e-12),
+        ("multi-stop", (10e-9, 12.208e-9), 11.1e-9, 16e-12),
+        ("first-stop", (0.0, 5e-4), 1e-4, 1e-6),
+        ("multi-stop", (-2e-4, 5e-4), 1e-4, 1e-6),
+    ])
+    def test_matches_single_pass(self, paper_cfg, events, policy, range_s, delay, width):
+        starts, stops_for = events
+        stops = stops_for(delay)
+        tia = TiaConfig(bin_width_s=width, range_s=range_s, policy=policy,
+                        stop_delay_s=delay)
+        result = run_tia(paper_cfg.setup, self.DURATION, 1, tia=tia,
+                         max_events_per_chunk=1.0)
+        expected = tia_histogram(EventStream(starts, self.DURATION),
+                                 EventStream(stops, self.DURATION), tia)
+        assert expected.total_counts > 1000
+        assert result.n_stops == stops.size
+        assert np.array_equal(result.histogram.counts, expected.counts)
 
 
 class TestHistogramCsv:
