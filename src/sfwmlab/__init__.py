@@ -30,16 +30,10 @@ from .devices import (
 )
 from .eventsim import (
     AnalysisResult,
-    EventStream,
     HistogramResult,
     TiaConfig,
     analyze_histogram,
-    detect,
-    make_pair_streams,
-    poisson_stream,
-    pulsed_stream,
     run_tia,
-    tia_histogram,
 )
 from .explore import (
     CurveResult,
@@ -72,7 +66,6 @@ __all__ = [
     "CurveResult",
     "DesignResult",
     "DetectionChannel",
-    "EventStream",
     "ExperimentConfig",
     "FitResult",
     "HistogramResult",
@@ -89,23 +82,18 @@ __all__ = [
     "calibrate_raman",
     "car_vs_detuning",
     "car_vs_mu",
-    "detect",
     "engineered_defaults",
     "eta_alpha_analytic",
     "fit_power_law",
     "load_config",
-    "make_pair_streams",
     "optimize_car",
     "pair_generation_rate",
     "paper_defaults",
-    "poisson_stream",
     "power_for_pairs_per_pulse",
     "predict_observables",
-    "pulsed_stream",
     "pump_leakage_rate",
     "raman_noise_rate",
     "run_tia",
     "sweep",
     "thermal_occupancy",
-    "tia_histogram",
 ]

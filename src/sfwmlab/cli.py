@@ -8,10 +8,13 @@ outputs; deterministic commands are byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -49,23 +52,26 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed, ou
     return path
 
 
+# Command-line overrides: (argument, section, key) of the raw document.
+_OVERRIDES = (
+    ("power_mw", "pump", "power_mw"),
+    ("mode", "analysis", "accidental_mode"),
+    ("window_ps", "analysis", "coincidence_window_ps"),
+)
+
+
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if getattr(args, "calibration", None):
         cfg = apply_calibration_file(cfg, args.calibration)
-    if getattr(args, "power_mw", None) is not None:
-        raw = json.loads(json.dumps(cfg.raw))
-        raw["pump"]["power_mw"] = args.power_mw
-        cfg = load_config(raw)
-    if getattr(args, "mode", None):
-        raw = json.loads(json.dumps(cfg.raw))
-        raw["analysis"]["accidental_mode"] = args.mode
-        cfg = load_config(raw)
-    if getattr(args, "window_ps", None) is not None:
-        raw = json.loads(json.dumps(cfg.raw))
-        raw["analysis"]["coincidence_window_ps"] = args.window_ps
-        cfg = load_config(raw)
-    return cfg
+    overrides = [(section, key, getattr(args, arg)) for arg, section, key in _OVERRIDES
+                 if getattr(args, arg, None) is not None]
+    if not overrides:
+        return cfg
+    raw = copy.deepcopy(cfg.raw)
+    for section, key, value in overrides:
+        raw[section][key] = value
+    return load_config(raw)
 
 
 def _out_dir(args) -> Path:
@@ -74,25 +80,36 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _spec_number(text: str, spec: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"bad number {text!r} in values spec {spec!r}") from None
+
+
 def _parse_values(spec: str) -> tuple:
     """Value list syntax: 'lo:hi:count[:log]' or comma-separated numbers."""
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(f"bad values spec {spec!r}; use lo:hi:count[:log]")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = _spec_number(parts[0], spec), _spec_number(parts[1], spec)
+        count = _spec_number(parts[2], spec, int)
         if count < 1:
             raise ConfigError("values count must be at least 1")
         if len(parts) == 4:
             if parts[3] != "log":
                 raise ConfigError(f"bad spacing {parts[3]!r}; only 'log' is recognized")
-            import numpy as np
-
-            return tuple(float(v) for v in np.geomspace(lo, hi, count))
-        import numpy as np
-
-        return tuple(float(v) for v in np.linspace(lo, hi, count))
-    return tuple(float(v) for v in spec.split(","))
+            if not lo * hi > 0.0:
+                raise ConfigError(f"log spacing needs nonzero endpoints of one sign: {spec!r}")
+            values = np.geomspace(lo, hi, count)
+        else:
+            values = np.linspace(lo, hi, count)
+    else:
+        values = [_spec_number(v, spec) for v in spec.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"values must be finite numbers: {spec!r}")
+    return tuple(float(v) for v in values)
 
 
 def _print_observables(obs) -> None:
@@ -408,7 +425,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NumericsError.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return ConfigError.exit_code
 

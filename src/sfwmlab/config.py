@@ -136,6 +136,8 @@ _TOP_KEYS = ("waveguide", "pump", "coupling", "channels", "noise", "analysis")
 
 
 def _require(section: dict, name: str, keys: set, optional: set = frozenset()):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {type(section).__name__}")
     unknown = set(section) - keys - optional
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
@@ -237,8 +239,8 @@ def _build_coupling(raw: dict) -> CouplingSpec:
     _require(raw, "coupling", keys, optional)
     return CouplingSpec(
         total_insertion_loss_db=_number(raw, "coupling", "total_insertion_loss_db"),
-        input_split=float(raw.get("input_split", 0.5)),
-        output_scale=float(raw.get("output_scale", 1.0)),
+        input_split=_finite(raw.get("input_split", 0.5), "coupling", "input_split"),
+        output_scale=_finite(raw.get("output_scale", 1.0), "coupling", "output_scale"),
     )
 
 
@@ -251,10 +253,16 @@ def _build_channel(raw: dict, name: str, pump: PumpConfig, expect_sign: int) -> 
         raise ConfigError(f"channels.{name}.detuning_thz must be negative (below the pump)")
     if expect_sign > 0 and detuning <= 0:
         raise ConfigError(f"channels.{name}.detuning_thz must be positive (above the pump)")
+    channel_hz = pump.frequency_hz + detuning
+    if not 0.0 < channel_hz < math.inf:
+        raise ConfigError(f"channels.{name}.detuning_thz must leave the channel frequency "
+                          f"positive and finite, got {detuning / 1e12:g}")
+    bpf_nm = _number(raw, name, "bpf_fwhm_nm")
+    if bpf_nm <= 0.0:
+        raise ConfigError(f"channels.{name}.bpf_fwhm_nm must be positive, got {bpf_nm}")
     # Effective passband: the narrower of the demux channel and the bandpass
     # filter, rectangular approximation, at the channel's own wavelength.
-    channel_wl = frequency_to_wavelength(pump.frequency_hz + detuning)
-    bpf_hz = filter_fwhm_to_bandwidth(_number(raw, name, "bpf_fwhm_nm"), channel_wl)
+    bpf_hz = filter_fwhm_to_bandwidth(bpf_nm, frequency_to_wavelength(channel_hz))
     awg_hz = _number(raw, name, "awg_fwhm_ghz") * 1e9
     return DetectionChannel(
         detuning_hz=detuning,
@@ -276,9 +284,8 @@ def _build_noise(raw: dict) -> NoiseModel:
         isinstance(row, list) and len(row) == 2 for row in table
     ):
         raise ConfigError("noise.raman_table must be a list of [detuning_thz, rho] pairs")
-    raman_table = tuple((float(d) * 1e12, float(r)) for d, r in table)
-    if not all(math.isfinite(d) and math.isfinite(r) for d, r in raman_table):
-        raise ConfigError("noise.raman_table entries must be finite numbers")
+    raman_table = tuple((_finite(d, "noise", "raman_table") * 1e12,
+                         _finite(r, "noise", "raman_table")) for d, r in table)
     rej = raw["pump_rejection"]
     _require(rej, "noise.pump_rejection", {"base_db", "floor_db", "ramp_thz"})
     return NoiseModel(
@@ -355,22 +362,24 @@ def validate_config(raw: dict) -> Setup:
     )
 
 
+def _read_json(path, what: str):
+    """Parse a JSON file; undecodable text or bad JSON is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_config(source) -> ExperimentConfig:
-    """Load and validate a configuration from a path, JSON text, or dict."""
+    """Load and validate a configuration from a path, a shipped name, or a dict."""
     if isinstance(source, dict):
         raw = copy.deepcopy(source)
+    elif str(source) in _NAMED_CONFIGS:
+        named = resources.files("sfwmlab.data").joinpath(_NAMED_CONFIGS[str(source)])
+        raw = json.loads(named.read_text())
     else:
-        text = None
-        named = str(source)
-        if named in _NAMED_CONFIGS:
-            text = resources.files("sfwmlab.data").joinpath(_NAMED_CONFIGS[named]).read_text()
-        if text is None:
-            with open(source) as fh:
-                text = fh.read()
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
+        raw = _read_json(source, "configuration")
     return ExperimentConfig(raw=raw, setup=validate_config(raw))
 
 
@@ -590,24 +599,10 @@ def engineered_defaults(target_car: float = 250.0, mu: float = 0.01) -> Experime
     return load_config(raw)
 
 
-def write_calibration_file(path, eta_alpha: float, raman_table, note: str = "") -> None:
-    doc = {
-        "eta_alpha": eta_alpha,
-        "raman_table": [[d / 1e12, r] for d, r in raman_table],
-        "note": note,
-    }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def apply_calibration_file(cfg: ExperimentConfig, path) -> ExperimentConfig:
     """Overlay a calibration file (eta_alpha + noise table) on a config."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    unknown = set(doc) - {"eta_alpha", "raman_table", "note"}
-    if unknown:
-        raise ConfigError(f"unknown key(s) in calibration file: {sorted(unknown)}")
+    doc = _read_json(path, "calibration file")
+    _require(doc, "calibration file", {"eta_alpha", "raman_table"}, {"note"})
     raw = copy.deepcopy(cfg.raw)
     raw["waveguide"]["eta_alpha"] = doc["eta_alpha"]
     raw["noise"]["raman_table"] = doc["raman_table"]

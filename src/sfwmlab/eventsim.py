@@ -1,10 +1,12 @@
 """Monte Carlo photon-counting simulator and start-stop delay histograms.
 
-Detection timestamp streams are synthesized from the analytic rate model,
-passed through detector imperfections (thinning, timing jitter, dark
-counts, dead time), and histogrammed start-against-stop the way a time
-interval analyzer does.  The result is an independent statistical check of
-the analytic predictions.
+``run_tia`` synthesizes detection timestamps from the analytic rate model
+(collection losses split each pair emission into two-arm and one-arm
+events; timing jitter, noise and dark counts are added per arm) and
+histograms them start-against-stop the way a time interval analyzer does.
+The result is an independent statistical check of the analytic
+predictions.  Detector dead time is not modelled: measured singles rates
+are taken as detected rates.
 
 Restricted-domain sampling: in CW the start arm's non-pair events form a
 homogeneous Poisson process, and only starts a little before a stop can
@@ -41,42 +43,6 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
-class EventStream:
-    """Sorted detection timestamps (seconds) over [0, duration)."""
-
-    times: np.ndarray
-    duration: float
-    label: str = ""
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        object.__setattr__(self, "times", times)
-        if self.duration < 0.0:
-            raise ConfigError(f"duration must be non-negative, got {self.duration}")
-        if times.size:
-            if np.any(np.diff(times) < 0.0):
-                raise ConfigError("event times must be non-decreasing")
-            if times[0] < 0.0 or times[-1] >= self.duration:
-                raise ConfigError("event times must lie within [0, duration)")
-
-    def __len__(self) -> int:
-        return int(self.times.size)
-
-    @property
-    def rate(self) -> float:
-        return len(self) / self.duration if self.duration > 0 else 0.0
-
-
-def poisson_stream(rate_hz: float, duration_s: float, rng_seed) -> EventStream:
-    """Homogeneous Poisson arrivals at ``rate_hz`` over [0, duration)."""
-    if rate_hz < 0.0:
-        raise ConfigError(f"rate must be non-negative, got {rate_hz}")
-    rng = _generator(rng_seed)
-    times = _poisson_times(rate_hz, 0.0, duration_s, rng)
-    return EventStream(times=times, duration=duration_s, label="poisson")
-
-
 def _poisson_times(rate_hz, t0, t1, rng) -> np.ndarray:
     # Exponential inter-arrival sampling, conditioned on the count:
     # normalized cumulative exponential gaps are the order statistics of
@@ -107,30 +73,6 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.insert(a, np.searchsorted(a, b), b)
 
 
-def pulsed_stream(
-    in_pulse_rate_hz: float,
-    tau_s: float,
-    rep_rate_hz: float,
-    duration_s: float,
-    rng_seed,
-) -> EventStream:
-    """Arrivals confined to pulse windows [k/B, k/B + tau).
-
-    Within a window the process is homogeneous at ``in_pulse_rate_hz``;
-    the long-run mean count is in_pulse_rate * tau * B * duration.
-    """
-    if in_pulse_rate_hz < 0.0:
-        raise ConfigError(f"rate must be non-negative, got {in_pulse_rate_hz}")
-    if tau_s <= 0.0 or rep_rate_hz <= 0.0:
-        raise ConfigError("tau and rep rate must be positive")
-    if tau_s * rep_rate_hz > 1.0 + 1e-12:
-        raise ConfigError(f"duty cycle tau*B must be <= 1, got {tau_s * rep_rate_hz}")
-    rng = _generator(rng_seed)
-    times = _pulsed_times(in_pulse_rate_hz, tau_s, rep_rate_hz, 0.0, duration_s, rng)
-    times = times[times < duration_s]
-    return EventStream(times=times, duration=duration_s, label="pulsed")
-
-
 def _pulsed_times(rate_hz, tau_s, rep_rate_hz, t0, t1, rng) -> np.ndarray:
     # Windows are anchored to the absolute grid k/B so chunked generation
     # with boundaries on that grid is exactly equivalent to one pass.
@@ -145,52 +87,6 @@ def _pulsed_times(rate_hz, tau_s, rep_rate_hz, t0, t1, rng) -> np.ndarray:
     window = k0 + rng.integers(0, n_windows, n)
     times = window / rep_rate_hz + rng.random(n) * tau_s
     return np.sort(times)
-
-
-def _prune_dead_time(times: np.ndarray, dead_time_s: float) -> np.ndarray:
-    # Non-paralyzable dead time: drop events within dead_time of the last
-    # accepted one.  Inherently sequential.
-    if dead_time_s <= 0.0 or times.size == 0:
-        return times
-    keep = np.empty(times.size, dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times):
-        ok = (t - last) >= dead_time_s
-        keep[i] = ok
-        if ok:
-            last = t
-    return times[keep]
-
-
-def detect(
-    source: EventStream,
-    survival_prob: float,
-    jitter_fwhm_s: float = 0.0,
-    dark_rate_hz: float = 0.0,
-    dead_time_s: float = 0.0,
-    rng_seed=0,
-) -> EventStream:
-    """Pass a stream through a detector: thin, smear, add darks, prune.
-
-    Bernoulli thinning at ``survival_prob``, Gaussian timestamp smear with
-    the given FWHM, an independent dark-count Poisson stream, then dead-time
-    pruning.  Smeared events leaving [0, duration) are dropped.
-    """
-    if not 0.0 <= survival_prob <= 1.0:
-        raise ConfigError(f"survival probability must be in [0, 1], got {survival_prob}")
-    rng = _generator(rng_seed)
-    times = source.times
-    if survival_prob < 1.0:
-        times = times[rng.random(times.size) < survival_prob]
-    if jitter_fwhm_s > 0.0:
-        times = times + rng.normal(0.0, jitter_fwhm_s * FWHM_TO_SIGMA, times.size)
-    darks = _poisson_times(dark_rate_hz, 0.0, source.duration, rng)
-    if darks.size:
-        times = np.concatenate([times, darks])
-    times = np.sort(times)
-    times = times[(times >= 0.0) & (times < source.duration)]
-    times = _prune_dead_time(times, dead_time_s)
-    return EventStream(times=times, duration=source.duration, label=source.label)
 
 
 @dataclass(frozen=True)
@@ -375,25 +271,6 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
     np.subtract(seg_hi, cum, out=cum)
     u += cum[k]
     return u, covered
-
-
-def tia_histogram(starts: EventStream, stops: EventStream, cfg: TiaConfig) -> HistogramResult:
-    """Histogram start-stop delays over the configured range."""
-    delays = _pair_delays(starts.times, stops.times, cfg)
-    counts, edges = np.histogram(delays, bins=cfg.bin_edges)
-    return HistogramResult(
-        bin_edges=edges,
-        counts=counts.astype(np.int64),
-        acquisition_time=starts.duration,
-        metadata={
-            "policy": cfg.policy,
-            "bin_width_s": cfg.bin_width_s,
-            "stop_delay_s": cfg.stop_delay_s,
-            "n_starts": int(starts.times.size),
-            "n_stops": int(stops.times.size),
-            "rng_algorithm": RNG_ALGORITHM,
-        },
-    )
 
 
 @dataclass
@@ -639,32 +516,6 @@ def _arm_chunk(setup, rates, t0, t1, duration, children, stop_delay_s):
 
 def _chunk_children(seed_seq) -> dict:
     return dict(zip(_CATEGORIES, seed_seq.spawn(len(_CATEGORIES))))
-
-
-def make_pair_streams(setup, duration_s: float, rng_seed, stop_delay_s=None):
-    """Synthesize correlated (start, stop) detection streams for a setup.
-
-    Pair emissions are shared between arms; each photon independently
-    survives the collection chain, picks up its arm's timing jitter, and is
-    merged with that arm's noise and dark events.  The stop arm is shifted
-    by ``stop_delay_s`` (defaults to the TIA setting).  Singles and
-    coincidence rates converge to the analytic observables.
-    """
-    if stop_delay_s is None:
-        stop_delay_s = setup.analysis.tia.stop_delay_s
-    rates = component_rates(setup)
-    children = _chunk_children(np.random.SeedSequence(rng_seed))
-    arm0, arm1 = _arm_chunk(setup, rates, 0.0, duration_s, duration_s, children, stop_delay_s)
-    if setup.pump.mode == "cw":
-        # The whole run is the start arm's domain.
-        bulk0, _ = _restricted_poisson(
-            _cw_bulk_rate(rates, 0), np.array([0.0]), np.array([duration_s]),
-            _generator(children["bulk0"]))
-        arm0 = _merge_sorted(bulk0, arm0)
-    return (
-        EventStream(times=arm0, duration=duration_s, label="start"),
-        EventStream(times=arm1, duration=duration_s, label="stop"),
-    )
 
 
 @dataclass

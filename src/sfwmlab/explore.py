@@ -115,6 +115,20 @@ def _rate_at_power(setup: Setup, power_w: float) -> float:
     return pair_generation_rate(setup.waveguide, pump, setup.idler)
 
 
+def _bisect(below, lo: float, hi: float, rel_tol: float) -> float:
+    """Midpoint of the final bracket around the point where ``below`` turns
+    false, for a predicate true on [lo, x) and false on [x, hi]."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * max(hi, 1e-30):
+            break
+    return 0.5 * (lo + hi)
+
+
 def _turnover_power(setup: Setup, p_max: float = 1e4) -> float:
     """Upper end of the monotone-increasing branch of rate vs peak power.
 
@@ -172,16 +186,7 @@ def power_for_pairs_per_pulse(setup: Setup, mu: float) -> float:
             f"mu={mu:.4g} unreachable on the monotone branch (max {mu_max:.4g} "
             f"at peak power {p_turn:.4g} W)"
         )
-    lo, hi = 0.0, p_turn
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _rate_at_power(setup, mid) * tau < mu:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(hi, 1e-30):
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda p: _rate_at_power(setup, p) * tau < mu, 0.0, p_turn, 1e-12)
 
 
 def car_vs_mu(setup: Setup, mus, accidental_mode: str | None = None) -> CurveResult:
@@ -242,15 +247,7 @@ def calibrate_raman_window(
         hi *= 2.0
         if hi > 1e12:
             raise PowerSolveError("window calibration failed to bracket the target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if car_for_rho(mid) > target_car:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(hi, 1e-30):
-            break
-    return 0.5 * (lo + hi)
+    return _bisect(lambda rho: car_for_rho(rho) > target_car, lo, hi, 1e-14)
 
 
 # ------------------------------------------------------------------

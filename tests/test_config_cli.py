@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sfwmlab.cli import main
 from sfwmlab.config import (
@@ -72,6 +74,26 @@ class TestConfigDocument:
         with pytest.raises(ConfigError, match="finite"):
             load_config(clean_raw)
 
+    @pytest.mark.parametrize("path, value, match", [
+        (("pump",), 5, "pump must be a JSON object"),
+        (("channels", "idler"), None, "channels.idler must be a JSON object"),
+        (("noise", "pump_rejection"), [40.0], "pump_rejection must be a JSON object"),
+        (("coupling", "input_split"), "0.5", "input_split"),
+        (("coupling", "output_scale"), None, "output_scale"),
+        (("noise", "raman_table"), [["-8.5", 0.0], [8.5, 0.0]], "raman_table"),
+        (("noise", "raman_table"), [[-8.5, {}], [8.5, 0.0]], "raman_table"),
+        (("channels", "signal", "bpf_fwhm_nm"), 0.0, "bpf_fwhm_nm"),
+        (("channels", "idler", "bpf_fwhm_nm"), -0.5, "bpf_fwhm_nm"),
+        (("channels", "idler", "detuning_thz"), -500.0, "detuning_thz"),
+    ])
+    def test_malformed_values_rejected(self, clean_raw, path, value, match):
+        target = clean_raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError, match=match):
+            load_config(clean_raw)
+
     def test_effective_passband_is_narrower_filter(self, paper_cfg):
         # 50 GHz demux channel against a ~62 GHz bandpass: the demux wins.
         assert paper_cfg.setup.idler.bandwidth_hz == pytest.approx(50e9, rel=1e-12)
@@ -84,6 +106,40 @@ class TestConfigDocument:
     def test_hash_stable_under_key_order(self, paper_cfg):
         shuffled = {k: paper_cfg.raw[k] for k in reversed(list(paper_cfg.raw))}
         assert config_hash(shuffled) == paper_cfg.config_hash
+
+
+def _key_paths(doc, prefix=()):
+    """Every dict key and list index of a JSON document, as key paths."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_PAPER_RAW = load_config("paper-defaults").raw
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(path=st.sampled_from(list(_key_paths(_PAPER_RAW))), value=_JSON_VALUES)
+def test_load_config_accepts_or_raises_config_error(path, value):
+    # One value of paper-defaults replaced by any JSON value (floats include
+    # nan and +-inf): the document loads, or loading raises ConfigError.
+    raw = copy.deepcopy(_PAPER_RAW)
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        load_config(raw)
+    except ConfigError:
+        pass
 
 
 class TestShippedData:
@@ -157,6 +213,38 @@ class TestCli:
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["rates", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text, match", [
+        ("{not json", "not valid JSON"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"raman_table": [[-8.5, 0.0], [8.5, 0.0]]}', "eta_alpha"),
+        ('{"eta_alpha": 0.15}', "raman_table"),
+    ])
+    def test_bad_calibration_file_exit_code(self, tmp_path, capsys, text, match):
+        calib = tmp_path / "calibration.json"
+        calib.write_text(text)
+        code = main(["rates", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--calibration", str(calib)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag", ["--config", "--calibration"])
+    def test_directory_path_exit_code(self, tmp_path, capsys, flag):
+        # A repeated --config takes the last value.
+        assert main(["rates", "--config", "paper-defaults", "--out", str(tmp_path / "out"),
+                     flag, str(tmp_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["1,a", "0.01:0.05:x", "0:0.05:5:log", "nan,0.02"])
+    def test_bad_values_spec_exit_code(self, tmp_path, capsys, values):
+        code = main(["sweep", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--param", "pump.power_w", "--values", values])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_calibrate_roundtrip_through_files(self, tmp_path, capsys):
         code = main([

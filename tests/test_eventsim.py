@@ -4,115 +4,152 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import sfwmlab
 from sfwmlab.config import load_config
 from sfwmlab.errors import ConfigError
 from sfwmlab.eventsim import (
-    EventStream,
     HistogramResult,
     TiaConfig,
+    _arm_chunk,
+    _chunk_children,
+    _cw_bulk_rate,
+    _generator,
+    _jittered,
     _pair_delays,
     _poisson_times,
+    _pulsed_times,
     _restricted_poisson,
     _start_domain,
     analyze_histogram,
-    detect,
-    make_pair_streams,
-    poisson_stream,
-    pulsed_stream,
+    component_rates,
     run_tia,
-    tia_histogram,
     write_histogram_csv,
 )
 
 from conftest import make_noise_free
 
 
+def _poisson(rate_hz, duration_s, seed):
+    return _poisson_times(rate_hz, 0.0, duration_s, _generator(seed))
+
+
+def _histogram(starts, stops, cfg):
+    """One-pass reference: every start against every stop, then binned."""
+    counts, _ = np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)
+    return counts
+
+
+def _full_streams(setup, duration_s, seed):
+    """All starts and stops of a CW run in one chunk: ``_arm_chunk`` plus
+    the start arm's bulk drawn over the whole run."""
+    rates = component_rates(setup)
+    children = _chunk_children(np.random.SeedSequence(seed))
+    arm0, arm1 = _arm_chunk(setup, rates, 0.0, duration_s, duration_s, children,
+                            setup.analysis.tia.stop_delay_s)
+    bulk0 = _poisson_times(_cw_bulk_rate(rates, 0), 0.0, duration_s,
+                           _generator(children["bulk0"]))
+    return np.sort(np.concatenate([arm0, bulk0])), arm1
+
+
+def test_public_names_resolve():
+    for name in sfwmlab.__all__:
+        assert hasattr(sfwmlab, name), name
+
+
 class TestPoissonStream:
     def test_zero_rate_is_empty(self):
-        assert len(poisson_stream(0.0, 1.0, 1)) == 0
+        assert _poisson(0.0, 1.0, 1).size == 0
 
     def test_count_statistics(self):
-        stream = poisson_stream(1e6, 1.0, 12345)
-        assert abs(len(stream) - 1e6) < 5 * 1000.0
+        assert abs(_poisson(1e6, 1.0, 12345).size - 1e6) < 5 * 1000.0
 
     def test_determinism(self):
-        a = poisson_stream(1e5, 1.0, 777)
-        b = poisson_stream(1e5, 1.0, 777)
-        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(_poisson(1e5, 1.0, 777), _poisson(1e5, 1.0, 777))
 
     def test_sorted_within_duration(self):
-        s = poisson_stream(1e4, 2.0, 3)
-        assert np.all(np.diff(s.times) >= 0)
-        assert s.times[0] >= 0 and s.times[-1] < 2.0
+        times = _poisson(1e4, 2.0, 3)
+        assert np.all(np.diff(times) >= 0)
+        assert times[0] >= 0 and times[-1] < 2.0
+
+
+def _pulsed(in_pulse_rate_hz, tau_s, rep_rate_hz, duration_s, seed):
+    return _pulsed_times(in_pulse_rate_hz, tau_s, rep_rate_hz, 0.0, duration_s,
+                         _generator(seed))
 
 
 class TestPulsedStream:
     def test_gating_invariant(self):
         b = 1e8
         tau = 5e-12
-        s = pulsed_stream(2e9, tau, b, 0.01, 9)
-        phase = np.mod(s.times, 1.0 / b)
+        times = _pulsed(2e9, tau, b, 0.01, 9)
+        phase = np.mod(times, 1.0 / b)
         assert np.all(phase < tau * (1 + 1e-6))
 
     def test_expected_count(self):
         # 0.01 mean events per pulse at 100 MHz over one second.
-        s = pulsed_stream(0.01 / 5e-12, 5e-12, 1e8, 1.0, 21)
-        assert abs(len(s) - 1e6) < 5 * 1000.0
+        times = _pulsed(0.01 / 5e-12, 5e-12, 1e8, 1.0, 21)
+        assert abs(times.size - 1e6) < 5 * 1000.0
 
     def test_full_duty_cycle_is_homogeneous(self):
         b = 1e6
         duration = 1.0
-        s = pulsed_stream(2e5, 1.0 / b, b, duration, 5)
+        times = _pulsed(2e5, 1.0 / b, b, duration, 5)
         # With tau*B = 1 the windows tile all of time: uniform arrivals.
-        result = stats.kstest(s.times, "uniform", args=(0.0, duration))
+        result = stats.kstest(times, "uniform", args=(0.0, duration))
         assert result.pvalue > 0.01
-
-    def test_rejects_overfull_windows(self):
-        with pytest.raises(ConfigError):
-            pulsed_stream(1e6, 2e-8, 1e8, 1.0, 1)
 
 
 class TestDetect:
+    """Detector effects as ``run_tia`` applies them: timing jitter, dark
+    counts, and the per-arm survival of pair photons."""
+
     def test_identity(self):
-        src = poisson_stream(1e4, 1.0, 11)
-        out = detect(src, 1.0, 0.0, 0.0, 0.0, 12)
-        assert np.array_equal(out.times, src.times)
+        times = _poisson(1e4, 1.0, 11)
+        assert _jittered(times, 0.0, _generator(12)) is times
 
-    def test_binomial_thinning(self):
-        src = poisson_stream(1e5, 1.0, 13)
-        out = detect(src, 0.5, 0.0, 0.0, 0.0, 14)
-        n = len(src)
-        assert abs(len(out) - 0.5 * n) < 5 * math.sqrt(n * 0.25)
+    def test_binomial_thinning(self, paper_cfg):
+        # Each photon of a pair survives its arm independently: C r = P0 P1,
+        # and the arm-0 pair photons of a chunk are a binomial share of the
+        # pair photons of arm 1 (noise-free, so arm 1 holds only those).
+        setup = load_config(make_noise_free(paper_cfg.raw)).setup
+        rates = component_rates(setup)
+        obs = rates["observables"]
+        p0 = obs.singles_parts["N0"]["pairs"]
+        p1 = obs.singles_parts["N1"]["pairs"]
+        assert rates["both"] * obs.pair_rate == pytest.approx(p0 * p1, rel=1e-12)
+        children = _chunk_children(np.random.SeedSequence(14))
+        arm0, arm1 = _arm_chunk(setup, rates, 0.0, 5.0, 5.0, children, 11.1e-9)
+        share = rates["both"] / p1
+        n = arm1.size
+        assert abs(n - p1 * 5.0) < 5 * math.sqrt(p1 * 5.0)
+        assert abs(arm0.size - share * n) < 5 * math.sqrt(n * share * (1 - share))
 
-    def test_dark_counts_added(self):
-        src = EventStream(times=np.empty(0), duration=1.0)
-        out = detect(src, 1.0, 0.0, 5e4, 0.0, 15)
-        assert abs(len(out) - 5e4) < 5 * math.sqrt(5e4)
-
-    def test_dead_time_pruning(self):
-        src = EventStream(times=np.array([0.0, 1e-9, 2e-9, 3e-9]), duration=1.0)
-        out = detect(src, 1.0, 0.0, 0.0, 1.5e-9, 16)
-        assert np.allclose(out.times, [0.0, 2e-9])
+    def test_dark_counts_added(self, paper_cfg):
+        # Without pump light only the dark counts remain, on both arms.
+        raw = dict(paper_cfg.raw, pump=dict(paper_cfg.raw["pump"], power_mw=0.0))
+        result = run_tia(load_config(raw).setup, 20.0, 15)
+        expected = 1000.0 * 20.0
+        assert abs(result.n_starts - expected) < 5 * math.sqrt(expected)
+        assert abs(result.n_stops - expected) < 5 * math.sqrt(expected)
 
     def test_jitter_quadrature_sum(self):
         # The same underlying events through two detectors with 141 ps
         # jitter each: the delay spread is the quadrature sum, 200 ps FWHM.
-        base = poisson_stream(2e4, 10.0, 17)
+        base = _poisson(2e4, 10.0, 17)
         jit = 200e-12 / math.sqrt(2.0)
-        arm0 = detect(base, 1.0, jit, 0.0, 0.0, 18)
-        arm1 = detect(base, 1.0, jit, 0.0, 0.0, 19)
-        n = min(len(arm0), len(arm1))
-        delays = arm1.times[:n] - arm0.times[:n]
-        fwhm = 2.0 * math.sqrt(2.0 * math.log(2.0)) * float(np.std(delays))
+        arm0 = _jittered(base, jit, _generator(18))
+        arm1 = _jittered(base, jit, _generator(19))
+        fwhm = 2.0 * math.sqrt(2.0 * math.log(2.0)) * float(np.std(arm1 - arm0))
         assert fwhm == pytest.approx(200e-12, rel=0.05)
 
-    def test_rejects_bad_survival(self):
-        src = poisson_stream(1e3, 1.0, 20)
-        with pytest.raises(ConfigError):
-            detect(src, 1.5, 0.0, 0.0, 0.0, 21)
+    def test_rejects_bad_survival(self, clean_raw):
+        # Survival probabilities come from the channel efficiencies.
+        clean_raw["channels"]["signal"]["detector_qe"] = 1.5
+        with pytest.raises(ConfigError, match="QE"):
+            load_config(clean_raw)
 
 
-class TestMakePairStreams:
+class TestArmChunk:
     def test_lossless_streams_pair_exactly(self, paper_cfg):
         raw = make_noise_free(paper_cfg.raw)
         raw["waveguide"]["eta_alpha"] = 1.0
@@ -124,95 +161,67 @@ class TestMakePairStreams:
             ch["detector_qe"] = 1.0
             ch["jitter_fwhm_ps"] = 0.0
         setup = load_config(raw).setup
-        starts, stops = make_pair_streams(setup, 0.5, 123)
-        assert len(starts) == len(stops) > 100
-        assert np.allclose(stops.times - starts.times, 11.1e-9, atol=1e-15)
-
-    def test_singles_match_analytic_rates(self, paper_cfg):
-        setup = paper_cfg.setup
-        obs = setup.predict()
-        duration = 2.0
-        starts, stops = make_pair_streams(setup, duration, 2024)
-        for stream, rate in ((starts, obs.singles0), (stops, obs.singles1)):
-            expected = rate * duration
-            assert abs(len(stream) - expected) < 3 * math.sqrt(expected)
-
-    def test_coincidences_match_analytic_rate(self, paper_cfg):
-        setup = paper_cfg.setup
-        obs = setup.predict()
-        duration = 10.0
-        starts, stops = make_pair_streams(setup, duration, 31)
-        hist = tia_histogram(starts, stops, setup.analysis.tia)
-        analysis = analyze_histogram(hist, peak_window_s=800e-12)
-        tol = 3 * analysis.uncertainties["coincidence_rate"]
-        assert abs(analysis.coincidence_rate - obs.coincidences) < tol
+        children = _chunk_children(np.random.SeedSequence(123))
+        starts, stops = _arm_chunk(setup, component_rates(setup), 0.0, 0.5, 0.5,
+                                   children, 11.1e-9)
+        assert starts.size == stops.size > 100
+        assert np.allclose(stops - starts, 11.1e-9, atol=1e-15)
 
 
 class TestTiaHistogram:
     CFG = TiaConfig(bin_width_s=16e-12, range_s=(10e-9, 12.208e-9),
                     policy="first-stop", stop_delay_s=11.1e-9)
+    MULTI = TiaConfig(bin_width_s=16e-12, range_s=(10e-9, 12.208e-9),
+                      policy="multi-stop", stop_delay_s=11.1e-9)
 
     def test_single_pair_lands_in_delay_bin(self):
-        starts = EventStream(times=np.array([1.0]), duration=2.0)
-        stops = EventStream(times=np.array([1.0 + 11.1e-9]), duration=2.0)
-        hist = tia_histogram(starts, stops, self.CFG)
-        assert hist.total_counts == 1
-        bin_idx = int(np.argmax(hist.counts))
-        lo = hist.bin_edges[bin_idx]
-        hi = hist.bin_edges[bin_idx + 1]
+        counts = _histogram(np.array([1.0]), np.array([1.0 + 11.1e-9]), self.CFG)
+        assert counts.sum() == 1
+        bin_idx = int(np.argmax(counts))
+        lo = self.CFG.bin_edges[bin_idx]
+        hi = self.CFG.bin_edges[bin_idx + 1]
         assert lo <= 11.1e-9 < hi
 
     def test_no_stops_gives_empty_histogram(self):
-        starts = poisson_stream(1e4, 1.0, 40)
-        stops = EventStream(times=np.empty(0), duration=1.0)
-        hist = tia_histogram(starts, stops, self.CFG)
-        assert hist.total_counts == 0
+        assert _histogram(_poisson(1e4, 1.0, 40), np.empty(0), self.CFG).sum() == 0
 
     def test_first_stop_total_bounded_by_starts(self):
-        starts = poisson_stream(1e5, 1.0, 41)
-        stops = poisson_stream(1e5, 1.0, 42)
-        hist = tia_histogram(starts, stops, self.CFG)
-        assert hist.total_counts <= len(starts)
+        starts = _poisson(1e5, 1.0, 41)
+        stops = _poisson(1e5, 1.0, 42)
+        assert _histogram(starts, stops, self.CFG).sum() <= starts.size
 
     def test_accidental_floor_level(self):
         # Independent streams: multi-stop floor per bin is R0*R1*bin*T.
         r0, r1, duration = 2e5, 1e5, 5.0
-        starts = poisson_stream(r0, duration, 43)
-        stops = poisson_stream(r1, duration, 44)
-        cfg = TiaConfig(bin_width_s=16e-12, range_s=(10e-9, 12.208e-9),
-                        policy="multi-stop", stop_delay_s=11.1e-9)
-        hist = tia_histogram(starts, stops, cfg)
+        starts = _poisson(r0, duration, 43)
+        stops = _poisson(r1, duration, 44)
+        counts = _histogram(starts, stops, self.MULTI)
         expected = r0 * r1 * 16e-12 * duration
-        mean = hist.counts.mean()
-        sigma_mean = math.sqrt(expected / hist.counts.size)
-        assert abs(mean - expected) < 3 * sigma_mean
+        sigma_mean = math.sqrt(expected / counts.size)
+        assert abs(counts.mean() - expected) < 3 * sigma_mean
 
     def test_first_stop_agrees_with_multi_stop_at_low_occupancy(self):
         # When stop_rate * range << 1 the two policies coincide within
         # counting noise.
-        starts = poisson_stream(2e5, 5.0, 45)
-        stops = poisson_stream(1e5, 5.0, 46)
-        first = tia_histogram(starts, stops, self.CFG)
-        multi = tia_histogram(
-            starts, stops,
-            TiaConfig(bin_width_s=16e-12, range_s=(10e-9, 12.208e-9),
-                      policy="multi-stop", stop_delay_s=11.1e-9),
-        )
-        diff = first.counts.sum() - multi.counts.sum()
-        assert abs(diff) < 3 * math.sqrt(multi.counts.sum() + 1)
+        starts = _poisson(2e5, 5.0, 45)
+        stops = _poisson(1e5, 5.0, 46)
+        first = _histogram(starts, stops, self.CFG)
+        multi = _histogram(starts, stops, self.MULTI)
+        diff = first.sum() - multi.sum()
+        assert abs(diff) < 3 * math.sqrt(multi.sum() + 1)
 
     def test_policies_agree_per_bin_at_full_rates(self, paper_cfg):
         # Full singles rates over a 40 ns span: the first-stop depletion
         # (stop rate x range ~ 0.05) stays far below the per-bin Poisson
         # spread at this acquisition time.
-        starts, stops = make_pair_streams(paper_cfg.setup, 1.0, 55)
+        starts, stops = _full_streams(paper_cfg.setup, 1.0, 55)
         histograms = {}
         for policy in ("first-stop", "multi-stop"):
             cfg = TiaConfig(bin_width_s=16e-12, range_s=(0.0, 40e-9),
                             policy=policy, stop_delay_s=11.1e-9)
-            histograms[policy] = tia_histogram(starts, stops, cfg)
-        first = histograms["first-stop"].counts
-        multi = histograms["multi-stop"].counts
+            histograms[policy] = _histogram(starts, stops, cfg)
+        first = histograms["first-stop"]
+        multi = histograms["multi-stop"]
         assert np.all(first <= multi)  # first-stop can only drop pairs
         sigma = np.sqrt(np.maximum(multi, 1))
         assert np.all(multi - first < 3 * sigma)
@@ -509,7 +518,7 @@ class TestRunTiaChunking:
     ``_arm_chunk`` and ``_restricted_poisson`` are replaced by views of
     fixed event sets: pair photons and stop-arm noise selected by emission
     time, and a start-arm bulk selected by the requested domain.  The
-    histogram must then equal ``tia_histogram`` over all events exactly:
+    histogram must then equal one pass over all events exactly:
     no start is lost or counted twice at a chunk edge, and every start
     outside the domain is one that cannot reach the histogram.
     """
@@ -564,11 +573,10 @@ class TestRunTiaChunking:
                         stop_delay_s=delay)
         result = run_tia(paper_cfg.setup, self.DURATION, 1, tia=tia,
                          max_events_per_chunk=1.0)
-        expected = tia_histogram(EventStream(starts, self.DURATION),
-                                 EventStream(stops, self.DURATION), tia)
-        assert expected.total_counts > 1000
+        expected = _histogram(starts, stops, tia)
+        assert expected.sum() > 1000
         assert result.n_stops == stops.size
-        assert np.array_equal(result.histogram.counts, expected.counts)
+        assert np.array_equal(result.histogram.counts, expected)
 
 
 class TestHistogramCsv:
