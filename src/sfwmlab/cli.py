@@ -87,6 +87,11 @@ def _spec_number(text: str, spec: str, kind=float):
         raise ConfigError(f"bad number {text!r} in values spec {spec!r}") from None
 
 
+# Most values one spec may list: each is a model evaluation, and numpy
+# allocates a lo:hi:count list in full.
+MAX_VALUES = 10_000
+
+
 def _parse_values(spec: str) -> tuple:
     """Value list syntax: 'lo:hi:count[:log]' or comma-separated numbers."""
     if ":" in spec:
@@ -95,8 +100,8 @@ def _parse_values(spec: str) -> tuple:
             raise ConfigError(f"bad values spec {spec!r}; use lo:hi:count[:log]")
         lo, hi = _spec_number(parts[0], spec), _spec_number(parts[1], spec)
         count = _spec_number(parts[2], spec, int)
-        if count < 1:
-            raise ConfigError("values count must be at least 1")
+        if not 1 <= count <= MAX_VALUES:
+            raise ConfigError(f"values count must be 1 to {MAX_VALUES}, got {count}")
         if len(parts) == 4:
             if parts[3] != "log":
                 raise ConfigError(f"bad spacing {parts[3]!r}; only 'log' is recognized")
@@ -106,7 +111,10 @@ def _parse_values(spec: str) -> tuple:
         else:
             values = np.linspace(lo, hi, count)
     else:
-        values = [_spec_number(v, spec) for v in spec.split(",")]
+        items = spec.split(",")
+        if len(items) > MAX_VALUES:
+            raise ConfigError(f"at most {MAX_VALUES} values may be listed, got {len(items)}")
+        values = [_spec_number(v, spec) for v in items]
     if not all(math.isfinite(v) for v in values):
         raise ConfigError(f"values must be finite numbers: {spec!r}")
     return tuple(float(v) for v in values)
@@ -328,6 +336,10 @@ def cmd_optimize(args) -> int:
         constraint = ("c_min", args.c_min)
     else:
         raise ConfigError("optimize requires --mu-min or --c-min")
+    kind, value = constraint
+    if not (math.isfinite(value) and value > 0.0):
+        flag = "--" + kind.replace("_", "-")
+        raise ConfigError(f"{flag} must be a finite positive number, got {value}")
     result = optimize_car(cfg.setup, bounds, constraint, grid_points=args.grid_points)
     result_path = out / "design.json"
     with open(result_path, "w", newline="\n") as fh:

@@ -17,6 +17,13 @@ as one Poisson number (Kingman, *Poisson Processes*, 1993).  The result is
 identical in distribution to generating every start; the CW streams for a
 given seed changed when this was introduced.
 
+Block-indexed multi-stop enumeration: a multi-stop domain segment is the
+union of the windows of a run of consecutive stops, so the segment a bulk
+start was drawn in names its candidate stops.  Those starts are paired with
+their segment's stop block, not searched in the whole stop array, and are
+enumerated and binned in batches of a fixed number of starts
+(``_BLOCK_BATCH``); counts add, so the histogram does not depend on it.
+
 Determinism: every stochastic routine takes a seed and uses a counter-based
 Philox generator; identical seeds and configurations give bit-identical
 outputs.
@@ -173,8 +180,13 @@ def write_histogram_csv(hist: HistogramResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _expand_stop_ranges(starts, stops, i0, i1):
-    """Delays stop - start for stop indices [i0[j], i1[j]) of each start."""
+def _expand_stop_ranges(starts, stops, i0, i1, window=None):
+    """Delays stop - start for stop indices [i0[j], i1[j]) of each start.
+
+    With ``window`` = (lo, hi) only the stops p with p >= s + lo and
+    p < s + hi are kept: the float comparisons ``searchsorted`` makes, so a
+    candidate range that holds the matching one gives the same delays.
+    """
     counts = i1 - i0
     total = int(counts.sum())
     if total == 0:
@@ -184,8 +196,15 @@ def _expand_stop_ranges(starts, stops, i0, i1):
     flat -= np.repeat(np.cumsum(counts) - counts - i0, counts)
     delays = stops[flat]
     del flat
-    delays -= np.repeat(starts, counts)
-    return delays
+    s = np.repeat(starts, counts)
+    if window is None:
+        delays -= s
+        return delays
+    lo, hi = window
+    keep = delays >= s + lo
+    keep &= delays < s + hi
+    delays -= s
+    return delays[keep]
 
 
 def _pair_delays(
@@ -196,7 +215,10 @@ def _pair_delays(
 
     Enumerated per start, the way a time-tag correlator walks sorted tags
     (Wahl et al., Opt. Express 11, 3583, 2003): the matching stops of one
-    start form a contiguous index range of the sorted stop array.
+    start form a contiguous index range of the sorted stop array, found
+    here by searching the whole array.  ``run_tia`` uses it for the
+    explicit starts and first-stop; multi-stop bulk starts go through
+    ``_block_histogram``, which gives the same delays per start.
     """
     if starts.size == 0 or stops.size == 0:
         return np.empty(0, dtype=np.float64)
@@ -217,13 +239,18 @@ def _pair_delays(
 def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
-    Returns sorted, disjoint segments ``(seg_lo, seg_hi)``; every start that
-    pairs with one of ``stops`` at a binnable delay lies inside one of them.
+    Returns sorted, disjoint segments ``(seg_lo, seg_hi)`` and, for
+    multi-stop, their stop blocks; every start that pairs with one of
+    ``stops`` at a binnable delay lies inside one of the segments.
     Multi-stop: the union of (p - hi, p - lo] over stops p, with windows of
-    consecutive stops merged where they overlap.  First-stop: one window
+    consecutive stops merged where they overlap; segment k merges the
+    windows of ``stops[block[k]:block[k + 1]]``, so a start inside it pairs
+    only with stops of that block (up to rounding at its edges).
+    First-stop: one window
     (max(prev_stop, p - hi), p - max(lo, 0)] per stop; starts later than
-    p - lo only reach delays below the range.  Windows are clipped to
-    [t_lo, t_hi]; a window cut away entirely stays as an empty segment.
+    p - lo only reach delays below the range; ``block`` is None.  Windows
+    are clipped to [t_lo, t_hi]; a window cut away entirely stays as an
+    empty segment.
     """
     lo, hi = cfg.range_s
     first = cfg.policy == "first-stop"
@@ -235,19 +262,25 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
     p = stops[i0:i1]
     seg_lo = p - hi
     seg_hi = p - lo
+    block = None
     if first:
         np.maximum(seg_lo[1:], p[:-1], out=seg_lo[1:])
         if i0 > 0 and p.size:
             seg_lo[0] = max(seg_lo[0], stops[i0 - 1])
-    elif p.size:
-        # Window g ends a segment and window g + 1 begins the next one.
-        gaps = np.flatnonzero(seg_lo[1:] > seg_hi[:-1])
-        seg_lo = seg_lo[np.insert(gaps + 1, 0, 0)]
-        seg_hi = seg_hi[np.append(gaps, p.size - 1)]
+    else:
+        # A segment begins at window 0, ends at the last window, and
+        # window g + 1 begins a new one where it does not overlap window g.
+        begins = np.ones(p.size + 1, dtype=bool)
+        np.greater(seg_lo[1:], seg_hi[:-1], out=begins[1:-1])
+        block = np.flatnonzero(begins)
+        del begins
+        seg_lo = seg_lo[block[:-1]]
+        seg_hi = seg_hi[block[1:] - 1]
+        block += i0
     np.clip(seg_lo, t_lo, t_hi, out=seg_lo)
     np.maximum(seg_hi, seg_lo, out=seg_hi)
     np.minimum(seg_hi, t_hi, out=seg_hi)
-    return seg_lo, seg_hi
+    return seg_lo, seg_hi, block
 
 
 def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
@@ -256,21 +289,63 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
     By the restriction theorem (Kingman, *Poisson Processes*, 1993) the
     arrivals of a rate-r process inside a set of total length L are
     Poisson(r L) points placed uniformly on it, independent of the
-    arrivals outside.  Returns the sorted times and L.
+    arrivals outside.  Returns the sorted times, the index of the segment
+    each time was placed in (non-decreasing; it names the time's stop
+    block in multi-stop), and L.
     """
     cum = seg_hi - seg_lo
     np.cumsum(cum, out=cum)
     covered = float(cum[-1]) if cum.size else 0.0
     u = _poisson_times(rate_hz, 0.0, covered, rng)
     if u.size == 0:
-        return u, covered
+        return u, np.empty(0, dtype=np.intp), covered
     # Segment k holds the offsets [cum[k-1], cum[k]), so an offset u maps
     # to seg_lo[k] + u - cum[k-1] = u + seg_hi[k] - cum[k] (up to rounding).
     k = np.searchsorted(cum, u, side="right")
     np.minimum(k, cum.size - 1, out=k)
     np.subtract(seg_hi, cum, out=cum)
     u += cum[k]
-    return u, covered
+    return u, k, covered
+
+
+# Multi-stop bulk starts per enumeration batch: bounds the candidate arrays.
+# Counts add, so the histogram does not depend on it.
+_BLOCK_BATCH = 1 << 18
+
+
+def _block_histogram(starts, seg, stops, block, cfg):
+    """Multi-stop histogram of starts placed in ``_start_domain`` segments.
+
+    Start j, in segment k = ``seg[j]``, is paired with that segment's stop
+    block ``stops[block[k]:block[k + 1]]``, keeping the stops
+    ``_pair_delays`` would find, in batches of ``_BLOCK_BATCH`` starts.
+    Rounding at a segment edge can put a start within reach of a stop just
+    outside its block; such a start, and possibly one whose block begins at
+    the first stop or ends at the last, is returned instead of enumerated,
+    for ``_pair_delays``.  Returns (counts, those starts).
+    """
+    lo, hi = cfg.range_s
+    edges = cfg.bin_edges
+    counts = np.zeros(cfg.n_bins, dtype=np.int64)
+    searched = []
+    for j in range(0, starts.size, _BLOCK_BATCH):
+        s = starts[j:j + _BLOCK_BATCH]
+        k = seg[j:j + _BLOCK_BATCH]
+        i0 = block[k]
+        i1 = block[k + 1]
+        # The matching stops form one index range, so the block holds them
+        # all unless a neighbouring stop matches; out-of-range neighbour
+        # indices are clipped into the block and send the start away too.
+        out = np.take(stops, i0 - 1, mode="clip") >= s + lo
+        out |= np.take(stops, i1, mode="clip") < s + hi
+        if out.any():
+            searched.append(s[out])
+            i1[out] = i0[out]
+        delays = _expand_stop_ranges(s, stops, i0, i1, (lo, hi))
+        counts += np.histogram(delays, bins=edges)[0]
+    if not searched:
+        return counts, np.empty(0, dtype=np.float64)
+    return counts, np.concatenate(searched)
 
 
 @dataclass
@@ -575,16 +650,22 @@ def _tia_chunk(setup, rates, tia, t0, t1, duration_s, seed, slab, carry):
     del arm0, arm1
     cut = int(np.searchsorted(explicit, s_hi, side="left"))
     starts = explicit[:cut]
+    block_counts = 0
     if setup.pump.mode == "cw":
         bulk0_rate = _cw_bulk_rate(rates, 0)
-        seg_lo, seg_hi = _start_domain(stops, tia, s_lo, s_hi)
+        seg_lo, seg_hi, block = _start_domain(stops, tia, s_lo, s_hi)
         rng = _generator(children["bulk0"])
-        bulk, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng)
+        bulk, seg, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng)
         del seg_lo, seg_hi
         # Bulk starts outside the domain are only counted.
         n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
+        if block is not None:
+            # Only the starts the blocks cannot settle are left to search.
+            block_counts, bulk = _block_histogram(bulk, seg, stops, block, tia)
+        del seg, block
         starts = _merge_sorted(bulk, starts)
     counts, _ = np.histogram(_pair_delays(starts, stops, tia), bins=tia.bin_edges)
+    counts += block_counts
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     return counts, n0, n1, (explicit[cut:].copy(), stops[keep:].copy())
 
@@ -610,8 +691,12 @@ def run_tia(
     stops (``_start_domain``), about 0.3 % of the run at the shipped range;
     the rest of it is one Poisson count added to ``n_starts``.  The result
     is identical in distribution to generating every start, though the
-    streams for a given seed differ from releases that did.  Deterministic
-    for a fixed seed, config and chunk size.
+    streams for a given seed differ from releases that did.  In multi-stop
+    those bulk starts are paired with the stop block of the domain segment
+    they were drawn in (``_block_histogram``), in batches of a fixed number
+    of starts, instead of being searched in the whole stop array; the
+    histogram is the same, bin for bin.  Deterministic for a fixed seed,
+    config and chunk size.
     """
     if tia is None:
         tia = setup.analysis.tia

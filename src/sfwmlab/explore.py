@@ -316,8 +316,15 @@ def optimize_car(
     names = sorted(bounds)
     lows = np.array([float(bounds[n][0]) for n in names])
     highs = np.array([float(bounds[n][1]) for n in names])
+    for n, lo, hi in zip(names, lows, highs):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"bound {n}={lo}:{hi} must have finite endpoints")
     if np.any(highs < lows):
         raise ConfigError("each bound must satisfy lo <= hi")
+    if not math.isfinite(constraint[1]):
+        raise ConfigError(f"constraint {constraint[0]}={constraint[1]} must be finite")
+    if grid_points < 2:
+        raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
     spans = highs - lows
 
     trace = []

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfwmlab import cli
 from sfwmlab.cli import main
 from sfwmlab.config import (
     calibrate_config,
@@ -237,7 +238,8 @@ class TestCli:
                      flag, str(tmp_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("values", ["1,a", "0.01:0.05:x", "0:0.05:5:log", "nan,0.02"])
+    @pytest.mark.parametrize("values", ["1,a", "0.01:0.05:x", "0:0.05:5:log", "nan,0.02",
+                                        "0:1:1000000000000", "1:2:10001:log"])
     def test_bad_values_spec_exit_code(self, tmp_path, capsys, values):
         code = main(["sweep", "--config", "paper-defaults", "--out", str(tmp_path),
                      "--param", "pump.power_w", "--values", values])
@@ -245,6 +247,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_values_count_capped_before_allocation(self, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("numpy was asked for the value array")
+
+        monkeypatch.setattr(cli.np, "linspace", allocate)
+        monkeypatch.setattr(cli.np, "geomspace", allocate)
+        for spec in ("0:1:1000000000000", f"1:2:{cli.MAX_VALUES + 1}:log"):
+            with pytest.raises(ConfigError, match="values count"):
+                cli._parse_values(spec)
+        with pytest.raises(ConfigError, match="at most"):
+            cli._parse_values(",".join(["1"] * (cli.MAX_VALUES + 1)))
+
+    def test_values_count_at_cap_accepted(self):
+        assert len(cli._parse_values(f"0:1:{cli.MAX_VALUES}")) == cli.MAX_VALUES
 
     def test_calibrate_roundtrip_through_files(self, tmp_path, capsys):
         code = main([
@@ -352,6 +369,28 @@ class TestCli:
         assert code == 0
         doc = json.loads((tmp_path / "design.json").read_text())
         assert doc["best"] == {"peak_power_w": 0.3}
+
+    @pytest.mark.parametrize("args, match", [
+        (["--bound", "peak_power_w=nan:1", "--mu-min", "1e-6"], "peak_power_w=nan:1.0"),
+        (["--bound", "peak_power_w=0.1:inf", "--mu-min", "1e-6"], "peak_power_w=0.1:inf"),
+        (["--bound", "tau_s=-inf:1e-9", "--mu-min", "1e-6"], "tau_s=-inf:1e-09"),
+        (["--bound", "peak_power_w=0.1:1", "--mu-min", "nan"], "--mu-min"),
+        (["--bound", "peak_power_w=0.1:1", "--mu-min", "-1"], "--mu-min"),
+        (["--bound", "peak_power_w=0.1:1", "--c-min", "inf"], "--c-min"),
+        (["--bound", "peak_power_w=0.1:1", "--c-min", "0"], "--c-min"),
+        (["--bound", "peak_power_w=0.1:1", "--mu-min", "1e-6", "--grid-points", "0"],
+         "grid_points"),
+        (["--bound", "peak_power_w=0.1:1", "--mu-min", "1e-6", "--grid-points", "1"],
+         "grid_points"),
+    ])
+    def test_optimize_bad_input_exit_code(self, tmp_path, capsys, args, match):
+        code = main(["optimize", "--config", "engineered-defaults", "--out", str(tmp_path),
+                     *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert match in err and "no feasible point" not in err
+        assert not (tmp_path / "design.json").exists()
 
     def test_bad_bound_syntax_exit_code(self, tmp_path):
         code = main([

@@ -11,8 +11,10 @@ from sfwmlab.eventsim import (
     HistogramResult,
     TiaConfig,
     _arm_chunk,
+    _block_histogram,
     _chunk_children,
     _cw_bulk_rate,
+    _expand_stop_ranges,
     _generator,
     _jittered,
     _pair_delays,
@@ -322,7 +324,7 @@ class TestRunTia:
 
 def _segments(stops, policy, rng, t_lo, t_hi, stop_delay=2.0):
     cfg = TiaConfig(bin_width_s=0.5, range_s=rng, policy=policy, stop_delay_s=stop_delay)
-    seg_lo, seg_hi = _start_domain(np.array(stops, dtype=float), cfg, t_lo, t_hi)
+    seg_lo, seg_hi, _ = _start_domain(np.array(stops, dtype=float), cfg, t_lo, t_hi)
     assert np.all(seg_hi >= seg_lo)
     assert np.all(seg_lo[1:] >= seg_hi[:-1])  # sorted and disjoint
     return [(a, b) for a, b in zip(seg_lo, seg_hi) if b > a]
@@ -369,7 +371,7 @@ class TestStartDomain:
         starts = np.arange(0.0, 4000.0, 0.5)
         cfg = TiaConfig(bin_width_s=1.0, range_s=rng, policy=policy,
                         stop_delay_s=max(rng[0], 0.0))
-        seg_lo, seg_hi = _start_domain(stops, cfg, 0.0, 4000.0)
+        seg_lo, seg_hi, _ = _start_domain(stops, cfg, 0.0, 4000.0)
         k = np.searchsorted(seg_lo, starts, side="right") - 1
         inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
         assert inside.mean() < 0.9
@@ -383,27 +385,120 @@ class TestStartDomain:
 
 class TestRestrictedPoisson:
     def test_single_segment_is_the_plain_process(self):
-        a, covered = _restricted_poisson(
+        a, seg, covered = _restricted_poisson(
             1e4, np.array([0.0]), np.array([2.0]), np.random.default_rng(5))
         b = _poisson_times(1e4, 0.0, 2.0, np.random.default_rng(5))
         assert covered == 2.0
         assert np.array_equal(a, b)
+        assert np.array_equal(seg, np.zeros(a.size))
 
     def test_points_fill_segments_uniformly(self):
         seg_lo = np.array([0.0, 2.0, 5.0])
         seg_hi = np.array([1.0, 2.0, 7.0])
         rate = 1e5
-        times, covered = _restricted_poisson(rate, seg_lo, seg_hi, np.random.default_rng(6))
+        times, seg, covered = _restricted_poisson(rate, seg_lo, seg_hi,
+                                                  np.random.default_rng(6))
         assert covered == pytest.approx(3.0)
         assert np.all(np.diff(times) >= 0.0)
         in_first = (times >= 0.0) & (times <= 1.0)
         in_last = (times >= 5.0) & (times <= 7.0)
         assert np.all(in_first | in_last)
+        # The empty middle segment gets no point.
+        assert np.array_equal(seg, np.where(in_first, 0, 2))
         n = times.size
         assert abs(n - rate * 3.0) < 4 * math.sqrt(rate * 3.0)
         frac = in_last.sum() / n
         assert abs(frac - 2.0 / 3.0) < 4 * math.sqrt(frac * (1 - frac) / n)
         assert stats.kstest(times[in_last], "uniform", args=(5.0, 2.0)).pvalue > 1e-3
+
+
+def _segment_of(starts, seg_lo, seg_hi):
+    """(index, inside) of the closed segment holding each start."""
+    k = np.searchsorted(seg_lo, starts, side="right") - 1
+    inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
+    return k, inside
+
+
+class TestBlockHistogram:
+    """Multi-stop starts paired with their segment's stop block give the
+    delays, and the histogram, of ``_pair_delays`` over all stops."""
+
+    @staticmethod
+    def _check(starts, seg, stops, cfg, block):
+        """Block path against the search path; returns the number of
+        starts the blocks settled."""
+        counts, searched = _block_histogram(starts, seg, stops, block, cfg)
+        assert np.array_equal(counts + _histogram(searched, stops, cfg),
+                              _histogram(starts, stops, cfg))
+        settled = ~np.isin(starts, searched)
+        delays = _expand_stop_ranges(starts[settled], stops, block[seg[settled]],
+                                     block[seg[settled] + 1], cfg.range_s)
+        assert np.array_equal(np.sort(delays),
+                              np.sort(_pair_delays(starts[settled], stops, cfg)))
+        return int(settled.sum())
+
+    def _grid_case(self, stops, range_s, t_lo, t_hi, expect_segments):
+        # Integer stops and quarter-step starts put starts on window edges
+        # and give delays of exactly lo and hi.
+        stops = np.array(stops, dtype=float)
+        cfg = TiaConfig(bin_width_s=0.25, range_s=range_s, policy="multi-stop",
+                        stop_delay_s=max(range_s[0], 0.0))
+        seg_lo, seg_hi, block = _start_domain(stops, cfg, t_lo, t_hi)
+        assert list(zip(seg_lo, seg_hi)) == expect_segments
+        starts = np.arange(t_lo, t_hi, 0.25)
+        k, inside = _segment_of(starts, seg_lo, seg_hi)
+        starts, k = starts[inside], k[inside]
+        assert self._check(starts, k, stops, cfg, block) == starts.size
+        assert _histogram(starts, stops, cfg).sum() > 0
+        return block
+
+    def test_merged_windows(self):
+        # Windows (2, 4] and (3, 5] merge into one segment with two stops.
+        block = self._grid_case([0.0, 5.0, 6.0, 10.0, 30.0], (1.0, 3.0), 1.0, 25.0,
+                                [(2.0, 5.0), (7.0, 9.0)])
+        assert list(block) == [1, 3, 4]
+
+    def test_segment_clipped_at_slab_edge(self):
+        block = self._grid_case([0.0, 5.0, 6.0, 10.0, 30.0], (1.0, 3.0), 3.0, 8.0,
+                                [(3.0, 5.0), (7.0, 8.0)])
+        assert list(block) == [1, 3, 4]
+
+    def test_empty_segments(self):
+        # The windows of 4 and 20 are cut away to [3, 3] and [17, 17]; the
+        # start at 3 still pairs with the stop of its empty segment.
+        block = self._grid_case([1.0, 4.0, 10.0, 20.0, 40.0], (1.0, 3.0), 3.0, 17.0,
+                                [(3.0, 3.0), (7.0, 9.0), (17.0, 17.0)])
+        assert list(block) == [1, 2, 3, 4]
+
+    def test_negative_range_start(self):
+        # Windows (p - 3, p + 2]: those of 0, 5 and 6 touch or overlap.
+        block = self._grid_case([-10.0, 0.0, 5.0, 6.0, 12.0, 30.0], (-2.0, 3.0),
+                                1.0, 25.0, [(1.0, 8.0), (9.0, 14.0)])
+        assert list(block) == [1, 4, 5]
+
+    def test_start_in_a_wrong_block_is_searched(self):
+        # A start given the neighbouring segment, as rounding at a segment
+        # edge could, is searched instead of losing its stops.
+        stops = np.array([0.0, 5.0, 6.0, 10.0, 30.0])
+        cfg = TiaConfig(bin_width_s=0.25, range_s=(1.0, 3.0), policy="multi-stop",
+                        stop_delay_s=2.0)
+        seg_lo, seg_hi, block = _start_domain(stops, cfg, 1.0, 25.0)
+        starts = np.array([4.0, 5.0, 8.0])
+        _, searched = _block_histogram(starts, np.array([1, 1, 0]), stops, block, cfg)
+        assert np.array_equal(searched, starts)
+        assert self._check(starts, np.array([1, 1, 0]), stops, cfg, block) == 0
+
+    @pytest.mark.parametrize("range_s", [(10e-9, 330e-9), (-50e-9, 120e-9)])
+    def test_restricted_poisson_starts(self, range_s):
+        # Continuous times half a second into a run, so that sums round.
+        gen = np.random.default_rng(31)
+        stops = 0.5 + np.sort(gen.random(4000)) * 2e-3
+        cfg = TiaConfig(bin_width_s=1e-9, range_s=range_s, policy="multi-stop",
+                        stop_delay_s=max(range_s[0], 0.0))
+        seg_lo, seg_hi, block = _start_domain(stops, cfg, 0.5002, 0.5018)
+        starts, seg, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32))
+        assert starts.size > 5000
+        assert self._check(starts, seg, stops, cfg, block) == starts.size
 
 
 def _brute_force_delays(starts, stops, cfg):
@@ -512,6 +607,57 @@ class TestRunTiaStatistics:
         self._check(paper_cfg.setup, "multi-stop")
 
 
+class TestRunTiaBlockPath:
+    """Multi-stop runs whose bulk starts are enumerated per stop block."""
+
+    TIA = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy="multi-stop",
+                    stop_delay_s=11.1e-9)
+
+    def _run(self, setup, seed=8):
+        return run_tia(setup, 0.005, seed, tia=self.TIA, max_events_per_chunk=1e4)
+
+    @pytest.mark.parametrize("batch", [1, 7, 10**9])
+    def test_histogram_does_not_depend_on_batch_size(self, paper_cfg, monkeypatch, batch):
+        import sfwmlab.eventsim as eventsim
+
+        settled = []
+
+        def counted(starts, *args):
+            counts, searched = _block_histogram(starts, *args)
+            settled.append((starts.size, searched.size))
+            return counts, searched
+
+        monkeypatch.setattr(eventsim, "_block_histogram", counted)
+        reference = self._run(paper_cfg.setup)
+        assert reference.histogram.total_counts > 1000
+        monkeypatch.setattr(eventsim, "_BLOCK_BATCH", batch)
+        result = self._run(paper_cfg.setup)
+        assert np.array_equal(result.histogram.counts, reference.histogram.counts)
+        assert (result.n_starts, result.n_stops) == (reference.n_starts, reference.n_stops)
+        # Both runs have two chunks, and the blocks settle nearly every start.
+        assert len(settled) == 4 and settled[2:] == settled[:2]
+        n_starts, n_searched = np.sum(settled[:2], axis=0)
+        assert n_starts > 5000 and n_searched < 0.01 * n_starts
+
+    def test_matches_searching_every_start(self, paper_cfg, monkeypatch):
+        import sfwmlab.eventsim as eventsim
+
+        used = []
+
+        def search_only(stops, cfg, t_lo, t_hi):
+            seg_lo, seg_hi, block = _start_domain(stops, cfg, t_lo, t_hi)
+            used.append(block is not None)
+            return seg_lo, seg_hi, None
+
+        for seed in (8, 9):
+            blocks = self._run(paper_cfg.setup, seed)
+            with monkeypatch.context() as m:
+                m.setattr(eventsim, "_start_domain", search_only)
+                searched = self._run(paper_cfg.setup, seed)
+            assert used and all(used)
+            assert np.array_equal(blocks.histogram.counts, searched.histogram.counts)
+
+
 class TestRunTiaChunking:
     """Chunked, restricted-domain runs against one pass over the same events.
 
@@ -550,10 +696,10 @@ class TestRunTiaChunking:
 
         def restricted(rate_hz, seg_lo, seg_hi, rng):
             if seg_lo.size == 0:
-                return np.empty(0), 0.0
+                return np.empty(0), np.empty(0, dtype=np.intp), 0.0
             k = np.searchsorted(seg_lo, bulk0, side="right") - 1
             inside = (k >= 0) & (bulk0 <= seg_hi[np.maximum(k, 0)])
-            return bulk0[inside], float(np.sum(seg_hi - seg_lo))
+            return bulk0[inside], k[inside], float(np.sum(seg_hi - seg_lo))
 
         monkeypatch.setattr(eventsim, "_arm_chunk", arm_chunk)
         monkeypatch.setattr(eventsim, "_restricted_poisson", restricted)
