@@ -299,7 +299,7 @@ def cmd_sweep(args) -> int:
 def cmd_car_curve(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
-    if args.detuning:
+    if args.detuning is not None:
         values = tuple(v * 1e12 for v in _parse_values(args.detuning))
         curve = car_vs_detuning(cfg.setup, values)
     else:
@@ -340,6 +340,11 @@ def cmd_optimize(args) -> int:
     if not (math.isfinite(value) and value > 0.0):
         flag = "--" + kind.replace("_", "-")
         raise ConfigError(f"{flag} must be a finite positive number, got {value}")
+    # Each grid point is a model evaluation; a point bound has one.
+    points = math.prod(1 if lo == hi else args.grid_points for lo, hi in bounds.values())
+    if points > MAX_VALUES:
+        raise ConfigError(f"--grid-points {args.grid_points} over {len(bounds)} bounds "
+                          f"gives {points} grid points, more than {MAX_VALUES}")
     result = optimize_car(cfg.setup, bounds, constraint, grid_points=args.grid_points)
     result_path = out / "design.json"
     with open(result_path, "w", newline="\n") as fh:
@@ -369,14 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    def common(p, svg=False):
         p.add_argument("--config", required=True,
                        help="config path, or the names paper-defaults / engineered-defaults")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--calibration", help="calibration JSON to overlay on the config")
-        if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--svg", action="store_true", help="also write an SVG plot")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help="non-negative simulation seed, recorded in the manifest")
+        if svg:
+            p.add_argument("--svg", action="store_true", help="also write an SVG plot")
 
     p = sub.add_parser("rates", help="evaluate the analytic observables")
     common(p)
@@ -393,18 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("histogram", help="simulate a counting run and histogram it")
-    common(p)
+    common(p, svg=True)
     p.add_argument("--duration", type=float, required=True, help="acquisition time, s")
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("sweep", help="sweep one parameter of the analytic model")
-    common(p)
+    common(p, svg=True)
     p.add_argument("--param", required=True, help="dot path, e.g. pump.power_w")
     p.add_argument("--values", required=True, help="lo:hi:count[:log] or v1,v2,...")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("car-curve", help="CAR vs pairs-per-pulse or detuning")
-    common(p)
+    common(p, svg=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", help="pairs-per-pulse values, lo:hi:count[:log]")
     group.add_argument("--detuning", help="detuning values in THz, lo:hi:count[:log]")
@@ -427,6 +433,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

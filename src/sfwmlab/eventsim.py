@@ -14,15 +14,15 @@ give a histogram entry.  ``run_tia`` therefore draws that process only on
 the start times that can reach the histogram given the stops already
 generated (about 0.3 % of the run at the shipped range) and counts the rest
 as one Poisson number (Kingman, *Poisson Processes*, 1993).  The result is
-identical in distribution to generating every start; the CW streams for a
-given seed changed when this was introduced.
+identical in distribution to generating every start.
 
-Block-indexed multi-stop enumeration: a multi-stop domain segment is the
-union of the windows of a run of consecutive stops, so the segment a bulk
-start was drawn in names its candidate stops.  Those starts are paired with
-their segment's stop block, not searched in the whole stop array, and are
-enumerated and binned in batches of a fixed number of starts
-(``_BLOCK_BATCH``); counts add, so the histogram does not depend on it.
+Enumeration: the stops a start matches form one contiguous index range of
+the sorted stop array, the rule a time-tag correlator applies (Wahl et al.,
+Opt. Express 11, 3583, 2003).  ``_bin_starts`` enumerates and bins every
+start of a run through it, in batches of ``_BLOCK_BATCH`` starts; a
+multi-stop bulk start takes its range from the stop block of the domain
+segment it was drawn in, every other start from a binary search.  Counts
+add, so the histogram does not depend on the batch size.
 
 Determinism: every stochastic routine takes a seed and uses a counter-based
 Philox generator; identical seeds and configurations give bit-identical
@@ -180,12 +180,12 @@ def write_histogram_csv(hist: HistogramResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _expand_stop_ranges(starts, stops, i0, i1, window=None):
+def _expand_stop_ranges(starts, stops, i0, i1, window):
     """Delays stop - start for stop indices [i0[j], i1[j]) of each start.
 
-    With ``window`` = (lo, hi) only the stops p with p >= s + lo and
-    p < s + hi are kept: the float comparisons ``searchsorted`` makes, so a
-    candidate range that holds the matching one gives the same delays.
+    Only the stops p with p >= s + lo and p < s + hi, ``window`` = (lo, hi),
+    are kept: the float comparisons ``searchsorted`` makes, so a candidate
+    range that holds the matching one gives the same delays.
     """
     counts = i1 - i0
     total = int(counts.sum())
@@ -197,14 +197,30 @@ def _expand_stop_ranges(starts, stops, i0, i1, window=None):
     delays = stops[flat]
     del flat
     s = np.repeat(starts, counts)
-    if window is None:
-        delays -= s
-        return delays
     lo, hi = window
     keep = delays >= s + lo
     keep &= delays < s + hi
     delays -= s
     return delays[keep]
+
+
+def _match_window(cfg: TiaConfig):
+    """The TIA policy as ((lo, hi), single): start s matches the stops p
+    with s + lo <= p < s + hi, or, with ``single`` (first-stop), the
+    earliest stop p >= s if p < s + hi; the histogram drops the delays below
+    its range."""
+    lo, hi = cfg.range_s
+    if cfg.policy == "first-stop":
+        return (0.0, hi), True
+    return (lo, hi), False
+
+
+def _search_ranges(starts, stops, window, single):
+    """Stop-index ranges [i0, i1) holding the matches of each start."""
+    i0 = np.searchsorted(stops, starts + window[0], side="left")
+    if single:
+        return i0, np.minimum(i0 + 1, stops.size)
+    return i0, np.searchsorted(stops, starts + window[1], side="left")
 
 
 def _pair_delays(
@@ -213,27 +229,12 @@ def _pair_delays(
     """Delays (stop - start) selected by the TIA policy, limited to delays
     below the histogram range maximum (larger delays cannot be binned).
 
-    Enumerated per start, the way a time-tag correlator walks sorted tags
-    (Wahl et al., Opt. Express 11, 3583, 2003): the matching stops of one
-    start form a contiguous index range of the sorted stop array, found
-    here by searching the whole array.  ``run_tia`` uses it for the
-    explicit starts and first-stop; multi-stop bulk starts go through
-    ``_block_histogram``, which gives the same delays per start.
+    Every start is searched in the whole stop array: the reference for the
+    ranges ``_bin_starts`` takes from stop blocks.
     """
-    if starts.size == 0 or stops.size == 0:
-        return np.empty(0, dtype=np.float64)
-    lo, hi = cfg.range_s
-    if cfg.policy == "first-stop":
-        # The first stop of start s is the earliest stop p >= s.
-        j = np.searchsorted(stops, starts, side="left")
-        found = j < stops.size
-        delays = stops[j[found]]
-        delays -= starts[found]
-        return delays[delays < hi]
-    # multi-stop: every stop p with lo <= p - s < hi.
-    i0 = np.searchsorted(stops, starts + lo, side="left")
-    i1 = np.searchsorted(stops, starts + hi, side="left")
-    return _expand_stop_ranges(starts, stops, i0, i1)
+    window, single = _match_window(cfg)
+    i0, i1 = _search_ranges(starts, stops, window, single)
+    return _expand_stop_ranges(starts, stops, i0, i1, window)
 
 
 def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
@@ -308,44 +309,46 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
     return u, k, covered
 
 
-# Multi-stop bulk starts per enumeration batch: bounds the candidate arrays.
-# Counts add, so the histogram does not depend on it.
+# Starts per enumeration batch: bounds the candidate arrays.  Counts add,
+# so the histogram does not depend on it.
 _BLOCK_BATCH = 1 << 18
 
 
-def _block_histogram(starts, seg, stops, block, cfg):
-    """Multi-stop histogram of starts placed in ``_start_domain`` segments.
+def _bin_starts(starts, stops, cfg, seg=None, block=None):
+    """Histogram counts of the delays of ``starts`` against ``stops``.
 
-    Start j, in segment k = ``seg[j]``, is paired with that segment's stop
-    block ``stops[block[k]:block[k + 1]]``, keeping the stops
-    ``_pair_delays`` would find, in batches of ``_BLOCK_BATCH`` starts.
-    Rounding at a segment edge can put a start within reach of a stop just
-    outside its block; such a start, and possibly one whose block begins at
-    the first stop or ends at the last, is returned instead of enumerated,
-    for ``_pair_delays``.  Returns (counts, those starts).
+    Starts are enumerated in batches of ``_BLOCK_BATCH``.  Given ``block``
+    (multi-stop ``_start_domain`` segments) start j, in segment k =
+    ``seg[j]``, takes the stop block ``stops[block[k]:block[k + 1]]`` as its
+    candidates; every other start is searched.  Rounding at a segment edge
+    can put a start within reach of a stop just outside its block, so a
+    start whose neighbouring stop matches is searched too, as is possibly
+    one whose block begins at the first stop or ends at the last.  Every
+    start thus gets the delays of ``_pair_delays``.
     """
-    lo, hi = cfg.range_s
+    window, single = _match_window(cfg)
+    lo, hi = window
     edges = cfg.bin_edges
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
-    searched = []
     for j in range(0, starts.size, _BLOCK_BATCH):
         s = starts[j:j + _BLOCK_BATCH]
-        k = seg[j:j + _BLOCK_BATCH]
-        i0 = block[k]
-        i1 = block[k + 1]
-        # The matching stops form one index range, so the block holds them
-        # all unless a neighbouring stop matches; out-of-range neighbour
-        # indices are clipped into the block and send the start away too.
-        out = np.take(stops, i0 - 1, mode="clip") >= s + lo
-        out |= np.take(stops, i1, mode="clip") < s + hi
-        if out.any():
-            searched.append(s[out])
-            i1[out] = i0[out]
-        delays = _expand_stop_ranges(s, stops, i0, i1, (lo, hi))
-        counts += np.histogram(delays, bins=edges)[0]
-    if not searched:
-        return counts, np.empty(0, dtype=np.float64)
-    return counts, np.concatenate(searched)
+        if block is None:
+            i0, i1 = _search_ranges(s, stops, window, single)
+        else:
+            k = seg[j:j + _BLOCK_BATCH]
+            i0 = block[k]
+            i1 = block[k + 1]
+            # The matching stops form one index range, so the block holds
+            # them all unless a neighbouring stop matches; out-of-range
+            # neighbour indices are clipped into the block, which can only
+            # send more starts to the search.
+            out = np.take(stops, i0 - 1, mode="clip") >= s + lo
+            out |= np.take(stops, i1, mode="clip") < s + hi
+            if out.any():
+                i0[out], i1[out] = _search_ranges(s[out], stops, window, single)
+        counts += np.histogram(_expand_stop_ranges(s, stops, i0, i1, window),
+                               bins=edges)[0]
+    return counts
 
 
 @dataclass
@@ -611,14 +614,19 @@ class TiaRunResult:
         return self.n_stops / self.duration
 
 
-def _chunk_grid(setup, singles0, duration_s, max_events_per_chunk):
+# Start-arm singles per time chunk: sets the chunk length, and so the
+# per-chunk seeds (``SeedSequence.spawn``) and the memory a chunk takes.
+_START_SINGLES_PER_CHUNK = 2.0e7
+
+
+def _chunk_grid(setup, singles0, duration_s):
     """(step, count) of equal time chunks; the last one may be shorter.
 
-    A chunk spans about ``max_events_per_chunk`` start-arm singles.  Pulsed
-    chunks are whole numbers of pulse periods.
+    A chunk spans about ``_START_SINGLES_PER_CHUNK`` start-arm singles.
+    Pulsed chunks are whole numbers of pulse periods.
     """
     arm0_rate = max(singles0, 1.0)
-    chunk = min(duration_s, max(max_events_per_chunk / arm0_rate, 1e-3))
+    chunk = min(duration_s, max(_START_SINGLES_PER_CHUNK / arm0_rate, 1e-3))
     if chunk <= 0.0:
         return duration_s, 1
     count = math.ceil(duration_s / chunk)
@@ -649,8 +657,7 @@ def _tia_chunk(setup, rates, tia, t0, t1, duration_s, seed, slab, carry):
     stops = _merge_sorted(arm1, carry[1])
     del arm0, arm1
     cut = int(np.searchsorted(explicit, s_hi, side="left"))
-    starts = explicit[:cut]
-    block_counts = 0
+    counts = _bin_starts(explicit[:cut], stops, tia)
     if setup.pump.mode == "cw":
         bulk0_rate = _cw_bulk_rate(rates, 0)
         seg_lo, seg_hi, block = _start_domain(stops, tia, s_lo, s_hi)
@@ -659,13 +666,7 @@ def _tia_chunk(setup, rates, tia, t0, t1, duration_s, seed, slab, carry):
         del seg_lo, seg_hi
         # Bulk starts outside the domain are only counted.
         n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
-        if block is not None:
-            # Only the starts the blocks cannot settle are left to search.
-            block_counts, bulk = _block_histogram(bulk, seg, stops, block, tia)
-        del seg, block
-        starts = _merge_sorted(bulk, starts)
-    counts, _ = np.histogram(_pair_delays(starts, stops, tia), bins=tia.bin_edges)
-    counts += block_counts
+        counts += _bin_starts(bulk, stops, tia, seg, block)
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     return counts, n0, n1, (explicit[cut:].copy(), stops[keep:].copy())
 
@@ -675,12 +676,12 @@ def run_tia(
     duration_s: float,
     rng_seed,
     tia: TiaConfig | None = None,
-    max_events_per_chunk: float = 2.0e7,
 ) -> TiaRunResult:
     """Simulate a full counting run, chunked in time to bound memory.
 
     Chunks are statistically independent intervals of the same Poisson
-    processes, and counts are additive.  After chunk k every stop below
+    processes, each spanning about ``_START_SINGLES_PER_CHUNK`` start-arm
+    singles, and counts are additive.  After chunk k every stop below
     t1 + stop_delay - jitter pad is final, so the starts of the slab
     [S_{k-1}, S_k), with S_k that bound minus the range maximum, are
     histogrammed then; later starts and the stops they need are carried.
@@ -689,14 +690,10 @@ def run_tia(
     leftovers, noise and darks) is a homogeneous Poisson process, so it is
     drawn only on the start times that can reach the histogram given the
     stops (``_start_domain``), about 0.3 % of the run at the shipped range;
-    the rest of it is one Poisson count added to ``n_starts``.  The result
-    is identical in distribution to generating every start, though the
-    streams for a given seed differ from releases that did.  In multi-stop
-    those bulk starts are paired with the stop block of the domain segment
-    they were drawn in (``_block_histogram``), in batches of a fixed number
-    of starts, instead of being searched in the whole stop array; the
-    histogram is the same, bin for bin.  Deterministic for a fixed seed,
-    config and chunk size.
+    the rest of it is one Poisson count added to ``n_starts``.  Every start
+    histogrammed, explicit or drawn, goes through ``_bin_starts``, which
+    gives it the delays of ``_pair_delays``.  Deterministic for a fixed
+    seed and config.
     """
     if tia is None:
         tia = setup.analysis.tia
@@ -704,8 +701,7 @@ def run_tia(
         raise ConfigError(f"duration must be finite and non-negative, got {duration_s}")
 
     rates = component_rates(setup)
-    step, n_chunks = _chunk_grid(setup, rates["observables"].singles0, duration_s,
-                                  max_events_per_chunk)
+    step, n_chunks = _chunk_grid(setup, rates["observables"].singles0, duration_s)
     jitter_pad = 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
     # Stops of later chunks lie at or above t1 + stop_delay - jitter_pad;
     # a start below that minus the range maximum cannot reach them.

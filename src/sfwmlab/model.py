@@ -19,7 +19,7 @@ from .devices import (
     PumpConfig,
     WaveguideSpec,
 )
-from .errors import ConfigError, InconsistentMeasurementError
+from .errors import ConfigError, InconsistentMeasurementError, NumericsError
 from .units import effective_length
 
 # Matching tolerance for the signal/idler detuning symmetry check.
@@ -27,9 +27,11 @@ DETUNING_RTOL = 1e-9
 
 
 def sinc(x: float) -> float:
-    """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
+    """Unnormalized sinc: sin(x)/x with sinc(0) = 1 and sinc(±inf) = 0."""
     if x == 0.0:
         return 1.0
+    if math.isinf(x):
+        return 0.0
     return math.sin(x) / x
 
 
@@ -55,7 +57,13 @@ def pair_generation_rate(
         waveguide.gamma_per_w_m * pump.power_w * waveguide.effective_length_m
     )
     envelope = sinc(phase_mismatch(waveguide, pump, channel.detuning_hz)) ** 2
-    return channel.bandwidth_hz * amplitude**2 * envelope
+    try:
+        rate = channel.bandwidth_hz * amplitude**2 * envelope
+    except OverflowError:
+        rate = math.inf
+    if not math.isfinite(rate):
+        raise NumericsError(f"pair generation rate overflows at pump power {pump.power_w} W")
+    return rate
 
 
 def eta_alpha_analytic(alpha_np_per_m: float, length_m: float) -> float:

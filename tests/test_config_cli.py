@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sfwmlab import cli
 from sfwmlab.cli import main
@@ -382,6 +382,11 @@ class TestCli:
          "grid_points"),
         (["--bound", "peak_power_w=0.1:1", "--mu-min", "1e-6", "--grid-points", "1"],
          "grid_points"),
+        (["--bound", "peak_power_w=0.1:1", "--bound", "tau_s=1e-12:1e-11", "--mu-min", "1e-6",
+          "--grid-points", "101"], "--grid-points"),
+        (["--bound", "peak_power_w=0.1:1", "--bound", "tau_s=1e-12:1e-11",
+          "--bound", "rep_rate_hz=1e7:1e9", "--bound", "detuning_hz=1e12:2e12",
+          "--mu-min", "1e-6", "--grid-points", "1000"], "--grid-points"),
     ])
     def test_optimize_bad_input_exit_code(self, tmp_path, capsys, args, match):
         code = main(["optimize", "--config", "engineered-defaults", "--out", str(tmp_path),
@@ -392,9 +397,127 @@ class TestCli:
         assert match in err and "no feasible point" not in err
         assert not (tmp_path / "design.json").exists()
 
+    def test_optimize_point_bounds_do_not_count_toward_grid_cap(self, tmp_path):
+        # 10001 points on one axis would pass the cap; a point bound has one.
+        code = main([
+            "optimize", "--config", "engineered-defaults", "--out", str(tmp_path),
+            "--bound", "peak_power_w=0.3:0.3", "--bound", "tau_s=5e-12:5e-12",
+            "--mu-min", "1e-6", "--grid-points", str(cli.MAX_VALUES + 1),
+        ])
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["rates"],
+        ["calibrate", "--measured-c", "80", "--measured-n0", "3.45e6", "--measured-n1", "1.34e6"],
+        ["histogram", "--duration", "0.001"],
+        ["sweep", "--param", "pump.power_w", "--values", "0.01,0.02"],
+        ["car-curve", "--detuning", "1.4"],
+        ["optimize", "--bound", "peak_power_w=0.3:0.3", "--mu-min", "1e-6"],
+    ])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, argv):
+        code = main(argv + ["--config", "paper-defaults" if argv[0] != "optimize"
+                            else "engineered-defaults", "--out", str(tmp_path),
+                            "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert "--seed" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rates"],
+        ["calibrate", "--measured-c", "80", "--measured-n0", "3.45e6", "--measured-n1", "1.34e6"],
+        ["optimize", "--bound", "peak_power_w=0.3:0.3", "--mu-min", "1e-6"],
+    ])
+    def test_svg_only_where_a_plot_is_written(self, tmp_path, argv):
+        # rates, calibrate and optimize write no plot, so they take no --svg.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", "engineered-defaults", "--out", str(tmp_path), "--svg"])
+        assert exc.value.code == 2
+
     def test_bad_bound_syntax_exit_code(self, tmp_path):
         code = main([
             "optimize", "--config", "engineered-defaults", "--out", str(tmp_path),
             "--bound", "peak_power_w", "--mu-min", "1e-6",
         ])
         assert code == 2
+
+
+# Values that break a number or a path: each flag draws from these and from
+# a few valid values of its own.
+_BAD_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "", "x")
+
+
+def _values(*good):
+    return st.sampled_from(good + _BAD_VALUES)
+
+
+_SPECS = st.sampled_from(("0.01:0.05:3", "0.008,0.02", "1:2:3:log", "-1:1:3:log", "0:1:0",
+                          "1e308:1e308:2", "nan,1", "1,1") + _BAD_VALUES)
+_BOUND = st.builds("{}={}:{}".format,
+                   st.sampled_from(("peak_power_w", "tau_s", "rep_rate_hz", "detuning_hz",
+                                    "x", "")),
+                   _values("0.1", "1e-12"), _values("1", "1e-11"))
+_COMMON_FLAGS = {
+    "--config": st.sampled_from(("paper-defaults", "engineered-defaults", "", "x")),
+    "--calibration": st.sampled_from(("", "x")),
+    "--seed": _values("7"),
+}
+_SVG = {"--svg": st.none()}
+# Per command: (required flags, flags); a flag's value is a string, None for
+# a switch, or a list for a repeated flag.  `histogram --duration` stays at
+# most 0.01 s and `optimize` has at most two bounds, so every case is quick.
+_COMMANDS = {
+    "rates": ({"--config"}, {
+        "--power-mw": _values("1.0"), "--mode": st.sampled_from(("binned", "gated", "x")),
+        "--window-ps": _values("800")}),
+    "calibrate": ({"--config", "--measured-c", "--measured-n0", "--measured-n1"}, {
+        "--measured-c": _values("80"), "--measured-n0": _values("3.45e6"),
+        "--measured-n1": _values("1.34e6")}),
+    "histogram": ({"--config", "--duration"}, {
+        **_SVG, "--duration": st.sampled_from(
+            ("0.01", "0.001", "0", "-1", "nan", "inf", "-inf", "", "x"))}),
+    "sweep": ({"--config", "--param", "--values"}, {
+        **_SVG, "--param": st.sampled_from(("pump.power_w", "pump", "pump.x", "", "x")),
+        "--values": _SPECS}),
+    "car-curve": ({"--config"}, {
+        **_SVG, "--mu": _SPECS, "--detuning": _SPECS,
+        "--mode": st.sampled_from(("binned", "gated"))}),
+    "optimize": ({"--config"}, {
+        "--bound": st.lists(_BOUND, min_size=1, max_size=2),
+        "--mu-min": _values("1e-6"), "--c-min": _values("1"),
+        "--grid-points": _values("2", "3", "101")}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, flags = _COMMANDS[command]
+    argv = [command]
+    for flag, values in {**_COMMON_FLAGS, **flags}.items():
+        if flag in required or draw(st.booleans()):
+            value = draw(values)
+            if value is None:
+                argv.append(flag)
+            else:
+                argv += [f"{flag}={v}" for v in (value if isinstance(value, list) else [value])]
+    return argv
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv=["histogram", "--config=paper-defaults", "--duration=0.001", "--seed=-1"])
+@example(argv=["rates", "--config=paper-defaults", "--power-mw=1e308"])
+@example(argv=["car-curve", "--config=paper-defaults", "--detuning=1e308:1e308:2"])
+@example(argv=["car-curve", "--config=paper-defaults", "--detuning="])
+def test_cli_arguments_end_in_an_exit_code(tmp_path, argv):
+    # Any argv drawn from the commands' flags ends in argparse's exit 2 or
+    # in one of the documented exit codes, never in another exception.
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2, argv
+    assert code in (0, 2, 3, 4), argv

@@ -5,13 +5,14 @@ import pytest
 from scipy import stats
 
 import sfwmlab
+import sfwmlab.eventsim as eventsim
 from sfwmlab.config import load_config
 from sfwmlab.errors import ConfigError
 from sfwmlab.eventsim import (
     HistogramResult,
     TiaConfig,
     _arm_chunk,
-    _block_histogram,
+    _bin_starts,
     _chunk_children,
     _cw_bulk_rate,
     _expand_stop_ranges,
@@ -283,12 +284,13 @@ class TestRunTia:
         assert np.array_equal(a.histogram.counts, b.histogram.counts)
         assert a.n_starts == b.n_starts
 
-    def test_chunked_run_counts_match_rates(self, paper_cfg):
+    def test_chunked_run_counts_match_rates(self, paper_cfg, monkeypatch):
         # Force several chunks and verify the summed counts still match.
+        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 5e5)
         setup = paper_cfg.setup
         obs = setup.predict()
         duration = 1.0
-        result = run_tia(setup, duration, 7, max_events_per_chunk=5e5)
+        result = run_tia(setup, duration, 7)
         expected0 = obs.singles0 * duration
         expected1 = obs.singles1 * duration
         assert abs(result.n_starts - expected0) < 4 * math.sqrt(expected0)
@@ -300,8 +302,6 @@ class TestRunTia:
             run_tia(paper_cfg.setup, duration, 1)
 
     def test_chunks_have_equal_length(self, paper_cfg, monkeypatch):
-        import sfwmlab.eventsim as eventsim
-
         spans = []
         arm_chunk = eventsim._arm_chunk
 
@@ -310,9 +310,10 @@ class TestRunTia:
             return arm_chunk(setup, rates, t0, t1, *args)
 
         monkeypatch.setattr(eventsim, "_arm_chunk", record)
-        # 3.45e6 starts/s and 4e5 events per chunk: 0.116 s nominal, so a
+        # 3.45e6 starts/s and 4e5 starts per chunk: 0.116 s nominal, so a
         # 0.3 s run takes three chunks of 0.1 s.
-        run_tia(paper_cfg.setup, 0.3, 1, max_events_per_chunk=4e5)
+        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 4e5)
+        run_tia(paper_cfg.setup, 0.3, 1)
         assert spans == pytest.approx([0.1, 0.1, 0.1])
 
     def test_zero_duration_gives_empty(self, paper_cfg):
@@ -419,23 +420,38 @@ def _segment_of(starts, seg_lo, seg_hi):
     return k, inside
 
 
+def _bin_recording_searches(starts, stops, cfg, seg=None, block=None):
+    """``_bin_starts`` counts, and the starts it ranged by search."""
+    searched = []
+    search_ranges = eventsim._search_ranges
+
+    def search(s, *args):
+        searched.append(s.copy())
+        return search_ranges(s, *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(eventsim, "_search_ranges", search)
+        counts = _bin_starts(starts, stops, cfg, seg, block)
+    return counts, np.concatenate(searched) if searched else np.empty(0)
+
+
 class TestBlockHistogram:
-    """Multi-stop starts paired with their segment's stop block give the
-    delays, and the histogram, of ``_pair_delays`` over all stops."""
+    """Multi-stop starts paired with their segment's stop block by
+    ``_bin_starts`` give the delays, and the histogram, of ``_pair_delays``
+    over all stops."""
 
     @staticmethod
     def _check(starts, seg, stops, cfg, block):
-        """Block path against the search path; returns the number of
-        starts the blocks settled."""
-        counts, searched = _block_histogram(starts, seg, stops, block, cfg)
-        assert np.array_equal(counts + _histogram(searched, stops, cfg),
-                              _histogram(starts, stops, cfg))
+        """Block path against the search path; returns the starts that
+        were searched instead of settled by their blocks."""
+        counts, searched = _bin_recording_searches(starts, stops, cfg, seg, block)
+        assert np.array_equal(counts, _histogram(starts, stops, cfg))
         settled = ~np.isin(starts, searched)
         delays = _expand_stop_ranges(starts[settled], stops, block[seg[settled]],
                                      block[seg[settled] + 1], cfg.range_s)
         assert np.array_equal(np.sort(delays),
                               np.sort(_pair_delays(starts[settled], stops, cfg)))
-        return int(settled.sum())
+        return searched
 
     def _grid_case(self, stops, range_s, t_lo, t_hi, expect_segments):
         # Integer stops and quarter-step starts put starts on window edges
@@ -448,7 +464,7 @@ class TestBlockHistogram:
         starts = np.arange(t_lo, t_hi, 0.25)
         k, inside = _segment_of(starts, seg_lo, seg_hi)
         starts, k = starts[inside], k[inside]
-        assert self._check(starts, k, stops, cfg, block) == starts.size
+        assert self._check(starts, k, stops, cfg, block).size == 0
         assert _histogram(starts, stops, cfg).sum() > 0
         return block
 
@@ -484,9 +500,8 @@ class TestBlockHistogram:
                         stop_delay_s=2.0)
         seg_lo, seg_hi, block = _start_domain(stops, cfg, 1.0, 25.0)
         starts = np.array([4.0, 5.0, 8.0])
-        _, searched = _block_histogram(starts, np.array([1, 1, 0]), stops, block, cfg)
+        searched = self._check(starts, np.array([1, 1, 0]), stops, cfg, block)
         assert np.array_equal(searched, starts)
-        assert self._check(starts, np.array([1, 1, 0]), stops, cfg, block) == 0
 
     @pytest.mark.parametrize("range_s", [(10e-9, 330e-9), (-50e-9, 120e-9)])
     def test_restricted_poisson_starts(self, range_s):
@@ -498,7 +513,7 @@ class TestBlockHistogram:
         seg_lo, seg_hi, block = _start_domain(stops, cfg, 0.5002, 0.5018)
         starts, seg, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32))
         assert starts.size > 5000
-        assert self._check(starts, seg, stops, cfg, block) == starts.size
+        assert self._check(starts, seg, stops, cfg, block).size == 0
 
 
 def _brute_force_delays(starts, stops, cfg):
@@ -555,10 +570,10 @@ class TestRunTiaStatistics:
     def _runs(self, setup, policy):
         tia = TiaConfig(bin_width_s=self.BIN, range_s=self.RANGE, policy=policy,
                         stop_delay_s=self.DELAY)
-        return [run_tia(setup, self.DURATION, seed, tia=tia, max_events_per_chunk=5e5)
-                for seed in self.SEEDS]
+        return [run_tia(setup, self.DURATION, seed, tia=tia) for seed in self.SEEDS]
 
-    def _check(self, setup, policy):
+    def _check(self, setup, policy, monkeypatch):
+        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 5e5)
         obs = setup.predict()
         runs = self._runs(setup, policy)
         t_total = self.DURATION * len(runs)
@@ -600,62 +615,70 @@ class TestRunTiaStatistics:
         dc = analysis.coincidence_rate - obs.coincidences * survival
         assert abs(dc) < 4 * analysis.uncertainties["coincidence_rate"]
 
-    def test_first_stop(self, paper_cfg):
-        self._check(paper_cfg.setup, "first-stop")
+    def test_first_stop(self, paper_cfg, monkeypatch):
+        self._check(paper_cfg.setup, "first-stop", monkeypatch)
 
-    def test_multi_stop(self, paper_cfg):
-        self._check(paper_cfg.setup, "multi-stop")
+    def test_multi_stop(self, paper_cfg, monkeypatch):
+        self._check(paper_cfg.setup, "multi-stop", monkeypatch)
 
 
 class TestRunTiaBlockPath:
-    """Multi-stop runs whose bulk starts are enumerated per stop block."""
+    """Runs of both policies through ``_bin_starts``: multi-stop bulk starts
+    are enumerated per stop block, every other start is searched."""
 
-    TIA = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy="multi-stop",
-                    stop_delay_s=11.1e-9)
+    POLICIES = ("first-stop", "multi-stop")
 
-    def _run(self, setup, seed=8):
-        return run_tia(setup, 0.005, seed, tia=self.TIA, max_events_per_chunk=1e4)
+    @staticmethod
+    def _run(setup, policy, monkeypatch, seed=8):
+        tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=policy,
+                        stop_delay_s=11.1e-9)
+        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 1e4)
+        return run_tia(setup, 0.005, seed, tia=tia)
 
     @pytest.mark.parametrize("batch", [1, 7, 10**9])
     def test_histogram_does_not_depend_on_batch_size(self, paper_cfg, monkeypatch, batch):
-        import sfwmlab.eventsim as eventsim
+        for policy in self.POLICIES:
+            calls = []
 
-        settled = []
+            def counted(starts, stops, cfg, seg=None, block=None):
+                counts, searched = _bin_recording_searches(starts, stops, cfg, seg, block)
+                calls.append((starts.size, block is not None, searched.size))
+                return counts
 
-        def counted(starts, *args):
-            counts, searched = _block_histogram(starts, *args)
-            settled.append((starts.size, searched.size))
-            return counts, searched
-
-        monkeypatch.setattr(eventsim, "_block_histogram", counted)
-        reference = self._run(paper_cfg.setup)
-        assert reference.histogram.total_counts > 1000
-        monkeypatch.setattr(eventsim, "_BLOCK_BATCH", batch)
-        result = self._run(paper_cfg.setup)
-        assert np.array_equal(result.histogram.counts, reference.histogram.counts)
-        assert (result.n_starts, result.n_stops) == (reference.n_starts, reference.n_stops)
-        # Both runs have two chunks, and the blocks settle nearly every start.
-        assert len(settled) == 4 and settled[2:] == settled[:2]
-        n_starts, n_searched = np.sum(settled[:2], axis=0)
-        assert n_starts > 5000 and n_searched < 0.01 * n_starts
+            with monkeypatch.context() as m:
+                m.setattr(eventsim, "_bin_starts", counted)
+                reference = self._run(paper_cfg.setup, policy, m)
+                assert reference.histogram.total_counts > 1000
+                m.setattr(eventsim, "_BLOCK_BATCH", batch)
+                result = self._run(paper_cfg.setup, policy, m)
+            assert np.array_equal(result.histogram.counts, reference.histogram.counts)
+            assert (result.n_starts, result.n_stops) == (reference.n_starts,
+                                                          reference.n_stops)
+            # Both runs have two chunks, explicit and bulk starts in each.
+            assert len(calls) == 8 and calls[4:] == calls[:4]
+            bulk = [c for c in calls[:4] if c[1]]
+            if policy == "first-stop":
+                # No blocks: every start is searched.
+                assert not bulk and all(n == searched for n, _, searched in calls)
+            else:
+                # The blocks settle nearly every bulk start.
+                n_starts, _, n_searched = np.sum(bulk, axis=0)
+                assert len(bulk) == 2 and n_starts > 5000
+                assert n_searched < 0.01 * n_starts
 
     def test_matches_searching_every_start(self, paper_cfg, monkeypatch):
-        import sfwmlab.eventsim as eventsim
+        # The reference bins ``_pair_delays`` of all of a chunk's starts at once.
+        def search_all(starts, stops, cfg, seg=None, block=None):
+            return np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)[0]
 
-        used = []
-
-        def search_only(stops, cfg, t_lo, t_hi):
-            seg_lo, seg_hi, block = _start_domain(stops, cfg, t_lo, t_hi)
-            used.append(block is not None)
-            return seg_lo, seg_hi, None
-
-        for seed in (8, 9):
-            blocks = self._run(paper_cfg.setup, seed)
-            with monkeypatch.context() as m:
-                m.setattr(eventsim, "_start_domain", search_only)
-                searched = self._run(paper_cfg.setup, seed)
-            assert used and all(used)
-            assert np.array_equal(blocks.histogram.counts, searched.histogram.counts)
+        for policy in self.POLICIES:
+            for seed in (8, 9):
+                binned = self._run(paper_cfg.setup, policy, monkeypatch, seed)
+                with monkeypatch.context() as m:
+                    m.setattr(eventsim, "_bin_starts", search_all)
+                    searched = self._run(paper_cfg.setup, policy, m, seed)
+                assert binned.histogram.total_counts > 1000
+                assert np.array_equal(binned.histogram.counts, searched.histogram.counts)
 
 
 class TestRunTiaChunking:
@@ -673,8 +696,6 @@ class TestRunTiaChunking:
 
     @pytest.fixture()
     def events(self, monkeypatch):
-        import sfwmlab.eventsim as eventsim
-
         gen = np.random.default_rng(21)
         n = self.DURATION
         emit = np.sort(gen.random(2000)) * n
@@ -703,6 +724,7 @@ class TestRunTiaChunking:
 
         monkeypatch.setattr(eventsim, "_arm_chunk", arm_chunk)
         monkeypatch.setattr(eventsim, "_restricted_poisson", restricted)
+        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 1.0)
         starts = clip(np.concatenate([emit + start_jitter, bulk0]))
         return starts, lambda delay: clip(stop_emit + stop_jitter + delay)
 
@@ -717,8 +739,7 @@ class TestRunTiaChunking:
         stops = stops_for(delay)
         tia = TiaConfig(bin_width_s=width, range_s=range_s, policy=policy,
                         stop_delay_s=delay)
-        result = run_tia(paper_cfg.setup, self.DURATION, 1, tia=tia,
-                         max_events_per_chunk=1.0)
+        result = run_tia(paper_cfg.setup, self.DURATION, 1, tia=tia)
         expected = _histogram(starts, stops, tia)
         assert expected.sum() > 1000
         assert result.n_stops == stops.size

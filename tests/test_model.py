@@ -12,7 +12,7 @@ from sfwmlab.devices import (
     PumpRejection,
     WaveguideSpec,
 )
-from sfwmlab.errors import ConfigError, InconsistentMeasurementError
+from sfwmlab.errors import ConfigError, InconsistentMeasurementError, NumericsError
 from sfwmlab.model import (
     build_raman_table,
     calibrate_eta_alpha,
@@ -52,6 +52,9 @@ class TestSinc:
     def test_bounded(self, x):
         assert abs(sinc(x)) <= 1.0 + 1e-12
 
+    def test_limit_at_infinity(self):
+        assert sinc(math.inf) == sinc(-math.inf) == 0.0
+
 
 class TestPairGenerationRate:
     def test_device_operating_point(self):
@@ -64,6 +67,13 @@ class TestPairGenerationRate:
     def test_zero_power(self):
         pump = replace(PUMP, power_w=0.0)
         assert pair_generation_rate(WG, pump, CH0) == 0.0
+
+    @pytest.mark.parametrize("power_w", [1e305, 1e308])
+    def test_overflow_is_a_numerical_failure(self, power_w):
+        # The squared amplitude overflows, or the amplitude is already
+        # infinite and the phase-matching envelope zero.
+        with pytest.raises(NumericsError, match="overflows"):
+            pair_generation_rate(WG, replace(PUMP, power_w=power_w), CH0)
 
     def test_phase_matching_null(self):
         # Detuning that drives the phase argument to pi (root of the phase
