@@ -162,6 +162,10 @@ def cmd_rates(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    for flag, value in (("--measured-c", args.measured_c), ("--measured-n0", args.measured_n0),
+                        ("--measured-n1", args.measured_n1)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value}")
     cfg = _load(args)
     out = _out_dir(args)
     calibrated = calibrate_config(
@@ -216,7 +220,7 @@ def cmd_histogram(args) -> int:
 
     analysis_path = out / "analysis.json"
     if hist.total_counts:
-        analysis = analyze_histogram(hist, peak_window_s=2 * cfg.setup.window_s)
+        analysis = analyze_histogram(hist, peak_window_s=2 * cfg.setup.analysis.window_s)
         doc = {
             "peak_delay_s": analysis.peak_delay_s,
             "peak_fwhm_s": analysis.peak_fwhm_s,

@@ -46,8 +46,8 @@ class AnalysisOptions:
     """Coincidence-counting conventions used when evaluating observables."""
 
     window_s: float
-    accidental_mode: str = "binned"
-    tia: TiaConfig | None = None
+    accidental_mode: str
+    tia: TiaConfig
 
     def __post_init__(self):
         if self.window_s <= 0.0:
@@ -68,9 +68,7 @@ class Setup:
     noise: NoiseModel
     analysis: AnalysisOptions
 
-    def predict(
-        self, window_s: float | None = None, accidental_mode: str | None = None
-    ) -> ModelObservables:
+    def predict(self) -> ModelObservables:
         return predict_observables(
             self.waveguide,
             self.pump,
@@ -78,13 +76,9 @@ class Setup:
             self.idler,
             self.signal,
             self.noise,
-            window_s=self.window_s if window_s is None else window_s,
-            accidental_mode=accidental_mode or self.analysis.accidental_mode,
+            window_s=self.analysis.window_s,
+            accidental_mode=self.analysis.accidental_mode,
         )
-
-    @property
-    def window_s(self) -> float:
-        return self.analysis.window_s
 
     def with_detuning(self, detuning_hz: float) -> "Setup":
         """Move both channels to symmetric detunings of magnitude |nu|."""
@@ -247,30 +241,31 @@ def _build_coupling(raw: dict) -> CouplingSpec:
 def _build_channel(raw: dict, name: str, pump: PumpConfig, expect_sign: int) -> DetectionChannel:
     keys = {"detuning_thz", "awg_fwhm_ghz", "bpf_fwhm_nm", "filter_loss_db",
             "detector_qe", "dark_rate_per_s", "jitter_fwhm_ps"}
-    _require(raw, f"channels.{name}", keys)
-    detuning = _number(raw, name, "detuning_thz") * 1e12
+    path = f"channels.{name}"
+    _require(raw, path, keys)
+    detuning = _number(raw, path, "detuning_thz") * 1e12
     if expect_sign < 0 and detuning >= 0:
-        raise ConfigError(f"channels.{name}.detuning_thz must be negative (below the pump)")
+        raise ConfigError(f"{path}.detuning_thz must be negative (below the pump)")
     if expect_sign > 0 and detuning <= 0:
-        raise ConfigError(f"channels.{name}.detuning_thz must be positive (above the pump)")
+        raise ConfigError(f"{path}.detuning_thz must be positive (above the pump)")
     channel_hz = pump.frequency_hz + detuning
     if not 0.0 < channel_hz < math.inf:
-        raise ConfigError(f"channels.{name}.detuning_thz must leave the channel frequency "
+        raise ConfigError(f"{path}.detuning_thz must leave the channel frequency "
                           f"positive and finite, got {detuning / 1e12:g}")
-    bpf_nm = _number(raw, name, "bpf_fwhm_nm")
+    bpf_nm = _number(raw, path, "bpf_fwhm_nm")
     if bpf_nm <= 0.0:
-        raise ConfigError(f"channels.{name}.bpf_fwhm_nm must be positive, got {bpf_nm}")
+        raise ConfigError(f"{path}.bpf_fwhm_nm must be positive, got {bpf_nm}")
     # Effective passband: the narrower of the demux channel and the bandpass
     # filter, rectangular approximation, at the channel's own wavelength.
     bpf_hz = filter_fwhm_to_bandwidth(bpf_nm, frequency_to_wavelength(channel_hz))
-    awg_hz = _number(raw, name, "awg_fwhm_ghz") * 1e9
+    awg_hz = _number(raw, path, "awg_fwhm_ghz") * 1e9
     return DetectionChannel(
         detuning_hz=detuning,
         bandwidth_hz=min(awg_hz, bpf_hz),
-        filter_loss_db=_number(raw, name, "filter_loss_db"),
-        detector_qe=_number(raw, name, "detector_qe"),
-        dark_rate_hz=_number(raw, name, "dark_rate_per_s"),
-        jitter_fwhm_s=_number(raw, name, "jitter_fwhm_ps") * 1e-12,
+        filter_loss_db=_number(raw, path, "filter_loss_db"),
+        detector_qe=_number(raw, path, "detector_qe"),
+        dark_rate_hz=_number(raw, path, "dark_rate_per_s"),
+        jitter_fwhm_s=_number(raw, path, "jitter_fwhm_ps") * 1e-12,
         label=name,
     )
 
@@ -292,9 +287,9 @@ def _build_noise(raw: dict) -> NoiseModel:
         raman_table=raman_table,
         temperature_k=_number(raw, "noise", "temperature_k"),
         pump_rejection=PumpRejection(
-            base_db=_number(rej, "pump_rejection", "base_db"),
-            floor_db=_number(rej, "pump_rejection", "floor_db"),
-            ramp_hz=_number(rej, "pump_rejection", "ramp_thz") * 1e12,
+            base_db=_number(rej, "noise.pump_rejection", "base_db"),
+            floor_db=_number(rej, "noise.pump_rejection", "floor_db"),
+            ramp_hz=_number(rej, "noise.pump_rejection", "ramp_thz") * 1e12,
         ),
         note=str(raw.get("note", "")),
     )
@@ -312,10 +307,10 @@ def _build_analysis(raw: dict) -> AnalysisOptions:
         window_s=_number(raw, "analysis", "coincidence_window_ps") * 1e-12,
         accidental_mode=str(raw["accidental_mode"]),
         tia=TiaConfig(
-            bin_width_s=_number(tia, "tia", "bin_ps") * 1e-12,
+            bin_width_s=_number(tia, "analysis.tia", "bin_ps") * 1e-12,
             range_s=tuple(_finite(v, "analysis.tia", "range_ns") * 1e-9 for v in rng),
             policy=str(tia["policy"]),
-            stop_delay_s=_number(tia, "tia", "stop_delay_ns") * 1e-9,
+            stop_delay_s=_number(tia, "analysis.tia", "stop_delay_ns") * 1e-9,
         ),
     )
 
@@ -330,9 +325,6 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return config_hash(self.raw)
-
-    def save(self, path) -> None:
-        save_config(self, path)
 
 
 def validate_config(raw: dict) -> Setup:
@@ -351,6 +343,8 @@ def validate_config(raw: dict) -> Setup:
     # Cross-checks that only make sense with the full document.
     if not math.isclose(-idler.detuning_hz, signal.detuning_hz, rel_tol=1e-9):
         raise ConfigError("idler and signal detunings must be symmetric about the pump")
+    if analysis.accidental_mode == "gated" and pump.mode != "pulsed":
+        raise ConfigError("analysis.accidental_mode 'gated' requires a pulsed pump")
     return Setup(
         waveguide=waveguide,
         pump=pump,
@@ -425,6 +419,12 @@ DEFAULT_JITTER_FWHM_PS = 200.0 / math.sqrt(2.0)
 WINDOW_CENTER_HZ = 7.4e12
 WINDOW_HALFWIDTH_HZ = 0.35e12
 
+# Design target of the engineered configuration: the window's scattering
+# coefficient is chosen so the CAR at ENGINEERED_MU pairs per pulse is
+# ENGINEERED_TARGET_CAR.
+ENGINEERED_TARGET_CAR = 250.0
+ENGINEERED_MU = 0.01
+
 # Group-velocity dispersion of the dispersion-engineered design: small
 # enough that phase matching reaches the 7.4 THz window.
 ENGINEERED_BETA2_S2_PER_M = 1.0e-26
@@ -493,7 +493,6 @@ def calibrate_config(
     measured_c: float,
     measured_n0: float,
     measured_n1: float,
-    window: RamanWindow | None = None,
 ) -> ExperimentConfig:
     """Calibrate a configuration against measured coincidence/singles rates.
 
@@ -517,16 +516,12 @@ def calibrate_config(
         rho_anti_stokes=rho1,
         anchor_hz=abs(s.idler.detuning_hz),
         temperature_k=s.noise.temperature_k,
-        window=window,
     )
     raw = copy.deepcopy(cfg.raw)
     raw["waveguide"]["eta_alpha"] = eta_alpha
     raw["noise"]["raman_table"] = [[d / 1e12, r] for d, r in table]
-    raw["noise"]["note"] = (
-        "calibrated against C={}, N0={}, N1={} at {} mW".format(
-            measured_c, measured_n0, measured_n1, cfg.raw["pump"]["power_mw"]
-        )
-        + ("; low-noise window inverse-calibrated, not measured" if window else "")
+    raw["noise"]["note"] = "calibrated against C={}, N0={}, N1={} at {} mW".format(
+        measured_c, measured_n0, measured_n1, cfg.raw["pump"]["power_mw"]
     )
     return load_config(raw)
 
@@ -550,14 +545,15 @@ def tm_mode_raw() -> dict:
     return raw
 
 
-def engineered_defaults(target_car: float = 250.0, mu: float = 0.01) -> ExperimentConfig:
+def engineered_defaults() -> ExperimentConfig:
     """Dispersion-engineered pulsed design aimed at the low-noise window.
 
     Starts from the calibrated defaults, lowers the dispersion so phase
     matching reaches the window, moves the channels there, switches to a
     pulsed pump, and inverse-calibrates the window's scattering coefficient
-    so the predicted CAR at ``mu`` pairs per pulse equals ``target_car``.
-    The window value is a design target, not a measurement.
+    so the predicted CAR at ``ENGINEERED_MU`` pairs per pulse equals
+    ``ENGINEERED_TARGET_CAR``.  The window value is a design target, not a
+    measurement.
     """
     from .explore import calibrate_raman_window  # deferred: explore builds on config
 
@@ -573,7 +569,7 @@ def engineered_defaults(target_car: float = 250.0, mu: float = 0.01) -> Experime
     cfg = load_config(raw)
 
     rho_window = calibrate_raman_window(
-        cfg.setup, mu=mu, target_car=target_car,
+        cfg.setup, mu=ENGINEERED_MU, target_car=ENGINEERED_TARGET_CAR,
         center_hz=WINDOW_CENTER_HZ, halfwidth_hz=WINDOW_HALFWIDTH_HZ,
     )
     window = RamanWindow(
@@ -594,7 +590,8 @@ def engineered_defaults(target_car: float = 250.0, mu: float = 0.01) -> Experime
     raw["noise"]["note"] = (
         base.raw["noise"]["note"]
         + f"; window rho at {WINDOW_CENTER_HZ/1e12} THz inverse-calibrated to "
-        f"CAR={target_car} at {mu} pairs/pulse (design target, not measured)"
+        f"CAR={ENGINEERED_TARGET_CAR} at {ENGINEERED_MU} pairs/pulse "
+        "(design target, not measured)"
     )
     return load_config(raw)
 

@@ -15,7 +15,6 @@ from .errors import ConfigError, ExtrapolationError
 from .units import (
     db_to_linear,
     effective_length,
-    frequency_to_wavelength,
     gamma_from_n2,
     prop_loss_to_alpha,
     wavelength_to_frequency,
@@ -71,30 +70,6 @@ class WaveguideSpec:
                     f"gamma {self.gamma_per_w_m} inconsistent with n2/a_eff (expected {derived})"
                 )
 
-    @classmethod
-    def from_n2(
-        cls,
-        length_m: float,
-        prop_loss_db_per_cm: float,
-        n2_m2_per_w: float,
-        a_eff_m2: float,
-        wavelength_m: float,
-        beta2_s2_per_m: float,
-        **kwargs,
-    ) -> "WaveguideSpec":
-        """Build with gamma derived from the nonlinear index and mode area."""
-        gamma = gamma_from_n2(n2_m2_per_w, a_eff_m2, wavelength_m)
-        return cls(
-            length_m=length_m,
-            prop_loss_db_per_cm=prop_loss_db_per_cm,
-            gamma_per_w_m=gamma,
-            beta2_s2_per_m=beta2_s2_per_m,
-            n2_m2_per_w=n2_m2_per_w,
-            a_eff_m2=a_eff_m2,
-            gamma_ref_wavelength_m=wavelength_m,
-            **kwargs,
-        )
-
     @property
     def alpha_np_per_m(self) -> float:
         return prop_loss_to_alpha(self.prop_loss_db_per_cm)
@@ -144,10 +119,6 @@ class PumpConfig:
                 )
         else:
             raise ConfigError(f"unknown pump mode {self.mode!r}")
-
-    @classmethod
-    def from_frequency(cls, frequency_hz: float, **kwargs) -> "PumpConfig":
-        return cls(wavelength_m=frequency_to_wavelength(frequency_hz), **kwargs)
 
     @property
     def frequency_hz(self) -> float:
@@ -203,7 +174,7 @@ class DetectionChannel:
 
 
 def coupling_from_insertion(
-    total_db: float, prop_loss_db_per_cm: float, length_m: float, split: float = 0.5
+    total_db: float, prop_loss_db_per_cm: float, length_m: float, split: float
 ) -> tuple[float, float, float]:
     """Split a fiber-to-fiber insertion loss into facet losses.
 
@@ -246,19 +217,15 @@ class CouplingSpec:
         if not 0.0 < self.output_scale <= 1.0:
             raise ConfigError(f"output_scale must be in (0, 1], got {self.output_scale}")
 
-    def facet_losses_db(self, waveguide: WaveguideSpec) -> tuple[float, float]:
-        in_db, out_db, _ = coupling_from_insertion(
+    def output_efficiency(self, waveguide: WaveguideSpec) -> float:
+        """Chip-to-fiber survival of one photon at the output facet."""
+        _, _, eta_out = coupling_from_insertion(
             self.total_insertion_loss_db,
             waveguide.prop_loss_db_per_cm,
             waveguide.length_m,
             self.input_split,
         )
-        return in_db, out_db
-
-    def output_efficiency(self, waveguide: WaveguideSpec) -> float:
-        """Chip-to-fiber survival of one photon at the output facet."""
-        _, out_db = self.facet_losses_db(waveguide)
-        return self.output_scale * db_to_linear(out_db)
+        return self.output_scale * eta_out
 
 
 @dataclass(frozen=True)
@@ -322,6 +289,3 @@ class NoiseModel:
             )
         rho = np.array([r for _, r in self.raman_table])
         return float(np.interp(detuning_hz, det, rho))
-
-    def rejection_db(self, detuning_hz: float) -> float:
-        return self.pump_rejection.rejection_db(detuning_hz)

@@ -45,8 +45,6 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -148,36 +146,24 @@ class HistogramResult:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
     @property
-    def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0])
-
-    @property
     def total_counts(self) -> int:
         return int(self.counts.sum())
 
-    def scaled(self) -> np.ndarray:
-        """Counts per second of acquisition."""
-        return self.counts / self.acquisition_time
-
     def write_csv(self, path) -> None:
-        write_histogram_csv(self, path)
+        """CSV with '#' metadata comment lines, then 'delay_s,counts' per bin.
 
-
-def write_histogram_csv(hist: HistogramResult, path) -> None:
-    """CSV with '#' metadata comment lines, then 'delay_s,counts' per bin.
-
-    delay_s is the bin center; floats use shortest round-trip formatting and
-    lines end with LF.  The format is byte-stable for fixed inputs.
-    """
-    lines = []
-    for key in sorted(hist.metadata):
-        lines.append(f"# {key}={hist.metadata[key]}")
-    lines.append(f"# acquisition_time_s={hist.acquisition_time!r}")
-    lines.append("delay_s,counts")
-    for center, count in zip(hist.bin_centers, hist.counts):
-        lines.append(f"{float(center)!r},{int(count)}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        delay_s is the bin center; floats use shortest round-trip formatting
+        and lines end with LF.  The format is byte-stable for fixed inputs.
+        """
+        lines = []
+        for key in sorted(self.metadata):
+            lines.append(f"# {key}={self.metadata[key]}")
+        lines.append(f"# acquisition_time_s={self.acquisition_time!r}")
+        lines.append("delay_s,counts")
+        for center, count in zip(self.bin_centers, self.counts):
+            lines.append(f"{float(center)!r},{int(count)}")
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 def _expand_stop_ranges(starts, stops, i0, i1, window):
@@ -671,13 +657,12 @@ def _tia_chunk(setup, rates, tia, t0, t1, duration_s, seed, slab, carry):
     return counts, n0, n1, (explicit[cut:].copy(), stops[keep:].copy())
 
 
-def run_tia(
-    setup,
-    duration_s: float,
-    rng_seed,
-    tia: TiaConfig | None = None,
-) -> TiaRunResult:
+def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     """Simulate a full counting run, chunked in time to bound memory.
+
+    The histogrammer settings (policy, range, bins, stop delay) come from
+    ``setup.analysis.tia``; a run with other settings takes a setup whose
+    analysis is replaced.
 
     Chunks are statistically independent intervals of the same Poisson
     processes, each spanning about ``_START_SINGLES_PER_CHUNK`` start-arm
@@ -695,8 +680,7 @@ def run_tia(
     gives it the delays of ``_pair_delays``.  Deterministic for a fixed
     seed and config.
     """
-    if tia is None:
-        tia = setup.analysis.tia
+    tia = setup.analysis.tia
     if not math.isfinite(duration_s) or duration_s < 0.0:
         raise ConfigError(f"duration must be finite and non-negative, got {duration_s}")
 

@@ -35,16 +35,6 @@ class SweepSpec:
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ConfigError("sweep values must be strictly monotone")
 
-    @classmethod
-    def linear(cls, param: str, lo: float, hi: float, count: int) -> "SweepSpec":
-        return cls(param, tuple(np.linspace(lo, hi, count)))
-
-    @classmethod
-    def log(cls, param: str, lo: float, hi: float, count: int) -> "SweepSpec":
-        if lo <= 0 or hi <= 0:
-            raise ConfigError("log spacing requires positive endpoints")
-        return cls(param, tuple(np.geomspace(lo, hi, count)))
-
 
 @dataclass
 class CurveResult:
@@ -129,14 +119,18 @@ def _bisect(below, lo: float, hi: float, rel_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _turnover_power(setup: Setup, p_max: float = 1e4) -> float:
+# Highest peak power, in W, the turnover scan looks at.
+_TURNOVER_SCAN_MAX_W = 1e4
+
+
+def _turnover_power(setup: Setup) -> float:
     """Upper end of the monotone-increasing branch of rate vs peak power.
 
     The rate grows quadratically until the nonlinear phase pushes the
     envelope over; scan geometrically for the first decrease, then golden-
     section to the maximum.
     """
-    grid = np.geomspace(1e-6, p_max, 400)
+    grid = np.geomspace(1e-6, _TURNOVER_SCAN_MAX_W, 400)
     rates = [_rate_at_power(setup, p) for p in grid]
     # First local maximum, not the global one: the envelope oscillates at
     # high power and only the first lobe is the monotone branch.
@@ -189,19 +183,22 @@ def power_for_pairs_per_pulse(setup: Setup, mu: float) -> float:
     return _bisect(lambda p: _rate_at_power(setup, p) * tau < mu, 0.0, p_turn, 1e-12)
 
 
-def car_vs_mu(setup: Setup, mus, accidental_mode: str | None = None) -> CurveResult:
-    """CAR versus expected pairs per pulse; solves peak power per point."""
+def car_vs_mu(setup: Setup, mus) -> CurveResult:
+    """CAR versus expected pairs per pulse; solves peak power per point.
+
+    Accidentals are counted in ``setup.analysis.accidental_mode``.
+    """
     observables = []
     mus = tuple(float(m) for m in mus)
     for mu in mus:
         power = power_for_pairs_per_pulse(setup, mu)
         s = set_path(setup, "pump.power_w", power)
-        observables.append(s.predict(accidental_mode=accidental_mode))
+        observables.append(s.predict())
     return CurveResult(
         param="pairs_per_pulse",
         values=mus,
         observables=observables,
-        meta={"accidental_mode": accidental_mode or setup.analysis.accidental_mode},
+        meta={"accidental_mode": setup.analysis.accidental_mode},
     )
 
 
@@ -262,6 +259,10 @@ _SEARCH_PATHS = {
 }
 
 
+# Coordinate descent stops once every step is below this share of its span.
+_DESCENT_REL_TOL = 1e-3
+
+
 @dataclass
 class DesignResult:
     """Best feasible point of a CAR maximization plus its search trace."""
@@ -298,15 +299,15 @@ def optimize_car(
     bounds: dict,
     constraint: tuple,
     grid_points: int = 7,
-    rel_tol: float = 1e-3,
 ) -> DesignResult:
     """Maximize CAR over box bounds with a coarse grid then coordinate descent.
 
     ``bounds`` maps a subset of {detuning_hz, tau_s, rep_rate_hz,
     peak_power_w} to (lo, hi); ``constraint`` is ("mu_min", x) or
     ("c_min", x).  Deterministic: a fixed grid, then per-coordinate steps
-    halved until below ``rel_tol`` of each span.  The result is never an
-    infeasible point and is at least as good as the best grid point.
+    halved until below ``_DESCENT_REL_TOL`` of each span.  The result is
+    never an infeasible point and is at least as good as the best grid
+    point.
     """
     if not bounds:
         raise ConfigError("optimize_car needs at least one bounded parameter")
@@ -354,7 +355,7 @@ def optimize_car(
         raise ConfigError("no feasible point in the search box")
 
     steps = np.where(spans > 0, spans / max(grid_points - 1, 1) / 2.0, 0.0)
-    while np.any(steps > rel_tol * np.maximum(spans, 1e-300)):
+    while np.any(steps > _DESCENT_REL_TOL * np.maximum(spans, 1e-300)):
         improved = False
         for i in range(len(names)):
             if steps[i] == 0.0:

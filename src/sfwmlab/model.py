@@ -128,7 +128,7 @@ def pump_leakage_rate(
     budget exactly like a noise-generation rate.
     """
     flux = pump.power_w / (PLANCK_H * pump.frequency_hz)
-    return flux * 10.0 ** (-noise.rejection_db(channel.detuning_hz) / 10.0)
+    return flux * 10.0 ** (-noise.pump_rejection.rejection_db(channel.detuning_hz) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -354,6 +354,15 @@ def calibrate_raman(
     return rhos[0], rhos[1]
 
 
+# Detuning span of a built noise table: |nu| from RAMAN_TABLE_MIN_HZ to
+# RAMAN_TABLE_SPAN_HZ on each side of the pump.
+RAMAN_TABLE_MIN_HZ = 0.05e12
+RAMAN_TABLE_SPAN_HZ = 8.5e12
+
+# Width of the linear ramp between a RamanWindow's edge and the table outside.
+RAMAN_WINDOW_RAMP_HZ = 0.15e12
+
+
 @dataclass(frozen=True)
 class RamanWindow:
     """A reduced-noise region of the scattering spectrum, symmetric in +/-nu.
@@ -365,11 +374,10 @@ class RamanWindow:
     center_hz: float
     halfwidth_hz: float
     rho: float
-    ramp_hz: float = 0.15e12
 
     def __post_init__(self):
-        if self.center_hz <= 0.0 or self.halfwidth_hz <= 0.0 or self.ramp_hz <= 0.0:
-            raise ConfigError("window center, halfwidth and ramp must be positive")
+        if self.center_hz <= 0.0 or self.halfwidth_hz <= 0.0:
+            raise ConfigError("window center and halfwidth must be positive")
         if self.rho < 0.0:
             raise ConfigError("window rho must be non-negative")
 
@@ -379,8 +387,6 @@ def build_raman_table(
     rho_anti_stokes: float,
     anchor_hz: float,
     temperature_k: float,
-    span_hz: float = 8.5e12,
-    min_hz: float = 0.05e12,
     window: RamanWindow | None = None,
 ) -> tuple[tuple[float, float], ...]:
     """Build a signed-detuning rho table anchored at measured values.
@@ -392,30 +398,30 @@ def build_raman_table(
     the correlation quality across the measured detuning range).  A
     ``RamanWindow`` overrides the coefficient inside its span.
     """
-    if anchor_hz < min_hz or anchor_hz > span_hz:
+    if anchor_hz < RAMAN_TABLE_MIN_HZ or anchor_hz > RAMAN_TABLE_SPAN_HZ:
         raise ConfigError("anchor detuning outside the table span")
     if rho_stokes < 0.0 or rho_anti_stokes < 0.0:
         raise ConfigError("anchored rho values must be non-negative")
 
     grid = []
-    nu = min_hz
+    nu = RAMAN_TABLE_MIN_HZ
     while nu < 1.0e12:
         grid.append(nu)
         nu += 0.05e12
     while nu < 2.0e12:
         grid.append(nu)
         nu += 0.1e12
-    while nu <= span_hz:
+    while nu <= RAMAN_TABLE_SPAN_HZ:
         grid.append(nu)
         nu += 0.25e12
-    if grid[-1] < span_hz:
-        grid.append(span_hz)
+    if grid[-1] < RAMAN_TABLE_SPAN_HZ:
+        grid.append(RAMAN_TABLE_SPAN_HZ)
     if window is not None:
         edges = [
-            window.center_hz - window.halfwidth_hz - window.ramp_hz,
+            window.center_hz - window.halfwidth_hz - RAMAN_WINDOW_RAMP_HZ,
             window.center_hz - window.halfwidth_hz,
             window.center_hz + window.halfwidth_hz,
-            window.center_hz + window.halfwidth_hz + window.ramp_hz,
+            window.center_hz + window.halfwidth_hz + RAMAN_WINDOW_RAMP_HZ,
         ]
         grid = sorted(set(g for g in grid if not edges[0] < g < edges[3]) | set(edges))
 

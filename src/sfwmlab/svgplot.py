@@ -8,10 +8,14 @@ from __future__ import annotations
 import math
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list:
+# Tick marks aimed for per axis; the step is rounded to 1, 2, 2.5 or 5 x 10^k.
+_TICKS_PER_AXIS = 5
+
+
+def _ticks(lo: float, hi: float) -> list:
     if hi <= lo:
         return [lo]
-    raw_step = (hi - lo) / max(n - 1, 1)
+    raw_step = (hi - lo) / (_TICKS_PER_AXIS - 1)
     mag = 10.0 ** math.floor(math.log10(raw_step))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
@@ -34,16 +38,12 @@ def write_svg(
     ylabel: str = "",
     title: str = "",
     step: bool = False,
-    log_y: bool = False,
 ) -> None:
     """Write a single-series line (or step) plot as a standalone SVG file."""
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys) or not xs:
         raise ValueError("x and y must be equal-length, non-empty sequences")
-    if log_y:
-        floor = min((v for v in ys if v > 0), default=1.0)
-        ys = [math.log10(max(v, floor * 1e-3)) for v in ys]
 
     width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 40, 55
@@ -91,11 +91,10 @@ def write_svg(
                      f'text-anchor="middle" font-family="sans-serif">{t:.4g}</text>')
     for t in _ticks(y_lo, y_hi):
         yp = py(t)
-        label = f"1e{t:.3g}" if log_y else f"{t:.4g}"
         parts.append(f'<line x1="{ml - 5}" y1="{yp:.2f}" x2="{ml}" y2="{yp:.2f}" '
                      'stroke="#444"/>')
         parts.append(f'<text x="{ml - 8}" y="{yp + 4:.2f}" font-size="12" '
-                     f'text-anchor="end" font-family="sans-serif">{label}</text>')
+                     f'text-anchor="end" font-family="sans-serif">{t:.4g}</text>')
     parts.append(f'<path d="{path_d}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
     if title:
         parts.append(f'<text x="{width / 2}" y="24" font-size="15" text-anchor="middle" '

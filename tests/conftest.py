@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +38,12 @@ def engineered_cfg():
 def clean_raw(paper_cfg):
     """A mutable copy of the calibrated default document."""
     return copy.deepcopy(paper_cfg.raw)
+
+
+def with_analysis(setup, **changes):
+    """The setup with some analysis settings (window_s, accidental_mode,
+    tia) replaced: the one route by which tests vary them."""
+    return replace(setup, analysis=replace(setup.analysis, **changes))
 
 
 def make_noise_free(raw):

@@ -24,7 +24,7 @@ from sfwmlab.explore import (
 )
 from sfwmlab.model import thermal_occupancy
 
-from conftest import make_noise_free
+from conftest import make_noise_free, with_analysis
 
 SEED = 1549315
 
@@ -69,11 +69,11 @@ class TestCriterion3CalibrationRoundTrip:
 
 class TestCriterion4QuadraticLaws:
     def test_power_exponent_band(self, paper_cfg):
-        curve = sweep(paper_cfg.setup, SweepSpec.linear("pump.power_w", 0.010, 0.060, 11))
+        curve = sweep(paper_cfg.setup, SweepSpec("pump.power_w", np.linspace(0.010, 0.060, 11)))
         fit = fit_power_law(zip(curve.column("param"), curve.column("C")))
         assert 1.95 <= fit.exponent <= 2.05
         curve_eta = sweep(paper_cfg.setup,
-                          SweepSpec.linear("coupling.output_scale", 0.2, 1.0, 11))
+                          SweepSpec("coupling.output_scale", np.linspace(0.2, 1.0, 11)))
         fit_eta = fit_power_law(zip(curve_eta.column("param"), curve_eta.column("C")))
         assert fit_eta.exponent == pytest.approx(2.0, abs=1e-6)
         _report("4 quadratic laws",
@@ -89,7 +89,7 @@ class TestCriterion5MonteCarloVsAnalytic:
         # free of the first-stop exponential depletion bias.
         tia = TiaConfig(bin_width_s=16e-12, range_s=(10e-9, 12.208e-9),
                         policy="multi-stop", stop_delay_s=11.1e-9)
-        result = run_tia(setup, duration, SEED, tia=tia)
+        result = run_tia(with_analysis(setup, tia=tia), duration, SEED)
 
         for label, n, rate in (("N0", result.n_starts, obs.singles0),
                                ("N1", result.n_stops, obs.singles1)):
@@ -211,7 +211,7 @@ class TestCriterion8PropertySuites:
         setup = load_config(raw).setup
         obs = setup.predict()
         assert obs.car == pytest.approx(
-            1.0 / (obs.pair_rate * setup.window_s), rel=1e-9
+            1.0 / (obs.pair_rate * setup.analysis.window_s), rel=1e-9
         )
         _report("8b noise-free CAR", "CAR = 1/(r*t) to 1e-9")
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -17,6 +18,9 @@ from sfwmlab.config import (
     tm_mode_raw,
 )
 from sfwmlab.errors import ConfigError
+from sfwmlab.explore import car_vs_mu
+
+from conftest import with_analysis
 
 
 class TestConfigDocument:
@@ -66,13 +70,25 @@ class TestConfigDocument:
         ("pump", "power_mw", math.nan),
         ("waveguide", "eta_alpha", math.inf),
         ("coupling", "total_insertion_loss_db", -math.inf),
-        ("tia", "range_ns", [10.0, math.inf]),
+        pytest.param("analysis.tia", "range_ns", [10.0, math.inf], id="tia-range_ns-value3"),
         ("noise", "raman_table", [[-1.4, math.nan], [1.4, 0.4]]),
+        ("channels.idler", "detector_qe", math.nan),
+        ("analysis.tia", "bin_ps", math.inf),
+        ("noise.pump_rejection", "base_db", -math.inf),
     ])
     def test_non_finite_numbers_rejected(self, clean_raw, section, key, value):
-        target = clean_raw["analysis"]["tia"] if section == "tia" else clean_raw[section]
+        # The message names the full dotted path of the key.
+        target = clean_raw
+        for part in section.split("."):
+            target = target[part]
         target[key] = value
-        with pytest.raises(ConfigError, match="finite"):
+        message = re.escape(f"{section}.{key} must be a finite number")
+        with pytest.raises(ConfigError, match="^" + message):
+            load_config(clean_raw)
+
+    def test_gated_accidentals_need_a_pulsed_pump(self, clean_raw):
+        clean_raw["analysis"]["accidental_mode"] = "gated"
+        with pytest.raises(ConfigError, match="analysis.accidental_mode"):
             load_config(clean_raw)
 
     @pytest.mark.parametrize("path, value, match", [
@@ -278,6 +294,19 @@ class TestCli:
         text = (tmp_path / "r" / "rates.csv").read_text()
         assert "C_per_s,80.0" in text
 
+    @pytest.mark.parametrize("flag", ["--measured-c", "--measured-n0", "--measured-n1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_calibrate_non_finite_measurement_exit_code(self, tmp_path, capsys, flag, value):
+        measured = {"--measured-c": "80", "--measured-n0": "3.45e6", "--measured-n1": "1.34e6"}
+        measured[flag] = value
+        code = main(["calibrate", "--config", "paper-defaults", "--out", str(tmp_path),
+                     *(f"{name}={v}" for name, v in measured.items())])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert flag in err
+        assert not (tmp_path / "calibration.json").exists()
+
     def test_calibrate_impossible_measurement_exit_code(self, tmp_path, capsys):
         code = main([
             "calibrate", "--config", "paper-defaults", "--out", str(tmp_path),
@@ -353,6 +382,32 @@ class TestCli:
         assert (tmp_path / "car_curve.csv").exists()
         out = capsys.readouterr().out
         assert "CAR=" in out
+
+    def test_car_curve_gated_mode_override(self, tmp_path, engineered_cfg):
+        # --mode reaches car_vs_mu only through the config override.
+        code = main([
+            "car-curve", "--config", "engineered-defaults", "--out", str(tmp_path),
+            "--mu", "0.008:0.02:4", "--mode", "gated",
+        ])
+        assert code == 0
+        lines = (tmp_path / "car_curve.csv").read_text().splitlines()
+        assert "# accidental_mode=gated" in lines
+        rows = [line.split(",") for line in lines if not line.startswith(("#", "param"))]
+        gated = with_analysis(engineered_cfg.setup, accidental_mode="gated")
+        expected = car_vs_mu(gated, cli._parse_values("0.008:0.02:4")).column("CAR")
+        assert [float(row[6]) for row in rows] == expected.tolist()
+
+    def test_histogram_gated_cw_config_exit_code(self, tmp_path, capsys, clean_raw):
+        clean_raw["analysis"]["accidental_mode"] = "gated"
+        path = tmp_path / "gated_cw.json"
+        path.write_text(json.dumps(clean_raw))
+        code = main(["histogram", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--duration", "0.001"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert "analysis.accidental_mode" in err
+        assert not (tmp_path / "out" / "histogram.csv").exists()
 
     def test_car_curve_unreachable_mu_exit_code(self, tmp_path):
         code = main([

@@ -10,6 +10,7 @@ from sfwmlab.devices import (
     coupling_from_insertion,
 )
 from sfwmlab.errors import ConfigError, ExtrapolationError
+from sfwmlab.units import gamma_from_n2
 
 
 def test_waveguide_derived_quantities():
@@ -26,9 +27,11 @@ def test_waveguide_gamma_consistency_check():
                       gamma_per_w_m=99.0, beta2_s2_per_m=3.048e-25,
                       n2_m2_per_w=3e-18, a_eff_m2=0.86e-12,
                       gamma_ref_wavelength_m=1550e-9)
-    wg = WaveguideSpec.from_n2(length_m=0.071, prop_loss_db_per_cm=0.7,
-                               n2_m2_per_w=3e-18, a_eff_m2=0.86e-12,
-                               wavelength_m=1550e-9, beta2_s2_per_m=3.048e-25)
+    gamma = gamma_from_n2(3e-18, 0.86e-12, 1550e-9)
+    wg = WaveguideSpec(length_m=0.071, prop_loss_db_per_cm=0.7,
+                       gamma_per_w_m=gamma, beta2_s2_per_m=3.048e-25,
+                       n2_m2_per_w=3e-18, a_eff_m2=0.86e-12,
+                       gamma_ref_wavelength_m=1550e-9)
     assert wg.gamma_per_w_m == pytest.approx(14.14, abs=0.01)
 
 

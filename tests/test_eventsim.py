@@ -26,10 +26,9 @@ from sfwmlab.eventsim import (
     analyze_histogram,
     component_rates,
     run_tia,
-    write_histogram_csv,
 )
 
-from conftest import make_noise_free
+from conftest import make_noise_free, with_analysis
 
 
 def _poisson(rate_hz, duration_s, seed):
@@ -570,7 +569,8 @@ class TestRunTiaStatistics:
     def _runs(self, setup, policy):
         tia = TiaConfig(bin_width_s=self.BIN, range_s=self.RANGE, policy=policy,
                         stop_delay_s=self.DELAY)
-        return [run_tia(setup, self.DURATION, seed, tia=tia) for seed in self.SEEDS]
+        setup = with_analysis(setup, tia=tia)
+        return [run_tia(setup, self.DURATION, seed) for seed in self.SEEDS]
 
     def _check(self, setup, policy, monkeypatch):
         monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 5e5)
@@ -633,7 +633,7 @@ class TestRunTiaBlockPath:
         tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=policy,
                         stop_delay_s=11.1e-9)
         monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 1e4)
-        return run_tia(setup, 0.005, seed, tia=tia)
+        return run_tia(with_analysis(setup, tia=tia), 0.005, seed)
 
     @pytest.mark.parametrize("batch", [1, 7, 10**9])
     def test_histogram_does_not_depend_on_batch_size(self, paper_cfg, monkeypatch, batch):
@@ -739,7 +739,7 @@ class TestRunTiaChunking:
         stops = stops_for(delay)
         tia = TiaConfig(bin_width_s=width, range_s=range_s, policy=policy,
                         stop_delay_s=delay)
-        result = run_tia(paper_cfg.setup, self.DURATION, 1, tia=tia)
+        result = run_tia(with_analysis(paper_cfg.setup, tia=tia), self.DURATION, 1)
         expected = _histogram(starts, stops, tia)
         assert expected.sum() > 1000
         assert result.n_stops == stops.size
@@ -753,7 +753,7 @@ class TestHistogramCsv:
         hist = HistogramResult(bin_edges=edges, counts=counts, acquisition_time=2.0,
                                metadata={"seed": 7, "policy": "first-stop"})
         path = tmp_path / "h.csv"
-        write_histogram_csv(hist, path)
+        hist.write_csv(path)
         expected = (
             "# policy=first-stop\n"
             "# seed=7\n"

@@ -16,12 +16,12 @@ from sfwmlab.explore import (
     sweep,
 )
 
-from conftest import make_noise_free
+from conftest import make_noise_free, with_analysis
 
 
 class TestSweep:
     def test_power_sweep_monotone(self, paper_cfg):
-        spec = SweepSpec.linear("pump.power_w", 0.010, 0.060, 6)
+        spec = SweepSpec("pump.power_w", np.linspace(0.010, 0.060, 6))
         curve = sweep(paper_cfg.setup, spec)
         c = curve.column("C")
         assert np.all(np.diff(c) > 0)
@@ -100,13 +100,13 @@ class TestFitPowerLaw:
     def test_model_power_quadratic_band(self, paper_cfg):
         # The nonlinear phase perturbs the pure square law by under 3%
         # over this power range.
-        spec = SweepSpec.linear("pump.power_w", 0.010, 0.060, 8)
+        spec = SweepSpec("pump.power_w", np.linspace(0.010, 0.060, 8))
         curve = sweep(paper_cfg.setup, spec)
         fit = fit_power_law(zip(curve.column("param"), curve.column("C")))
         assert 1.95 <= fit.exponent <= 2.05
 
     def test_model_coupling_square_law_exact(self, paper_cfg):
-        spec = SweepSpec.linear("coupling.output_scale", 0.2, 1.0, 8)
+        spec = SweepSpec("coupling.output_scale", np.linspace(0.2, 1.0, 8))
         curve = sweep(paper_cfg.setup, spec)
         fit = fit_power_law(zip(curve.column("param"), curve.column("C")))
         assert fit.exponent == pytest.approx(2.0, abs=1e-6)
@@ -152,8 +152,9 @@ class TestCarVsMu:
         assert 25.0 <= curve.observables[0].car <= 100.0
 
     def test_gated_mode_runs_and_is_lower(self, paper_pulsed_cfg):
-        binned = car_vs_mu(paper_pulsed_cfg.setup, [0.01], accidental_mode="binned")
-        gated = car_vs_mu(paper_pulsed_cfg.setup, [0.01], accidental_mode="gated")
+        setup = paper_pulsed_cfg.setup
+        binned = car_vs_mu(with_analysis(setup, accidental_mode="binned"), [0.01])
+        gated = car_vs_mu(with_analysis(setup, accidental_mode="gated"), [0.01])
         # The gated window is the whole pulse period, far wider than the
         # binned coincidence window, so its CAR is far lower.
         assert gated.observables[0].car < binned.observables[0].car
