@@ -23,7 +23,7 @@ from .devices import (
     PumpRejection,
     WaveguideSpec,
 )
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .eventsim import TiaConfig
 from .model import (
     ModelObservables,
@@ -51,9 +51,9 @@ class AnalysisOptions:
 
     def __post_init__(self):
         if self.window_s <= 0.0:
-            raise ConfigError(f"coincidence window must be positive, got {self.window_s}")
+            raise FieldError("window_s", "coincidence window must be positive", self.window_s)
         if self.accidental_mode not in ("binned", "gated"):
-            raise ConfigError(f"unknown accidental mode {self.accidental_mode!r}")
+            raise FieldError("accidental_mode", "unknown accidental mode", self.accidental_mode)
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,19 @@ def _number(section: dict, name: str, key: str) -> float:
     return _finite(section[key], name, key)
 
 
+def _construct(cls, section: dict, name: str, keys: dict, **fields):
+    """``cls(**fields)``; a field out of range is reported by the key of
+    ``section`` it was read from (``keys[field]``, else the field's own
+    name) and the value as the document gives it."""
+    try:
+        return cls(**fields)
+    except FieldError as exc:
+        key = keys.get(exc.field, exc.field)
+        if key not in section:
+            raise
+        raise ConfigError(f"{name}.{key}: {exc.requirement}, got {section[key]!r}") from None
+
+
 def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
     keys = {"length_cm", "prop_loss_db_per_cm", "eta_alpha"}
     optional = {"gamma_per_w_m", "n2_m2_per_w", "a_eff_um2",
@@ -190,7 +203,9 @@ def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
     else:
         raise ConfigError("waveguide.eta_alpha must be 'analytic' or a number")
 
-    return WaveguideSpec(
+    return _construct(
+        WaveguideSpec, raw, "waveguide",
+        {"length_m": "length_cm", "eta_alpha_value": "eta_alpha", "a_eff_m2": "a_eff_um2"},
         length_m=_number(raw, "waveguide", "length_cm") / 100.0,
         prop_loss_db_per_cm=_number(raw, "waveguide", "prop_loss_db_per_cm"),
         gamma_per_w_m=gamma,
@@ -219,7 +234,10 @@ def _build_pump(raw: dict) -> PumpConfig:
         }
     else:
         raise ConfigError(f"pump.mode must be 'cw' or 'pulsed', got {mode!r}")
-    return PumpConfig(
+    return _construct(
+        PumpConfig, raw, "pump",
+        {"wavelength_m": "wavelength_nm", "power_w": "power_mw", "tau_s": "tau_ps",
+         "rep_rate_hz": "rep_rate_mhz"},
         wavelength_m=_number(raw, "pump", "wavelength_nm") * 1e-9,
         power_w=_number(raw, "pump", "power_mw") * 1e-3,
         mode=mode,
@@ -231,7 +249,8 @@ def _build_coupling(raw: dict) -> CouplingSpec:
     keys = {"total_insertion_loss_db"}
     optional = {"input_split", "output_scale"}
     _require(raw, "coupling", keys, optional)
-    return CouplingSpec(
+    return _construct(
+        CouplingSpec, raw, "coupling", {},
         total_insertion_loss_db=_number(raw, "coupling", "total_insertion_loss_db"),
         input_split=_finite(raw.get("input_split", 0.5), "coupling", "input_split"),
         output_scale=_finite(raw.get("output_scale", 1.0), "coupling", "output_scale"),
@@ -259,7 +278,12 @@ def _build_channel(raw: dict, name: str, pump: PumpConfig, expect_sign: int) -> 
     # filter, rectangular approximation, at the channel's own wavelength.
     bpf_hz = filter_fwhm_to_bandwidth(bpf_nm, frequency_to_wavelength(channel_hz))
     awg_hz = _number(raw, path, "awg_fwhm_ghz") * 1e9
-    return DetectionChannel(
+    # bpf_fwhm_nm is positive, so only the demux width can leave the
+    # passband empty.
+    return _construct(
+        DetectionChannel, raw, path,
+        {"bandwidth_hz": "awg_fwhm_ghz", "dark_rate_hz": "dark_rate_per_s",
+         "jitter_fwhm_s": "jitter_fwhm_ps"},
         detuning_hz=detuning,
         bandwidth_hz=min(awg_hz, bpf_hz),
         filter_loss_db=_number(raw, path, "filter_loss_db"),
@@ -283,10 +307,12 @@ def _build_noise(raw: dict) -> NoiseModel:
                          _finite(r, "noise", "raman_table")) for d, r in table)
     rej = raw["pump_rejection"]
     _require(rej, "noise.pump_rejection", {"base_db", "floor_db", "ramp_thz"})
-    return NoiseModel(
+    return _construct(
+        NoiseModel, raw, "noise", {},
         raman_table=raman_table,
         temperature_k=_number(raw, "noise", "temperature_k"),
-        pump_rejection=PumpRejection(
+        pump_rejection=_construct(
+            PumpRejection, rej, "noise.pump_rejection", {"ramp_hz": "ramp_thz"},
             base_db=_number(rej, "noise.pump_rejection", "base_db"),
             floor_db=_number(rej, "noise.pump_rejection", "floor_db"),
             ramp_hz=_number(rej, "noise.pump_rejection", "ramp_thz") * 1e12,
@@ -303,10 +329,13 @@ def _build_analysis(raw: dict) -> AnalysisOptions:
     rng = tia["range_ns"]
     if not isinstance(rng, list) or len(rng) != 2:
         raise ConfigError("analysis.tia.range_ns must be [min, max]")
-    return AnalysisOptions(
+    return _construct(
+        AnalysisOptions, raw, "analysis", {"window_s": "coincidence_window_ps"},
         window_s=_number(raw, "analysis", "coincidence_window_ps") * 1e-12,
         accidental_mode=str(raw["accidental_mode"]),
-        tia=TiaConfig(
+        tia=_construct(
+            TiaConfig, tia, "analysis.tia",
+            {"bin_width_s": "bin_ps", "range_s": "range_ns", "stop_delay_s": "stop_delay_ns"},
             bin_width_s=_number(tia, "analysis.tia", "bin_ps") * 1e-12,
             range_s=tuple(_finite(v, "analysis.tia", "range_ns") * 1e-9 for v in rng),
             policy=str(tia["policy"]),

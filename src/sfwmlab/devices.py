@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ExtrapolationError
+from .errors import ConfigError, ExtrapolationError, FieldError
 from .units import (
     db_to_linear,
     effective_length,
@@ -48,19 +48,20 @@ class WaveguideSpec:
 
     def __post_init__(self):
         if self.length_m <= 0.0:
-            raise ConfigError(f"waveguide length must be positive, got {self.length_m}")
+            raise FieldError("length_m", "waveguide length must be positive", self.length_m)
         if self.prop_loss_db_per_cm < 0.0:
-            raise ConfigError("propagation loss must be non-negative")
+            raise FieldError("prop_loss_db_per_cm", "propagation loss must be non-negative",
+                             self.prop_loss_db_per_cm)
         if self.gamma_per_w_m <= 0.0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma_per_w_m}")
+            raise FieldError("gamma_per_w_m", "gamma must be positive", self.gamma_per_w_m)
         if self.eta_alpha_mode not in ("analytic", "calibrated"):
             raise ConfigError(f"unknown eta_alpha_mode {self.eta_alpha_mode!r}")
         if self.eta_alpha_mode == "calibrated":
             v = self.eta_alpha_value
             if v is None or not 0.0 < v <= 1.0:
-                raise ConfigError(f"calibrated eta_alpha must be in (0, 1], got {v}")
+                raise FieldError("eta_alpha_value", "calibrated eta_alpha must be in (0, 1]", v)
         if self.a_eff_m2 is not None and self.a_eff_m2 <= 0.0:
-            raise ConfigError("a_eff must be positive")
+            raise FieldError("a_eff_m2", "a_eff must be positive", self.a_eff_m2)
         if self.n2_m2_per_w is not None:
             if self.a_eff_m2 is None or self.gamma_ref_wavelength_m is None:
                 raise ConfigError("n2 requires a_eff and a reference wavelength")
@@ -102,17 +103,21 @@ class PumpConfig:
 
     def __post_init__(self):
         if self.wavelength_m <= 0.0:
-            raise ConfigError(f"pump wavelength must be positive, got {self.wavelength_m}")
+            raise FieldError("wavelength_m", "pump wavelength must be positive",
+                             self.wavelength_m)
         if self.power_w < 0.0:
-            raise ConfigError(f"pump power must be non-negative, got {self.power_w}")
+            raise FieldError("power_w", "pump power must be non-negative", self.power_w)
         if self.mode == "cw":
             if self.tau_s is not None or self.rep_rate_hz is not None:
                 raise ConfigError("cw pump takes no pulse parameters")
         elif self.mode == "pulsed":
             if self.tau_s is None or self.rep_rate_hz is None:
                 raise ConfigError("pulsed pump requires tau_s and rep_rate_hz")
-            if self.tau_s <= 0.0 or self.rep_rate_hz <= 0.0:
-                raise ConfigError("pulse duration and repetition rate must be positive")
+            if self.tau_s <= 0.0:
+                raise FieldError("tau_s", "pulse duration must be positive", self.tau_s)
+            if self.rep_rate_hz <= 0.0:
+                raise FieldError("rep_rate_hz", "repetition rate must be positive",
+                                 self.rep_rate_hz)
             if not 0.0 < self.tau_s * self.rep_rate_hz <= 1.0:
                 raise ConfigError(
                     f"duty cycle tau*B must be in (0, 1], got {self.tau_s * self.rep_rate_hz}"
@@ -151,15 +156,17 @@ class DetectionChannel:
 
     def __post_init__(self):
         if self.bandwidth_hz <= 0.0:
-            raise ConfigError(f"channel bandwidth must be positive, got {self.bandwidth_hz}")
+            raise FieldError("bandwidth_hz", "channel bandwidth must be positive",
+                             self.bandwidth_hz)
         if not 0.0 < self.detector_qe <= 1.0:
-            raise ConfigError(f"detector QE must be in (0, 1], got {self.detector_qe}")
+            raise FieldError("detector_qe", "detector QE must be in (0, 1]", self.detector_qe)
         if self.filter_loss_db < 0.0:
-            raise ConfigError("filter loss must be non-negative")
+            raise FieldError("filter_loss_db", "filter loss must be non-negative",
+                             self.filter_loss_db)
         if self.dark_rate_hz < 0.0:
-            raise ConfigError("dark rate must be non-negative")
+            raise FieldError("dark_rate_hz", "dark rate must be non-negative", self.dark_rate_hz)
         if self.jitter_fwhm_s < 0.0:
-            raise ConfigError("jitter must be non-negative")
+            raise FieldError("jitter_fwhm_s", "jitter must be non-negative", self.jitter_fwhm_s)
         if self.collection_efficiency <= 0.0 or self.collection_efficiency > 1.0:
             raise ConfigError("collection efficiency out of (0, 1]")
 
@@ -211,11 +218,13 @@ class CouplingSpec:
 
     def __post_init__(self):
         if self.total_insertion_loss_db < 0.0:
-            raise ConfigError("total insertion loss must be non-negative")
+            raise FieldError("total_insertion_loss_db",
+                             "total insertion loss must be non-negative",
+                             self.total_insertion_loss_db)
         if not 0.0 <= self.input_split <= 1.0:
-            raise ConfigError(f"input_split must be in [0, 1], got {self.input_split}")
+            raise FieldError("input_split", "input_split must be in [0, 1]", self.input_split)
         if not 0.0 < self.output_scale <= 1.0:
-            raise ConfigError(f"output_scale must be in (0, 1], got {self.output_scale}")
+            raise FieldError("output_scale", "output_scale must be in (0, 1]", self.output_scale)
 
     def output_efficiency(self, waveguide: WaveguideSpec) -> float:
         """Chip-to-fiber survival of one photon at the output facet."""
@@ -245,7 +254,7 @@ class PumpRejection:
         if self.floor_db < self.base_db:
             raise ConfigError("rejection floor must be at least the base rejection")
         if self.ramp_hz <= 0.0:
-            raise ConfigError("rejection ramp width must be positive")
+            raise FieldError("ramp_hz", "rejection ramp width must be positive", self.ramp_hz)
 
     def rejection_db(self, detuning_hz: float) -> float:
         frac = min(1.0, abs(detuning_hz) / self.ramp_hz)
@@ -269,7 +278,7 @@ class NoiseModel:
 
     def __post_init__(self):
         if self.temperature_k <= 0.0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature_k}")
+            raise FieldError("temperature_k", "temperature must be positive", self.temperature_k)
         if len(self.raman_table) < 1:
             raise ConfigError("raman_table must have at least one entry")
         det = [d for d, _ in self.raman_table]

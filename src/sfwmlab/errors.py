@@ -7,6 +7,16 @@ class ConfigError(ValueError):
     exit_code = 2
 
 
+class FieldError(ConfigError):
+    """A field of a domain object is out of range.  ``field`` names it, so a
+    document loader can name the key the value was read from."""
+
+    def __init__(self, field: str, requirement: str, value):
+        super().__init__(f"{requirement}, got {value!r}")
+        self.field = field
+        self.requirement = requirement
+
+
 class InconsistentMeasurementError(ValueError):
     """A calibration input violates a bound implied by the model."""
 

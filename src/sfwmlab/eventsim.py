@@ -21,8 +21,15 @@ the sorted stop array, the rule a time-tag correlator applies (Wahl et al.,
 Opt. Express 11, 3583, 2003).  ``_bin_starts`` enumerates and bins every
 start of a run through it, in batches of ``_BLOCK_BATCH`` starts; a
 multi-stop bulk start takes its range from the stop block of the domain
-segment it was drawn in, every other start from a binary search.  Counts
-add, so the histogram does not depend on the batch size.
+segment it was drawn in, every other start from a binary search.
+
+Threads: the enumerate-and-bin batches and the segment search of the
+restricted sampler run on a thread pool with one worker per CPU the process
+may run on (``os.sched_getaffinity``); numpy releases the GIL in the
+searches, gathers and sorts they spend their time in.  Each worker bins its
+batches into its own integer counts, and integer sums do not depend on
+order, so the output does not depend on the batch size or the worker
+count.  Generation and every random draw stay on the calling thread.
 
 Determinism: every stochastic routine takes a seed and uses a counter-based
 Philox generator; identical seeds and configurations give bit-identical
@@ -31,13 +38,15 @@ outputs.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import RNG_ALGORITHM
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from .model import predict_observables
 
 # Gaussian FWHM to standard deviation.
@@ -110,16 +119,15 @@ class TiaConfig:
 
     def __post_init__(self):
         if self.bin_width_s <= 0.0:
-            raise ConfigError(f"bin width must be positive, got {self.bin_width_s}")
+            raise FieldError("bin_width_s", "bin width must be positive", self.bin_width_s)
         lo, hi = self.range_s
         if hi <= lo:
-            raise ConfigError(f"empty delay range {self.range_s}")
+            raise FieldError("range_s", "delay range must not be empty", self.range_s)
         if not lo <= self.stop_delay_s <= hi:
-            raise ConfigError(
-                f"delay range {self.range_s} does not span the stop delay {self.stop_delay_s}"
-            )
+            raise FieldError("stop_delay_s", "stop delay must lie in the delay range",
+                             self.stop_delay_s)
         if self.policy not in ("first-stop", "multi-stop"):
-            raise ConfigError(f"unknown TIA policy {self.policy!r}")
+            raise FieldError("policy", "unknown TIA policy", self.policy)
 
     @property
     def n_bins(self) -> int:
@@ -278,7 +286,9 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
     Poisson(r L) points placed uniformly on it, independent of the
     arrivals outside.  Returns the sorted times, the index of the segment
     each time was placed in (non-decreasing; it names the time's stop
-    block in multi-stop), and L.
+    block in multi-stop), and L.  The segment search runs on the batch
+    pool (``_on_pool``), each batch of times filling its own slice of the
+    index array.
     """
     cum = seg_hi - seg_lo
     np.cumsum(cum, out=cum)
@@ -288,52 +298,113 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
         return u, np.empty(0, dtype=np.intp), covered
     # Segment k holds the offsets [cum[k-1], cum[k]), so an offset u maps
     # to seg_lo[k] + u - cum[k-1] = u + seg_hi[k] - cum[k] (up to rounding).
-    k = np.searchsorted(cum, u, side="right")
+    k = np.empty(u.size, dtype=np.intp)
+
+    def search(batches):
+        for j in batches:
+            part = slice(j, j + _BLOCK_BATCH)
+            k[part] = np.searchsorted(cum, u[part], side="right")
+
+    _on_pool(search, u.size)
     np.minimum(k, cum.size - 1, out=k)
     np.subtract(seg_hi, cum, out=cum)
     u += cum[k]
     return u, k, covered
 
 
-# Starts per enumeration batch: bounds the candidate arrays.  Counts add,
-# so the histogram does not depend on it.
-_BLOCK_BATCH = 1 << 18
+# Starts (or segment-search keys) per batch: bounds the temporaries each
+# worker holds.  Counts add, so the histogram does not depend on it.
+_BLOCK_BATCH = 1 << 16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Worker threads of the batch pool: numpy releases the GIL in the searches,
+# gathers and sorts the batches spend their time in.
+_WORKERS = _usable_cpus()
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(workers):
+    # Imported on first use: importing it adds about 7 ms to every start of
+    # the command-line tool, most of whose commands simulate nothing.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="sfwmlab-batch")
+
+
+# A forked child inherits the pool without its threads.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _on_pool(task, n):
+    """Run ``task(batches)`` once per worker and return the results.
+
+    Worker w gets the batch offsets (w + i W) B below ``n``, B =
+    ``_BLOCK_BATCH`` and W = ``_WORKERS``, and so holds one batch's
+    temporaries at a time.  Every task ends before this returns; the first
+    exception raised in one is raised here.
+    """
+    step = _WORKERS * _BLOCK_BATCH
+    pool = _pool(_WORKERS)
+    tasks = [pool.submit(task, range(j, n, step))
+             for j in range(0, min(n, step), _BLOCK_BATCH)]
+    for t in tasks:
+        t.exception()  # waits for the task to end
+    return [t.result() for t in tasks]
 
 
 def _bin_starts(starts, stops, cfg, seg=None, block=None):
     """Histogram counts of the delays of ``starts`` against ``stops``.
 
-    Starts are enumerated in batches of ``_BLOCK_BATCH``.  Given ``block``
-    (multi-stop ``_start_domain`` segments) start j, in segment k =
-    ``seg[j]``, takes the stop block ``stops[block[k]:block[k + 1]]`` as its
-    candidates; every other start is searched.  Rounding at a segment edge
-    can put a start within reach of a stop just outside its block, so a
-    start whose neighbouring stop matches is searched too, as is possibly
-    one whose block begins at the first stop or ends at the last.  Every
-    start thus gets the delays of ``_pair_delays``.
+    Starts are enumerated in batches of ``_BLOCK_BATCH`` on the batch pool
+    (``_on_pool``); each worker sums its batches into its own counts, and
+    the caller adds those, so the counts do not depend on the worker
+    count.  Given ``block`` (multi-stop ``_start_domain`` segments) start
+    j, in segment k = ``seg[j]``, takes the stop block
+    ``stops[block[k]:block[k + 1]]`` as its candidates; every other start
+    is searched.  Rounding at a segment edge can put a start within reach
+    of a stop just outside its block, so a start whose neighbouring stop
+    matches is searched too, as is possibly one whose block begins at the
+    first stop or ends at the last.  Every start thus gets the delays of
+    ``_pair_delays``.
     """
     window, single = _match_window(cfg)
     lo, hi = window
     edges = cfg.bin_edges
+
+    def binned(batches):
+        counts = np.zeros(cfg.n_bins, dtype=np.int64)
+        for j in batches:
+            s = starts[j:j + _BLOCK_BATCH]
+            if block is None:
+                i0, i1 = _search_ranges(s, stops, window, single)
+            else:
+                k = seg[j:j + _BLOCK_BATCH]
+                i0 = block[k]
+                i1 = block[k + 1]
+                # The matching stops form one index range, so the block holds
+                # them all unless a neighbouring stop matches; out-of-range
+                # neighbour indices are clipped into the block, which can only
+                # send more starts to the search.
+                out = np.take(stops, i0 - 1, mode="clip") >= s + lo
+                out |= np.take(stops, i1, mode="clip") < s + hi
+                if out.any():
+                    i0[out], i1[out] = _search_ranges(s[out], stops, window, single)
+            counts += np.histogram(_expand_stop_ranges(s, stops, i0, i1, window),
+                                   bins=edges)[0]
+        return counts
+
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
-    for j in range(0, starts.size, _BLOCK_BATCH):
-        s = starts[j:j + _BLOCK_BATCH]
-        if block is None:
-            i0, i1 = _search_ranges(s, stops, window, single)
-        else:
-            k = seg[j:j + _BLOCK_BATCH]
-            i0 = block[k]
-            i1 = block[k + 1]
-            # The matching stops form one index range, so the block holds
-            # them all unless a neighbouring stop matches; out-of-range
-            # neighbour indices are clipped into the block, which can only
-            # send more starts to the search.
-            out = np.take(stops, i0 - 1, mode="clip") >= s + lo
-            out |= np.take(stops, i1, mode="clip") < s + hi
-            if out.any():
-                i0[out], i1[out] = _search_ranges(s[out], stops, window, single)
-        counts += np.histogram(_expand_stop_ranges(s, stops, i0, i1, window),
-                               bins=edges)[0]
+    for part in _on_pool(binned, starts.size):
+        counts += part
     return counts
 
 
@@ -678,7 +749,9 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     the rest of it is one Poisson count added to ``n_starts``.  Every start
     histogrammed, explicit or drawn, goes through ``_bin_starts``, which
     gives it the delays of ``_pair_delays``.  Deterministic for a fixed
-    seed and config.
+    seed and config: the batches of ``_bin_starts`` and the segment search
+    of ``_restricted_poisson`` run on one worker thread per usable CPU, and
+    the output does not depend on how many there are.
     """
     tia = setup.analysis.tia
     if not math.isfinite(duration_s) or duration_s < 0.0:

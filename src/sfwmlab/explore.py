@@ -162,11 +162,19 @@ def _turnover_power(setup: Setup) -> float:
     return 0.5 * (a + b)
 
 
+# Largest relative miss of mu a solved power may give.  The bisection
+# brackets the power to 1e-12, which moves mu by up to about 1e-12 on the
+# quadratic branch; a larger miss means it stopped on its absolute floor.
+_MU_REL_TOL = 1e-9
+
+
 def power_for_pairs_per_pulse(setup: Setup, mu: float) -> float:
     """Peak power at which the in-pulse rate times tau equals ``mu``.
 
     Bisection on the monotone-increasing branch below the phase-envelope
-    turnover; raises if ``mu`` is unreachable there.
+    turnover; raises if ``mu`` is unreachable there, or if the power found
+    misses ``mu`` by more than ``_MU_REL_TOL`` (a ``mu`` so small that its
+    power lies below the bisection's resolution).
     """
     if mu <= 0.0:
         raise ConfigError(f"pairs per pulse must be positive, got {mu}")
@@ -180,7 +188,14 @@ def power_for_pairs_per_pulse(setup: Setup, mu: float) -> float:
             f"mu={mu:.4g} unreachable on the monotone branch (max {mu_max:.4g} "
             f"at peak power {p_turn:.4g} W)"
         )
-    return _bisect(lambda p: _rate_at_power(setup, p) * tau < mu, 0.0, p_turn, 1e-12)
+    power = _bisect(lambda p: _rate_at_power(setup, p) * tau < mu, 0.0, p_turn, 1e-12)
+    achieved = _rate_at_power(setup, power) * tau
+    if not abs(achieved - mu) <= _MU_REL_TOL * mu:
+        raise NumericsError(
+            f"power solve for mu={mu:.4g} did not converge: {power:.4g} W gives "
+            f"mu={achieved:.4g}"
+        )
+    return power
 
 
 def car_vs_mu(setup: Setup, mus) -> CurveResult:

@@ -86,6 +86,31 @@ class TestConfigDocument:
         with pytest.raises(ConfigError, match="^" + message):
             load_config(clean_raw)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("analysis.tia", "bin_ps", 0, "bin width must be positive, got 0"),
+        ("pump", "power_mw", -1, "pump power must be non-negative, got -1"),
+        ("channels.idler", "detector_qe", 1.5, "detector QE must be in (0, 1], got 1.5"),
+        ("analysis", "coincidence_window_ps", -5,
+         "coincidence window must be positive, got -5"),
+        ("analysis.tia", "range_ns", [5, 1], "delay range must not be empty, got [5, 1]"),
+        ("analysis.tia", "stop_delay_ns", 500,
+         "stop delay must lie in the delay range, got 500"),
+        ("channels.signal", "awg_fwhm_ghz", -3, "channel bandwidth must be positive, got -3"),
+        ("noise.pump_rejection", "ramp_thz", 0,
+         "rejection ramp width must be positive, got 0"),
+        ("waveguide", "length_cm", 0, "waveguide length must be positive, got 0"),
+    ])
+    def test_range_errors_name_the_key(self, clean_raw, section, key, value, message):
+        # The message starts with the full dotted path of the key and gives
+        # the value as the document writes it, not in SI units.
+        target = clean_raw
+        for part in section.split("."):
+            target = target[part]
+        target[key] = value
+        expected = re.escape(f"{section}.{key}: {message}")
+        with pytest.raises(ConfigError, match=f"^{expected}$"):
+            load_config(clean_raw)
+
     def test_gated_accidentals_need_a_pulsed_pump(self, clean_raw):
         clean_raw["analysis"]["accidental_mode"] = "gated"
         with pytest.raises(ConfigError, match="analysis.accidental_mode"):
@@ -415,6 +440,17 @@ class TestCli:
             "--mu", "5.0,10.0",
         ])
         assert code == 4
+
+    def test_car_curve_mu_below_solver_resolution_exit_code(self, tmp_path, capsys):
+        # Both points gave the same C before the solve was checked.
+        code = main([
+            "car-curve", "--config", "engineered-defaults", "--out", str(tmp_path),
+            "--mu", "1e-300:1e-299:2",
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "mu=1e-300" in err and "Traceback" not in err
+        assert not (tmp_path / "car_curve.csv").exists()
 
     def test_optimize_point_bounds_echoes(self, tmp_path, capsys):
         code = main([

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -622,6 +624,79 @@ class TestRunTiaStatistics:
         self._check(paper_cfg.setup, "multi-stop", monkeypatch)
 
 
+# Pool sizes the runs below are repeated with.
+WORKER_COUNTS = (1, 2, 3)
+
+
+class TestRunTiaPool:
+    """``_bin_starts`` batches and the segment search of
+    ``_restricted_poisson`` run on a thread pool of ``_WORKERS`` threads;
+    integer counts add in any order, so runs are bit-identical for every
+    pool size."""
+
+    @pytest.fixture(autouse=True)
+    def _fast_thread_switching(self):
+        # Switch threads often, so that a lost update between workers shows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _runs(setup, duration_s, monkeypatch):
+        results = []
+        for workers in WORKER_COUNTS:
+            with monkeypatch.context() as m:
+                m.setattr(eventsim, "_WORKERS", workers)
+                # Many batches per worker, and several chunks.
+                m.setattr(eventsim, "_BLOCK_BATCH", 1000)
+                m.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 1e5)
+                results.append(run_tia(setup, duration_s, 5))
+        return results
+
+    @pytest.mark.parametrize("case", ["first-stop", "multi-stop", "pulsed"])
+    def test_output_does_not_depend_on_worker_count(self, paper_cfg, engineered_cfg,
+                                                    monkeypatch, case):
+        if case == "pulsed":
+            setup, duration_s = engineered_cfg.setup, 300.0
+        else:
+            tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=case,
+                            stop_delay_s=11.1e-9)
+            setup, duration_s = with_analysis(paper_cfg.setup, tia=tia), 0.05
+        calls = []
+        on_pool = eventsim._on_pool
+
+        def counted(task, n):
+            calls.append(n)
+            return on_pool(task, n)
+
+        monkeypatch.setattr(eventsim, "_on_pool", counted)
+        reference, *others = self._runs(setup, duration_s, monkeypatch)
+        assert reference.histogram.total_counts > 0
+        # Some call had more batches than the largest pool has workers.
+        assert max(calls) > 1000 * max(WORKER_COUNTS)
+        for result in others:
+            assert np.array_equal(result.histogram.counts, reference.histogram.counts)
+            assert (result.n_starts, result.n_stops) == (reference.n_starts,
+                                                          reference.n_stops)
+            assert result.histogram.metadata == reference.histogram.metadata
+
+    def test_worker_exception_reaches_the_caller(self, paper_cfg, monkeypatch):
+        threads = []
+
+        def broken(*args):
+            threads.append(threading.current_thread())
+            raise RuntimeError("expansion failed")
+
+        monkeypatch.setattr(eventsim, "_expand_stop_ranges", broken)
+        monkeypatch.setattr(eventsim, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match="expansion failed"):
+            run_tia(paper_cfg.setup, 0.01, 1)
+        assert threads and threading.main_thread() not in threads
+
+
 class TestRunTiaBlockPath:
     """Runs of both policies through ``_bin_starts``: multi-stop bulk starts
     are enumerated per stop block, every other start is searched."""
@@ -650,12 +725,17 @@ class TestRunTiaBlockPath:
                 reference = self._run(paper_cfg.setup, policy, m)
                 assert reference.histogram.total_counts > 1000
                 m.setattr(eventsim, "_BLOCK_BATCH", batch)
-                result = self._run(paper_cfg.setup, policy, m)
-            assert np.array_equal(result.histogram.counts, reference.histogram.counts)
-            assert (result.n_starts, result.n_stops) == (reference.n_starts,
-                                                          reference.n_stops)
-            # Both runs have two chunks, explicit and bulk starts in each.
-            assert len(calls) == 8 and calls[4:] == calls[:4]
+                results = []
+                for workers in WORKER_COUNTS:
+                    m.setattr(eventsim, "_WORKERS", workers)
+                    results.append(self._run(paper_cfg.setup, policy, m))
+            for result in results:
+                assert np.array_equal(result.histogram.counts, reference.histogram.counts)
+                assert (result.n_starts, result.n_stops) == (reference.n_starts,
+                                                              reference.n_stops)
+            # Every run has two chunks, explicit and bulk starts in each.
+            assert len(calls) == 4 * (1 + len(WORKER_COUNTS))
+            assert all(calls[i:i + 4] == calls[:4] for i in range(4, len(calls), 4))
             bulk = [c for c in calls[:4] if c[1]]
             if policy == "first-stop":
                 # No blocks: every start is searched.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfwmlab.config import load_config, set_path
-from sfwmlab.errors import ConfigError, ExtrapolationError, PowerSolveError
+from sfwmlab.errors import ConfigError, ExtrapolationError, NumericsError, PowerSolveError
 from sfwmlab.explore import (
     SweepSpec,
     calibrate_raman_window,
@@ -134,6 +134,13 @@ class TestPowerForPairsPerPulse:
     def test_unreachable_mu(self, paper_pulsed_cfg):
         with pytest.raises(PowerSolveError):
             power_for_pairs_per_pulse(paper_pulsed_cfg.setup, 10.0)
+
+    @pytest.mark.parametrize("mu", [1e-80, 1e-300])
+    def test_mu_below_solver_resolution_is_an_error(self, engineered_cfg, mu):
+        # Powers this small fall under the bisection's absolute floor; the
+        # powers it stopped at gave mu = 1.0018e-80 and 1.2e-86.
+        with pytest.raises(NumericsError, match=f"mu={mu:.4g}"):
+            power_for_pairs_per_pulse(engineered_cfg.setup, mu)
 
     def test_requires_pulsed(self, paper_cfg):
         with pytest.raises(ConfigError):
