@@ -287,14 +287,17 @@ class NoiseModel:
             raise ConfigError("raman_table detunings must be strictly increasing")
         if any(r < 0.0 for r in rho):
             raise ConfigError("raman coefficients must be non-negative")
+        # The interpolation nodes, built once: not fields, so equality and
+        # hashing still see the table alone.
+        object.__setattr__(self, "_det", np.array(det))
+        object.__setattr__(self, "_rho", np.array(rho))
 
     def rho(self, detuning_hz: float) -> float:
         """Interpolated noise coefficient at a signed detuning."""
-        det = np.array([d for d, _ in self.raman_table])
+        det = self._det
         if detuning_hz < det[0] or detuning_hz > det[-1]:
             raise ExtrapolationError(
                 f"detuning {detuning_hz:.4g} Hz outside raman table span "
                 f"[{det[0]:.4g}, {det[-1]:.4g}] Hz"
             )
-        rho = np.array([r for _, r in self.raman_table])
-        return float(np.interp(detuning_hz, det, rho))
+        return float(np.interp(detuning_hz, det, self._rho))

@@ -176,39 +176,48 @@ def power_for_pairs_per_pulse(setup: Setup, mu: float) -> float:
     misses ``mu`` by more than ``_MU_REL_TOL`` (a ``mu`` so small that its
     power lies below the bisection's resolution).
     """
-    if mu <= 0.0:
-        raise ConfigError(f"pairs per pulse must be positive, got {mu}")
-    if setup.pump.mode != "pulsed":
-        raise ConfigError("pairs-per-pulse solve requires a pulsed pump")
+    return next(_solve_powers(setup, (mu,)))
+
+
+def _solve_powers(setup: Setup, mus):
+    """Yield ``power_for_pairs_per_pulse(setup, mu)`` for each of ``mus`` in
+    turn, solving the turnover once, before the first solve that needs it.
+    A generator, so a caller interleaving other work with the solves sees
+    their errors in the order of ``mus``."""
     tau = setup.pump.tau_s
-    p_turn = _turnover_power(setup)
-    mu_max = _rate_at_power(setup, p_turn) * tau
-    if mu > mu_max:
-        raise PowerSolveError(
-            f"mu={mu:.4g} unreachable on the monotone branch (max {mu_max:.4g} "
-            f"at peak power {p_turn:.4g} W)"
-        )
-    power = _bisect(lambda p: _rate_at_power(setup, p) * tau < mu, 0.0, p_turn, 1e-12)
-    achieved = _rate_at_power(setup, power) * tau
-    if not abs(achieved - mu) <= _MU_REL_TOL * mu:
-        raise NumericsError(
-            f"power solve for mu={mu:.4g} did not converge: {power:.4g} W gives "
-            f"mu={achieved:.4g}"
-        )
-    return power
+    p_turn = mu_max = None
+    for mu in mus:
+        if mu <= 0.0:
+            raise ConfigError(f"pairs per pulse must be positive, got {mu}")
+        if setup.pump.mode != "pulsed":
+            raise ConfigError("pairs-per-pulse solve requires a pulsed pump")
+        if p_turn is None:
+            p_turn = _turnover_power(setup)
+            mu_max = _rate_at_power(setup, p_turn) * tau
+        if mu > mu_max:
+            raise PowerSolveError(
+                f"mu={mu:.4g} unreachable on the monotone branch (max {mu_max:.4g} "
+                f"at peak power {p_turn:.4g} W)"
+            )
+        power = _bisect(lambda p: _rate_at_power(setup, p) * tau < mu, 0.0, p_turn, 1e-12)
+        achieved = _rate_at_power(setup, power) * tau
+        if not abs(achieved - mu) <= _MU_REL_TOL * mu:
+            raise NumericsError(
+                f"power solve for mu={mu:.4g} did not converge: {power:.4g} W gives "
+                f"mu={achieved:.4g}"
+            )
+        yield power
 
 
 def car_vs_mu(setup: Setup, mus) -> CurveResult:
-    """CAR versus expected pairs per pulse; solves peak power per point.
+    """CAR versus expected pairs per pulse; solves peak power per point,
+    below a turnover solved once per curve.
 
     Accidentals are counted in ``setup.analysis.accidental_mode``.
     """
-    observables = []
     mus = tuple(float(m) for m in mus)
-    for mu in mus:
-        power = power_for_pairs_per_pulse(setup, mu)
-        s = set_path(setup, "pump.power_w", power)
-        observables.append(s.predict())
+    observables = [set_path(setup, "pump.power_w", power).predict()
+                   for power in _solve_powers(setup, mus)]
     return CurveResult(
         param="pairs_per_pulse",
         values=mus,
@@ -265,12 +274,13 @@ def calibrate_raman_window(
 # ------------------------------------------------------------------
 # Constrained design search
 
-# Search dimensions: name -> setup path.
-_SEARCH_PATHS = {
-    "detuning_hz": "channels.detuning_hz",
-    "tau_s": "pump.tau_s",
-    "rep_rate_hz": "pump.rep_rate_hz",
-    "peak_power_w": "pump.power_w",
+# Search dimensions: name -> the PumpConfig field it sets, or None for the
+# channel detuning (``Setup.with_detuning``).
+_SEARCH_FIELDS = {
+    "detuning_hz": None,
+    "tau_s": "tau_s",
+    "rep_rate_hz": "rep_rate_hz",
+    "peak_power_w": "power_w",
 }
 
 
@@ -290,9 +300,14 @@ class DesignResult:
 
 
 def _apply_point(setup: Setup, names, point) -> Setup:
-    s = setup
-    for name, value in zip(names, point):
-        s = set_path(s, _SEARCH_PATHS[name], float(value))
+    """The setup at a search point.  The pump fields are replaced together,
+    so the pump is validated once, on its final values: a point is never
+    judged on a mix of its values with the base setup's."""
+    values = dict(zip(names, map(float, point)))
+    pump = {_SEARCH_FIELDS[n]: v for n, v in values.items() if _SEARCH_FIELDS[n]}
+    s = replace(setup, pump=replace(setup.pump, **pump)) if pump else setup
+    if "detuning_hz" in values:
+        s = s.with_detuning(values["detuning_hz"])
     return s
 
 
@@ -326,7 +341,7 @@ def optimize_car(
     """
     if not bounds:
         raise ConfigError("optimize_car needs at least one bounded parameter")
-    unknown = set(bounds) - set(_SEARCH_PATHS)
+    unknown = set(bounds) - set(_SEARCH_FIELDS)
     if unknown:
         raise ConfigError(f"unknown search parameter(s): {sorted(unknown)}")
     names = sorted(bounds)

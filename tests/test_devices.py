@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
 from sfwmlab.devices import (
@@ -122,6 +125,36 @@ def test_noise_model_interpolation_and_domain():
         noise.rho(3e12)
     with pytest.raises(ExtrapolationError):
         noise.rho(-2.5e12)
+
+
+_TABLE = ((-2e12, 0.4), (-1e12, 0.2), (1e12, 0.1), (2e12, 0.3))
+
+
+def test_noise_model_rho_is_interp_on_the_table():
+    noise = NoiseModel(raman_table=_TABLE)
+    det = np.array([d for d, _ in _TABLE])
+    rho = np.array([r for _, r in _TABLE])
+    for nu in np.concatenate([np.linspace(-2e12, 2e12, 101), det,
+                              np.nextafter(det[1:], -np.inf), np.nextafter(det[:-1], np.inf)]):
+        assert noise.rho(nu) == float(np.interp(nu, det, rho))
+    with pytest.raises(ExtrapolationError):
+        noise.rho(np.nextafter(det[-1], np.inf))
+    with pytest.raises(ExtrapolationError):
+        noise.rho(np.nextafter(det[0], -np.inf))
+
+
+def test_noise_model_equality_and_hash_follow_its_fields():
+    noise = NoiseModel(raman_table=_TABLE)
+    same = NoiseModel(raman_table=tuple(_TABLE))
+    assert noise == same and hash(noise) == hash(same)
+    assert dataclasses.replace(noise) == noise
+    assert hash(dataclasses.replace(noise)) == hash(noise)
+    changed = NoiseModel(raman_table=_TABLE[:-1] + ((2e12, 0.31),))
+    assert noise != changed
+    assert noise != dataclasses.replace(noise, temperature_k=301.0)
+    assert "_det" not in repr(noise)
+    assert [f.name for f in dataclasses.fields(noise)] == [
+        "raman_table", "temperature_k", "pump_rejection", "note"]
 
 
 def test_noise_model_rejects_bad_tables():

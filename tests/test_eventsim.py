@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import sfwmlab
@@ -14,6 +15,7 @@ from sfwmlab.eventsim import (
     HistogramResult,
     TiaConfig,
     _arm_chunk,
+    _bin_counts,
     _bin_starts,
     _chunk_children,
     _cw_bulk_rate,
@@ -556,6 +558,44 @@ class TestPairDelays:
         stops = np.sort(gen.random(300)) * 1e-6
         assert np.array_equal(np.sort(_pair_delays(starts, stops, cfg)),
                               _brute_force_delays(starts, stops, cfg))
+
+
+@st.composite
+def _binning_cases(draw):
+    """A TiaConfig's edges plus values on, next to, between and outside them."""
+    width = draw(st.sampled_from([1.0, 0.1, 16e-12, 1e-9, 3.3e-12]))
+    lo = draw(st.integers(-200, 200)) * width * draw(st.sampled_from([1.0, 0.37, 1.013]))
+    n = draw(st.integers(1, 300))
+    hi = lo + (n - draw(st.sampled_from([0.0, 0.5, 0.999]))) * width
+    edges = TiaConfig(bin_width_s=width, range_s=(lo, hi), stop_delay_s=lo).bin_edges
+    picks = st.lists(st.integers(0, edges.size - 1), max_size=40)
+    on = edges[draw(picks)]
+    inside = edges[0] + (edges[-1] - edges[0]) * np.array(
+        draw(st.lists(st.floats(0.0, 1.0), max_size=40)))
+    span = edges[-1] - edges[0]
+    outside = np.array(draw(st.lists(st.floats(0.0, 3.0), max_size=10)))
+    values = np.concatenate([
+        on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf), inside,
+        edges[0] - span * outside, edges[-1] + span * outside,
+        [edges[0], edges[-1], np.nextafter(edges[-1], np.inf)],
+    ])
+    return edges, draw(st.permutations(values))
+
+
+class TestBinCounts:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(_binning_cases())
+    def test_matches_np_histogram(self, case):
+        edges, values = case
+        values = np.array(values)
+        expected = np.histogram(values, bins=edges)[0]
+        got = _bin_counts(values, edges)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_empty(self):
+        edges = TiaConfig(bin_width_s=1.0, range_s=(0.0, 5.0)).bin_edges
+        assert np.array_equal(_bin_counts(np.empty(0), edges), np.zeros(5, dtype=np.int64))
 
 
 class TestRunTiaStatistics:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sfwmlab.config import load_config, set_path
 from sfwmlab.errors import ConfigError, ExtrapolationError, NumericsError, PowerSolveError
 from sfwmlab.explore import (
     SweepSpec,
+    _apply_point,
     calibrate_raman_window,
     car_vs_detuning,
     car_vs_mu,
@@ -177,6 +179,50 @@ class TestCarVsMu:
         assert np.all(np.abs(products / products[0] - 1.0) < 1e-9)
 
 
+def _car_vs_mu_per_point(setup, mus):
+    """Reference for car_vs_mu: one power_for_pairs_per_pulse (each solving
+    its own turnover), set_path and predict per mu."""
+    return [set_path(setup, "pump.power_w", power_for_pairs_per_pulse(setup, float(mu))).predict()
+            for mu in mus]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ConfigError, NumericsError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCarVsMuSharedTurnover:
+    @pytest.mark.parametrize("mode", ["binned", "gated"])
+    def test_rows_bit_identical_to_per_point_solves(self, engineered_cfg, paper_pulsed_cfg, mode):
+        for cfg, mus in ((engineered_cfg, np.geomspace(0.01, 0.025, 8)),
+                         (paper_pulsed_cfg, np.geomspace(1e-4, 0.02, 9))):
+            setup = with_analysis(cfg.setup, accidental_mode=mode)
+            curve = car_vs_mu(setup, mus)
+            assert curve.observables == _car_vs_mu_per_point(setup, mus)
+            assert curve.values == tuple(float(m) for m in mus)
+
+    @pytest.mark.parametrize("mus, cw", [
+        ([0.01, -1.0], False),   # first non-positive mu
+        ([0.0], False),
+        ([0.01], True),          # CW pump
+        ([-1.0, 0.01], True),    # mu is checked before the pump
+        ([0.01, 10.0, -1.0], False),  # unreachable before non-positive
+        ([0.01, -1.0, 10.0], False),  # non-positive before unreachable
+        ([1e-80], False),        # below the solver's resolution
+        ([], True),              # nothing to solve
+    ])
+    def test_errors_match_per_point_solves(self, paper_cfg, engineered_cfg, mus, cw):
+        setup = (paper_cfg if cw else engineered_cfg).setup
+        expected = _outcome(_car_vs_mu_per_point, setup, mus)
+        got = _outcome(car_vs_mu, setup, mus)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.observables == expected
+
+
 class TestCarSigmaScaling:
     def test_car_sigma_product_fixed_peak_power(self, paper_pulsed_cfg):
         # At fixed peak power and window, C and the singles scale with the
@@ -298,6 +344,46 @@ class TestOptimizeCar:
         setup = paper_pulsed_cfg.setup
         with pytest.raises(ConfigError):
             optimize_car(setup, {"peak_power_w": (0.01, 0.02)}, ("mu_min", 1.0))
+
+    def test_point_judged_on_its_final_pump(self, engineered_cfg):
+        # tau * B = 0.25 at the point, but the base tau (5 ps) with the new
+        # B has a duty cycle of 2: the point must not fail on that mix.
+        setup = engineered_cfg.setup
+        assert setup.pump.tau_s * 4e11 > 1.0
+        s = _apply_point(setup, ["rep_rate_hz", "tau_s"], [4e11, 6.25e-13])
+        assert (s.pump.rep_rate_hz, s.pump.tau_s) == (4e11, 6.25e-13)
+        bounds = {"rep_rate_hz": (4e11, 4e11), "tau_s": (6.25e-13, 6.25e-13)}
+        result = optimize_car(setup, bounds, ("mu_min", 0.0))
+        assert result.best == {"rep_rate_hz": 4e11, "tau_s": 6.25e-13}
+
+    def test_invalid_final_pump_is_infeasible(self, engineered_cfg):
+        setup = engineered_cfg.setup
+        with pytest.raises(ConfigError, match="duty cycle"):
+            _apply_point(setup, ["rep_rate_hz", "tau_s"], [4e11, 5e-12])
+        bounds = {"rep_rate_hz": (4e11, 4e11), "tau_s": (6.25e-13, 5e-12)}
+        result = optimize_car(setup, bounds, ("mu_min", 0.0), grid_points=2)
+        points = [t["point"] for t in result.trace]
+        assert {"rep_rate_hz": 4e11, "tau_s": 5e-12} not in points
+        assert all(p["tau_s"] * p["rep_rate_hz"] <= 1.0 for p in points)
+        assert result.best["tau_s"] * 4e11 <= 1.0
+        with pytest.raises(ConfigError, match="no feasible point"):
+            optimize_car(setup, {"rep_rate_hz": (4e11, 4e11), "tau_s": (5e-12, 5e-12)},
+                         ("mu_min", 0.0))
+
+    def test_grouped_point_equals_path_chain(self, engineered_cfg):
+        # The box the design benchmark searches, on its 7-point grid.
+        bounds = {"detuning_hz": (5e11, 8.2e12), "tau_s": (2e-12, 2e-11),
+                  "rep_rate_hz": (5e7, 5e8), "peak_power_w": (0.05, 5.0)}
+        paths = {"detuning_hz": "channels.detuning_hz", "tau_s": "pump.tau_s",
+                 "rep_rate_hz": "pump.rep_rate_hz", "peak_power_w": "pump.power_w"}
+        names = sorted(bounds)
+        setup = engineered_cfg.setup
+        axes = [np.linspace(*bounds[n], 7) for n in names]
+        for point in itertools.product(*axes):
+            chained = setup
+            for name, value in zip(names, point):
+                chained = set_path(chained, paths[name], float(value))
+            assert _apply_point(setup, names, np.array(point)) == chained
 
     def test_unknown_parameter_rejected(self, paper_pulsed_cfg):
         with pytest.raises(ConfigError):
