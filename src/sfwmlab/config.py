@@ -12,7 +12,7 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from importlib import resources
 
 from .devices import (
@@ -56,9 +56,30 @@ class AnalysisOptions:
             raise FieldError("accidental_mode", "unknown accidental mode", self.accidental_mode)
 
 
+# Matching tolerance for the signal/idler detuning symmetry check.
+DETUNING_RTOL = 1e-9
+
+
+def _check_channel_pair(idler: DetectionChannel, signal: DetectionChannel) -> None:
+    if idler.detuning_hz >= 0.0 or signal.detuning_hz <= 0.0:
+        raise ConfigError(
+            "expected the idler below the pump (detuning < 0) and the signal above"
+        )
+    if not math.isclose(-idler.detuning_hz, signal.detuning_hz, rel_tol=DETUNING_RTOL):
+        raise ConfigError(
+            f"idler and signal detunings must be symmetric about the pump, got "
+            f"{idler.detuning_hz:.6g} and {signal.detuning_hz:.6g}"
+        )
+
+
 @dataclass(frozen=True)
 class Setup:
-    """Full SI description of one source + detection configuration."""
+    """Full SI description of one source + detection configuration.
+
+    Construction checks the rules that span its parts: the idler sits below
+    the pump and the signal symmetrically above, and gated accidentals need
+    a pulsed pump.  The model takes a ``Setup`` and relies on both.
+    """
 
     waveguide: WaveguideSpec
     pump: PumpConfig
@@ -68,35 +89,39 @@ class Setup:
     noise: NoiseModel
     analysis: AnalysisOptions
 
-    def predict(self) -> ModelObservables:
-        return predict_observables(
-            self.waveguide,
-            self.pump,
-            self.coupling,
-            self.idler,
-            self.signal,
-            self.noise,
-            window_s=self.analysis.window_s,
-            accidental_mode=self.analysis.accidental_mode,
-        )
+    def __post_init__(self):
+        _check_channel_pair(self.idler, self.signal)
+        if self.analysis.accidental_mode == "gated" and self.pump.mode != "pulsed":
+            raise ConfigError("analysis.accidental_mode 'gated' requires a pulsed pump")
 
-    def with_detuning(self, detuning_hz: float) -> "Setup":
-        """Move both channels to symmetric detunings of magnitude |nu|."""
+    def predict(self) -> ModelObservables:
+        return predict_observables(self)
+
+    def channels_at(self, detuning_hz: float) -> dict:
+        """The idler and signal moved to symmetric detunings of magnitude |nu|,
+        as keyword arguments of ``replace``."""
         nu = abs(detuning_hz)
         if nu <= 0.0:
             raise ConfigError("detuning magnitude must be positive")
-        return replace(
-            self,
-            idler=replace(self.idler, detuning_hz=-nu),
-            signal=replace(self.signal, detuning_hz=+nu),
-        )
+        return {
+            "idler": replace(self.idler, detuning_hz=-nu),
+            "signal": replace(self.signal, detuning_hz=+nu),
+        }
+
+    def with_detuning(self, detuning_hz: float) -> "Setup":
+        """Move both channels to symmetric detunings of magnitude |nu|."""
+        return replace(self, **self.channels_at(detuning_hz))
 
 
 def get_path(setup: Setup, path: str):
-    """Resolve a dot-addressed numeric field, e.g. ``pump.power_w``."""
+    """Resolve a dot-addressed numeric field, e.g. ``pump.power_w``.
+
+    Only dataclass fields are addressable: a derived property
+    (``pump.duty_cycle``) or an attribute of a number cannot be set.
+    """
     obj = setup
     for part in path.split("."):
-        if not hasattr(obj, part):
+        if not is_dataclass(obj) or part not in {f.name for f in fields(obj)}:
             raise ConfigError(f"unknown parameter path {path!r} (no field {part!r})")
         obj = getattr(obj, part)
     if not isinstance(obj, (int, float)):
@@ -369,11 +394,6 @@ def validate_config(raw: dict) -> Setup:
     signal = _build_channel(channels["signal"], "signal", pump, expect_sign=+1)
     noise = _build_noise(raw["noise"])
     analysis = _build_analysis(raw["analysis"])
-    # Cross-checks that only make sense with the full document.
-    if not math.isclose(-idler.detuning_hz, signal.detuning_hz, rel_tol=1e-9):
-        raise ConfigError("idler and signal detunings must be symmetric about the pump")
-    if analysis.accidental_mode == "gated" and pump.mode != "pulsed":
-        raise ConfigError("analysis.accidental_mode 'gated' requires a pulsed pump")
     return Setup(
         waveguide=waveguide,
         pump=pump,
@@ -531,15 +551,11 @@ def calibrate_config(
     the returned configuration reproduces the three inputs.
     """
     s = cfg.setup
-    eta_alpha = calibrate_eta_alpha(
-        measured_c, s.waveguide, s.pump, s.coupling, s.idler, s.signal
-    )
+    eta_alpha = calibrate_eta_alpha(measured_c, s)
     wg_cal = replace(
         s.waveguide, eta_alpha_mode="calibrated", eta_alpha_value=eta_alpha
     )
-    rho0, rho1 = calibrate_raman(
-        measured_n0, measured_n1, wg_cal, s.pump, s.coupling, s.idler, s.signal, s.noise
-    )
+    rho0, rho1 = calibrate_raman(measured_n0, measured_n1, replace(s, waveguide=wg_cal))
     table = build_raman_table(
         rho_stokes=rho0,
         rho_anti_stokes=rho1,

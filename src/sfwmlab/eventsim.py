@@ -545,16 +545,7 @@ def component_rates(setup) -> dict:
     rates exactly.  Scattering noise, pump leakage and darks are independent
     per arm by construction.
     """
-    obs = predict_observables(
-        setup.waveguide,
-        setup.pump,
-        setup.coupling,
-        setup.idler,
-        setup.signal,
-        setup.noise,
-        window_s=setup.analysis.window_s,
-        accidental_mode="binned",
-    )
+    obs = predict_observables(setup)
     both = obs.coincidences
     pairs0 = obs.singles_parts["N0"]["pairs"]
     pairs1 = obs.singles_parts["N1"]["pairs"]
@@ -579,10 +570,10 @@ _CATEGORIES = ("both", "jitter0", "jitter1", "bulk0", "bulk1",
                "jbulk0", "jbulk1")
 
 
-def _category_times(rate_hz, pump, t0, t1, rng, gated) -> np.ndarray:
+def _category_times(rate_hz, pump, t0, t1, rng) -> np.ndarray:
     if rate_hz < 0.0:
         raise ConfigError(f"negative component rate {rate_hz}")
-    if gated and pump.mode == "pulsed":
+    if pump.mode == "pulsed":
         in_pulse = rate_hz / pump.duty_cycle
         return _pulsed_times(in_pulse, pump.tau_s, pump.rep_rate_hz, t0, t1, rng)
     return _poisson_times(rate_hz, t0, t1, rng)
@@ -619,9 +610,9 @@ def _uncorrelated_arm_times(setup, rates, arm, t0, t1, children) -> np.ndarray:
         return _poisson_times(_cw_bulk_rate(rates, arm), t0, t1, rng)
     parts = [
         _category_times(rates[f"only{arm}"], pump, t0, t1,
-                        _generator(children[f"only{arm}"]), gated=True),
+                        _generator(children[f"only{arm}"])),
         _category_times(rates[f"noise{arm}"], pump, t0, t1,
-                        _generator(children[f"noise{arm}"]), gated=True),
+                        _generator(children[f"noise{arm}"])),
         _poisson_times(rates[f"dark{arm}"], t0, t1,
                        _generator(children[f"dark{arm}"])),
     ]
@@ -642,8 +633,7 @@ def _arm_chunk(setup, rates, t0, t1, duration, children, stop_delay_s):
     """
     pump = setup.pump
 
-    pair_times = _category_times(rates["both"], pump, t0, t1,
-                                 _generator(children["both"]), gated=True)
+    pair_times = _category_times(rates["both"], pump, t0, t1, _generator(children["both"]))
 
     out = []
     for arm, ch in ((0, setup.idler), (1, setup.signal)):

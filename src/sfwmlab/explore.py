@@ -275,7 +275,7 @@ def calibrate_raman_window(
 # Constrained design search
 
 # Search dimensions: name -> the PumpConfig field it sets, or None for the
-# channel detuning (``Setup.with_detuning``).
+# channel detuning (``Setup.channels_at``).
 _SEARCH_FIELDS = {
     "detuning_hz": None,
     "tau_s": "tau_s",
@@ -300,15 +300,15 @@ class DesignResult:
 
 
 def _apply_point(setup: Setup, names, point) -> Setup:
-    """The setup at a search point.  The pump fields are replaced together,
-    so the pump is validated once, on its final values: a point is never
-    judged on a mix of its values with the base setup's."""
+    """The setup at a search point, built by one ``replace``: the pump
+    fields are replaced together and the channels moved with them, so the
+    pump and the setup are validated once, on the point's final values."""
     values = dict(zip(names, map(float, point)))
     pump = {_SEARCH_FIELDS[n]: v for n, v in values.items() if _SEARCH_FIELDS[n]}
-    s = replace(setup, pump=replace(setup.pump, **pump)) if pump else setup
+    changes = {"pump": replace(setup.pump, **pump)} if pump else {}
     if "detuning_hz" in values:
-        s = s.with_detuning(values["detuning_hz"])
-    return s
+        changes.update(setup.channels_at(values["detuning_hz"]))
+    return replace(setup, **changes)
 
 
 def _evaluate(setup: Setup, constraint) -> tuple[float, float, float, bool]:

@@ -3,27 +3,26 @@
 The chain is: a phase-matched pair-generation rate, per-photon collection
 efficiencies, spontaneous-scattering and residual-pump noise terms, dark
 counts, and the coincidence/accidental bookkeeping that yields the CAR.
-All functions are pure and operate in SI units.
+The rate functions are pure device-level functions in SI units.
+``predict_observables`` and the two calibrations take a validated
+``Setup`` (``sfwmlab.config``), which owns the cross-field rules (channel
+signs and symmetry, gated accidentals only with a pulsed pump), and derive
+each factor of the rate budget once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .constants import BOLTZMANN_K, PLANCK_H
-from .devices import (
-    CouplingSpec,
-    DetectionChannel,
-    NoiseModel,
-    PumpConfig,
-    WaveguideSpec,
-)
+from .devices import DetectionChannel, NoiseModel, PumpConfig, WaveguideSpec
 from .errors import ConfigError, InconsistentMeasurementError, NumericsError
 from .units import effective_length
 
-# Matching tolerance for the signal/idler detuning symmetry check.
-DETUNING_RTOL = 1e-9
+if TYPE_CHECKING:
+    from .config import Setup
 
 
 def sinc(x: float) -> float:
@@ -166,73 +165,46 @@ class ModelObservables:
         }
 
 
-def _check_channel_pair(ch0: DetectionChannel, ch1: DetectionChannel) -> None:
-    if ch0.detuning_hz >= 0.0 or ch1.detuning_hz <= 0.0:
-        raise ConfigError(
-            "expected channel 0 below the pump (detuning < 0) and channel 1 above"
-        )
-    if not math.isclose(-ch0.detuning_hz, ch1.detuning_hz, rel_tol=DETUNING_RTOL):
-        raise ConfigError(
-            f"channel detunings must be symmetric about the pump, got "
-            f"{ch0.detuning_hz:.6g} and {ch1.detuning_hz:.6g}"
-        )
-
-
 def singles_rate_parts(
-    waveguide: WaveguideSpec,
-    pump: PumpConfig,
-    coupling: CouplingSpec,
+    setup: Setup,
     channel: DetectionChannel,
-    noise: NoiseModel,
+    gain: float,
+    eta_alpha: float,
+    r: float,
+    r_n: float,
 ) -> dict:
     """Detected singles rate for one arm, split by physical origin.
 
-    parts: pair photons sigma*eta*eta_i*eta_alpha*r, scattering noise
-    sigma*eta*eta_i*r_n, pump leakage sigma*eta_i*leak, darks d_i.
+    ``gain`` is sigma*eta (duty cycle times output efficiency), ``r`` the
+    arm's pair rate and ``r_n`` its scattering rate.  parts: pair photons
+    sigma*eta*eta_i*eta_alpha*r, scattering noise sigma*eta*eta_i*r_n, pump
+    leakage sigma*eta*eta_i*leak, darks d_i.
     """
-    sigma = pump.duty_cycle
-    eta_out = coupling.output_efficiency(waveguide)
-    eta_i = channel.collection_efficiency
-    r = pair_generation_rate(waveguide, pump, channel)
-    r_n = raman_noise_rate(noise, channel, pump, waveguide)
-    leak = pump_leakage_rate(noise, channel, pump)
+    arm = gain * channel.collection_efficiency
     parts = {
-        "pairs": sigma * eta_out * eta_i * waveguide.eta_alpha() * r,
-        "scattering": sigma * eta_out * eta_i * r_n,
-        "leakage": sigma * eta_out * eta_i * leak,
+        "pairs": arm * eta_alpha * r,
+        "scattering": arm * r_n,
+        "leakage": arm * pump_leakage_rate(setup.noise, channel, setup.pump),
         "dark": channel.dark_rate_hz,
     }
     parts["total"] = parts["pairs"] + parts["scattering"] + parts["leakage"] + parts["dark"]
     return parts
 
 
-def predict_observables(
-    waveguide: WaveguideSpec,
-    pump: PumpConfig,
-    coupling: CouplingSpec,
-    ch0: DetectionChannel,
-    ch1: DetectionChannel,
-    noise: NoiseModel,
-    window_s: float,
-    accidental_mode: str = "binned",
-) -> ModelObservables:
-    """Evaluate the full rate model for a signal/idler channel pair.
+def predict_observables(setup: Setup) -> ModelObservables:
+    """Evaluate the full rate model for the setup's signal/idler pair.
 
-    ``accidental_mode``: "binned" counts accidentals in a window t as
-    A = N0*N1*t; "gated" (pulsed pump only) treats all same-pulse counts as
-    coincident, A = N0*N1/B, and ignores the window.
+    ``setup.analysis.accidental_mode``: "binned" counts accidentals in a
+    window t as A = N0*N1*t; "gated" (pulsed pump only) treats all
+    same-pulse counts as coincident, A = N0*N1/B, and ignores the window.
     """
-    _check_channel_pair(ch0, ch1)
-    if accidental_mode not in ("binned", "gated"):
-        raise ConfigError(f"unknown accidental mode {accidental_mode!r}")
-    if accidental_mode == "gated" and pump.mode != "pulsed":
-        raise ConfigError("gated accidentals require a pulsed pump")
-    if accidental_mode == "binned" and window_s <= 0.0:
-        raise ConfigError(f"coincidence window must be positive, got {window_s}")
+    waveguide, pump, ch0, ch1 = setup.waveguide, setup.pump, setup.idler, setup.signal
+    window_s = setup.analysis.window_s
+    accidental_mode = setup.analysis.accidental_mode
 
     sigma = pump.duty_cycle
     eta_alpha = waveguide.eta_alpha()
-    eta_out = coupling.output_efficiency(waveguide)
+    eta_out = setup.coupling.output_efficiency(waveguide)
     r = pair_generation_rate(waveguide, pump, ch0)
 
     coincidences = (
@@ -243,8 +215,12 @@ def predict_observables(
         * ch1.collection_efficiency
         * r
     )
-    parts0 = singles_rate_parts(waveguide, pump, coupling, ch0, noise)
-    parts1 = singles_rate_parts(waveguide, pump, coupling, ch1, noise)
+    gain = sigma * eta_out
+    parts0 = singles_rate_parts(setup, ch0, gain, eta_alpha, r,
+                                raman_noise_rate(setup.noise, ch0, pump, waveguide))
+    parts1 = singles_rate_parts(setup, ch1, gain, eta_alpha,
+                                pair_generation_rate(waveguide, pump, ch1),
+                                raman_noise_rate(setup.noise, ch1, pump, waveguide))
     n0 = parts0["total"]
     n1 = parts1["total"]
 
@@ -252,6 +228,11 @@ def predict_observables(
         accidentals = n0 * n1 / pump.rep_rate_hz
     else:
         accidentals = n0 * n1 * window_s
+    if not math.isfinite(accidentals):
+        raise NumericsError(
+            f"accidental rate overflows: singles {n0:.6g}/s and {n1:.6g}/s "
+            f"({accidental_mode} accidentals)"
+        )
 
     if accidentals > 0.0:
         car = coincidences / accidentals
@@ -279,14 +260,7 @@ def predict_observables(
     )
 
 
-def calibrate_eta_alpha(
-    measured_coincidences: float,
-    waveguide: WaveguideSpec,
-    pump: PumpConfig,
-    coupling: CouplingSpec,
-    ch0: DetectionChannel,
-    ch1: DetectionChannel,
-) -> float:
+def calibrate_eta_alpha(measured_coincidences: float, setup: Setup) -> float:
     """Fit the in-waveguide survival from a measured coincidence rate.
 
     Inverts C = sigma * eta_alpha^2 * eta^2 * eta_0 * eta_1 * r.  Raises if
@@ -296,12 +270,13 @@ def calibrate_eta_alpha(
         raise InconsistentMeasurementError(
             f"measured coincidence rate must be positive, got {measured_coincidences}"
         )
-    r = pair_generation_rate(waveguide, pump, ch0)
+    waveguide = setup.waveguide
+    r = pair_generation_rate(waveguide, setup.pump, setup.idler)
     lossless = (
-        pump.duty_cycle
-        * coupling.output_efficiency(waveguide) ** 2
-        * ch0.collection_efficiency
-        * ch1.collection_efficiency
+        setup.pump.duty_cycle
+        * setup.coupling.output_efficiency(waveguide) ** 2
+        * setup.idler.collection_efficiency
+        * setup.signal.collection_efficiency
         * r
     )
     if measured_coincidences > lossless:
@@ -312,41 +287,31 @@ def calibrate_eta_alpha(
     return math.sqrt(measured_coincidences / lossless)
 
 
-def calibrate_raman(
-    measured_n0: float,
-    measured_n1: float,
-    waveguide: WaveguideSpec,
-    pump: PumpConfig,
-    coupling: CouplingSpec,
-    ch0: DetectionChannel,
-    ch1: DetectionChannel,
-    noise: NoiseModel,
-) -> tuple[float, float]:
+def calibrate_raman(measured_n0: float, measured_n1: float, setup: Setup) -> tuple[float, float]:
     """Fit the per-arm noise coefficients rho from measured singles rates.
 
     The waveguide's eta_alpha must already be fixed (analytic or previously
-    calibrated).  Dark counts and pump leakage are removed before inverting
-    the singles equation; the returned pair is (rho at ch0's detuning,
-    rho at ch1's detuning).
+    calibrated).  Each arm's singles budget without scattering (pairs, dark
+    counts and pump leakage) is removed before inverting the singles
+    equation; the returned pair is (rho at the idler's detuning, rho at the
+    signal's detuning).
     """
-    _check_channel_pair(ch0, ch1)
-    sigma = pump.duty_cycle
-    eta_out = coupling.output_efficiency(waveguide)
+    waveguide, pump = setup.waveguide, setup.pump
+    gain = pump.duty_cycle * setup.coupling.output_efficiency(waveguide)
     eta_alpha = waveguide.eta_alpha()
-    r = pair_generation_rate(waveguide, pump, ch0)
 
     rhos = []
-    for ch, measured in ((ch0, measured_n0), (ch1, measured_n1)):
-        eta_i = ch.collection_efficiency
-        leak = sigma * eta_out * eta_i * pump_leakage_rate(noise, ch, pump)
-        floor = sigma * eta_out * eta_i * eta_alpha * r + ch.dark_rate_hz + leak
-        if measured <= floor:
+    for ch, measured in ((setup.idler, measured_n0), (setup.signal, measured_n1)):
+        r = pair_generation_rate(waveguide, pump, ch)
+        parts = singles_rate_parts(setup, ch, gain, eta_alpha, r, 0.0)
+        if measured <= parts["total"]:
             raise InconsistentMeasurementError(
                 f"measured singles {measured:.6g}/s for {ch.label or 'channel'} are at or "
-                f"below the pair+dark+leakage floor {floor:.6g}/s"
+                f"below the pair+dark+leakage floor {parts['total']:.6g}/s"
             )
-        r_n = (measured - ch.dark_rate_hz - leak) / (sigma * eta_out * eta_i) - eta_alpha * r
-        occ = raman_occupancy(ch, noise.temperature_k)
+        arm = gain * ch.collection_efficiency
+        r_n = (measured - ch.dark_rate_hz - parts["leakage"]) / arm - eta_alpha * r
+        occ = raman_occupancy(ch, setup.noise.temperature_k)
         rho = r_n / (
             ch.bandwidth_hz * pump.power_w * waveguide.effective_length_m * occ
         )

@@ -219,6 +219,12 @@ class TestTmModeComparison:
         assert tm.coincidences < te.coincidences
 
 
+# Attributes that are no dataclass field: derived properties and an
+# attribute of a float.
+_UNKNOWN_PARAMS = ("pump.duty_cycle", "idler.collection_efficiency",
+                   "waveguide.effective_length_m", "analysis.tia.n_bins", "pump.power_w.real")
+
+
 class TestCli:
     def test_rates_command(self, tmp_path, capsys):
         code = main(["rates", "--config", "paper-defaults", "--out", str(tmp_path)])
@@ -287,6 +293,18 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param", _UNKNOWN_PARAMS)
+    def test_unknown_param_path_exit_code(self, tmp_path, capsys, param):
+        # Only dataclass fields are addressable: a derived property or an
+        # attribute of a number is an unknown path, not a traceback.
+        code = main(["sweep", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--param", param, "--values", "0.01,0.02"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unknown parameter path")
+        assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "sweep.csv").exists()
 
     def test_values_count_capped_before_allocation(self, monkeypatch):
@@ -359,6 +377,16 @@ class TestCli:
                      "--power-mw", "nan"])
         assert code == 2
         assert "power_mw" in capsys.readouterr().err
+        assert not (tmp_path / "rates.csv").exists()
+
+    def test_rates_overflowing_accidentals_exit_code(self, tmp_path, capsys):
+        # N0*N1*t overflows at this window: a numerical failure, not A=inf
+        # and CAR=0 written as results.
+        code = main(["rates", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--window-ps", "1e308"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "accidental rate" in err
         assert not (tmp_path / "rates.csv").exists()
 
     @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
@@ -569,7 +597,8 @@ _COMMANDS = {
         **_SVG, "--duration": st.sampled_from(
             ("0.01", "0.001", "0", "-1", "nan", "inf", "-inf", "", "x"))}),
     "sweep": ({"--config", "--param", "--values"}, {
-        **_SVG, "--param": st.sampled_from(("pump.power_w", "pump", "pump.x", "", "x")),
+        **_SVG, "--param": st.sampled_from(("pump.power_w", "pump", "pump.x", "", "x")
+                                            + _UNKNOWN_PARAMS),
         "--values": _SPECS}),
     "car-curve": ({"--config"}, {
         **_SVG, "--mu": _SPECS, "--detuning": _SPECS,

@@ -1,0 +1,63 @@
+"""Byte-level golden outputs of the deterministic commands.
+
+Each case runs one command on the shipped paper-defaults configuration and
+pins the sha256 of every file it writes.  The inputs avoid log-spaced values
+and the pulsed power solve, so the bytes rest on IEEE double arithmetic and
+Python's ``math`` only.  A change that moves any digest changes what the
+commands write: it must say why, and record the new digests here.
+"""
+
+import hashlib
+
+import pytest
+
+from sfwmlab.cli import main
+
+GOLDEN = {
+    "rates": (
+        ["rates"],
+        {
+            "manifest.json": "2ed02fb5bba83f8e5c4ed846314cfbfce0388c02c39dff60fd0468bc5e7d6eea",
+            "rates.csv": "726f748c121b281436b7909ef1694477ec003fd5f7156fbd074fca0530ebd715",
+        },
+    ),
+    "calibrate": (
+        ["calibrate", "--measured-c", "80", "--measured-n0", "3.45e6",
+         "--measured-n1", "1.34e6"],
+        {
+            "calibration.json": "2a1ca6a9a576943250214a285f53e5514278a23a28bb2863cf6562c566579c92",
+            "manifest.json": "644fb036bfed4643ab59db3ecd569e17875c3e30a272af69b6debc6e5631fa46",
+        },
+    ),
+    # Two values, so no power-law fit (np.polyfit) and no fit.json.
+    "sweep": (
+        ["sweep", "--param", "pump.power_w", "--values", "0.03,0.057"],
+        {
+            "manifest.json": "f0efd4acdc0b5b84aa2cf44d7e22d9b13585721d2e264e40abe6a67e9d06afee",
+            "sweep.csv": "4b6fa6372da50786d3c3d3d1adc1a3016c95d9fa423b1db16aeee6e6a46ec79a",
+        },
+    ),
+    "car-curve": (
+        ["car-curve", "--detuning", "0.5,1.4,3.0"],
+        {
+            "car_curve.csv": "0c6f1666620e8ccdc7b8ed43636049655f147da7fae46be186f3696b3249beb5",
+            "manifest.json": "708d9d48b652f9f9dbe95fa3bb91c85ec03b30d0cd862925ccff2959a685a0c3",
+        },
+    ),
+    "optimize": (
+        ["optimize", "--bound", "detuning_hz=5e11:3e12", "--bound", "peak_power_w=0.01:0.1",
+         "--c-min", "1"],
+        {
+            "design.json": "253eb56681837ac367e683f0a00221d2fd66a223f4d7815a1512f3612be9c514",
+            "manifest.json": "41fa946f28dcca571c3a7188dd4aab35cada6e59eb9f6ae8552257e95b7f9c41",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_output_bytes_are_pinned(tmp_path, command):
+    argv, digests = GOLDEN[command]
+    assert main(argv + ["--config", "paper-defaults", "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == digests

@@ -1,9 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfwmlab import model
+from sfwmlab.config import AnalysisOptions, Setup
 from sfwmlab.devices import (
     CouplingSpec,
     DetectionChannel,
@@ -13,6 +16,7 @@ from sfwmlab.devices import (
     WaveguideSpec,
 )
 from sfwmlab.errors import ConfigError, InconsistentMeasurementError, NumericsError
+from sfwmlab.eventsim import TiaConfig
 from sfwmlab.model import (
     build_raman_table,
     calibrate_eta_alpha,
@@ -27,6 +31,8 @@ from sfwmlab.model import (
     thermal_occupancy,
 )
 
+from conftest import with_analysis
+
 WG = WaveguideSpec(length_m=0.071, prop_loss_db_per_cm=0.7,
                    gamma_per_w_m=14.0, beta2_s2_per_m=3.048e-25)
 PUMP = PumpConfig(wavelength_m=1549.315e-9, power_w=0.057)
@@ -39,6 +45,11 @@ CH1 = DetectionChannel(detuning_hz=+1.4e12, bandwidth_hz=50e9,
                        dark_rate_hz=1000.0, label="signal")
 QUIET = NoiseModel(raman_table=((-9e12, 0.0), (9e12, 0.0)),
                    pump_rejection=PumpRejection(base_db=400.0, floor_db=400.0))
+SETUP = Setup(waveguide=WG, pump=PUMP, coupling=COUP, idler=CH0, signal=CH1, noise=QUIET,
+              analysis=AnalysisOptions(
+                  window_s=400e-12, accidental_mode="binned",
+                  tia=TiaConfig(bin_width_s=16e-12, range_s=(10e-9, 12.208e-9),
+                                stop_delay_s=11.1e-9)))
 
 
 class TestSinc:
@@ -186,7 +197,7 @@ class TestPumpLeakage:
 class TestPredictObservables:
     def test_observable_identities(self):
         noise = NoiseModel(raman_table=((-9e12, 0.4), (9e12, 0.45)))
-        obs = predict_observables(WG, PUMP, COUP, CH0, CH1, noise, window_s=400e-12)
+        obs = predict_observables(replace(SETUP, noise=noise))
         assert obs.accidentals == pytest.approx(
             obs.singles0 * obs.singles1 * 400e-12, rel=1e-12
         )
@@ -200,32 +211,55 @@ class TestPredictObservables:
 
     def test_gated_requires_pulsed(self):
         with pytest.raises(ConfigError):
-            predict_observables(WG, PUMP, COUP, CH0, CH1, QUIET,
-                                window_s=400e-12, accidental_mode="gated")
+            predict_observables(with_analysis(SETUP, accidental_mode="gated"))
 
     def test_gated_accidentals_use_rep_rate(self):
         pump = PumpConfig(wavelength_m=1549.315e-9, power_w=0.4, mode="pulsed",
                           tau_s=5e-12, rep_rate_hz=100e6)
-        obs = predict_observables(WG, pump, COUP, CH0, CH1, QUIET,
-                                  window_s=400e-12, accidental_mode="gated")
+        obs = predict_observables(
+            with_analysis(replace(SETUP, pump=pump), accidental_mode="gated"))
         assert obs.accidentals == pytest.approx(
             obs.singles0 * obs.singles1 / 100e6, rel=1e-12
         )
 
     def test_asymmetric_detunings_rejected(self):
         with pytest.raises(ConfigError):
-            predict_observables(WG, PUMP, COUP, CH0,
-                                replace(CH1, detuning_hz=1.5e12), QUIET,
-                                window_s=400e-12)
+            predict_observables(replace(SETUP, signal=replace(CH1, detuning_hz=1.5e12)))
+
+    def test_one_rate_budget_per_prediction(self, monkeypatch):
+        # sigma, eta_alpha, eta_out and r(idler) are derived once; the
+        # signal arm evaluates its own pair rate.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(model, "pair_generation_rate",
+                            counted("rate", model.pair_generation_rate))
+        monkeypatch.setattr(CouplingSpec, "output_efficiency",
+                            counted("eta_out", CouplingSpec.output_efficiency))
+        predict_observables(SETUP)
+        assert calls == {"rate": 2, "eta_out": 1}
+
+    @pytest.mark.parametrize("mode", ["binned", "gated"])
+    def test_overflowing_accidentals_are_a_numerical_failure(self, mode):
+        pump = PumpConfig(wavelength_m=1549.315e-9, power_w=0.4, mode="pulsed",
+                          tau_s=5e-12, rep_rate_hz=1e-300)
+        setup = with_analysis(replace(SETUP, pump=pump, idler=replace(CH0, dark_rate_hz=1e300)),
+                              window_s=1e300, accidental_mode=mode)
+        with pytest.raises(NumericsError, match="accidental rate"):
+            predict_observables(setup)
 
     def test_dark_rate_lowers_car(self):
         noise = NoiseModel(raman_table=((-9e12, 0.4), (9e12, 0.45)))
-        base = predict_observables(WG, PUMP, COUP, CH0, CH1, noise, window_s=400e-12)
-        darker = predict_observables(
-            WG, PUMP, COUP,
-            replace(CH0, dark_rate_hz=5000.0), replace(CH1, dark_rate_hz=5000.0),
-            noise, window_s=400e-12,
-        )
+        base = predict_observables(replace(SETUP, noise=noise))
+        darker = predict_observables(replace(
+            SETUP, idler=replace(CH0, dark_rate_hz=5000.0),
+            signal=replace(CH1, dark_rate_hz=5000.0), noise=noise,
+        ))
         assert darker.car < base.car
 
 
@@ -255,7 +289,10 @@ def noise_free_setups(draw):
                            filter_loss_db=loss0, detector_qe=qe0)
     ch1 = DetectionChannel(detuning_hz=+nu, bandwidth_hz=50e9,
                            filter_loss_db=loss1, detector_qe=qe1)
-    return wg, pump, coup, ch0, ch1, window
+    return with_analysis(
+        replace(SETUP, waveguide=wg, pump=pump, coupling=coup, idler=ch0, signal=ch1),
+        window_s=window,
+    )
 
 
 class TestNoiseFreeCarIdentity:
@@ -264,8 +301,8 @@ class TestNoiseFreeCarIdentity:
     def test_car_is_inverse_rate_window_product(self, setup):
         # With no noise and no darks the efficiencies cancel and
         # CAR = 1/(sigma * r * t) for any configuration.
-        wg, pump, coup, ch0, ch1, window = setup
-        obs = predict_observables(wg, pump, coup, ch0, ch1, QUIET, window_s=window)
+        window = setup.analysis.window_s
+        obs = predict_observables(setup)
         r = obs.pair_rate
         if r <= 0:
             return
@@ -281,49 +318,53 @@ class TestNoiseFreeCarIdentity:
         ch1 = DetectionChannel(detuning_hz=+1.4e12, bandwidth_hz=50e9,
                                filter_loss_db=0.0, detector_qe=1.0)
         window = 1e-9
-        obs = predict_observables(wg, PUMP, coup, ch0, ch1, QUIET, window_s=window)
+        obs = predict_observables(with_analysis(
+            replace(SETUP, waveguide=wg, coupling=coup, idler=ch0, signal=ch1),
+            window_s=window,
+        ))
         assert obs.coincidences == pytest.approx(obs.pair_rate, rel=1e-12)
         assert obs.car == pytest.approx(1.0 / (obs.pair_rate * window), rel=1e-12)
 
 
 class TestCalibrateEtaAlpha:
     def test_device_calibration_value(self):
-        eta = calibrate_eta_alpha(80.0, WG, PUMP, COUP, CH0, CH1)
+        eta = calibrate_eta_alpha(80.0, SETUP)
         assert eta == pytest.approx(0.15, abs=0.01)
 
     def test_boundary_gives_unity(self):
         r = pair_generation_rate(WG, PUMP, CH0)
         lossless = (COUP.output_efficiency(WG) ** 2
                     * CH0.collection_efficiency * CH1.collection_efficiency * r)
-        assert calibrate_eta_alpha(lossless, WG, PUMP, COUP, CH0, CH1) == pytest.approx(
+        assert calibrate_eta_alpha(lossless, SETUP) == pytest.approx(
             1.0, rel=1e-12
         )
 
     def test_round_trip_through_prediction(self):
-        eta = calibrate_eta_alpha(80.0, WG, PUMP, COUP, CH0, CH1)
+        eta = calibrate_eta_alpha(80.0, SETUP)
         wg = replace(WG, eta_alpha_mode="calibrated", eta_alpha_value=eta)
-        obs = predict_observables(wg, PUMP, COUP,
-                                  replace(CH0, dark_rate_hz=0.0),
-                                  replace(CH1, dark_rate_hz=0.0),
-                                  QUIET, window_s=400e-12)
+        obs = predict_observables(replace(SETUP, waveguide=wg,
+                                          idler=replace(CH0, dark_rate_hz=0.0),
+                                          signal=replace(CH1, dark_rate_hz=0.0)))
         assert obs.coincidences == pytest.approx(80.0, rel=1e-9)
 
     def test_impossible_measurement_rejected(self):
         with pytest.raises(InconsistentMeasurementError):
-            calibrate_eta_alpha(1e12, WG, PUMP, COUP, CH0, CH1)
+            calibrate_eta_alpha(1e12, SETUP)
 
 
 class TestCalibrateRaman:
-    def _calibrated_wg(self):
-        eta = calibrate_eta_alpha(80.0, WG, PUMP, COUP, CH0, CH1)
-        return replace(WG, eta_alpha_mode="calibrated", eta_alpha_value=eta)
+    def _calibrated_setup(self):
+        eta = calibrate_eta_alpha(80.0, SETUP)
+        wg = replace(WG, eta_alpha_mode="calibrated", eta_alpha_value=eta)
+        return replace(SETUP, waveguide=wg)
 
     def test_device_noise_rates(self):
         # Inverting the singles equations at the measured rates gives
         # nearly equal per-side generation rates (the small-detuning
         # observation), around 2.4e8 and 2.2e8 photons/s.
-        wg = self._calibrated_wg()
-        rho0, rho1 = calibrate_raman(3.45e6, 1.34e6, wg, PUMP, COUP, CH0, CH1, QUIET)
+        setup = self._calibrated_setup()
+        wg = setup.waveguide
+        rho0, rho1 = calibrate_raman(3.45e6, 1.34e6, setup)
         occ0 = thermal_occupancy(1.4e12, 300.0) + 1.0
         occ1 = thermal_occupancy(1.4e12, 300.0)
         rn0 = rho0 * 50e9 * 0.057 * wg.effective_length_m * occ0
@@ -333,24 +374,23 @@ class TestCalibrateRaman:
         assert rn0 / rn1 == pytest.approx(1.0, abs=0.15)
 
     def test_round_trip_reproduces_singles(self):
-        wg = self._calibrated_wg()
-        rho0, rho1 = calibrate_raman(3.45e6, 1.34e6, wg, PUMP, COUP, CH0, CH1, QUIET)
+        setup = self._calibrated_setup()
+        rho0, rho1 = calibrate_raman(3.45e6, 1.34e6, setup)
         noise = NoiseModel(
             raman_table=((-1.4e12, rho0), (1.4e12, rho1)),
             pump_rejection=PumpRejection(base_db=400.0, floor_db=400.0),
         )
-        obs = predict_observables(wg, PUMP, COUP, CH0, CH1, noise, window_s=400e-12)
+        obs = predict_observables(replace(setup, noise=noise))
         assert obs.singles0 == pytest.approx(3.45e6, rel=1e-9)
         assert obs.singles1 == pytest.approx(1.34e6, rel=1e-9)
 
     def test_boundary_gives_zero_rho(self):
-        wg = self._calibrated_wg()
-        base = predict_observables(wg, PUMP, COUP, CH0, CH1, QUIET, window_s=400e-12)
+        setup = self._calibrated_setup()
+        base = predict_observables(setup)
         with pytest.raises(InconsistentMeasurementError):
-            calibrate_raman(base.singles0, base.singles1, wg, PUMP, COUP, CH0, CH1, QUIET)
+            calibrate_raman(base.singles0, base.singles1, setup)
         rho0, rho1 = calibrate_raman(base.singles0 * (1 + 1e-9),
-                                     base.singles1 * (1 + 1e-9),
-                                     wg, PUMP, COUP, CH0, CH1, QUIET)
+                                     base.singles1 * (1 + 1e-9), setup)
         assert 0.0 <= rho0 < 1e-6
         assert 0.0 <= rho1 < 1e-6
 
@@ -358,15 +398,14 @@ class TestCalibrateRaman:
         # Swapping detector efficiencies between the arms swaps the
         # predicted pair contributions, the detector QE asymmetry being the
         # only arm asymmetry at small detuning apart from occupancy.
-        wg = self._calibrated_wg()
-        noise = NoiseModel(raman_table=((-9e12, 0.42), (9e12, 0.42)))
-        obs = predict_observables(wg, PUMP, COUP, CH0, CH1, noise, window_s=400e-12)
-        swapped = predict_observables(
-            wg, PUMP, COUP,
-            replace(CH0, filter_loss_db=CH1.filter_loss_db, detector_qe=CH1.detector_qe),
-            replace(CH1, filter_loss_db=CH0.filter_loss_db, detector_qe=CH0.detector_qe),
-            noise, window_s=400e-12,
-        )
+        setup = replace(self._calibrated_setup(),
+                        noise=NoiseModel(raman_table=((-9e12, 0.42), (9e12, 0.42))))
+        obs = predict_observables(setup)
+        swapped = predict_observables(replace(
+            setup,
+            idler=replace(CH0, filter_loss_db=CH1.filter_loss_db, detector_qe=CH1.detector_qe),
+            signal=replace(CH1, filter_loss_db=CH0.filter_loss_db, detector_qe=CH0.detector_qe),
+        ))
         p0 = obs.singles_parts["N0"]["pairs"]
         p1 = obs.singles_parts["N1"]["pairs"]
         assert swapped.singles_parts["N0"]["pairs"] == pytest.approx(p1, rel=1e-12)
