@@ -172,11 +172,7 @@ def cmd_calibrate(args) -> int:
         cfg, args.measured_c, args.measured_n0, args.measured_n1
     )
     calib_path = out / "calibration.json"
-    doc = {
-        "eta_alpha": calibrated.raw["waveguide"]["eta_alpha"],
-        "raman_table": calibrated.raw["noise"]["raman_table"],
-        "note": calibrated.raw["noise"]["note"],
-    }
+    doc = calibrated.calibration
     with open(calib_path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -188,21 +184,27 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _strict_json(doc: dict) -> dict:
-    """Replace non-finite floats by None, each flagged "nonfinite:<field>"."""
-    flags = []
+def _null_nonfinite(doc: dict) -> tuple[dict, list]:
+    """The document with non-finite floats replaced by None, and the dotted
+    keys of those floats, sorted."""
+    keys = []
 
     def clean(value, path):
         if isinstance(value, dict):
             return {k: clean(v, f"{path}.{k}" if path else k) for k, v in value.items()}
         if isinstance(value, float) and not math.isfinite(value):
-            flags.append(f"nonfinite:{path}")
+            keys.append(path)
             return None
         return value
 
-    out = clean(doc, "")
-    out["flags"] = list(doc.get("flags", [])) + sorted(flags)
-    return out
+    return clean(doc, ""), sorted(keys)
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """Strict JSON (no NaN or Infinity tokens), sorted keys, LF line end."""
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def cmd_histogram(args) -> int:
@@ -240,9 +242,10 @@ def cmd_histogram(args) -> int:
     else:
         doc = {"flags": ["empty"]}
         print("empty histogram (no counts); analysis flagged")
-    with open(analysis_path, "w", newline="\n") as fh:
-        json.dump(_strict_json(doc), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    # Non-finite values are written as null, each flagged "nonfinite:<key>".
+    doc, nonfinite = _null_nonfinite(doc)
+    doc["flags"] = list(doc.get("flags", [])) + [f"nonfinite:{key}" for key in nonfinite]
+    _write_json(analysis_path, doc)
     outputs.append(analysis_path)
 
     if args.svg:
@@ -351,18 +354,15 @@ def cmd_optimize(args) -> int:
                           f"gives {points} grid points, more than {MAX_VALUES}")
     result = optimize_car(cfg.setup, bounds, constraint, grid_points=args.grid_points)
     result_path = out / "design.json"
-    with open(result_path, "w", newline="\n") as fh:
-        json.dump(
-            {
-                "best": result.best,
-                "car": result.car,
-                "pairs_per_pulse": result.pairs_per_pulse,
-                "coincidence_rate_per_s": result.coincidence_rate,
-                "evaluations": len(result.trace),
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    # A CW pump has no pairs per pulse: non-finite values are written as null.
+    design, _ = _null_nonfinite({
+        "best": result.best,
+        "car": result.car,
+        "pairs_per_pulse": result.pairs_per_pulse,
+        "coincidence_rate_per_s": result.coincidence_rate,
+        "evaluations": len(result.trace),
+    })
+    _write_json(result_path, design)
     print(f"best point: {result.best}")
     print(f"CAR {result.car:.6g} at {result.pairs_per_pulse:.4g} pairs/pulse, "
           f"C={result.coincidence_rate:.4g}/s ({len(result.trace)} evaluations)")

@@ -196,22 +196,22 @@ def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
 
     if ("gamma_per_w_m" in raw) == ("n2_m2_per_w" in raw):
         raise ConfigError("waveguide needs exactly one of gamma_per_w_m or n2_m2_per_w")
-    if "n2_m2_per_w" in raw and "a_eff_um2" not in raw:
-        raise ConfigError("waveguide.n2_m2_per_w requires a_eff_um2")
+    if ("n2_m2_per_w" in raw) != ("a_eff_um2" in raw):
+        raise ConfigError("waveguide.a_eff_um2 goes with n2_m2_per_w: give both or neither")
     if ("dispersion_ps_per_nm_km" in raw) == ("beta2_s2_per_m" in raw):
         raise ConfigError(
             "waveguide needs exactly one of dispersion_ps_per_nm_km or beta2_s2_per_m"
         )
 
-    kwargs = {}
     if "gamma_per_w_m" in raw:
         gamma = _number(raw, "waveguide", "gamma_per_w_m")
     else:
         n2 = _number(raw, "waveguide", "n2_m2_per_w")
-        a_eff = _number(raw, "waveguide", "a_eff_um2") * 1e-12
-        gamma = gamma_from_n2(n2, a_eff, pump_wavelength_m)
-        kwargs = {"n2_m2_per_w": n2, "a_eff_m2": a_eff,
-                  "gamma_ref_wavelength_m": pump_wavelength_m}
+        a_eff_um2 = _number(raw, "waveguide", "a_eff_um2")
+        for key, value in (("n2_m2_per_w", n2), ("a_eff_um2", a_eff_um2)):
+            if value <= 0.0:
+                raise ConfigError(f"waveguide.{key}: must be positive, got {raw[key]!r}")
+        gamma = gamma_from_n2(n2, a_eff_um2 * 1e-12, pump_wavelength_m)
 
     if "beta2_s2_per_m" in raw:
         beta2 = _number(raw, "waveguide", "beta2_s2_per_m")
@@ -230,14 +230,13 @@ def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
 
     return _construct(
         WaveguideSpec, raw, "waveguide",
-        {"length_m": "length_cm", "eta_alpha_value": "eta_alpha", "a_eff_m2": "a_eff_um2"},
+        {"length_m": "length_cm", "eta_alpha_value": "eta_alpha"},
         length_m=_number(raw, "waveguide", "length_cm") / 100.0,
         prop_loss_db_per_cm=_number(raw, "waveguide", "prop_loss_db_per_cm"),
         gamma_per_w_m=gamma,
         beta2_s2_per_m=beta2,
         eta_alpha_mode=mode,
         eta_alpha_value=value,
-        **kwargs,
     )
 
 
@@ -272,13 +271,12 @@ def _build_pump(raw: dict) -> PumpConfig:
 
 def _build_coupling(raw: dict) -> CouplingSpec:
     keys = {"total_insertion_loss_db"}
-    optional = {"input_split", "output_scale"}
-    _require(raw, "coupling", keys, optional)
+    optional = ("input_split", "output_scale")
+    _require(raw, "coupling", keys, set(optional))
     return _construct(
         CouplingSpec, raw, "coupling", {},
         total_insertion_loss_db=_number(raw, "coupling", "total_insertion_loss_db"),
-        input_split=_finite(raw.get("input_split", 0.5), "coupling", "input_split"),
-        output_scale=_finite(raw.get("output_scale", 1.0), "coupling", "output_scale"),
+        **{key: _number(raw, "coupling", key) for key in optional if key in raw},
     )
 
 
@@ -342,7 +340,7 @@ def _build_noise(raw: dict) -> NoiseModel:
             floor_db=_number(rej, "noise.pump_rejection", "floor_db"),
             ramp_hz=_number(rej, "noise.pump_rejection", "ramp_thz") * 1e12,
         ),
-        note=str(raw.get("note", "")),
+        **{key: str(raw[key]) for key in optional if key in raw},
     )
 
 
@@ -369,6 +367,12 @@ def _build_analysis(raw: dict) -> AnalysisOptions:
     )
 
 
+# A calibration document holds what a calibration fits: ``eta_alpha``,
+# ``raman_table`` and ``note``.  Each sits in a config document under the
+# same key, in the section named here.
+_CALIBRATION_SECTIONS = {"eta_alpha": "waveguide", "raman_table": "noise", "note": "noise"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated configuration document plus its SI ``Setup`` view."""
@@ -379,6 +383,12 @@ class ExperimentConfig:
     @property
     def config_hash(self) -> str:
         return config_hash(self.raw)
+
+    @property
+    def calibration(self) -> dict:
+        """The calibration document this configuration carries."""
+        return {key: self.raw[section][key] for key, section in _CALIBRATION_SECTIONS.items()
+                if key in self.raw[section]}
 
 
 def validate_config(raw: dict) -> Setup:
@@ -414,13 +424,17 @@ def _read_json(path, what: str):
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def _shipped_raw(name: str) -> dict:
+    """The document of a shipped configuration, not yet validated."""
+    return json.loads(resources.files("sfwmlab.data").joinpath(_NAMED_CONFIGS[name]).read_text())
+
+
 def load_config(source) -> ExperimentConfig:
     """Load and validate a configuration from a path, a shipped name, or a dict."""
     if isinstance(source, dict):
         raw = copy.deepcopy(source)
     elif str(source) in _NAMED_CONFIGS:
-        named = resources.files("sfwmlab.data").joinpath(_NAMED_CONFIGS[str(source)])
-        raw = json.loads(named.read_text())
+        raw = _shipped_raw(str(source))
     else:
         raw = _read_json(source, "configuration")
     return ExperimentConfig(raw=raw, setup=validate_config(raw))
@@ -447,11 +461,14 @@ _NAMED_CONFIGS = {
 # ------------------------------------------------------------------
 # Reference configurations
 #
-# The measured-device defaults below describe a 7.1 cm chalcogenide strip
-# waveguide pumped at 1549.315 nm, with a 40-channel 100 GHz demux
-# (50 GHz channel FWHM), 0.5 nm bandpass cleanup filters, and two
-# superconducting detectors read out through a start-stop time interval
-# analyzer with a 2 m (11.1 ns) delay line on the stop arm.
+# The measured device is the shipped data/paper_defaults.json: a 7.1 cm
+# chalcogenide strip waveguide pumped at 1549.315 nm, with a 40-channel
+# 100 GHz demux (50 GHz channel FWHM), 0.5 nm bandpass cleanup filters, and
+# two superconducting detectors whose 200/sqrt(2) ps FWHM jitter gives a
+# 200 ps coincidence peak, read out through a start-stop time interval
+# analyzer with a 2 m (11.1 ns) delay line on the stop arm.  The file holds
+# the calibration below; the uncalibrated device is the same document with
+# the analytic survival and no scattering.
 
 # Reference measurement used for the shipped calibration: net coincidence
 # rate and the two singles rates at 57 mW in-waveguide CW pump power and
@@ -459,10 +476,6 @@ _NAMED_CONFIGS = {
 MEASURED_COINCIDENCE_RATE = 80.0
 MEASURED_SINGLES0 = 3.45e6
 MEASURED_SINGLES1 = 1.34e6
-
-# Per-detector timing jitter chosen so the two-detector coincidence peak
-# has a 200 ps FWHM (quadrature sum).
-DEFAULT_JITTER_FWHM_PS = 200.0 / math.sqrt(2.0)
 
 # Low-noise scattering window: reduced Raman activity around 7.4 THz.
 WINDOW_CENTER_HZ = 7.4e12
@@ -479,62 +492,22 @@ ENGINEERED_MU = 0.01
 ENGINEERED_BETA2_S2_PER_M = 1.0e-26
 
 
-def _base_paper_raw() -> dict:
-    return {
-        "waveguide": {
-            "length_cm": 7.1,
-            "prop_loss_db_per_cm": 0.7,
-            "gamma_per_w_m": 14.0,
-            "dispersion_ps_per_nm_km": -239.0,
-            "eta_alpha": "analytic",
-        },
-        "pump": {
-            "wavelength_nm": 1549.315,
-            "power_mw": 57.0,
-            "mode": "cw",
-        },
-        "coupling": {
-            "total_insertion_loss_db": 14.24,
-            "input_split": 0.5,
-            "output_scale": 1.0,
-        },
-        "channels": {
-            "idler": {
-                "detuning_thz": -1.4,
-                "awg_fwhm_ghz": 50.0,
-                "bpf_fwhm_nm": 0.5,
-                "filter_loss_db": 6.51,
-                "detector_qe": 0.18,
-                "dark_rate_per_s": 1000.0,
-                "jitter_fwhm_ps": DEFAULT_JITTER_FWHM_PS,
-            },
-            "signal": {
-                "detuning_thz": 1.4,
-                "awg_fwhm_ghz": 50.0,
-                "bpf_fwhm_nm": 0.5,
-                "filter_loss_db": 6.75,
-                "detector_qe": 0.08,
-                "dark_rate_per_s": 1000.0,
-                "jitter_fwhm_ps": DEFAULT_JITTER_FWHM_PS,
-            },
-        },
-        "noise": {
-            "temperature_k": 300.0,
-            "raman_table": [[-8.5, 0.0], [8.5, 0.0]],
-            "pump_rejection": {"base_db": 40.0, "floor_db": 120.0, "ramp_thz": 0.6},
-            "note": "uncalibrated",
-        },
-        "analysis": {
-            "coincidence_window_ps": 400.0,
-            "accidental_mode": "binned",
-            "tia": {
-                "bin_ps": 16.0,
-                "range_ns": [10.0, 12.208],
-                "policy": "first-stop",
-                "stop_delay_ns": 11.1,
-            },
-        },
-    }
+def _with_calibration(raw: dict, calibration: dict) -> dict:
+    """A copy of a config document with a calibration document applied.
+
+    A missing or empty ``note`` keeps the config's own note.
+    """
+    _require(calibration, "calibration file", {"eta_alpha", "raman_table"}, {"note"})
+    raw = copy.deepcopy(raw)
+    for key, value in calibration.items():
+        if key != "note" or value:
+            raw[_CALIBRATION_SECTIONS[key]][key] = value
+    return raw
+
+
+def _table_thz(table) -> list:
+    """Noise table rows as the document writes them: [detuning_thz, rho]."""
+    return [[d / 1e12, r] for d, r in table]
 
 
 def calibrate_config(
@@ -562,28 +535,34 @@ def calibrate_config(
         anchor_hz=abs(s.idler.detuning_hz),
         temperature_k=s.noise.temperature_k,
     )
-    raw = copy.deepcopy(cfg.raw)
-    raw["waveguide"]["eta_alpha"] = eta_alpha
-    raw["noise"]["raman_table"] = [[d / 1e12, r] for d, r in table]
-    raw["noise"]["note"] = "calibrated against C={}, N0={}, N1={} at {} mW".format(
-        measured_c, measured_n0, measured_n1, cfg.raw["pump"]["power_mw"]
-    )
-    return load_config(raw)
+    return load_config(_with_calibration(cfg.raw, {
+        "eta_alpha": eta_alpha,
+        "raman_table": _table_thz(table),
+        "note": "calibrated against C={}, N0={}, N1={} at {} mW".format(
+            measured_c, measured_n0, measured_n1, cfg.raw["pump"]["power_mw"]),
+    }))
+
+
+def _uncalibrated_paper_raw() -> dict:
+    """The measured device before calibration: analytic in-guide survival
+    and no scattering."""
+    return _with_calibration(_shipped_raw("paper-defaults"), {
+        "eta_alpha": "analytic",
+        "raman_table": [[-8.5, 0.0], [8.5, 0.0]],
+        "note": "uncalibrated",
+    })
 
 
 def paper_defaults(calibrated: bool = True) -> ExperimentConfig:
-    """The measured-device configuration, optionally with its calibration."""
-    cfg = load_config(_base_paper_raw())
+    """The measured-device configuration as shipped, or before calibration."""
     if calibrated:
-        cfg = calibrate_config(
-            cfg, MEASURED_COINCIDENCE_RATE, MEASURED_SINGLES0, MEASURED_SINGLES1
-        )
-    return cfg
+        return load_config("paper-defaults")
+    return load_config(_uncalibrated_paper_raw())
 
 
 def tm_mode_raw() -> dict:
     """The same chip on its higher-loss polarization (comparison case)."""
-    raw = _base_paper_raw()
+    raw = _uncalibrated_paper_raw()
     raw["waveguide"]["prop_loss_db_per_cm"] = 1.3
     raw["waveguide"]["dispersion_ps_per_nm_km"] = 22.0
     raw["coupling"]["total_insertion_loss_db"] = 18.6
@@ -631,23 +610,16 @@ def engineered_defaults() -> ExperimentConfig:
         temperature_k=base.setup.noise.temperature_k,
         window=window,
     )
-    raw["noise"]["raman_table"] = [[d / 1e12, r] for d, r in table]
-    raw["noise"]["note"] = (
-        base.raw["noise"]["note"]
-        + f"; window rho at {WINDOW_CENTER_HZ/1e12} THz inverse-calibrated to "
+    calibration = base.calibration
+    calibration["raman_table"] = _table_thz(table)
+    calibration["note"] += (
+        f"; window rho at {WINDOW_CENTER_HZ/1e12} THz inverse-calibrated to "
         f"CAR={ENGINEERED_TARGET_CAR} at {ENGINEERED_MU} pairs/pulse "
         "(design target, not measured)"
     )
-    return load_config(raw)
+    return load_config(_with_calibration(raw, calibration))
 
 
 def apply_calibration_file(cfg: ExperimentConfig, path) -> ExperimentConfig:
     """Overlay a calibration file (eta_alpha + noise table) on a config."""
-    doc = _read_json(path, "calibration file")
-    _require(doc, "calibration file", {"eta_alpha", "raman_table"}, {"note"})
-    raw = copy.deepcopy(cfg.raw)
-    raw["waveguide"]["eta_alpha"] = doc["eta_alpha"]
-    raw["noise"]["raman_table"] = doc["raman_table"]
-    if doc.get("note"):
-        raw["noise"]["note"] = doc["note"]
-    return load_config(raw)
+    return load_config(_with_calibration(cfg.raw, _read_json(path, "calibration file")))

@@ -6,7 +6,6 @@ every stored quantity is in SI base units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,14 +14,9 @@ from .errors import ConfigError, ExtrapolationError, FieldError
 from .units import (
     db_to_linear,
     effective_length,
-    gamma_from_n2,
     prop_loss_to_alpha,
     wavelength_to_frequency,
 )
-
-# Relative tolerance for internal consistency of derived quantities.
-DERIVED_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class WaveguideSpec:
@@ -41,10 +35,6 @@ class WaveguideSpec:
     beta2_s2_per_m: float
     eta_alpha_mode: str = "analytic"
     eta_alpha_value: float | None = None
-    # Optional provenance for gamma; validated for consistency when present.
-    n2_m2_per_w: float | None = None
-    a_eff_m2: float | None = None
-    gamma_ref_wavelength_m: float | None = None
 
     def __post_init__(self):
         if self.length_m <= 0.0:
@@ -60,16 +50,6 @@ class WaveguideSpec:
             v = self.eta_alpha_value
             if v is None or not 0.0 < v <= 1.0:
                 raise FieldError("eta_alpha_value", "calibrated eta_alpha must be in (0, 1]", v)
-        if self.a_eff_m2 is not None and self.a_eff_m2 <= 0.0:
-            raise FieldError("a_eff_m2", "a_eff must be positive", self.a_eff_m2)
-        if self.n2_m2_per_w is not None:
-            if self.a_eff_m2 is None or self.gamma_ref_wavelength_m is None:
-                raise ConfigError("n2 requires a_eff and a reference wavelength")
-            derived = gamma_from_n2(self.n2_m2_per_w, self.a_eff_m2, self.gamma_ref_wavelength_m)
-            if not math.isclose(derived, self.gamma_per_w_m, rel_tol=DERIVED_RTOL):
-                raise ConfigError(
-                    f"gamma {self.gamma_per_w_m} inconsistent with n2/a_eff (expected {derived})"
-                )
 
     @property
     def alpha_np_per_m(self) -> float:

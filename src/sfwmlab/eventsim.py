@@ -103,6 +103,11 @@ def _pulsed_times(rate_hz, tau_s, rep_rate_hz, t0, t1, rng) -> np.ndarray:
     return np.sort(times)
 
 
+# Most bins a histogram may have: each takes an int64 count per worker and
+# a float edge, and the largest shipped or benchmarked range has 20000.
+MAX_TIA_BINS = 10**6
+
+
 @dataclass(frozen=True)
 class TiaConfig:
     """Start-stop histogrammer settings.
@@ -123,6 +128,11 @@ class TiaConfig:
         lo, hi = self.range_s
         if hi <= lo:
             raise FieldError("range_s", "delay range must not be empty", self.range_s)
+        # Compared as a float: a span of 1e308 overflows an int conversion.
+        if (hi - lo) / self.bin_width_s > MAX_TIA_BINS:
+            raise FieldError("bin_width_s",
+                             f"bin width must give at most {MAX_TIA_BINS} bins over the "
+                             "delay range", self.bin_width_s)
         if not lo <= self.stop_delay_s <= hi:
             raise FieldError("stop_delay_s", "stop delay must lie in the delay range",
                              self.stop_delay_s)

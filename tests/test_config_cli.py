@@ -9,6 +9,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from sfwmlab import cli
 from sfwmlab.cli import main
 from sfwmlab.config import (
+    MEASURED_COINCIDENCE_RATE,
+    MEASURED_SINGLES0,
+    MEASURED_SINGLES1,
     calibrate_config,
     config_hash,
     engineered_defaults,
@@ -18,6 +21,7 @@ from sfwmlab.config import (
     tm_mode_raw,
 )
 from sfwmlab.errors import ConfigError
+from sfwmlab.eventsim import MAX_TIA_BINS
 from sfwmlab.explore import car_vs_mu
 
 from conftest import with_analysis
@@ -65,6 +69,23 @@ class TestConfigDocument:
         clean_raw["waveguide"]["a_eff_um2"] = 0.86
         cfg = load_config(clean_raw)
         assert cfg.setup.waveguide.gamma_per_w_m == pytest.approx(14.15, abs=0.05)
+
+    @pytest.mark.parametrize("a_eff_um2", [0.86, -1.0])
+    def test_a_eff_without_n2_rejected(self, clean_raw, a_eff_um2):
+        # A_eff only feeds the n2 route; next to gamma it would be ignored.
+        clean_raw["waveguide"]["a_eff_um2"] = a_eff_um2
+        with pytest.raises(ConfigError, match="a_eff_um2"):
+            load_config(clean_raw)
+
+    @pytest.mark.parametrize("tia", [{"range_ns": [-1e308, 1e308]}, {"bin_ps": 1e-6}])
+    def test_tia_bin_count_capped(self, clean_raw, tia):
+        # 1e308 spans overflow an int bin count; 1e-6 ps bins over 2.2 ns
+        # would be 2.2e9 bins.  Both are rejected on loading.
+        clean_raw["analysis"]["tia"].update(tia)
+        message = re.escape(f"analysis.tia.bin_ps: bin width must give at most "
+                            f"{MAX_TIA_BINS} bins over the delay range")
+        with pytest.raises(ConfigError, match="^" + message):
+            load_config(clean_raw)
 
     @pytest.mark.parametrize("section, key, value", [
         ("pump", "power_mw", math.nan),
@@ -159,7 +180,18 @@ def _key_paths(doc, prefix=()):
             yield from _key_paths(value, prefix + (key,))
 
 
-_PAPER_RAW = load_config("paper-defaults").raw
+def _n2_beta2_raw() -> dict:
+    """paper-defaults before calibration on the other two waveguide routes:
+    gamma from n2 and A_eff, dispersion given as beta2."""
+    raw = paper_defaults(calibrated=False).raw
+    waveguide = raw["waveguide"]
+    del waveguide["gamma_per_w_m"], waveguide["dispersion_ps_per_nm_km"]
+    waveguide.update(n2_m2_per_w=3e-18, a_eff_um2=0.86, beta2_s2_per_m=3.048e-25)
+    return raw
+
+
+_FUZZED_DOCS = (load_config("paper-defaults").raw, load_config("engineered-defaults").raw,
+                _n2_beta2_raw())
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
@@ -168,12 +200,18 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(path=st.sampled_from(list(_key_paths(_PAPER_RAW))), value=_JSON_VALUES)
-def test_load_config_accepts_or_raises_config_error(path, value):
-    # One value of paper-defaults replaced by any JSON value (floats include
-    # nan and +-inf): the document loads, or loading raises ConfigError.
-    raw = copy.deepcopy(_PAPER_RAW)
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(case=st.sampled_from(_FUZZED_DOCS).flatmap(
+           lambda doc: st.tuples(st.just(doc), st.sampled_from(list(_key_paths(doc))))),
+       value=st.integers() | st.floats() | _JSON_VALUES)
+def test_load_config_accepts_or_raises_config_error(case, value):
+    # One value of a document replaced by any JSON value, a bare number
+    # (floats include nan and +-inf) in most cases since most values of a
+    # document are numbers: the document loads, or loading raises ConfigError.
+    # The documents are paper-defaults, engineered-defaults (pulsed) and
+    # one on the n2 and beta2 routes.
+    doc, path = case
+    raw = copy.deepcopy(doc)
     target = raw
     for key in path[:-1]:
         target = target[key]
@@ -185,8 +223,12 @@ def test_load_config_accepts_or_raises_config_error(path, value):
 
 
 class TestShippedData:
-    def test_paper_defaults_file_matches_factory(self):
-        assert load_config("paper-defaults").raw == paper_defaults().raw
+    def test_paper_defaults_file_matches_factory(self, paper_uncalibrated_cfg):
+        # The shipped file is the uncalibrated device calibrated against the
+        # reference measurement.
+        calibrated = calibrate_config(paper_uncalibrated_cfg, MEASURED_COINCIDENCE_RATE,
+                                      MEASURED_SINGLES0, MEASURED_SINGLES1)
+        assert load_config("paper-defaults").raw == calibrated.raw
 
     def test_engineered_defaults_file_matches_factory(self):
         assert load_config("engineered-defaults").raw == engineered_defaults().raw
@@ -396,6 +438,34 @@ class TestCli:
         assert code == 2
         assert "--duration" in capsys.readouterr().err
         assert not (tmp_path / "histogram.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("n2_m2_per_w", -3e-18), ("n2_m2_per_w", 0.0),
+                                            ("a_eff_um2", 0.0), ("a_eff_um2", -0.86)])
+    def test_bad_n2_route_value_exit_code(self, tmp_path, capsys, clean_raw, key, value):
+        waveguide = clean_raw["waveguide"]
+        del waveguide["gamma_per_w_m"]
+        waveguide.update(n2_m2_per_w=3e-18, a_eff_um2=0.86)
+        waveguide[key] = value
+        path = tmp_path / "n2.json"
+        path.write_text(json.dumps(clean_raw))
+        code = main(["rates", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: waveguide.{key}: must be positive, got {value!r}\n"
+        assert not (tmp_path / "out" / "rates.csv").exists()
+
+    def test_cw_design_json_is_strict(self, tmp_path):
+        # A CW pump has no pairs per pulse.
+        code = main(["optimize", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--bound", "peak_power_w=0.01:0.1", "--c-min", "1"])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads((tmp_path / "design.json").read_text(), parse_constant=reject)
+        assert doc["pairs_per_pulse"] is None
+        assert doc["car"] > 0.0
 
     def test_analysis_json_is_strict(self, tmp_path):
         # The shipped engineered-defaults range has no off-pulse floor, so

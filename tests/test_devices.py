@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sfwmlab.config import load_config
 from sfwmlab.devices import (
     CouplingSpec,
     DetectionChannel,
@@ -25,17 +26,17 @@ def test_waveguide_derived_quantities():
 
 
 def test_waveguide_gamma_consistency_check():
-    with pytest.raises(ConfigError):
-        WaveguideSpec(length_m=0.071, prop_loss_db_per_cm=0.7,
-                      gamma_per_w_m=99.0, beta2_s2_per_m=3.048e-25,
-                      n2_m2_per_w=3e-18, a_eff_m2=0.86e-12,
-                      gamma_ref_wavelength_m=1550e-9)
-    gamma = gamma_from_n2(3e-18, 0.86e-12, 1550e-9)
-    wg = WaveguideSpec(length_m=0.071, prop_loss_db_per_cm=0.7,
-                       gamma_per_w_m=gamma, beta2_s2_per_m=3.048e-25,
-                       n2_m2_per_w=3e-18, a_eff_m2=0.86e-12,
-                       gamma_ref_wavelength_m=1550e-9)
-    assert wg.gamma_per_w_m == pytest.approx(14.14, abs=0.01)
+    # gamma is the waveguide's one nonlinearity field: the loader converts a
+    # document's n2 and A_eff to it at the pump wavelength, and keeps neither.
+    assert [f.name for f in dataclasses.fields(WaveguideSpec)] == [
+        "length_m", "prop_loss_db_per_cm", "gamma_per_w_m", "beta2_s2_per_m",
+        "eta_alpha_mode", "eta_alpha_value"]
+    raw = load_config("paper-defaults").raw
+    del raw["waveguide"]["gamma_per_w_m"]
+    raw["waveguide"].update(n2_m2_per_w=3e-18, a_eff_um2=0.86)
+    setup = load_config(raw).setup
+    assert setup.waveguide.gamma_per_w_m == gamma_from_n2(
+        3e-18, 0.86e-12, setup.pump.wavelength_m)
 
 
 def test_waveguide_rejects_bad_values():

@@ -44,11 +44,12 @@ GOLDEN = {
             "manifest.json": "708d9d48b652f9f9dbe95fa3bb91c85ec03b30d0cd862925ccff2959a685a0c3",
         },
     ),
+    # A CW pump has no pairs per pulse: design.json writes it as null.
     "optimize": (
         ["optimize", "--bound", "detuning_hz=5e11:3e12", "--bound", "peak_power_w=0.01:0.1",
          "--c-min", "1"],
         {
-            "design.json": "253eb56681837ac367e683f0a00221d2fd66a223f4d7815a1512f3612be9c514",
+            "design.json": "f395ab0bdb7aeb37162c229d50eff6b9b7b7ec1e8ef083f873ed45c6862b6cd5",
             "manifest.json": "41fa946f28dcca571c3a7188dd4aab35cada6e59eb9f6ae8552257e95b7f9c41",
         },
     ),
