@@ -364,7 +364,9 @@ def cmd_optimize(args) -> int:
     })
     _write_json(result_path, design)
     print(f"best point: {result.best}")
-    print(f"CAR {result.car:.6g} at {result.pairs_per_pulse:.4g} pairs/pulse, "
+    at = (f" at {result.pairs_per_pulse:.4g} pairs/pulse"
+          if math.isfinite(result.pairs_per_pulse) else "")
+    print(f"CAR {result.car:.6g}{at}, "
           f"C={result.coincidence_rate:.4g}/s ({len(result.trace)} evaluations)")
     _write_manifest(out, "optimize", cfg, args.seed, [result_path])
     return 0

@@ -212,6 +212,10 @@ def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
             if value <= 0.0:
                 raise ConfigError(f"waveguide.{key}: must be positive, got {raw[key]!r}")
         gamma = gamma_from_n2(n2, a_eff_um2 * 1e-12, pump_wavelength_m)
+        if not 0.0 < gamma < math.inf:
+            raise ConfigError(
+                f"waveguide.n2_m2_per_w, waveguide.a_eff_um2: must give a positive finite "
+                f"gamma, got {gamma!r} from {raw['n2_m2_per_w']!r} and {raw['a_eff_um2']!r}")
 
     if "beta2_s2_per_m" in raw:
         beta2 = _number(raw, "waveguide", "beta2_s2_per_m")

@@ -23,13 +23,26 @@ start of a run through it, in batches of ``_BLOCK_BATCH`` starts; a
 multi-stop bulk start takes its range from the stop block of the domain
 segment it was drawn in, every other start from a binary search.
 
+Epochs: a run is cut into epochs of 2^k s, each holding about
+``_EVENTS_PER_EPOCH`` generated events (0.5 s at the shipped CW device, 256 s
+for the shipped pulsed design); a pulsed epoch is also a whole number of
+pulse periods.  Every random stream of epoch e is keyed on (seed, e), the
+use counter-based generators were designed for (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), and its times are relative to
+the epoch start, so a stop at 24 h carries the precision of one at 0 s and
+the carry into the next epoch shifts by -2^k s exactly.  An epoch's events
+depend only on the configuration, the seed and e: not on the run's duration
+beyond its own end, nor on how the epochs are scheduled.
+
 Threads: the enumerate-and-bin batches and the segment search of the
 restricted sampler run on a thread pool with one worker per CPU the process
 may run on (``os.sched_getaffinity``); numpy releases the GIL in the
-searches, gathers and sorts they spend their time in.  Each worker bins its
-batches into its own integer counts, and integer sums do not depend on
-order, so the output does not depend on the batch size or the worker
-count.  Generation and every random draw stay on the calling thread.
+draws, searches, gathers and sorts they spend their time in.  Each worker
+bins its batches into its own integer counts, and integer sums do not
+depend on order, so the output does not depend on the batch size or the
+worker count.  With more than one worker, epoch e + 1 is generated on a
+thread of its own while the calling thread bins epoch e; on one CPU it is
+generated inline, with the same result.
 
 Determinism: every stochastic routine takes a seed and uses a counter-based
 Philox generator; identical seeds and configurations give bit-identical
@@ -57,23 +70,20 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _poisson_times(rate_hz, t0, t1, rng) -> np.ndarray:
+def _poisson_times(rate_hz, span_s, rng) -> np.ndarray:
+    """Sorted arrivals of a rate-``rate_hz`` Poisson process on [0, span_s)."""
     # Exponential inter-arrival sampling, conditioned on the count:
     # normalized cumulative exponential gaps are the order statistics of
     # uniforms, so the output is sorted without an O(n log n) sort.
-    span = t1 - t0
-    if span <= 0.0 or rate_hz == 0.0:
+    if span_s <= 0.0 or rate_hz == 0.0:
         return np.empty(0, dtype=np.float64)
-    n = rng.poisson(rate_hz * span)
+    n = rng.poisson(rate_hz * span_s)
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    gaps = rng.standard_exponential(n + 1)
-    cum = np.cumsum(gaps)
-    np.multiply(cum, span / cum[-1], out=cum)
-    times = cum[:-1]
-    if t0 != 0.0:
-        np.add(times, t0, out=times)
-    return times
+    cum = rng.standard_exponential(n + 1)
+    np.cumsum(cum, out=cum)
+    np.multiply(cum, span_s / cum[-1], out=cum)
+    return cum[:-1]
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -87,18 +97,18 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.insert(a, np.searchsorted(a, b), b)
 
 
-def _pulsed_times(rate_hz, tau_s, rep_rate_hz, t0, t1, rng) -> np.ndarray:
-    # Windows are anchored to the absolute grid k/B so chunked generation
-    # with boundaries on that grid is exactly equivalent to one pass.
-    if t1 <= t0 or rate_hz == 0.0:
+def _pulsed_times(rate_hz, tau_s, rep_rate_hz, span_s, rng) -> np.ndarray:
+    """Sorted arrivals at rate ``rate_hz`` inside the pulse windows
+    [k/B, k/B + tau_s) that begin in [0, span_s)."""
+    # An epoch is a whole number of pulse periods, so the window grids of
+    # consecutive epochs join into the one grid k/B of the run.
+    if span_s <= 0.0 or rate_hz == 0.0:
         return np.empty(0, dtype=np.float64)
-    k0 = int(math.ceil(t0 * rep_rate_hz - 1e-9))
-    k1 = int(math.ceil(t1 * rep_rate_hz - 1e-9))
-    n_windows = k1 - k0
+    n_windows = int(math.ceil(span_s * rep_rate_hz - 1e-9))
     if n_windows <= 0:
         return np.empty(0, dtype=np.float64)
     n = rng.poisson(rate_hz * tau_s * n_windows)
-    window = k0 + rng.integers(0, n_windows, n)
+    window = rng.integers(0, n_windows, n)
     times = window / rep_rate_hz + rng.random(n) * tau_s
     return np.sort(times)
 
@@ -227,20 +237,6 @@ def _search_ranges(starts, stops, window, single):
     return i0, np.searchsorted(stops, starts + window[1], side="left")
 
 
-def _pair_delays(
-    starts: np.ndarray, stops: np.ndarray, cfg: TiaConfig
-) -> np.ndarray:
-    """Delays (stop - start) selected by the TIA policy, limited to delays
-    below the histogram range maximum (larger delays cannot be binned).
-
-    Every start is searched in the whole stop array: the reference for the
-    ranges ``_bin_starts`` takes from stop blocks.
-    """
-    window, single = _match_window(cfg)
-    i0, i1 = _search_ranges(starts, stops, window, single)
-    return _expand_stop_ranges(starts, stops, i0, i1, window)
-
-
 def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
@@ -282,9 +278,11 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
         seg_lo = seg_lo[block[:-1]]
         seg_hi = seg_hi[block[1:] - 1]
         block += i0
-    np.clip(seg_lo, t_lo, t_hi, out=seg_lo)
+    # Both bounds are non-decreasing, so clipping sets a prefix and a suffix.
+    seg_lo[:np.searchsorted(seg_lo, t_lo, side="left")] = t_lo
+    seg_lo[np.searchsorted(seg_lo, t_hi, side="right"):] = t_hi
     np.maximum(seg_hi, seg_lo, out=seg_hi)
-    np.minimum(seg_hi, t_hi, out=seg_hi)
+    seg_hi[np.searchsorted(seg_hi, t_hi, side="right"):] = t_hi
     return seg_lo, seg_hi, block
 
 
@@ -303,7 +301,7 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
     cum = seg_hi - seg_lo
     np.cumsum(cum, out=cum)
     covered = float(cum[-1]) if cum.size else 0.0
-    u = _poisson_times(rate_hz, 0.0, covered, rng)
+    u = _poisson_times(rate_hz, covered, rng)
     if u.size == 0:
         return u, np.empty(0, dtype=np.intp), covered
     # Segment k holds the offsets [cum[k-1], cum[k]), so an offset u maps
@@ -317,8 +315,7 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
 
     _on_pool(search, u.size)
     np.minimum(k, cum.size - 1, out=k)
-    np.subtract(seg_hi, cum, out=cum)
-    u += cum[k]
+    u += seg_hi[k] - cum[k]
     return u, k, covered
 
 
@@ -341,15 +338,15 @@ _WORKERS = _usable_cpus()
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(workers):
+def _pool(workers, name):
     # Imported on first use: importing it adds about 7 ms to every start of
     # the command-line tool, most of whose commands simulate nothing.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(workers, thread_name_prefix="sfwmlab-batch")
+    return ThreadPoolExecutor(workers, thread_name_prefix=f"sfwmlab-{name}")
 
 
-# A forked child inherits the pool without its threads.
+# A forked child inherits the pools without their threads.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
@@ -360,10 +357,13 @@ def _on_pool(task, n):
     Worker w gets the batch offsets (w + i W) B below ``n``, B =
     ``_BLOCK_BATCH`` and W = ``_WORKERS``, and so holds one batch's
     temporaries at a time.  Every task ends before this returns; the first
-    exception raised in one is raised here.
+    exception raised in one is raised here.  A single batch runs on the
+    calling thread: a worker would only add its round trip.
     """
     step = _WORKERS * _BLOCK_BATCH
-    pool = _pool(_WORKERS)
+    if n <= _BLOCK_BATCH:
+        return [task(range(0, n, step))] if n else []
+    pool = _pool(_WORKERS, "batch")
     tasks = [pool.submit(task, range(j, n, step))
              for j in range(0, min(n, step), _BLOCK_BATCH)]
     for t in tasks:
@@ -400,12 +400,16 @@ def _bin_starts(starts, stops, cfg, seg=None, block=None):
     is searched.  Rounding at a segment edge can put a start within reach
     of a stop just outside its block, so a start whose neighbouring stop
     matches is searched too, as is possibly one whose block begins at the
-    first stop or ends at the last.  Every start thus gets the delays of
-    ``_pair_delays``.
+    first stop or ends at the last.  A first-stop start has at most one
+    candidate, which is gathered and binned directly.  Every start thus
+    gets the delays of searching it in all of ``stops``
+    (``_search_ranges`` and ``_expand_stop_ranges``).
     """
     window, single = _match_window(cfg)
     lo, hi = window
     edges = cfg.bin_edges
+    if stops.size == 0:
+        return np.zeros(cfg.n_bins, dtype=np.int64)
 
     def binned(batches):
         counts = np.zeros(cfg.n_bins, dtype=np.int64)
@@ -425,7 +429,16 @@ def _bin_starts(starts, stops, cfg, seg=None, block=None):
                 out |= np.take(stops, i1, mode="clip") < s + hi
                 if out.any():
                     i0[out], i1[out] = _search_ranges(s[out], stops, window, single)
-            counts += _bin_counts(_expand_stop_ranges(s, stops, i0, i1, window), edges)
+            if single:
+                # The search gives stops[i0] >= s + lo, so the one candidate
+                # needs only the other comparison of ``_expand_stop_ranges``.
+                p = np.take(stops, i0, mode="clip")
+                keep = p < s + hi
+                keep &= i0 < i1
+                p -= s
+                counts += _bin_counts(p[keep], edges)
+            else:
+                counts += _bin_counts(_expand_stop_ranges(s, stops, i0, i1, window), edges)
         return counts
 
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
@@ -573,20 +586,55 @@ def component_rates(setup) -> dict:
     }
 
 
-# Fixed spawn order of the per-category child seeds; changing it would
-# change every simulated stream for a given seed.
+# The stream definition.  Category i of epoch e in a run with seed s is
+# drawn from ``SeedSequence(s, spawn_key=(e, i))`` in the order below, and an
+# epoch is the 2^k s that holds about ``_EVENTS_PER_EPOCH`` generated events
+# (``_epoch_length``); changing either changes every simulated stream for a
+# given seed.  The epoch also bounds memory: a run holds the events of at
+# most two epochs at once.
 _CATEGORIES = ("both", "jitter0", "jitter1", "bulk0", "bulk1",
                "only0", "only1", "noise0", "noise1", "dark0", "dark1",
                "jbulk0", "jbulk1")
+_EVENTS_PER_EPOCH = 2**20
 
 
-def _category_times(rate_hz, pump, t0, t1, rng) -> np.ndarray:
+def _epoch_children(entropy, e) -> dict:
+    """Seeds of epoch e's category streams, keyed on (seed, e)."""
+    return {name: np.random.SeedSequence(entropy, spawn_key=(e, i))
+            for i, name in enumerate(_CATEGORIES)}
+
+
+def _epoch_length(setup, rates) -> float:
+    """Epoch length 2^k s, a function of the configuration alone.
+
+    k is the largest for which an epoch holds at most ``_EVENTS_PER_EPOCH``
+    generated events on average; for a pulsed pump it is raised, if need
+    be, until the epoch is a whole number of pulse periods.  Generated are
+    arm 1's singles plus, in CW, arm 0's pair photons (arm 0's bulk is
+    drawn on its restricted domain) or, pulsed, arm 0's singles.  A rate of
+    a whole number of Hz needs no k above 0; one with a fractional part can
+    need an epoch far longer than the run, which then holds all of it.  k
+    stops at 1023, the largest a float holds.
+    """
+    obs = rates["observables"]
+    pump = setup.pump
+    generated = obs.singles1 + (rates["both"] if pump.mode == "cw" else obs.singles0)
+    k = math.floor(math.log2(_EVENTS_PER_EPOCH / max(generated, 1.0)))
+    if pump.mode == "pulsed":
+        # With B = num / den, den a power of two, 2^k B is a whole number
+        # once k >= log2(den) - (trailing zero bits of num).
+        num, den = float(pump.rep_rate_hz).as_integer_ratio()
+        k = max(k, den.bit_length() - (num & -num).bit_length())
+    return math.ldexp(1.0, min(k, 1023))
+
+
+def _category_times(rate_hz, pump, span_s, rng) -> np.ndarray:
     if rate_hz < 0.0:
         raise ConfigError(f"negative component rate {rate_hz}")
     if pump.mode == "pulsed":
         in_pulse = rate_hz / pump.duty_cycle
-        return _pulsed_times(in_pulse, pump.tau_s, pump.rep_rate_hz, t0, t1, rng)
-    return _poisson_times(rate_hz, t0, t1, rng)
+        return _pulsed_times(in_pulse, pump.tau_s, pump.rep_rate_hz, span_s, rng)
+    return _poisson_times(rate_hz, span_s, rng)
 
 
 def _jittered(times, fwhm_s, rng) -> np.ndarray:
@@ -605,8 +653,8 @@ def _cw_bulk_rate(rates, arm) -> float:
     return rates[f"only{arm}"] + rates[f"noise{arm}"] + rates[f"dark{arm}"]
 
 
-def _uncorrelated_arm_times(setup, rates, arm, t0, t1, children) -> np.ndarray:
-    """Sorted timestamps of all non-pair events of one arm in [t0, t1).
+def _uncorrelated_arm_times(setup, rates, arm, span_s, children) -> np.ndarray:
+    """Sorted timestamps of all non-pair events of one arm in [0, span_s).
 
     CW: a single Poisson bulk (``_cw_bulk_rate``); Gaussian timing jitter
     displaces a homogeneous process into an identically distributed one and
@@ -617,13 +665,13 @@ def _uncorrelated_arm_times(setup, rates, arm, t0, t1, children) -> np.ndarray:
     ch = setup.idler if arm == 0 else setup.signal
     if pump.mode == "cw":
         rng = _generator(children[f"bulk{arm}"])
-        return _poisson_times(_cw_bulk_rate(rates, arm), t0, t1, rng)
+        return _poisson_times(_cw_bulk_rate(rates, arm), span_s, rng)
     parts = [
-        _category_times(rates[f"only{arm}"], pump, t0, t1,
+        _category_times(rates[f"only{arm}"], pump, span_s,
                         _generator(children[f"only{arm}"])),
-        _category_times(rates[f"noise{arm}"], pump, t0, t1,
+        _category_times(rates[f"noise{arm}"], pump, span_s,
                         _generator(children[f"noise{arm}"])),
-        _poisson_times(rates[f"dark{arm}"], t0, t1,
+        _poisson_times(rates[f"dark{arm}"], span_s,
                        _generator(children[f"dark{arm}"])),
     ]
     merged = np.concatenate(parts)
@@ -632,18 +680,21 @@ def _uncorrelated_arm_times(setup, rates, arm, t0, t1, children) -> np.ndarray:
     return merged
 
 
-def _arm_chunk(setup, rates, t0, t1, duration, children, stop_delay_s):
-    """Raw (arm0, arm1) timestamp arrays for emissions in [t0, t1).
+def _epoch_arms(setup, rates, children, e, epoch_s, duration_s, stop_delay_s):
+    """Raw (arm0, arm1) timestamps of epoch e, relative to its start t0 =
+    e ``epoch_s``: the emissions in [0, min(epoch_s, duration_s - t0)).
 
     In CW, arm 0 holds only its pair photons: the caller draws arm 0's
     bulk (``_cw_bulk_rate``) with ``children["bulk0"]`` on the start times
-    it needs.  Events may leave the interval after jitter or the stop-arm
-    delay; they are clipped to [0, duration) only, so adjacent chunks tile
-    the full run exactly.
+    it needs.  Events may leave the epoch after jitter or the stop-arm
+    delay; they are clipped to the run, [-t0, duration_s - t0) in epoch
+    time, only, so adjacent epochs tile the full run exactly.
     """
     pump = setup.pump
+    t0 = e * epoch_s
+    span = min(epoch_s, duration_s - t0)
 
-    pair_times = _category_times(rates["both"], pump, t0, t1, _generator(children["both"]))
+    pair_times = _category_times(rates["both"], pump, span, _generator(children["both"]))
 
     out = []
     for arm, ch in ((0, setup.idler), (1, setup.signal)):
@@ -656,22 +707,18 @@ def _arm_chunk(setup, rates, t0, t1, duration, children, stop_delay_s):
             a = pairs
         else:
             a = _merge_sorted(
-                _uncorrelated_arm_times(setup, rates, arm, t0, t1, children), pairs)
-        if arm == 1 and stop_delay_s != 0.0 and a.size:
-            a = a + stop_delay_s
-        lo = int(np.searchsorted(a, 0.0, side="left"))
-        hi = int(np.searchsorted(a, duration, side="left"))
+                _uncorrelated_arm_times(setup, rates, arm, span, children), pairs)
+        if arm == 1 and stop_delay_s != 0.0:
+            a += stop_delay_s  # a is this epoch's own array
+        lo = int(np.searchsorted(a, -t0, side="left"))
+        hi = int(np.searchsorted(a, duration_s - t0, side="left"))
         out.append(a[lo:hi])
     return out[0], out[1]
 
 
-def _chunk_children(seed_seq) -> dict:
-    return dict(zip(_CATEGORIES, seed_seq.spawn(len(_CATEGORIES))))
-
-
 @dataclass
 class TiaRunResult:
-    """Chunked virtual TIA run: histogram plus raw singles counters."""
+    """Virtual TIA run: histogram plus raw singles counters."""
 
     histogram: HistogramResult
     n_starts: int
@@ -687,42 +734,19 @@ class TiaRunResult:
         return self.n_stops / self.duration
 
 
-# Start-arm singles per time chunk: sets the chunk length, and so the
-# per-chunk seeds (``SeedSequence.spawn``) and the memory a chunk takes.
-_START_SINGLES_PER_CHUNK = 2.0e7
+def _tia_epoch(setup, rates, tia, children, arms, slab, carry):
+    """Histogram the starts of one epoch's slab; all times are epoch time.
 
-
-def _chunk_grid(setup, singles0, duration_s):
-    """(step, count) of equal time chunks; the last one may be shorter.
-
-    A chunk spans about ``_START_SINGLES_PER_CHUNK`` start-arm singles.
-    Pulsed chunks are whole numbers of pulse periods.
-    """
-    arm0_rate = max(singles0, 1.0)
-    chunk = min(duration_s, max(_START_SINGLES_PER_CHUNK / arm0_rate, 1e-3))
-    if chunk <= 0.0:
-        return duration_s, 1
-    count = math.ceil(duration_s / chunk)
-    step = duration_s / count
-    if setup.pump.mode == "pulsed" and count > 1:
-        # Align chunk boundaries to the pulse grid.
-        rep = setup.pump.rep_rate_hz
-        step = math.ceil(step * rep) / rep
-        count = math.ceil(duration_s / step)
-    return step, count
-
-
-def _tia_chunk(setup, rates, tia, t0, t1, duration_s, seed, slab, carry):
-    """Generate one time chunk and histogram the starts of its slab.
-
-    ``slab`` = (s_lo, s_hi) is the start-time interval whose stops are all
-    known once the chunk is generated.  ``carry`` = (starts, stops) holds
-    the explicit starts at or after s_lo and the stops a later slab can
-    still pair with.  Returns (counts, n_starts, n_stops, carry').
+    ``arms`` = (arm0, arm1) are the epoch's generated events
+    (``_epoch_arms``) and ``carry`` = (starts, stops) the explicit starts
+    and the stops carried over from the epoch before.  ``slab`` = (s_lo,
+    s_hi) is the start-time interval whose stops are all known once the
+    epoch is generated.  Returns (counts, n_starts, n_stops, tail): ``tail``
+    holds the explicit starts at or after s_hi and the stops a later slab
+    can still pair with.
     """
     s_lo, s_hi = slab
-    children = _chunk_children(seed)
-    arm0, arm1 = _arm_chunk(setup, rates, t0, t1, duration_s, children, tia.stop_delay_s)
+    arm0, arm1 = arms
     n0, n1 = arm0.size, arm1.size
     # The carried tails are tiny (a guard interval's worth of events), so
     # merging beats a full re-sort.
@@ -741,63 +765,86 @@ def _tia_chunk(setup, rates, tia, t0, t1, duration_s, seed, slab, carry):
         n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
         counts += _bin_starts(bulk, stops, tia, seg, block)
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
-    return counts, n0, n1, (explicit[cut:].copy(), stops[keep:].copy())
+    return counts, n0, n1, (explicit[cut:], stops[keep:])
 
 
 def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
-    """Simulate a full counting run, chunked in time to bound memory.
+    """Simulate a full counting run, one epoch at a time.
 
     The histogrammer settings (policy, range, bins, stop delay) come from
     ``setup.analysis.tia``; a run with other settings takes a setup whose
     analysis is replaced.
 
-    Chunks are statistically independent intervals of the same Poisson
-    processes, each spanning about ``_START_SINGLES_PER_CHUNK`` start-arm
-    singles, and counts are additive.  After chunk k every stop below
-    t1 + stop_delay - jitter pad is final, so the starts of the slab
-    [S_{k-1}, S_k), with S_k that bound minus the range maximum, are
-    histogrammed then; later starts and the stops they need are carried.
+    Epochs (``_epoch_length``, 2^k s each, the last one possibly shorter)
+    are statistically independent intervals of the same Poisson processes,
+    drawn from streams keyed on (seed, epoch index) in times relative to the
+    epoch start, and counts are additive.  After epoch e every stop below
+    its end + stop_delay - jitter pad is final, so the starts of the slab
+    [S_{e-1}, S_e), with S_e that bound minus the range maximum, are
+    histogrammed then; later starts and the stops they need are carried
+    into epoch e + 1, shifted by the epoch length (exact: they lie within
+    a factor of two of it).  With more than one worker thread, epoch e + 1
+    is generated on a thread of its own while epoch e is histogrammed;
+    either way the events of at most two epochs are held at once.
 
     CW uses restricted-domain sampling: the start arm's bulk (one-arm pair
     leftovers, noise and darks) is a homogeneous Poisson process, so it is
     drawn only on the start times that can reach the histogram given the
     stops (``_start_domain``), about 0.3 % of the run at the shipped range;
     the rest of it is one Poisson count added to ``n_starts``.  Every start
-    histogrammed, explicit or drawn, goes through ``_bin_starts``, which
-    gives it the delays of ``_pair_delays``.  Deterministic for a fixed
-    seed and config: the batches of ``_bin_starts`` and the segment search
-    of ``_restricted_poisson`` run on one worker thread per usable CPU, and
-    the output does not depend on how many there are.
+    histogrammed, explicit or drawn, goes through ``_bin_starts``.
+    Deterministic for a fixed seed and config: the batches of
+    ``_bin_starts`` and the segment search of ``_restricted_poisson`` run on
+    one worker thread per usable CPU, and the output depends neither on how
+    many there are nor on whether the next epoch is generated ahead.
     """
     tia = setup.analysis.tia
     if not math.isfinite(duration_s) or duration_s < 0.0:
         raise ConfigError(f"duration must be finite and non-negative, got {duration_s}")
 
     rates = component_rates(setup)
-    step, n_chunks = _chunk_grid(setup, rates["observables"].singles0, duration_s)
+    epoch_s = _epoch_length(setup, rates)
+    n_epochs = max(1, math.ceil(duration_s / epoch_s))
     jitter_pad = 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
-    # Stops of later chunks lie at or above t1 + stop_delay - jitter_pad;
-    # a start below that minus the range maximum cannot reach them.
+    # Stops of later epochs lie at or above the epoch end + stop_delay -
+    # jitter_pad; a start below that minus the range maximum cannot reach them.
     lag = tia.stop_delay_s - jitter_pad - tia.range_s[1] - 1e-9
+    entropy = np.random.SeedSequence(rng_seed).entropy
 
-    seed_seq = np.random.SeedSequence(rng_seed)
+    # A thread of its own: a generating epoch holds up no batch of ``_on_pool``.
+    ahead = _pool(1, "epoch") if _WORKERS > 1 else None
+
+    def generate(e):
+        children = _epoch_children(entropy, e)
+        return children, _epoch_arms(setup, rates, children, e, epoch_s, duration_s,
+                                     tia.stop_delay_s)
+
+    def fetch(e):
+        """A callable returning epoch e: started now on ``ahead``, or inline."""
+        if ahead is None:
+            return functools.partial(generate, e)
+        return ahead.submit(generate, e).result
+
     counts = np.zeros(tia.n_bins, dtype=np.int64)
     carry = (np.empty(0), np.empty(0))
     n0 = 0
     n1 = 0
     s_lo = 0.0
-    for k in range(n_chunks):
-        t0 = k * step
-        last = k == n_chunks - 1
-        t1 = duration_s if last else (k + 1) * step
-        s_hi = duration_s if last else min(max(t1 + lag, s_lo), duration_s)
-        c, dn0, dn1, carry = _tia_chunk(
-            setup, rates, tia, t0, t1, duration_s, seed_seq.spawn(1)[0],
-            (s_lo, s_hi), carry)
+    ready = fetch(0)
+    for e in range(n_epochs):
+        children, arms = ready()
+        if e + 1 < n_epochs:
+            ready = fetch(e + 1)
+        end = duration_s - e * epoch_s  # the run's end in epoch time
+        s_hi = end if e + 1 == n_epochs else min(max(epoch_s + lag, s_lo), end)
+        c, dn0, dn1, (starts, stops) = _tia_epoch(setup, rates, tia, children, arms,
+                                                  (s_lo, s_hi), carry)
+        carry = (starts - epoch_s, stops - epoch_s)
+        del arms, starts, stops  # views of this epoch's arrays
         counts += c
         n0 += dn0
         n1 += dn1
-        s_lo = s_hi
+        s_lo = s_hi - epoch_s
 
     hist = HistogramResult(
         bin_edges=tia.bin_edges,

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per grading criterion, stated tolerances only.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see one PASS line per
-criterion.  The two simulation criteria are the slow ones (several seconds
-and about half a minute respectively); everything else is instant.
+criterion.  The two simulation criteria are the slow ones (about two and
+five seconds respectively); everything else is instant.
 """
 
 import copy

@@ -454,6 +454,23 @@ class TestCli:
         assert err == f"configuration error: waveguide.{key}: must be positive, got {value!r}\n"
         assert not (tmp_path / "out" / "rates.csv").exists()
 
+    @pytest.mark.parametrize("n2, a_eff_um2", [(1e-320, 1e300), (1e300, 1e-300)])
+    def test_n2_route_gamma_out_of_range_names_keys(self, tmp_path, capsys, clean_raw,
+                                                    n2, a_eff_um2):
+        # Each value is positive, but gamma = 2 pi n2 / (lambda A_eff) underflows
+        # to 0 or overflows to inf.
+        waveguide = clean_raw["waveguide"]
+        del waveguide["gamma_per_w_m"]
+        waveguide.update(n2_m2_per_w=n2, a_eff_um2=a_eff_um2)
+        path = tmp_path / "n2.json"
+        path.write_text(json.dumps(clean_raw))
+        code = main(["rates", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: waveguide.n2_m2_per_w, "
+                              "waveguide.a_eff_um2: must give a positive finite gamma")
+        assert not (tmp_path / "out" / "rates.csv").exists()
+
     def test_cw_design_json_is_strict(self, tmp_path):
         # A CW pump has no pairs per pulse.
         code = main(["optimize", "--config", "paper-defaults", "--out", str(tmp_path),

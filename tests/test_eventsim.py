@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import threading
@@ -9,24 +10,27 @@ from scipy import stats
 
 import sfwmlab
 import sfwmlab.eventsim as eventsim
-from sfwmlab.config import load_config
+from sfwmlab.config import load_config, set_path
 from sfwmlab.errors import ConfigError
 from sfwmlab.eventsim import (
     HistogramResult,
     TiaConfig,
-    _arm_chunk,
     _bin_counts,
     _bin_starts,
-    _chunk_children,
     _cw_bulk_rate,
+    _epoch_arms,
+    _epoch_children,
+    _epoch_length,
     _expand_stop_ranges,
     _generator,
     _jittered,
-    _pair_delays,
+    _match_window,
     _poisson_times,
     _pulsed_times,
     _restricted_poisson,
+    _search_ranges,
     _start_domain,
+    _tia_epoch,
     analyze_histogram,
     component_rates,
     run_tia,
@@ -36,7 +40,16 @@ from conftest import make_noise_free, with_analysis
 
 
 def _poisson(rate_hz, duration_s, seed):
-    return _poisson_times(rate_hz, 0.0, duration_s, _generator(seed))
+    return _poisson_times(rate_hz, duration_s, _generator(seed))
+
+
+def _pair_delays(starts, stops, cfg):
+    """Delays (stop - start) selected by the TIA policy, limited to delays
+    below the histogram range maximum: every start searched in the whole
+    stop array, the reference ``_bin_starts`` must reproduce."""
+    window, single = _match_window(cfg)
+    i0, i1 = _search_ranges(starts, stops, window, single)
+    return _expand_stop_ranges(starts, stops, i0, i1, window)
 
 
 def _histogram(starts, stops, cfg):
@@ -45,14 +58,18 @@ def _histogram(starts, stops, cfg):
     return counts
 
 
+def _arms(setup, duration_s, seed):
+    """(seeds, (arm0, arm1)) of a run generated as one epoch of ``duration_s``."""
+    children = _epoch_children(seed, 0)
+    return children, _epoch_arms(setup, component_rates(setup), children, 0, duration_s,
+                                 duration_s, setup.analysis.tia.stop_delay_s)
+
+
 def _full_streams(setup, duration_s, seed):
-    """All starts and stops of a CW run in one chunk: ``_arm_chunk`` plus
+    """All starts and stops of a CW run in one epoch: ``_epoch_arms`` plus
     the start arm's bulk drawn over the whole run."""
-    rates = component_rates(setup)
-    children = _chunk_children(np.random.SeedSequence(seed))
-    arm0, arm1 = _arm_chunk(setup, rates, 0.0, duration_s, duration_s, children,
-                            setup.analysis.tia.stop_delay_s)
-    bulk0 = _poisson_times(_cw_bulk_rate(rates, 0), 0.0, duration_s,
+    children, (arm0, arm1) = _arms(setup, duration_s, seed)
+    bulk0 = _poisson_times(_cw_bulk_rate(component_rates(setup), 0), duration_s,
                            _generator(children["bulk0"]))
     return np.sort(np.concatenate([arm0, bulk0])), arm1
 
@@ -79,8 +96,7 @@ class TestPoissonStream:
 
 
 def _pulsed(in_pulse_rate_hz, tau_s, rep_rate_hz, duration_s, seed):
-    return _pulsed_times(in_pulse_rate_hz, tau_s, rep_rate_hz, 0.0, duration_s,
-                         _generator(seed))
+    return _pulsed_times(in_pulse_rate_hz, tau_s, rep_rate_hz, duration_s, _generator(seed))
 
 
 class TestPulsedStream:
@@ -115,7 +131,7 @@ class TestDetect:
 
     def test_binomial_thinning(self, paper_cfg):
         # Each photon of a pair survives its arm independently: C r = P0 P1,
-        # and the arm-0 pair photons of a chunk are a binomial share of the
+        # and the arm-0 pair photons of an epoch are a binomial share of the
         # pair photons of arm 1 (noise-free, so arm 1 holds only those).
         setup = load_config(make_noise_free(paper_cfg.raw)).setup
         rates = component_rates(setup)
@@ -123,8 +139,7 @@ class TestDetect:
         p0 = obs.singles_parts["N0"]["pairs"]
         p1 = obs.singles_parts["N1"]["pairs"]
         assert rates["both"] * obs.pair_rate == pytest.approx(p0 * p1, rel=1e-12)
-        children = _chunk_children(np.random.SeedSequence(14))
-        arm0, arm1 = _arm_chunk(setup, rates, 0.0, 5.0, 5.0, children, 11.1e-9)
+        _, (arm0, arm1) = _arms(setup, 5.0, 14)
         share = rates["both"] / p1
         n = arm1.size
         assert abs(n - p1 * 5.0) < 5 * math.sqrt(p1 * 5.0)
@@ -155,7 +170,7 @@ class TestDetect:
             load_config(clean_raw)
 
 
-class TestArmChunk:
+class TestEpochArms:
     def test_lossless_streams_pair_exactly(self, paper_cfg):
         raw = make_noise_free(paper_cfg.raw)
         raw["waveguide"]["eta_alpha"] = 1.0
@@ -166,10 +181,7 @@ class TestArmChunk:
             ch["filter_loss_db"] = 0.0
             ch["detector_qe"] = 1.0
             ch["jitter_fwhm_ps"] = 0.0
-        setup = load_config(raw).setup
-        children = _chunk_children(np.random.SeedSequence(123))
-        starts, stops = _arm_chunk(setup, component_rates(setup), 0.0, 0.5, 0.5,
-                                   children, 11.1e-9)
+        _, (starts, stops) = _arms(load_config(raw).setup, 0.5, 123)
         assert starts.size == stops.size > 100
         assert np.allclose(stops - starts, 11.1e-9, atol=1e-15)
 
@@ -288,8 +300,8 @@ class TestRunTia:
         assert a.n_starts == b.n_starts
 
     def test_chunked_run_counts_match_rates(self, paper_cfg, monkeypatch):
-        # Force several chunks and verify the summed counts still match.
-        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 5e5)
+        # Force 16 epochs of 1/16 s and verify the summed counts still match.
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**17)
         setup = paper_cfg.setup
         obs = setup.predict()
         duration = 1.0
@@ -304,26 +316,129 @@ class TestRunTia:
         with pytest.raises(ConfigError, match="duration"):
             run_tia(paper_cfg.setup, duration, 1)
 
-    def test_chunks_have_equal_length(self, paper_cfg, monkeypatch):
-        spans = []
-        arm_chunk = eventsim._arm_chunk
+    def test_epochs_have_equal_length(self, paper_cfg, monkeypatch):
+        epochs = []
+        epoch_arms = eventsim._epoch_arms
 
-        def record(setup, rates, t0, t1, *args):
-            spans.append(t1 - t0)
-            return arm_chunk(setup, rates, t0, t1, *args)
+        def record(setup, rates, children, e, epoch_s, duration_s, *args):
+            epochs.append((e, epoch_s, duration_s))
+            return epoch_arms(setup, rates, children, e, epoch_s, duration_s, *args)
 
-        monkeypatch.setattr(eventsim, "_arm_chunk", record)
-        # 3.45e6 starts/s and 4e5 starts per chunk: 0.116 s nominal, so a
-        # 0.3 s run takes three chunks of 0.1 s.
-        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 4e5)
+        monkeypatch.setattr(eventsim, "_epoch_arms", record)
+        # 1.34e6 generated events/s and 2^17 per epoch: 0.098 s at most, so
+        # epochs of 2^-4 s, and a 0.3 s run takes four and a shorter fifth.
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**17)
         run_tia(paper_cfg.setup, 0.3, 1)
-        assert spans == pytest.approx([0.1, 0.1, 0.1])
+        assert epochs == [(e, 0.0625, 0.3) for e in range(5)]
 
     def test_zero_duration_gives_empty(self, paper_cfg):
         result = run_tia(paper_cfg.setup, 0.0, 1)
         assert result.histogram.total_counts == 0
         analysis = analyze_histogram(result.histogram, peak_window_s=800e-12)
         assert "empty" in analysis.flags
+
+
+class TestEpochs:
+    """The stream definition: epochs of 2^k s keyed on (seed, epoch), in
+    times relative to the epoch start."""
+
+    def test_shipped_epoch_lengths(self, paper_cfg, engineered_cfg):
+        # About 2^20 generated events: 1.34e6 stops/s, 2722 singles/s.
+        for cfg, expected in ((paper_cfg, 0.5), (engineered_cfg, 256.0)):
+            assert _epoch_length(cfg.setup, component_rates(cfg.setup)) == expected
+
+    @pytest.mark.parametrize("rep_rate_hz", [1e8, 76.3e6, 123456.7])
+    def test_pulsed_epoch_is_whole_pulse_periods(self, engineered_cfg, rep_rate_hz):
+        setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", rep_rate_hz)
+        epoch_s = _epoch_length(setup, component_rates(setup))
+        assert math.frexp(epoch_s)[0] == 0.5  # a power of two
+        assert epoch_s >= 256.0
+        assert (epoch_s * rep_rate_hz).is_integer()
+
+    def test_vanishing_rep_rate_gives_one_finite_epoch(self, engineered_cfg):
+        # 2^k B is a whole number only for k > 1023: the epoch stops there.
+        setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", 1e-294)
+        assert _epoch_length(setup, component_rates(setup)) == 2.0**1023
+        result = run_tia(setup, 10.0, 1)
+        assert result.n_starts > 0 and result.histogram.total_counts == 0
+
+    def test_pulsed_epoch_edges_lie_on_the_pulse_grid(self, engineered_cfg, monkeypatch):
+        # 76.3 MHz and 2^4 events per epoch: the rate alone would give 2^-8 s,
+        # 0.21875 of a pulse period short of a whole number of them.
+        raw = copy.deepcopy(engineered_cfg.raw)
+        raw["pump"]["rep_rate_mhz"] = 76.3
+        for ch in raw["channels"].values():
+            ch["dark_rate_per_s"] = 0.0
+            ch["jitter_fwhm_ps"] = 0.0
+        setup = load_config(raw).setup
+        pump = setup.pump
+        rates = component_rates(setup)
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**4)
+        epoch_s = _epoch_length(setup, rates)
+        assert epoch_s == 2.0**-5
+        times = []
+        for e in range(1, 40):
+            arms = _epoch_arms(setup, rates, _epoch_children(3, e), e, epoch_s, 1.0, 0.0)
+            times.append(e * epoch_s + np.concatenate(arms))
+        times = np.concatenate(times)
+        assert times.size > 50
+        # Time since the latest pulse k/B of the run's grid, in periods.
+        phase = np.mod(times * pump.rep_rate_hz + 0.5, 1.0) - 0.5
+        assert np.all(phase > -1e-6)
+        assert np.all(phase < pump.tau_s * pump.rep_rate_hz * (1 + 1e-6))
+
+    def test_epochs_do_not_depend_on_duration(self, paper_cfg, monkeypatch):
+        # Epochs of 2^-7 s; runs of three and of five share epochs 0 and 1.
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**14)
+        epoch_arms = eventsim._epoch_arms
+        restricted_poisson = eventsim._restricted_poisson
+        runs = []
+        for duration in (2.5 * 2.0**-7, 4.5 * 2.0**-7):
+            arms, bulk = [], []
+
+            def record_arms(*args):
+                arms.append(epoch_arms(*args))
+                return arms[-1]
+
+            def record_bulk(*args):
+                bulk.append(restricted_poisson(*args))
+                return bulk[-1]
+
+            with monkeypatch.context() as m:
+                m.setattr(eventsim, "_epoch_arms", record_arms)
+                m.setattr(eventsim, "_restricted_poisson", record_bulk)
+                run_tia(paper_cfg.setup, duration, 9)
+            runs.append((arms, bulk))
+        (arms3, bulk3), (arms5, bulk5) = runs
+        assert (len(arms3), len(arms5)) == (3, 5)
+        for e in (0, 1):
+            # Arm 0's and arm 1's events, the drawn starts and their segments.
+            assert arms3[e][1].size > 1000 and bulk3[e][0].size > 50
+            for a, b in zip(arms3[e] + bulk3[e][:2], arms5[e] + bulk5[e][:2]):
+                assert np.array_equal(a, b)
+        assert not np.array_equal(arms3[2][1], arms5[2][1])  # 3's last is short
+
+    def test_late_epoch_bins_like_epoch_zero(self, paper_cfg):
+        # Epoch 2^17 of 0.5 s begins 18.2 h into the run, where absolute float
+        # times are 7.3 ps apart.  Under epoch 0's key it gives epoch 0's
+        # events, entries and carry, bit for bit.
+        setup = paper_cfg.setup
+        tia = setup.analysis.tia
+        rates = component_rates(setup)
+        epoch_s = _epoch_length(setup, rates)
+        children = _epoch_children(5, 0)
+        empty = (np.empty(0), np.empty(0))
+        results = []
+        for e in (0, 2**17):
+            arms = _epoch_arms(setup, rates, children, e, epoch_s, (e + 1) * epoch_s,
+                               tia.stop_delay_s)
+            results.append(_tia_epoch(setup, rates, tia, children, arms,
+                                      (0.0, epoch_s), empty))
+        (counts0, n00, n10, tail0), (counts1, n01, n11, tail1) = results
+        assert counts0.sum() > 1000
+        assert np.array_equal(counts0, counts1)
+        assert (n00, n10) == (n01, n11)
+        assert all(np.array_equal(a, b) for a, b in zip(tail0, tail1))
 
 
 def _segments(stops, policy, rng, t_lo, t_hi, stop_delay=2.0):
@@ -391,7 +506,7 @@ class TestRestrictedPoisson:
     def test_single_segment_is_the_plain_process(self):
         a, seg, covered = _restricted_poisson(
             1e4, np.array([0.0]), np.array([2.0]), np.random.default_rng(5))
-        b = _poisson_times(1e4, 0.0, 2.0, np.random.default_rng(5))
+        b = _poisson_times(1e4, 2.0, np.random.default_rng(5))
         assert covered == 2.0
         assert np.array_equal(a, b)
         assert np.array_equal(seg, np.zeros(a.size))
@@ -600,7 +715,7 @@ class TestBinCounts:
 
 class TestRunTiaStatistics:
     """Restricted-domain CW runs against the analytic model, over many
-    chunk edges (chunks of 0.14 s) and fixed seeds."""
+    epoch edges (40 epochs of 1/16 s per run) and fixed seeds."""
 
     SEEDS = (1, 2, 3, 4, 5, 6)
     DURATION = 2.5
@@ -615,7 +730,8 @@ class TestRunTiaStatistics:
         return [run_tia(setup, self.DURATION, seed) for seed in self.SEEDS]
 
     def _check(self, setup, policy, monkeypatch):
-        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 5e5)
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**17)
+        assert _epoch_length(setup, component_rates(setup)) == self.DURATION / 40
         obs = setup.predict()
         runs = self._runs(setup, policy)
         t_total = self.DURATION * len(runs)
@@ -670,9 +786,11 @@ WORKER_COUNTS = (1, 2, 3)
 
 class TestRunTiaPool:
     """``_bin_starts`` batches and the segment search of
-    ``_restricted_poisson`` run on a thread pool of ``_WORKERS`` threads;
-    integer counts add in any order, so runs are bit-identical for every
-    pool size."""
+    ``_restricted_poisson`` run on a thread pool of ``_WORKERS`` threads,
+    and with more than one worker the next epoch is generated on a thread
+    of its own; integer counts add in any order and every epoch's streams
+    are keyed on (seed, epoch), so runs are bit-identical for every pool
+    size and with or without generating ahead."""
 
     @pytest.fixture(autouse=True)
     def _fast_thread_switching(self):
@@ -687,21 +805,33 @@ class TestRunTiaPool:
     @staticmethod
     def _runs(setup, duration_s, monkeypatch):
         results = []
+        epoch_arms = eventsim._epoch_arms
         for workers in WORKER_COUNTS:
+            generators = set()
+
+            def record(*args):
+                generators.add(threading.current_thread().name.split("_")[0])
+                return epoch_arms(*args)
+
             with monkeypatch.context() as m:
                 m.setattr(eventsim, "_WORKERS", workers)
-                # Many batches per worker, and several chunks.
+                m.setattr(eventsim, "_epoch_arms", record)
+                # Many batches per worker, and several epochs.
                 m.setattr(eventsim, "_BLOCK_BATCH", 1000)
-                m.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 1e5)
+                m.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**16)
                 results.append(run_tia(setup, duration_s, 5))
+            # One worker generates inline, more generate ahead.
+            assert generators == {"MainThread" if workers == 1 else "sfwmlab-epoch"}
         return results
 
     @pytest.mark.parametrize("case", ["first-stop", "multi-stop", "pulsed"])
     def test_output_does_not_depend_on_worker_count(self, paper_cfg, engineered_cfg,
                                                     monkeypatch, case):
         if case == "pulsed":
+            # Epochs of 16 s.
             setup, duration_s = engineered_cfg.setup, 300.0
         else:
+            # Epochs of 1/32 s.
             tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=case,
                             stop_delay_s=11.1e-9)
             setup, duration_s = with_analysis(paper_cfg.setup, tia=tia), 0.05
@@ -723,18 +853,34 @@ class TestRunTiaPool:
                                                           reference.n_stops)
             assert result.histogram.metadata == reference.histogram.metadata
 
-    def test_worker_exception_reaches_the_caller(self, paper_cfg, monkeypatch):
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
         threads = []
 
         def broken(*args):
             threads.append(threading.current_thread())
-            raise RuntimeError("expansion failed")
+            raise RuntimeError("binning failed")
 
-        monkeypatch.setattr(eventsim, "_expand_stop_ranges", broken)
+        monkeypatch.setattr(eventsim, "_bin_counts", broken)
         monkeypatch.setattr(eventsim, "_WORKERS", 2)
-        with pytest.raises(RuntimeError, match="expansion failed"):
-            run_tia(paper_cfg.setup, 0.01, 1)
+        monkeypatch.setattr(eventsim, "_BLOCK_BATCH", 100)
+        starts = np.arange(1000.0)
+        cfg = TiaConfig(bin_width_s=0.1, range_s=(0.0, 1.0), stop_delay_s=0.5)
+        with pytest.raises(RuntimeError, match="binning failed"):
+            _bin_starts(starts, starts + 0.5, cfg)
         assert threads and threading.main_thread() not in threads
+
+    def test_generation_exception_reaches_the_caller(self, paper_cfg, monkeypatch):
+        threads = []
+
+        def broken(*args):
+            threads.append(threading.current_thread().name)
+            raise RuntimeError("generation failed")
+
+        monkeypatch.setattr(eventsim, "_epoch_arms", broken)
+        monkeypatch.setattr(eventsim, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match="generation failed"):
+            run_tia(paper_cfg.setup, 0.01, 1)
+        assert len(threads) == 1 and threads[0].startswith("sfwmlab-epoch")
 
 
 class TestRunTiaBlockPath:
@@ -747,7 +893,8 @@ class TestRunTiaBlockPath:
     def _run(setup, policy, monkeypatch, seed=8):
         tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=policy,
                         stop_delay_s=11.1e-9)
-        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 1e4)
+        # Epochs of 2^-8 s: two of them.
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**13)
         return run_tia(with_analysis(setup, tia=tia), 0.005, seed)
 
     @pytest.mark.parametrize("batch", [1, 7, 10**9])
@@ -773,7 +920,7 @@ class TestRunTiaBlockPath:
                 assert np.array_equal(result.histogram.counts, reference.histogram.counts)
                 assert (result.n_starts, result.n_stops) == (reference.n_starts,
                                                               reference.n_stops)
-            # Every run has two chunks, explicit and bulk starts in each.
+            # Every run has two epochs, explicit and bulk starts in each.
             assert len(calls) == 4 * (1 + len(WORKER_COUNTS))
             assert all(calls[i:i + 4] == calls[:4] for i in range(4, len(calls), 4))
             bulk = [c for c in calls[:4] if c[1]]
@@ -787,7 +934,7 @@ class TestRunTiaBlockPath:
                 assert n_searched < 0.01 * n_starts
 
     def test_matches_searching_every_start(self, paper_cfg, monkeypatch):
-        # The reference bins ``_pair_delays`` of all of a chunk's starts at once.
+        # The reference bins ``_pair_delays`` of all of an epoch's starts at once.
         def search_all(starts, stops, cfg, seg=None, block=None):
             return np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)[0]
 
@@ -802,17 +949,20 @@ class TestRunTiaBlockPath:
 
 
 class TestRunTiaChunking:
-    """Chunked, restricted-domain runs against one pass over the same events.
+    """Epoch-by-epoch, restricted-domain runs against one pass over the same
+    events.
 
-    ``_arm_chunk`` and ``_restricted_poisson`` are replaced by views of
-    fixed event sets: pair photons and stop-arm noise selected by emission
-    time, and a start-arm bulk selected by the requested domain.  The
-    histogram must then equal one pass over all events exactly:
-    no start is lost or counted twice at a chunk edge, and every start
-    outside the domain is one that cannot reach the histogram.
+    ``_epoch_arms`` and ``_restricted_poisson`` are replaced by views of
+    fixed event sets, shifted into each epoch's time: pair photons and
+    stop-arm noise selected by emission time, and a start-arm bulk selected
+    by the requested domain.  The histogram must then equal one pass over
+    all events exactly: no start is lost or counted twice at an epoch edge,
+    and every start outside the domain is one that cannot reach the
+    histogram.  Shifting by a whole epoch is exact, so the delays are those
+    of the single pass.
     """
 
-    DURATION = 0.05  # 50 chunks of the 1 ms minimum
+    DURATION = 0.05  # 52 epochs of 2^-10 s
 
     @pytest.fixture()
     def events(self, monkeypatch):
@@ -824,27 +974,36 @@ class TestRunTiaChunking:
         stop_emit = np.concatenate([emit, np.sort(gen.random(5000)) * n])
         stop_jitter = np.concatenate([gen.normal(0.0, 30e-12, emit.size),
                                       np.zeros(stop_emit.size - emit.size)])
+        epoch_starts = []
+        domains = []
 
         def clip(t):
             t = np.sort(t)
             return t[(t >= 0.0) & (t < n)]
 
-        def arm_chunk(setup, rates, t0, t1, duration, children, stop_delay_s):
-            pairs = (emit >= t0) & (emit < t1)
-            noise = (stop_emit >= t0) & (stop_emit < t1)
-            return (clip(emit[pairs] + start_jitter[pairs]),
-                    clip(stop_emit[noise] + stop_jitter[noise] + stop_delay_s))
+        def epoch_arms(setup, rates, children, e, epoch_s, duration_s, stop_delay_s):
+            t0 = e * epoch_s
+            epoch_starts.append(t0)
+            pairs = (emit >= t0) & (emit < t0 + epoch_s)
+            noise = (stop_emit >= t0) & (stop_emit < t0 + epoch_s)
+            return (clip(emit[pairs] + start_jitter[pairs]) - t0,
+                    clip(stop_emit[noise] + stop_jitter[noise] + stop_delay_s) - t0)
 
         def restricted(rate_hz, seg_lo, seg_hi, rng):
+            # One domain per CW epoch, in epoch order.
+            t0 = epoch_starts[len(domains)]
+            domains.append(seg_lo.size)
             if seg_lo.size == 0:
                 return np.empty(0), np.empty(0, dtype=np.intp), 0.0
-            k = np.searchsorted(seg_lo, bulk0, side="right") - 1
-            inside = (k >= 0) & (bulk0 <= seg_hi[np.maximum(k, 0)])
-            return bulk0[inside], k[inside], float(np.sum(seg_hi - seg_lo))
+            starts = bulk0 - t0
+            k = np.searchsorted(seg_lo, starts, side="right") - 1
+            inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
+            return starts[inside], k[inside], float(np.sum(seg_hi - seg_lo))
 
-        monkeypatch.setattr(eventsim, "_arm_chunk", arm_chunk)
+        monkeypatch.setattr(eventsim, "_epoch_arms", epoch_arms)
         monkeypatch.setattr(eventsim, "_restricted_poisson", restricted)
-        monkeypatch.setattr(eventsim, "_START_SINGLES_PER_CHUNK", 1.0)
+        # 1.34e6 generated events/s: epochs of 2^-10 s.
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**11)
         starts = clip(np.concatenate([emit + start_jitter, bulk0]))
         return starts, lambda delay: clip(stop_emit + stop_jitter + delay)
 

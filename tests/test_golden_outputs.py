@@ -62,3 +62,14 @@ def test_output_bytes_are_pinned(tmp_path, command):
     assert main(argv + ["--config", "paper-defaults", "--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests
+
+
+def test_cw_optimize_console_line_has_no_pairs_per_pulse(tmp_path, capsys):
+    # A CW pump has no pairs per pulse: the summary leaves the clause out.
+    argv, digests = GOLDEN["optimize"]
+    assert main(argv + ["--config", "paper-defaults", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "pairs/pulse" not in out
+    assert "CAR " in out
+    written = hashlib.sha256((tmp_path / "design.json").read_bytes()).hexdigest()
+    assert written == digests["design.json"]
