@@ -23,16 +23,16 @@ start of a run through it, in batches of ``_BLOCK_BATCH`` starts; a
 multi-stop bulk start takes its range from the stop block of the domain
 segment it was drawn in, every other start from a binary search.
 
-Epochs: a run is cut into epochs of 2^k s, each holding about
-``_EVENTS_PER_EPOCH`` generated events (0.5 s at the shipped CW device, 256 s
-for the shipped pulsed design); a pulsed epoch is also a whole number of
-pulse periods.  Every random stream of epoch e is keyed on (seed, e), the
-use counter-based generators were designed for (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11), and its times are relative to
-the epoch start, so a stop at 24 h carries the precision of one at 0 s and
-the carry into the next epoch shifts by -2^k s exactly.  An epoch's events
-depend only on the configuration, the seed and e: not on the run's duration
-beyond its own end, nor on how the epochs are scheduled.
+Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
+generated events: 2^k s in CW (0.5 s at the shipped CW device), 2^k pulse
+periods pulsed (2^35 periods, 344 s, for the shipped pulsed design).  Every
+random stream of epoch e is keyed on (seed, e), the use counter-based
+generators were designed for (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), and its times are relative to the epoch start, so
+a stop at 24 h carries the precision of one at 0 s and the carry into the
+next epoch shifts by the epoch length exactly.  An epoch's events depend
+only on the configuration, the seed and e: not on the run's duration beyond
+its own end.  A run holds one epoch's events at a time.
 
 Threads: the enumerate-and-bin batches and the segment search of the
 restricted sampler run on a thread pool with one worker per CPU the process
@@ -40,9 +40,7 @@ may run on (``os.sched_getaffinity``); numpy releases the GIL in the
 draws, searches, gathers and sorts they spend their time in.  Each worker
 bins its batches into its own integer counts, and integer sums do not
 depend on order, so the output does not depend on the batch size or the
-worker count.  With more than one worker, epoch e + 1 is generated on a
-thread of its own while the calling thread bins epoch e; on one CPU it is
-generated inline, with the same result.
+worker count.
 
 Determinism: every stochastic routine takes a seed and uses a counter-based
 Philox generator; identical seeds and configurations give bit-identical
@@ -97,15 +95,12 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.insert(a, np.searchsorted(a, b), b)
 
 
-def _pulsed_times(rate_hz, tau_s, rep_rate_hz, span_s, rng) -> np.ndarray:
+def _pulsed_times(rate_hz, tau_s, rep_rate_hz, n_windows, rng) -> np.ndarray:
     """Sorted arrivals at rate ``rate_hz`` inside the pulse windows
-    [k/B, k/B + tau_s) that begin in [0, span_s)."""
+    [k/B, k/B + tau_s), k < ``n_windows``."""
     # An epoch is a whole number of pulse periods, so the window grids of
     # consecutive epochs join into the one grid k/B of the run.
-    if span_s <= 0.0 or rate_hz == 0.0:
-        return np.empty(0, dtype=np.float64)
-    n_windows = int(math.ceil(span_s * rep_rate_hz - 1e-9))
-    if n_windows <= 0:
+    if n_windows <= 0 or rate_hz == 0.0:
         return np.empty(0, dtype=np.float64)
     n = rng.poisson(rate_hz * tau_s * n_windows)
     window = rng.integers(0, n_windows, n)
@@ -338,15 +333,15 @@ _WORKERS = _usable_cpus()
 
 
 @functools.lru_cache(maxsize=None)
-def _pool(workers, name):
+def _pool(workers):
     # Imported on first use: importing it adds about 7 ms to every start of
     # the command-line tool, most of whose commands simulate nothing.
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(workers, thread_name_prefix=f"sfwmlab-{name}")
+    return ThreadPoolExecutor(workers, thread_name_prefix="sfwmlab-batch")
 
 
-# A forked child inherits the pools without their threads.
+# A forked child inherits the pool without its threads.
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
@@ -363,7 +358,7 @@ def _on_pool(task, n):
     step = _WORKERS * _BLOCK_BATCH
     if n <= _BLOCK_BATCH:
         return [task(range(0, n, step))] if n else []
-    pool = _pool(_WORKERS, "batch")
+    pool = _pool(_WORKERS)
     tasks = [pool.submit(task, range(j, n, step))
              for j in range(0, min(n, step), _BLOCK_BATCH)]
     for t in tasks:
@@ -588,10 +583,10 @@ def component_rates(setup) -> dict:
 
 # The stream definition.  Category i of epoch e in a run with seed s is
 # drawn from ``SeedSequence(s, spawn_key=(e, i))`` in the order below, and an
-# epoch is the 2^k s that holds about ``_EVENTS_PER_EPOCH`` generated events
+# epoch holds about ``_EVENTS_PER_EPOCH`` generated events
 # (``_epoch_length``); changing either changes every simulated stream for a
-# given seed.  The epoch also bounds memory: a run holds the events of at
-# most two epochs at once.
+# given seed.  The epoch also bounds memory: a run holds the events of one
+# epoch and the few carried over from the epoch before.
 _CATEGORIES = ("both", "jitter0", "jitter1", "bulk0", "bulk1",
                "only0", "only1", "noise0", "noise1", "dark0", "dark1",
                "jbulk0", "jbulk1")
@@ -604,36 +599,52 @@ def _epoch_children(entropy, e) -> dict:
             for i, name in enumerate(_CATEGORIES)}
 
 
-def _epoch_length(setup, rates) -> float:
-    """Epoch length 2^k s, a function of the configuration alone.
+def _jitter_pad(setup) -> float:
+    """How far timing jitter may move an event: 10 FWHM of both arms."""
+    return 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
 
-    k is the largest for which an epoch holds at most ``_EVENTS_PER_EPOCH``
-    generated events on average; for a pulsed pump it is raised, if need
-    be, until the epoch is a whole number of pulse periods.  Generated are
-    arm 1's singles plus, in CW, arm 0's pair photons (arm 0's bulk is
-    drawn on its restricted domain) or, pulsed, arm 0's singles.  A rate of
-    a whole number of Hz needs no k above 0; one with a fractional part can
-    need an epoch far longer than the run, which then holds all of it.  k
-    stops at 1023, the largest a float holds.
+
+def _epoch_length(setup, rates) -> tuple[float, int]:
+    """Epoch length (E, P), a function of the configuration alone.
+
+    CW: E = 2^k s and P = 0.  Pulsed: P = 2^k pulse periods and E = P/B, so
+    every epoch begins on the run's pulse grid.  k is the largest for which
+    an epoch holds at most ``_EVENTS_PER_EPOCH`` generated events on average,
+    a rate below 1 Hz counted as 1 Hz; generated are arm 1's singles plus,
+    in CW, arm 0's pair photons (arm 0's bulk is drawn on its restricted
+    domain) or, pulsed, arm 0's singles.  k is raised, if need be, until E
+    is at least twice the reach: the farthest an event carried into the
+    next epoch lies from the epoch end (the histogram range, the stop delay
+    and the jitter pad).  Carried times then lie in [E/2, 2E], where
+    subtracting E is exact (Sterbenz's lemma).
     """
     obs = rates["observables"]
     pump = setup.pump
+    tia = setup.analysis.tia
+    reach = (tia.range_s[1] - min(tia.range_s[0], 0.0) + abs(tia.stop_delay_s)
+             + _jitter_pad(setup) + 1e-9)
     generated = obs.singles1 + (rates["both"] if pump.mode == "cw" else obs.singles0)
-    k = math.floor(math.log2(_EVENTS_PER_EPOCH / max(generated, 1.0)))
-    if pump.mode == "pulsed":
-        # With B = num / den, den a power of two, 2^k B is a whole number
-        # once k >= log2(den) - (trailing zero bits of num).
-        num, den = float(pump.rep_rate_hz).as_integer_ratio()
-        k = max(k, den.bit_length() - (num & -num).bit_length())
-    return math.ldexp(1.0, min(k, 1023))
+    per_s = _EVENTS_PER_EPOCH / max(generated, 1.0)
+    if pump.mode == "cw":
+        # reach < 2^m, m = frexp(reach)[1]
+        k = max(math.floor(math.log2(per_s)), math.frexp(reach)[1] + 1)
+        return math.ldexp(1.0, k), 0
+    b = pump.rep_rate_hz
+    # reach B < 2^(m + n), n = frexp(B)[1]; rounding P/B to the nearest float
+    # cannot take it below 2 reach, a float.
+    k = max(math.floor(math.log2(per_s * b)),
+            math.frexp(reach)[1] + math.frexp(b)[1] + 1, 0)
+    return (1 << k) / b, 1 << k
 
 
-def _category_times(rate_hz, pump, span_s, rng) -> np.ndarray:
+def _category_times(rate_hz, pump, span_s, n_windows, rng) -> np.ndarray:
+    """CW: arrivals on [0, span_s); pulsed: in the first ``n_windows``
+    pulse windows."""
     if rate_hz < 0.0:
         raise ConfigError(f"negative component rate {rate_hz}")
     if pump.mode == "pulsed":
         in_pulse = rate_hz / pump.duty_cycle
-        return _pulsed_times(in_pulse, pump.tau_s, pump.rep_rate_hz, span_s, rng)
+        return _pulsed_times(in_pulse, pump.tau_s, pump.rep_rate_hz, n_windows, rng)
     return _poisson_times(rate_hz, span_s, rng)
 
 
@@ -653,8 +664,9 @@ def _cw_bulk_rate(rates, arm) -> float:
     return rates[f"only{arm}"] + rates[f"noise{arm}"] + rates[f"dark{arm}"]
 
 
-def _uncorrelated_arm_times(setup, rates, arm, span_s, children) -> np.ndarray:
-    """Sorted timestamps of all non-pair events of one arm in [0, span_s).
+def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children) -> np.ndarray:
+    """Sorted timestamps of all non-pair events of one arm in [0, span_s)
+    (pulsed: gated ones in the first ``n_windows`` pulse windows).
 
     CW: a single Poisson bulk (``_cw_bulk_rate``); Gaussian timing jitter
     displaces a homogeneous process into an identically distributed one and
@@ -667,9 +679,9 @@ def _uncorrelated_arm_times(setup, rates, arm, span_s, children) -> np.ndarray:
         rng = _generator(children[f"bulk{arm}"])
         return _poisson_times(_cw_bulk_rate(rates, arm), span_s, rng)
     parts = [
-        _category_times(rates[f"only{arm}"], pump, span_s,
+        _category_times(rates[f"only{arm}"], pump, span_s, n_windows,
                         _generator(children[f"only{arm}"])),
-        _category_times(rates[f"noise{arm}"], pump, span_s,
+        _category_times(rates[f"noise{arm}"], pump, span_s, n_windows,
                         _generator(children[f"noise{arm}"])),
         _poisson_times(rates[f"dark{arm}"], span_s,
                        _generator(children[f"dark{arm}"])),
@@ -680,9 +692,11 @@ def _uncorrelated_arm_times(setup, rates, arm, span_s, children) -> np.ndarray:
     return merged
 
 
-def _epoch_arms(setup, rates, children, e, epoch_s, duration_s, stop_delay_s):
+def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
     """Raw (arm0, arm1) timestamps of epoch e, relative to its start t0 =
-    e ``epoch_s``: the emissions in [0, min(epoch_s, duration_s - t0)).
+    e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in [0,
+    min(E, duration_s - t0)) or, pulsed, in the run's pulse windows e P to
+    e P + P - 1 that begin before ``duration_s``.
 
     In CW, arm 0 holds only its pair photons: the caller draws arm 0's
     bulk (``_cw_bulk_rate``) with ``children["bulk0"]`` on the start times
@@ -691,10 +705,17 @@ def _epoch_arms(setup, rates, children, e, epoch_s, duration_s, stop_delay_s):
     time, only, so adjacent epochs tile the full run exactly.
     """
     pump = setup.pump
+    epoch_s, pulses = epoch
     t0 = e * epoch_s
     span = min(epoch_s, duration_s - t0)
+    windows = 0
+    if pump.mode == "pulsed":
+        # The run's windows k/B begin in [0, duration_s).
+        run_windows = math.ceil(duration_s * pump.rep_rate_hz - 1e-9)
+        windows = min(pulses, run_windows - e * pulses)
 
-    pair_times = _category_times(rates["both"], pump, span, _generator(children["both"]))
+    pair_times = _category_times(rates["both"], pump, span, windows,
+                                 _generator(children["both"]))
 
     out = []
     for arm, ch in ((0, setup.idler), (1, setup.signal)):
@@ -707,7 +728,7 @@ def _epoch_arms(setup, rates, children, e, epoch_s, duration_s, stop_delay_s):
             a = pairs
         else:
             a = _merge_sorted(
-                _uncorrelated_arm_times(setup, rates, arm, span, children), pairs)
+                _uncorrelated_arm_times(setup, rates, arm, span, windows, children), pairs)
         if arm == 1 and stop_delay_s != 0.0:
             a += stop_delay_s  # a is this epoch's own array
         lo = int(np.searchsorted(a, -t0, side="left"))
@@ -734,19 +755,20 @@ class TiaRunResult:
         return self.n_stops / self.duration
 
 
-def _tia_epoch(setup, rates, tia, children, arms, slab, carry):
-    """Histogram the starts of one epoch's slab; all times are epoch time.
+def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry):
+    """Generate epoch e (``_epoch_arms``) and histogram the starts of its
+    slab; all times are epoch time.
 
-    ``arms`` = (arm0, arm1) are the epoch's generated events
-    (``_epoch_arms``) and ``carry`` = (starts, stops) the explicit starts
-    and the stops carried over from the epoch before.  ``slab`` = (s_lo,
-    s_hi) is the start-time interval whose stops are all known once the
-    epoch is generated.  Returns (counts, n_starts, n_stops, tail): ``tail``
-    holds the explicit starts at or after s_hi and the stops a later slab
-    can still pair with.
+    ``carry`` = (starts, stops) are the explicit starts and the stops
+    carried over from the epoch before.  ``slab`` = (s_lo, s_hi) is the
+    start-time interval whose stops are all known once the epoch is
+    generated.  Returns (counts, n_starts, n_stops, tail): ``tail`` holds
+    the explicit starts at or after s_hi and the stops a later slab can
+    still pair with.
     """
     s_lo, s_hi = slab
-    arm0, arm1 = arms
+    arm0, arm1 = _epoch_arms(setup, rates, children, e, epoch, duration_s,
+                             tia.stop_delay_s)
     n0, n1 = arm0.size, arm1.size
     # The carried tails are tiny (a guard interval's worth of events), so
     # merging beats a full re-sort.
@@ -775,17 +797,18 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     ``setup.analysis.tia``; a run with other settings takes a setup whose
     analysis is replaced.
 
-    Epochs (``_epoch_length``, 2^k s each, the last one possibly shorter)
-    are statistically independent intervals of the same Poisson processes,
-    drawn from streams keyed on (seed, epoch index) in times relative to the
-    epoch start, and counts are additive.  After epoch e every stop below
-    its end + stop_delay - jitter pad is final, so the starts of the slab
-    [S_{e-1}, S_e), with S_e that bound minus the range maximum, are
-    histogrammed then; later starts and the stops they need are carried
-    into epoch e + 1, shifted by the epoch length (exact: they lie within
-    a factor of two of it).  With more than one worker thread, epoch e + 1
-    is generated on a thread of its own while epoch e is histogrammed;
-    either way the events of at most two epochs are held at once.
+    Epochs (``_epoch_length``: 2^k s in CW, 2^k pulse periods pulsed, the
+    last one possibly shorter) are statistically independent intervals of
+    the same Poisson processes, drawn from streams keyed on (seed, epoch
+    index) in times relative to the epoch start, and counts are additive.
+    After epoch e every stop below its end + stop_delay - jitter pad is
+    final, so the starts of the slab [S_{e-1}, S_e), with S_e that bound
+    minus the range maximum, are histogrammed then; later starts and the
+    stops they need are carried into epoch e + 1, shifted by the epoch
+    length.  The epoch is at least twice as long as the farthest carried
+    event lies from its end, so the shift is exact.  Epochs are generated
+    and histogrammed one after the other: the events of one epoch and the
+    carry are held at once.
 
     CW uses restricted-domain sampling: the start arm's bulk (one-arm pair
     leftovers, noise and darks) is a homogeneous Poisson process, so it is
@@ -795,52 +818,35 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     histogrammed, explicit or drawn, goes through ``_bin_starts``.
     Deterministic for a fixed seed and config: the batches of
     ``_bin_starts`` and the segment search of ``_restricted_poisson`` run on
-    one worker thread per usable CPU, and the output depends neither on how
-    many there are nor on whether the next epoch is generated ahead.
+    one worker thread per usable CPU, and the output does not depend on how
+    many there are.
     """
     tia = setup.analysis.tia
     if not math.isfinite(duration_s) or duration_s < 0.0:
         raise ConfigError(f"duration must be finite and non-negative, got {duration_s}")
 
     rates = component_rates(setup)
-    epoch_s = _epoch_length(setup, rates)
+    epoch = _epoch_length(setup, rates)
+    epoch_s = epoch[0]
     n_epochs = max(1, math.ceil(duration_s / epoch_s))
-    jitter_pad = 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
     # Stops of later epochs lie at or above the epoch end + stop_delay -
     # jitter_pad; a start below that minus the range maximum cannot reach them.
-    lag = tia.stop_delay_s - jitter_pad - tia.range_s[1] - 1e-9
+    lag = tia.stop_delay_s - _jitter_pad(setup) - tia.range_s[1] - 1e-9
     entropy = np.random.SeedSequence(rng_seed).entropy
-
-    # A thread of its own: a generating epoch holds up no batch of ``_on_pool``.
-    ahead = _pool(1, "epoch") if _WORKERS > 1 else None
-
-    def generate(e):
-        children = _epoch_children(entropy, e)
-        return children, _epoch_arms(setup, rates, children, e, epoch_s, duration_s,
-                                     tia.stop_delay_s)
-
-    def fetch(e):
-        """A callable returning epoch e: started now on ``ahead``, or inline."""
-        if ahead is None:
-            return functools.partial(generate, e)
-        return ahead.submit(generate, e).result
 
     counts = np.zeros(tia.n_bins, dtype=np.int64)
     carry = (np.empty(0), np.empty(0))
     n0 = 0
     n1 = 0
     s_lo = 0.0
-    ready = fetch(0)
     for e in range(n_epochs):
-        children, arms = ready()
-        if e + 1 < n_epochs:
-            ready = fetch(e + 1)
         end = duration_s - e * epoch_s  # the run's end in epoch time
-        s_hi = end if e + 1 == n_epochs else min(max(epoch_s + lag, s_lo), end)
-        c, dn0, dn1, (starts, stops) = _tia_epoch(setup, rates, tia, children, arms,
-                                                  (s_lo, s_hi), carry)
+        s_hi = end if e + 1 == n_epochs else min(epoch_s + lag, end)
+        c, dn0, dn1, (starts, stops) = _tia_epoch(
+            setup, rates, tia, _epoch_children(entropy, e), e, epoch, duration_s,
+            (s_lo, s_hi), carry)
         carry = (starts - epoch_s, stops - epoch_s)
-        del arms, starts, stops  # views of this epoch's arrays
+        del starts, stops  # views of this epoch's arrays
         counts += c
         n0 += dn0
         n1 += dn1

@@ -59,10 +59,11 @@ def _histogram(starts, stops, cfg):
 
 
 def _arms(setup, duration_s, seed):
-    """(seeds, (arm0, arm1)) of a run generated as one epoch of ``duration_s``."""
+    """(seeds, (arm0, arm1)) of a CW run generated as one epoch of ``duration_s``."""
     children = _epoch_children(seed, 0)
-    return children, _epoch_arms(setup, component_rates(setup), children, 0, duration_s,
-                                 duration_s, setup.analysis.tia.stop_delay_s)
+    return children, _epoch_arms(setup, component_rates(setup), children, 0,
+                                 (duration_s, 0), duration_s,
+                                 setup.analysis.tia.stop_delay_s)
 
 
 def _full_streams(setup, duration_s, seed):
@@ -96,7 +97,8 @@ class TestPoissonStream:
 
 
 def _pulsed(in_pulse_rate_hz, tau_s, rep_rate_hz, duration_s, seed):
-    return _pulsed_times(in_pulse_rate_hz, tau_s, rep_rate_hz, duration_s, _generator(seed))
+    windows = math.ceil(duration_s * rep_rate_hz - 1e-9)
+    return _pulsed_times(in_pulse_rate_hz, tau_s, rep_rate_hz, windows, _generator(seed))
 
 
 class TestPulsedStream:
@@ -320,16 +322,16 @@ class TestRunTia:
         epochs = []
         epoch_arms = eventsim._epoch_arms
 
-        def record(setup, rates, children, e, epoch_s, duration_s, *args):
-            epochs.append((e, epoch_s, duration_s))
-            return epoch_arms(setup, rates, children, e, epoch_s, duration_s, *args)
+        def record(setup, rates, children, e, epoch, duration_s, *args):
+            epochs.append((e, epoch, duration_s))
+            return epoch_arms(setup, rates, children, e, epoch, duration_s, *args)
 
         monkeypatch.setattr(eventsim, "_epoch_arms", record)
         # 1.34e6 generated events/s and 2^17 per epoch: 0.098 s at most, so
         # epochs of 2^-4 s, and a 0.3 s run takes four and a shorter fifth.
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**17)
         run_tia(paper_cfg.setup, 0.3, 1)
-        assert epochs == [(e, 0.0625, 0.3) for e in range(5)]
+        assert epochs == [(e, (0.0625, 0), 0.3) for e in range(5)]
 
     def test_zero_duration_gives_empty(self, paper_cfg):
         result = run_tia(paper_cfg.setup, 0.0, 1)
@@ -339,32 +341,60 @@ class TestRunTia:
 
 
 class TestEpochs:
-    """The stream definition: epochs of 2^k s keyed on (seed, epoch), in
-    times relative to the epoch start."""
+    """The stream definition: epochs of 2^k s (CW) or 2^k pulse periods
+    (pulsed) keyed on (seed, epoch), in times relative to the epoch start."""
+
+    @staticmethod
+    def _reach(setup):
+        tia = setup.analysis.tia
+        return (tia.range_s[1] - min(tia.range_s[0], 0.0) + abs(tia.stop_delay_s)
+                + 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s))
 
     def test_shipped_epoch_lengths(self, paper_cfg, engineered_cfg):
-        # About 2^20 generated events: 1.34e6 stops/s, 2722 singles/s.
-        for cfg, expected in ((paper_cfg, 0.5), (engineered_cfg, 256.0)):
-            assert _epoch_length(cfg.setup, component_rates(cfg.setup)) == expected
+        # About 2^20 generated events: 1.34e6 stops/s; 2722 singles/s at 100 MHz.
+        assert _epoch_length(paper_cfg.setup, component_rates(paper_cfg.setup)) == (0.5, 0)
+        rates = component_rates(engineered_cfg.setup)
+        assert _epoch_length(engineered_cfg.setup, rates) == (2**35 / 1e8, 2**35)
 
-    @pytest.mark.parametrize("rep_rate_hz", [1e8, 76.3e6, 123456.7])
-    def test_pulsed_epoch_is_whole_pulse_periods(self, engineered_cfg, rep_rate_hz):
+    @pytest.mark.parametrize("rep_rate_hz", [1e8, 76.3e6, 123456.7, 0.1234567e6 + 1e-9])
+    def test_pulsed_epoch_is_whole_pulse_periods_within_the_budget(self, engineered_cfg,
+                                                                   rep_rate_hz):
+        # A rep rate with a fractional part in Hz gets as short an epoch as
+        # any other: the largest 2^k periods holding at most 2^20 events.
         setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", rep_rate_hz)
-        epoch_s = _epoch_length(setup, component_rates(setup))
-        assert math.frexp(epoch_s)[0] == 0.5  # a power of two
-        assert epoch_s >= 256.0
-        assert (epoch_s * rep_rate_hz).is_integer()
+        rates = component_rates(setup)
+        epoch_s, pulses = _epoch_length(setup, rates)
+        assert pulses > 0 and pulses & (pulses - 1) == 0  # a power of two
+        assert epoch_s == pulses / rep_rate_hz
+        obs = rates["observables"]
+        events = (obs.singles0 + obs.singles1) * epoch_s
+        assert eventsim._EVENTS_PER_EPOCH / 2 < events <= eventsim._EVENTS_PER_EPOCH
 
-    def test_vanishing_rep_rate_gives_one_finite_epoch(self, engineered_cfg):
-        # 2^k B is a whole number only for k > 1023: the epoch stops there.
+    def test_vanishing_rep_rate_gives_one_pulse_period(self, engineered_cfg):
         setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", 1e-294)
-        assert _epoch_length(setup, component_rates(setup)) == 2.0**1023
+        assert _epoch_length(setup, component_rates(setup)) == (1 / 1e-294, 1)
         result = run_tia(setup, 10.0, 1)
         assert result.n_starts > 0 and result.histogram.total_counts == 0
 
+    @pytest.mark.parametrize("pulsed", [False, True])
+    def test_epoch_spans_twice_the_reach(self, paper_cfg, engineered_cfg, pulsed):
+        # A 0.7 ms delay range with a 0.1 ms stop delay: the rates alone
+        # would give epochs shorter than twice the reach, 1.6 ms.
+        tia = TiaConfig(bin_width_s=1e-6, range_s=(-2e-4, 5e-4), policy="multi-stop",
+                        stop_delay_s=1e-4)
+        setup = with_analysis((engineered_cfg if pulsed else paper_cfg).setup, tia=tia)
+        rates = component_rates(setup)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**4)
+            epoch_s, pulses = _epoch_length(setup, rates)
+        reach = self._reach(setup)
+        assert 2 * reach <= epoch_s < 10 * reach
+        if pulsed:
+            assert epoch_s == pulses / setup.pump.rep_rate_hz
+
     def test_pulsed_epoch_edges_lie_on_the_pulse_grid(self, engineered_cfg, monkeypatch):
-        # 76.3 MHz and 2^4 events per epoch: the rate alone would give 2^-8 s,
-        # 0.21875 of a pulse period short of a whole number of them.
+        # 76.3 MHz and 2^4 events per epoch: 2^21 periods, 27 ms, which is
+        # no power of two of seconds.
         raw = copy.deepcopy(engineered_cfg.raw)
         raw["pump"]["rep_rate_mhz"] = 76.3
         for ch in raw["channels"].values():
@@ -374,18 +404,33 @@ class TestEpochs:
         pump = setup.pump
         rates = component_rates(setup)
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**4)
-        epoch_s = _epoch_length(setup, rates)
-        assert epoch_s == 2.0**-5
+        epoch = _epoch_length(setup, rates)
+        assert epoch == (2**21 / 76.3e6, 2**21)
         times = []
         for e in range(1, 40):
-            arms = _epoch_arms(setup, rates, _epoch_children(3, e), e, epoch_s, 1.0, 0.0)
-            times.append(e * epoch_s + np.concatenate(arms))
+            arms = _epoch_arms(setup, rates, _epoch_children(3, e), e, epoch, 2.0, 0.0)
+            times.append(e * epoch[0] + np.concatenate(arms))
         times = np.concatenate(times)
         assert times.size > 50
         # Time since the latest pulse k/B of the run's grid, in periods.
         phase = np.mod(times * pump.rep_rate_hz + 0.5, 1.0) - 0.5
         assert np.all(phase > -1e-6)
         assert np.all(phase < pump.tau_s * pump.rep_rate_hz * (1 + 1e-6))
+
+    def test_last_pulsed_epoch_ends_with_the_run(self, engineered_cfg):
+        # Epochs of 2^10 periods at 100 MHz, 20 pairs per pulse; the run
+        # ends 100.5 periods into the second epoch, which holds 101 windows.
+        raw = copy.deepcopy(engineered_cfg.raw)
+        for ch in raw["channels"].values():
+            ch["jitter_fwhm_ps"] = 0.0
+        setup = load_config(raw).setup
+        rates = {name: 0.0 for name in component_rates(setup) if name != "observables"}
+        rates["both"] = 2e9
+        epoch = (2**10 / 1e8, 2**10)
+        duration = (2**10 + 100.5) / 1e8
+        arms = _epoch_arms(setup, rates, _epoch_children(3, 1), 1, epoch, duration, 0.0)
+        windows = np.unique(np.floor(arms[1] * 1e8))
+        assert np.array_equal(windows, np.arange(101))
 
     def test_epochs_do_not_depend_on_duration(self, paper_cfg, monkeypatch):
         # Epochs of 2^-7 s; runs of three and of five share epochs 0 and 1.
@@ -425,15 +470,14 @@ class TestEpochs:
         setup = paper_cfg.setup
         tia = setup.analysis.tia
         rates = component_rates(setup)
-        epoch_s = _epoch_length(setup, rates)
+        epoch = _epoch_length(setup, rates)
+        epoch_s = epoch[0]
         children = _epoch_children(5, 0)
         empty = (np.empty(0), np.empty(0))
         results = []
         for e in (0, 2**17):
-            arms = _epoch_arms(setup, rates, children, e, epoch_s, (e + 1) * epoch_s,
-                               tia.stop_delay_s)
-            results.append(_tia_epoch(setup, rates, tia, children, arms,
-                                      (0.0, epoch_s), empty))
+            results.append(_tia_epoch(setup, rates, tia, children, e, epoch,
+                                      (e + 1) * epoch_s, (0.0, epoch_s), empty))
         (counts0, n00, n10, tail0), (counts1, n01, n11, tail1) = results
         assert counts0.sum() > 1000
         assert np.array_equal(counts0, counts1)
@@ -731,7 +775,7 @@ class TestRunTiaStatistics:
 
     def _check(self, setup, policy, monkeypatch):
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**17)
-        assert _epoch_length(setup, component_rates(setup)) == self.DURATION / 40
+        assert _epoch_length(setup, component_rates(setup)) == (self.DURATION / 40, 0)
         obs = setup.predict()
         runs = self._runs(setup, policy)
         t_total = self.DURATION * len(runs)
@@ -786,11 +830,9 @@ WORKER_COUNTS = (1, 2, 3)
 
 class TestRunTiaPool:
     """``_bin_starts`` batches and the segment search of
-    ``_restricted_poisson`` run on a thread pool of ``_WORKERS`` threads,
-    and with more than one worker the next epoch is generated on a thread
-    of its own; integer counts add in any order and every epoch's streams
-    are keyed on (seed, epoch), so runs are bit-identical for every pool
-    size and with or without generating ahead."""
+    ``_restricted_poisson`` run on a thread pool of ``_WORKERS`` threads;
+    integer counts add in any order and every epoch's streams are keyed on
+    (seed, epoch), so runs are bit-identical for every pool size."""
 
     @pytest.fixture(autouse=True)
     def _fast_thread_switching(self):
@@ -805,30 +847,20 @@ class TestRunTiaPool:
     @staticmethod
     def _runs(setup, duration_s, monkeypatch):
         results = []
-        epoch_arms = eventsim._epoch_arms
         for workers in WORKER_COUNTS:
-            generators = set()
-
-            def record(*args):
-                generators.add(threading.current_thread().name.split("_")[0])
-                return epoch_arms(*args)
-
             with monkeypatch.context() as m:
                 m.setattr(eventsim, "_WORKERS", workers)
-                m.setattr(eventsim, "_epoch_arms", record)
                 # Many batches per worker, and several epochs.
                 m.setattr(eventsim, "_BLOCK_BATCH", 1000)
                 m.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**16)
                 results.append(run_tia(setup, duration_s, 5))
-            # One worker generates inline, more generate ahead.
-            assert generators == {"MainThread" if workers == 1 else "sfwmlab-epoch"}
         return results
 
     @pytest.mark.parametrize("case", ["first-stop", "multi-stop", "pulsed"])
     def test_output_does_not_depend_on_worker_count(self, paper_cfg, engineered_cfg,
                                                     monkeypatch, case):
         if case == "pulsed":
-            # Epochs of 16 s.
+            # Epochs of 2^31 periods, 21.5 s.
             setup, duration_s = engineered_cfg.setup, 300.0
         else:
             # Epochs of 1/32 s.
@@ -868,19 +900,6 @@ class TestRunTiaPool:
         with pytest.raises(RuntimeError, match="binning failed"):
             _bin_starts(starts, starts + 0.5, cfg)
         assert threads and threading.main_thread() not in threads
-
-    def test_generation_exception_reaches_the_caller(self, paper_cfg, monkeypatch):
-        threads = []
-
-        def broken(*args):
-            threads.append(threading.current_thread().name)
-            raise RuntimeError("generation failed")
-
-        monkeypatch.setattr(eventsim, "_epoch_arms", broken)
-        monkeypatch.setattr(eventsim, "_WORKERS", 2)
-        with pytest.raises(RuntimeError, match="generation failed"):
-            run_tia(paper_cfg.setup, 0.01, 1)
-        assert len(threads) == 1 and threads[0].startswith("sfwmlab-epoch")
 
 
 class TestRunTiaBlockPath:
@@ -962,7 +981,9 @@ class TestRunTiaChunking:
     of the single pass.
     """
 
-    DURATION = 0.05  # 52 epochs of 2^-10 s
+    # 52 epochs of 2^-10 s; 26 of 2^-9 s at the 0.5 ms ranges, whose reach
+    # (``_epoch_length``) is longer than half of 2^-10 s.
+    DURATION = 0.05
 
     @pytest.fixture()
     def events(self, monkeypatch):
@@ -981,7 +1002,8 @@ class TestRunTiaChunking:
             t = np.sort(t)
             return t[(t >= 0.0) & (t < n)]
 
-        def epoch_arms(setup, rates, children, e, epoch_s, duration_s, stop_delay_s):
+        def epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
+            epoch_s = epoch[0]
             t0 = e * epoch_s
             epoch_starts.append(t0)
             pairs = (emit >= t0) & (emit < t0 + epoch_s)
@@ -1002,7 +1024,7 @@ class TestRunTiaChunking:
 
         monkeypatch.setattr(eventsim, "_epoch_arms", epoch_arms)
         monkeypatch.setattr(eventsim, "_restricted_poisson", restricted)
-        # 1.34e6 generated events/s: epochs of 2^-10 s.
+        # 1.34e6 generated events/s: epochs of 2^-10 s, or longer for a long reach.
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**11)
         starts = clip(np.concatenate([emit + start_jitter, bulk0]))
         return starts, lambda delay: clip(stop_emit + stop_jitter + delay)
