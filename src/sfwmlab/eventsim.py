@@ -24,23 +24,21 @@ multi-stop bulk start takes its range from the stop block of the domain
 segment it was drawn in, every other start from a binary search.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
-generated events: 2^k s in CW (0.5 s at the shipped CW device), 2^k pulse
-periods pulsed (2^35 periods, 344 s, for the shipped pulsed design).  Every
-random stream of epoch e is keyed on (seed, e), the use counter-based
-generators were designed for (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11), and its times are relative to the epoch start, so
-a stop at 24 h carries the precision of one at 0 s and the carry into the
-next epoch shifts by the epoch length exactly.  An epoch's events depend
-only on the configuration, the seed and e: not on the run's duration beyond
-its own end.  A run holds one epoch's events at a time.
+generated events (``_epoch_length``).  Every random stream of epoch e is
+keyed on (seed, e), the use counter-based generators were designed for
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and
+its times are relative to the epoch start, so a stop at 24 h carries the
+precision of one at 0 s and the carry into the next epoch shifts by the
+epoch length exactly.  An epoch's events depend only on the configuration,
+the seed and e: not on the run's duration beyond its own end.  A run holds
+one epoch's events at a time.
 
-Threads: the enumerate-and-bin batches and the segment search of the
-restricted sampler run on a thread pool with one worker per CPU the process
-may run on (``os.sched_getaffinity``); numpy releases the GIL in the
-draws, searches, gathers and sorts they spend their time in.  Each worker
-bins its batches into its own integer counts, and integer sums do not
-depend on order, so the output does not depend on the batch size or the
-worker count.
+Threads: the enumerate-and-bin batches, each placing its own drawn starts,
+run on a thread pool with one worker per CPU the process may run on
+(``os.sched_getaffinity``); numpy releases the GIL in the searches, gathers
+and sorts they spend their time in.  Each worker bins its batches into its
+own integer counts, and integer sums do not depend on order, so the output
+depends on neither the batch size nor the worker count.
 
 Determinism: every stochastic routine takes a seed and uses a counter-based
 Philox generator; identical seeds and configurations give bit-identical
@@ -57,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import RNG_ALGORITHM
-from .errors import ConfigError, FieldError
+from .errors import ConfigError, FieldError, NumericsError
 from .model import predict_observables
 
 # Gaussian FWHM to standard deviation.
@@ -241,12 +239,11 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
     Multi-stop: the union of (p - hi, p - lo] over stops p, with windows of
     consecutive stops merged where they overlap; segment k merges the
     windows of ``stops[block[k]:block[k + 1]]``, so a start inside it pairs
-    only with stops of that block (up to rounding at its edges).
-    First-stop: one window
-    (max(prev_stop, p - hi), p - max(lo, 0)] per stop; starts later than
-    p - lo only reach delays below the range; ``block`` is None.  Windows
-    are clipped to [t_lo, t_hi]; a window cut away entirely stays as an
-    empty segment.
+    only with stops of that block (up to rounding at its edges).  First-stop:
+    one window (max(prev_stop, p - hi), p - max(lo, 0)] per stop; starts
+    later than p - lo only reach delays below the range; ``block`` is None.
+    Windows are clipped to [t_lo, t_hi]; a window cut away entirely stays
+    as an empty segment.
     """
     lo, hi = cfg.range_s
     first = cfg.policy == "first-stop"
@@ -287,35 +284,28 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
     By the restriction theorem (Kingman, *Poisson Processes*, 1993) the
     arrivals of a rate-r process inside a set of total length L are
     Poisson(r L) points placed uniformly on it, independent of the
-    arrivals outside.  Returns the sorted times, the index of the segment
-    each time was placed in (non-decreasing; it names the time's stop
-    block in multi-stop), and L.  The segment search runs on the batch
-    pool (``_on_pool``), each batch of times filling its own slice of the
-    index array.
+    arrivals outside.  Returns the sorted offsets of the arrivals on the
+    segments laid end to end, ``cum`` (the cumulative segment lengths) and
+    L; ``_place`` turns offsets into times.
     """
     cum = seg_hi - seg_lo
     np.cumsum(cum, out=cum)
     covered = float(cum[-1]) if cum.size else 0.0
-    u = _poisson_times(rate_hz, covered, rng)
-    if u.size == 0:
-        return u, np.empty(0, dtype=np.intp), covered
-    # Segment k holds the offsets [cum[k-1], cum[k]), so an offset u maps
-    # to seg_lo[k] + u - cum[k-1] = u + seg_hi[k] - cum[k] (up to rounding).
-    k = np.empty(u.size, dtype=np.intp)
+    return _poisson_times(rate_hz, covered, rng), cum, covered
 
-    def search(batches):
-        for j in batches:
-            part = slice(j, j + _BLOCK_BATCH)
-            k[part] = np.searchsorted(cum, u[part], side="right")
 
-    _on_pool(search, u.size)
+def _place(u, cum, seg_hi):
+    """Times and segment indices of the offsets ``u`` of
+    ``_restricted_poisson``: segment k holds the offsets [cum[k-1], cum[k]),
+    so an offset u maps to seg_lo[k] + u - cum[k-1] = u + (seg_hi[k] -
+    cum[k]) (up to rounding; every histogram rests on this grouping)."""
+    k = np.searchsorted(cum, u, side="right")
     np.minimum(k, cum.size - 1, out=k)
-    u += seg_hi[k] - cum[k]
-    return u, k, covered
+    return u + (seg_hi[k] - cum[k]), k
 
 
-# Starts (or segment-search keys) per batch: bounds the temporaries each
-# worker holds.  Counts add, so the histogram does not depend on it.
+# Starts per batch: bounds the temporaries each worker holds.  Counts add,
+# so the histogram does not depend on it.
 _BLOCK_BATCH = 1 << 16
 
 
@@ -383,26 +373,26 @@ def _bin_counts(values, edges):
     return np.bincount(i, minlength=n)
 
 
-def _bin_starts(starts, stops, cfg, seg=None, block=None):
+def _bin_starts(starts, stops, cfg, domain=None):
     """Histogram counts of the delays of ``starts`` against ``stops``.
 
     Starts are enumerated in batches of ``_BLOCK_BATCH`` on the batch pool
-    (``_on_pool``); each worker sums its batches into its own counts, and
-    the caller adds those, so the counts do not depend on the worker
-    count.  Given ``block`` (multi-stop ``_start_domain`` segments) start
-    j, in segment k = ``seg[j]``, takes the stop block
-    ``stops[block[k]:block[k + 1]]`` as its candidates; every other start
-    is searched.  Rounding at a segment edge can put a start within reach
-    of a stop just outside its block, so a start whose neighbouring stop
-    matches is searched too, as is possibly one whose block begins at the
-    first stop or ends at the last.  A first-stop start has at most one
-    candidate, which is gathered and binned directly.  Every start thus
-    gets the delays of searching it in all of ``stops``
-    (``_search_ranges`` and ``_expand_stop_ranges``).
+    (``_on_pool``); each worker sums its batches into its own counts, so
+    the counts do not depend on the worker count.  Given ``domain`` = (cum,
+    seg_hi, block), ``starts`` are ``_restricted_poisson`` offsets, which
+    each batch places (``_place``).  With ``block`` (multi-stop) a start in
+    segment k takes the stop block ``stops[block[k]:block[k + 1]]`` as its
+    candidates; every other start is searched, and so is one that rounding
+    at a segment edge may have put within reach of a stop outside its block
+    (a neighbouring stop matches, or its block begins at the first stop or
+    ends at the last).  A first-stop start's one candidate is gathered and
+    binned directly.  Every start thus gets the delays of searching it in
+    all of ``stops`` (``_search_ranges`` and ``_expand_stop_ranges``).
     """
     window, single = _match_window(cfg)
     lo, hi = window
     edges = cfg.bin_edges
+    cum, seg_hi, block = domain or (None, None, None)
     if stops.size == 0:
         return np.zeros(cfg.n_bins, dtype=np.int64)
 
@@ -410,10 +400,11 @@ def _bin_starts(starts, stops, cfg, seg=None, block=None):
         counts = np.zeros(cfg.n_bins, dtype=np.int64)
         for j in batches:
             s = starts[j:j + _BLOCK_BATCH]
+            if domain is not None:
+                s, k = _place(s, cum, seg_hi)
             if block is None:
                 i0, i1 = _search_ranges(s, stops, window, single)
             else:
-                k = seg[j:j + _BLOCK_BATCH]
                 i0 = block[k]
                 i1 = block[k + 1]
                 # The matching stops form one index range, so the block holds
@@ -436,10 +427,7 @@ def _bin_starts(starts, stops, cfg, seg=None, block=None):
                 counts += _bin_counts(_expand_stop_ranges(s, stops, i0, i1, window), edges)
         return counts
 
-    counts = np.zeros(cfg.n_bins, dtype=np.int64)
-    for part in _on_pool(binned, starts.size):
-        counts += part
-    return counts
+    return sum(_on_pool(binned, starts.size), np.zeros(cfg.n_bins, dtype=np.int64))
 
 
 @dataclass
@@ -591,6 +579,8 @@ _CATEGORIES = ("both", "jitter0", "jitter1", "bulk0", "bulk1",
                "only0", "only1", "noise0", "noise1", "dark0", "dark1",
                "jbulk0", "jbulk1")
 _EVENTS_PER_EPOCH = 2**20
+# Most events a stream may expect in one epoch, 0.5 GiB of float64 times.
+_MAX_STREAM_EVENTS = 2**26
 
 
 def _epoch_children(entropy, e) -> dict:
@@ -635,6 +625,22 @@ def _epoch_length(setup, rates) -> tuple[float, int]:
     k = max(math.floor(math.log2(per_s * b)),
             math.frexp(reach)[1] + math.frexp(b)[1] + 1, 0)
     return (1 << k) / b, 1 << k
+
+
+def _check_stream_sizes(rates, pump, epoch_s, span, windows) -> None:
+    """Refuse an epoch (epoch 0, the longest, before anything is drawn)
+    whose pair photons or non-pair events of an arm (arm 0's CW bulk over
+    all of it) would exceed ``_MAX_STREAM_EVENTS`` on average."""
+    # Dark counts come in [0, span), pulsed the rest in the pulse windows.
+    gated = windows / pump.rep_rate_hz if pump.mode == "pulsed" else span
+    for name, rate, dark in (("pair", rates["both"], 0.0),
+                             ("arm 0 non-pair", _cw_bulk_rate(rates, 0), rates["dark0"]),
+                             ("arm 1 non-pair", _cw_bulk_rate(rates, 1), rates["dark1"])):
+        events = (rate - dark) * gated + dark * span
+        if not events <= _MAX_STREAM_EVENTS:
+            raise NumericsError(f"the {name} event rate {rate:.4g} /s would put "
+                                f"{events:.4g} events in one {epoch_s:.4g} s epoch; an "
+                                f"epoch may hold at most {_MAX_STREAM_EVENTS}")
 
 
 def _category_times(rate_hz, pump, span_s, n_windows, rng) -> np.ndarray:
@@ -713,6 +719,7 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
         # The run's windows k/B begin in [0, duration_s).
         run_windows = math.ceil(duration_s * pump.rep_rate_hz - 1e-9)
         windows = min(pulses, run_windows - e * pulses)
+    _check_stream_sizes(rates, pump, epoch_s, span, windows)
 
     pair_times = _category_times(rates["both"], pump, span, windows,
                                  _generator(children["both"]))
@@ -781,11 +788,11 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry):
         bulk0_rate = _cw_bulk_rate(rates, 0)
         seg_lo, seg_hi, block = _start_domain(stops, tia, s_lo, s_hi)
         rng = _generator(children["bulk0"])
-        bulk, seg, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng)
-        del seg_lo, seg_hi
+        bulk, cum, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng)
+        del seg_lo
         # Bulk starts outside the domain are only counted.
         n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
-        counts += _bin_starts(bulk, stops, tia, seg, block)
+        counts += _bin_starts(bulk, stops, tia, (cum, seg_hi, block))
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     return counts, n0, n1, (explicit[cut:], stops[keep:])
 
@@ -797,29 +804,21 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     ``setup.analysis.tia``; a run with other settings takes a setup whose
     analysis is replaced.
 
-    Epochs (``_epoch_length``: 2^k s in CW, 2^k pulse periods pulsed, the
-    last one possibly shorter) are statistically independent intervals of
-    the same Poisson processes, drawn from streams keyed on (seed, epoch
-    index) in times relative to the epoch start, and counts are additive.
+    Epochs (``_epoch_length``, the last one possibly shorter) are
+    independent intervals of the same Poisson processes, and counts add.
     After epoch e every stop below its end + stop_delay - jitter pad is
     final, so the starts of the slab [S_{e-1}, S_e), with S_e that bound
     minus the range maximum, are histogrammed then; later starts and the
     stops they need are carried into epoch e + 1, shifted by the epoch
-    length.  The epoch is at least twice as long as the farthest carried
-    event lies from its end, so the shift is exact.  Epochs are generated
-    and histogrammed one after the other: the events of one epoch and the
-    carry are held at once.
+    length, which is exact (``_epoch_length``).  The events of one epoch
+    and the carry are held at once; a stream that would expect more than
+    ``_MAX_STREAM_EVENTS`` events in an epoch raises ``NumericsError``.
 
-    CW uses restricted-domain sampling: the start arm's bulk (one-arm pair
-    leftovers, noise and darks) is a homogeneous Poisson process, so it is
-    drawn only on the start times that can reach the histogram given the
-    stops (``_start_domain``), about 0.3 % of the run at the shipped range;
-    the rest of it is one Poisson count added to ``n_starts``.  Every start
-    histogrammed, explicit or drawn, goes through ``_bin_starts``.
-    Deterministic for a fixed seed and config: the batches of
-    ``_bin_starts`` and the segment search of ``_restricted_poisson`` run on
-    one worker thread per usable CPU, and the output does not depend on how
-    many there are.
+    In CW the start arm's bulk is drawn only on the start times that can
+    reach the histogram (``_start_domain``) and the rest of it counted.
+    Every start histogrammed goes through ``_bin_starts``, whose batches
+    place the drawn starts and run on one worker thread per usable CPU; the
+    output does not depend on how many there are.
     """
     tia = setup.analysis.tia
     if not math.isfinite(duration_s) or duration_s < 0.0:

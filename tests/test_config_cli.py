@@ -439,6 +439,22 @@ class TestCli:
         assert "--duration" in capsys.readouterr().err
         assert not (tmp_path / "histogram.csv").exists()
 
+    @pytest.mark.parametrize("dark_rate, duration", [(1e300, "9"), (1e16, "0.001")])
+    def test_histogram_extreme_rate_exit_code(self, tmp_path, capsys, clean_raw, dark_rate,
+                                              duration):
+        # The epoch cannot be shorter than twice the carry reach, 59.6 ns
+        # here, so these dark rates would put 6e292 and 6e8 stops in one.
+        clean_raw["channels"]["signal"]["dark_rate_per_s"] = dark_rate
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(clean_raw))
+        code = main(["histogram", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--duration", duration])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and len(err.strip().splitlines()) == 1
+        assert f"rate {dark_rate:.4g} /s" in err and "5.96e-08 s epoch" in err
+        assert not (tmp_path / "out" / "histogram.csv").exists()
+
     @pytest.mark.parametrize("key, value", [("n2_m2_per_w", -3e-18), ("n2_m2_per_w", 0.0),
                                             ("a_eff_um2", 0.0), ("a_eff_um2", -0.86)])
     def test_bad_n2_route_value_exit_code(self, tmp_path, capsys, clean_raw, key, value):

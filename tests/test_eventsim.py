@@ -25,6 +25,7 @@ from sfwmlab.eventsim import (
     _generator,
     _jittered,
     _match_window,
+    _place,
     _poisson_times,
     _pulsed_times,
     _restricted_poisson,
@@ -457,7 +458,8 @@ class TestEpochs:
         (arms3, bulk3), (arms5, bulk5) = runs
         assert (len(arms3), len(arms5)) == (3, 5)
         for e in (0, 1):
-            # Arm 0's and arm 1's events, the drawn starts and their segments.
+            # Arm 0's and arm 1's events, the drawn offsets and the segments'
+            # cumulative lengths.
             assert arms3[e][1].size > 1000 and bulk3[e][0].size > 50
             for a, b in zip(arms3[e] + bulk3[e][:2], arms5[e] + bulk5[e][:2]):
                 assert np.array_equal(a, b)
@@ -548,8 +550,9 @@ class TestStartDomain:
 
 class TestRestrictedPoisson:
     def test_single_segment_is_the_plain_process(self):
-        a, seg, covered = _restricted_poisson(
+        u, cum, covered = _restricted_poisson(
             1e4, np.array([0.0]), np.array([2.0]), np.random.default_rng(5))
+        a, seg = _place(u, cum, np.array([2.0]))
         b = _poisson_times(1e4, 2.0, np.random.default_rng(5))
         assert covered == 2.0
         assert np.array_equal(a, b)
@@ -559,8 +562,9 @@ class TestRestrictedPoisson:
         seg_lo = np.array([0.0, 2.0, 5.0])
         seg_hi = np.array([1.0, 2.0, 7.0])
         rate = 1e5
-        times, seg, covered = _restricted_poisson(rate, seg_lo, seg_hi,
-                                                  np.random.default_rng(6))
+        u, cum, covered = _restricted_poisson(rate, seg_lo, seg_hi,
+                                              np.random.default_rng(6))
+        times, seg = _place(u, cum, seg_hi)
         assert covered == pytest.approx(3.0)
         assert np.all(np.diff(times) >= 0.0)
         in_first = (times >= 0.0) & (times <= 1.0)
@@ -582,7 +586,7 @@ def _segment_of(starts, seg_lo, seg_hi):
     return k, inside
 
 
-def _bin_recording_searches(starts, stops, cfg, seg=None, block=None):
+def _bin_recording_searches(starts, stops, cfg, domain=None):
     """``_bin_starts`` counts, and the starts it ranged by search."""
     searched = []
     search_ranges = eventsim._search_ranges
@@ -593,7 +597,7 @@ def _bin_recording_searches(starts, stops, cfg, seg=None, block=None):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(eventsim, "_search_ranges", search)
-        counts = _bin_starts(starts, stops, cfg, seg, block)
+        counts = _bin_starts(starts, stops, cfg, domain)
     return counts, np.concatenate(searched) if searched else np.empty(0)
 
 
@@ -604,9 +608,18 @@ class TestBlockHistogram:
 
     @staticmethod
     def _check(starts, seg, stops, cfg, block):
-        """Block path against the search path; returns the starts that
-        were searched instead of settled by their blocks."""
-        counts, searched = _bin_recording_searches(starts, stops, cfg, seg, block)
+        """Block path against the search path, start j placed at
+        ``starts[j]`` in segment ``seg[j]``; returns the starts that were
+        searched instead of settled by their blocks."""
+        def place(u, cum, seg_hi):
+            # The offsets below index the given starts.
+            j = u.astype(np.intp)
+            return starts[j], seg[j]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(eventsim, "_place", place)
+            counts, searched = _bin_recording_searches(
+                np.arange(float(starts.size)), stops, cfg, (None, None, block))
         assert np.array_equal(counts, _histogram(starts, stops, cfg))
         settled = ~np.isin(starts, searched)
         delays = _expand_stop_ranges(starts[settled], stops, block[seg[settled]],
@@ -673,9 +686,13 @@ class TestBlockHistogram:
         cfg = TiaConfig(bin_width_s=1e-9, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
         seg_lo, seg_hi, block = _start_domain(stops, cfg, 0.5002, 0.5018)
-        starts, seg, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32))
+        u, cum, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32))
+        starts, seg = _place(u, cum, seg_hi)
         assert starts.size > 5000
         assert self._check(starts, seg, stops, cfg, block).size == 0
+        # Each batch places its own offsets.
+        assert np.array_equal(_bin_starts(u, stops, cfg, (cum, seg_hi, block)),
+                              _histogram(starts, stops, cfg))
 
 
 def _brute_force_delays(starts, stops, cfg):
@@ -829,10 +846,10 @@ WORKER_COUNTS = (1, 2, 3)
 
 
 class TestRunTiaPool:
-    """``_bin_starts`` batches and the segment search of
-    ``_restricted_poisson`` run on a thread pool of ``_WORKERS`` threads;
-    integer counts add in any order and every epoch's streams are keyed on
-    (seed, epoch), so runs are bit-identical for every pool size."""
+    """``_bin_starts`` batches, each placing its drawn starts, run on a
+    thread pool of ``_WORKERS`` threads; integer counts add in any order
+    and every epoch's streams are keyed on (seed, epoch), so runs are
+    bit-identical for every pool size."""
 
     @pytest.fixture(autouse=True)
     def _fast_thread_switching(self):
@@ -921,9 +938,10 @@ class TestRunTiaBlockPath:
         for policy in self.POLICIES:
             calls = []
 
-            def counted(starts, stops, cfg, seg=None, block=None):
-                counts, searched = _bin_recording_searches(starts, stops, cfg, seg, block)
-                calls.append((starts.size, block is not None, searched.size))
+            def counted(starts, stops, cfg, domain=None):
+                counts, searched = _bin_recording_searches(starts, stops, cfg, domain)
+                blocks = domain is not None and domain[2] is not None
+                calls.append((starts.size, blocks, searched.size))
                 return counts
 
             with monkeypatch.context() as m:
@@ -954,7 +972,9 @@ class TestRunTiaBlockPath:
 
     def test_matches_searching_every_start(self, paper_cfg, monkeypatch):
         # The reference bins ``_pair_delays`` of all of an epoch's starts at once.
-        def search_all(starts, stops, cfg, seg=None, block=None):
+        def search_all(starts, stops, cfg, domain=None):
+            if domain is not None:
+                starts = _place(starts, *domain[:2])[0]
             return np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)[0]
 
         for policy in self.POLICIES:
@@ -971,14 +991,14 @@ class TestRunTiaChunking:
     """Epoch-by-epoch, restricted-domain runs against one pass over the same
     events.
 
-    ``_epoch_arms`` and ``_restricted_poisson`` are replaced by views of
-    fixed event sets, shifted into each epoch's time: pair photons and
-    stop-arm noise selected by emission time, and a start-arm bulk selected
-    by the requested domain.  The histogram must then equal one pass over
-    all events exactly: no start is lost or counted twice at an epoch edge,
-    and every start outside the domain is one that cannot reach the
-    histogram.  Shifting by a whole epoch is exact, so the delays are those
-    of the single pass.
+    ``_epoch_arms``, ``_restricted_poisson`` and ``_place`` are replaced by
+    views of fixed event sets, shifted into each epoch's time: pair photons
+    and stop-arm noise selected by emission time, and a start-arm bulk
+    selected by the requested domain.  The histogram must then equal one
+    pass over all events exactly: no start is lost or counted twice at an
+    epoch edge, and every start outside the domain is one that cannot reach
+    the histogram.  Shifting by a whole epoch is exact, so the delays are
+    those of the single pass.
     """
 
     # 52 epochs of 2^-10 s; 26 of 2^-9 s at the 0.5 ms ranges, whose reach
@@ -997,6 +1017,7 @@ class TestRunTiaChunking:
                                       np.zeros(stop_emit.size - emit.size)])
         epoch_starts = []
         domains = []
+        placed = []
 
         def clip(t):
             t = np.sort(t)
@@ -1016,14 +1037,21 @@ class TestRunTiaChunking:
             t0 = epoch_starts[len(domains)]
             domains.append(seg_lo.size)
             if seg_lo.size == 0:
-                return np.empty(0), np.empty(0, dtype=np.intp), 0.0
+                return np.empty(0), None, 0.0
             starts = bulk0 - t0
             k = np.searchsorted(seg_lo, starts, side="right") - 1
             inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
-            return starts[inside], k[inside], float(np.sum(seg_hi - seg_lo))
+            placed[:] = [starts[inside], k[inside]]
+            return np.arange(float(inside.sum())), None, float(np.sum(seg_hi - seg_lo))
+
+        def place(u, cum, seg_hi):
+            # The offsets ``restricted`` returned index the epoch's bulk starts.
+            j = u.astype(np.intp)
+            return placed[0][j], placed[1][j]
 
         monkeypatch.setattr(eventsim, "_epoch_arms", epoch_arms)
         monkeypatch.setattr(eventsim, "_restricted_poisson", restricted)
+        monkeypatch.setattr(eventsim, "_place", place)
         # 1.34e6 generated events/s: epochs of 2^-10 s, or longer for a long reach.
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**11)
         starts = clip(np.concatenate([emit + start_jitter, bulk0]))

@@ -7,11 +7,15 @@ Python's ``math`` only.  A change that moves any digest changes what the
 commands write: it must say why, and record the new digests here.
 """
 
+import copy
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from sfwmlab.cli import main
+from sfwmlab.config import paper_defaults
 
 GOLDEN = {
     "rates": (
@@ -73,3 +77,49 @@ def test_cw_optimize_console_line_has_no_pairs_per_pulse(tmp_path, capsys):
     assert "CAR " in out
     written = hashlib.sha256((tmp_path / "design.json").read_bytes()).hexdigest()
     assert written == digests["design.json"]
+
+
+# Simulated histograms: short fixed-seed ``histogram`` runs that cross epoch
+# edges.  Unlike the digests above, these rest on numpy's Philox
+# ``Generator`` streams (its Poisson, exponential, normal, uniform and
+# integer draws) as of numpy 2.4.6, with which they were made; a numpy
+# release that changes one of those algorithms changes them too.
+SIMULATED = {
+    "paper-defaults first-stop": (
+        "paper-defaults", "1.0", "1000",
+        {
+            "analysis.json": "d83348146b9252c285b4ee695819ade828d73722f219d7238bdedbd384ccef03",
+            "histogram.csv": "e50e616e22ec6f39f524b345178a5c60600cff37f5a84f330298b6fce3dea132",
+        },
+    ),
+    "10-330 ns multi-stop": (
+        "multi-stop", "1.0", "1000",
+        {
+            "analysis.json": "e7e221e498420b760d5d8b08477ab5cfed3950a447330ba294aaa6e156c721eb",
+            "histogram.csv": "2553f42c0ba9ac6de78cc22a90215697c48517b3cff7beace7b6e88cfc44aa9a",
+        },
+    ),
+    "engineered-defaults": (
+        "engineered-defaults", "400", "7",
+        {
+            "analysis.json": "7ef39f9b1d0e3b50b36e345459cb6225297835404bb6f7c6564c3887274622c3",
+            "histogram.csv": "2faa4805c6475a7b926e13af9bba15ec51f0022440e40bdacfb2d6ebdfadfad8",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATED))
+def test_simulated_bytes_are_pinned(tmp_path, case):
+    config, duration, seed, digests = SIMULATED[case]
+    if config == "multi-stop":
+        raw = copy.deepcopy(paper_defaults().raw)
+        raw["analysis"]["tia"].update(policy="multi-stop", range_ns=[10.0, 330.0])
+        config = tmp_path / "multi_stop.json"
+        config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["histogram", "--config", str(config), "--duration", duration,
+                 "--seed", seed, "--out", str(out)]) == 0
+    written = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in digests}
+    assert written == digests, np.__version__
