@@ -33,6 +33,19 @@ epoch length exactly.  An epoch's events depend only on the configuration,
 the seed and e: not on the run's duration beyond its own end.  A run holds
 one epoch's events at a time.
 
+Memory: a CW epoch's arrays are megabytes each (about 670 000 stops, 5.4
+MB, in a 0.5 s epoch of paper-defaults), and the system maps and zeroes
+fresh pages for every fresh array that size.  ``run_tia`` therefore gives
+a run of more than one epoch one recycler (``_Recycler``), freed when it
+returns: the stop arm's draws and merge, the start domain's bounds and
+sums and the drawn starts are written with numpy's ``out=`` into arrays
+that earlier steps or epochs released at the point where they stopped
+using them.  A request takes a released array only if it fills at least
+half of it, and the pages past the request go back to the system, so a
+short request does not keep a long array's pages resident; at the shipped
+settings the run holds no more arrays at once than it would without
+recycling.
+
 Threads: the enumerate-and-bin batches, each placing its own drawn starts,
 run on a thread pool with one worker per CPU the process may run on
 (``os.sched_getaffinity``); numpy releases the GIL in the searches, gathers
@@ -49,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -66,8 +80,56 @@ def _generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _poisson_times(rate_hz, span_s, rng) -> np.ndarray:
-    """Sorted arrivals of a rate-``rate_hz`` Poisson process on [0, span_s)."""
+class _Recycler:
+    """The epoch-sized float64 arrays of one run, used again once released.
+
+    ``empty(n)`` hands out the first n elements of the shortest released
+    array that holds them if they fill at least half of it.  Otherwise it
+    makes a new array, 1/64 longer than asked so that the next epoch's
+    slightly longer request fits, in place of the longest released array
+    too short for n.  ``release`` takes back the arrays under the given
+    views and ignores arrays it did not hand out.
+
+    The arrays are mapped from the system, and ``empty`` gives the pages
+    past the n elements back to it, so a released array keeps only the
+    pages of its last use resident.  With ``reuse`` false (the default)
+    ``empty`` returns plain numpy arrays and nothing is taken back: a run
+    of one epoch has nothing to reuse, and numpy places its arrays in
+    memory the process already holds where a new map would add pages.
+    """
+
+    def __init__(self, reuse=False):
+        self._reuse = reuse
+        self._lent = {}  # id -> array, for the arrays handed out
+        self._free = []  # released arrays, shortest first
+
+    def empty(self, n) -> np.ndarray:
+        if not self._reuse or n == 0:
+            return np.empty(n)
+        k = sum(x.size < n for x in self._free)  # the ones too short come first
+        if k < len(self._free) and self._free[k].size <= 2 * n:
+            x = self._free.pop(k)
+        else:
+            if k:
+                del self._free[k - 1]
+            x = np.frombuffer(mmap.mmap(-1, 8 * (n + n // 64)), dtype=np.float64)
+        self._lent[id(x)] = x
+        tail = -(-8 * n // mmap.PAGESIZE) * mmap.PAGESIZE  # the first page past n
+        if tail < x.nbytes and hasattr(mmap, "MADV_DONTNEED"):
+            x.base.obj.madvise(mmap.MADV_DONTNEED, tail, x.nbytes - tail)  # x.base.obj: the map
+        return x[:n]
+
+    def release(self, *views) -> None:
+        for v in views:
+            x = self._lent.pop(id(v if v.base is None else v.base), None)
+            if x is not None:
+                self._free.append(x)
+                self._free.sort(key=len)
+
+
+def _poisson_times(rate_hz, span_s, rng, arrays=None) -> np.ndarray:
+    """Sorted arrivals of a rate-``rate_hz`` Poisson process on [0, span_s),
+    in an array of the recycler ``arrays`` (a new one by default)."""
     # Exponential inter-arrival sampling, conditioned on the count:
     # normalized cumulative exponential gaps are the order statistics of
     # uniforms, so the output is sorted without an O(n log n) sort.
@@ -76,21 +138,38 @@ def _poisson_times(rate_hz, span_s, rng) -> np.ndarray:
     n = rng.poisson(rate_hz * span_s)
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    cum = rng.standard_exponential(n + 1)
+    cum = rng.standard_exponential(out=(arrays or _Recycler()).empty(n + 1))
     np.cumsum(cum, out=cum)
     np.multiply(cum, span_s / cum[-1], out=cum)
     return cum[:-1]
 
 
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two sorted arrays into one sorted array."""
-    if b.size == 0:
-        return a
-    if a.size == 0:
-        return b
+def _merge_sorted(a: np.ndarray, b: np.ndarray, arrays) -> np.ndarray:
+    """Merge two sorted arrays into one sorted array of ``arrays``, which
+    takes back the input that is not returned."""
     if a.size < b.size:
         a, b = b, a
-    return np.insert(a, np.searchsorted(a, b), b)
+    if b.size == 0:
+        merged = a
+    else:
+        merged = arrays.empty(a.size + b.size)
+        at = np.searchsorted(a, b)
+        at += np.arange(b.size)  # where b[j] goes
+        if b.size <= a.size >> 10:
+            # Few insertions: a copy per run of a between them costs less
+            # than np.insert's full-length mask.
+            lo = 0
+            for j, i in enumerate(at.tolist()):
+                merged[lo:i] = a[lo - j:i - j]
+                lo = i + 1
+            merged[lo:] = a[lo - b.size:]
+        else:
+            keep = np.ones(merged.size, dtype=bool)
+            keep[at] = False
+            merged[keep] = a
+        merged[at] = b
+    arrays.release(*(x for x in (a, b) if x is not merged))
+    return merged
 
 
 def _pulsed_times(rate_hz, tau_s, rep_rate_hz, n_windows, rng) -> np.ndarray:
@@ -230,7 +309,8 @@ def _search_ranges(starts, stops, window, single):
     return i0, np.searchsorted(stops, starts + window[1], side="left")
 
 
-def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
+def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
+                  arrays=None):
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
     Returns sorted, disjoint segments ``(seg_lo, seg_hi)`` and, for
@@ -243,8 +323,10 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
     one window (max(prev_stop, p - hi), p - max(lo, 0)] per stop; starts
     later than p - lo only reach delays below the range; ``block`` is None.
     Windows are clipped to [t_lo, t_hi]; a window cut away entirely stays
-    as an empty segment.
+    as an empty segment.  The segment bounds are arrays of the recycler
+    ``arrays`` (new ones by default).
     """
+    arrays = arrays or _Recycler()
     lo, hi = cfg.range_s
     first = cfg.policy == "first-stop"
     if first:
@@ -253,8 +335,8 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
     i0 = int(np.searchsorted(stops, t_lo + lo, side="left"))
     i1 = int(np.searchsorted(stops, t_hi + hi, side="right"))
     p = stops[i0:i1]
-    seg_lo = p - hi
-    seg_hi = p - lo
+    seg_lo = np.subtract(p, hi, out=arrays.empty(p.size))
+    seg_hi = np.subtract(p, lo, out=arrays.empty(p.size))
     block = None
     if first:
         np.maximum(seg_lo[1:], p[:-1], out=seg_lo[1:])
@@ -267,8 +349,8 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
         np.greater(seg_lo[1:], seg_hi[:-1], out=begins[1:-1])
         block = np.flatnonzero(begins)
         del begins
-        seg_lo = seg_lo[block[:-1]]
-        seg_hi = seg_hi[block[1:] - 1]
+        seg_lo = _take(seg_lo, block[:-1], arrays)
+        seg_hi = _take(seg_hi, block[1:] - 1, arrays)
         block += i0
     # Both bounds are non-decreasing, so clipping sets a prefix and a suffix.
     seg_lo[:np.searchsorted(seg_lo, t_lo, side="left")] = t_lo
@@ -278,7 +360,15 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float):
     return seg_lo, seg_hi, block
 
 
-def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
+def _take(x, index, arrays):
+    """``x[index]`` in an array of ``arrays``, which takes ``x`` back."""
+    # mode="raise" would copy through a buffer of its own.
+    taken = np.take(x, index, out=arrays.empty(index.size), mode="clip")
+    arrays.release(x)
+    return taken
+
+
+def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng, arrays=None):
     """Homogeneous Poisson arrivals restricted to the given segments.
 
     By the restriction theorem (Kingman, *Poisson Processes*, 1993) the
@@ -286,12 +376,16 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng):
     Poisson(r L) points placed uniformly on it, independent of the
     arrivals outside.  Returns the sorted offsets of the arrivals on the
     segments laid end to end, ``cum`` (the cumulative segment lengths) and
-    L; ``_place`` turns offsets into times.
+    L; ``_place`` turns offsets into times.  The offsets and ``cum`` are
+    arrays of the recycler ``arrays`` (new ones by default), which takes
+    ``seg_lo`` back before the offsets are drawn.
     """
-    cum = seg_hi - seg_lo
+    arrays = arrays or _Recycler()
+    cum = np.subtract(seg_hi, seg_lo, out=arrays.empty(seg_lo.size))
+    arrays.release(seg_lo)
     np.cumsum(cum, out=cum)
     covered = float(cum[-1]) if cum.size else 0.0
-    return _poisson_times(rate_hz, covered, rng), cum, covered
+    return _poisson_times(rate_hz, covered, rng, arrays), cum, covered
 
 
 def _place(u, cum, seg_hi):
@@ -670,7 +764,8 @@ def _cw_bulk_rate(rates, arm) -> float:
     return rates[f"only{arm}"] + rates[f"noise{arm}"] + rates[f"dark{arm}"]
 
 
-def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children) -> np.ndarray:
+def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children,
+                            arrays) -> np.ndarray:
     """Sorted timestamps of all non-pair events of one arm in [0, span_s)
     (pulsed: gated ones in the first ``n_windows`` pulse windows).
 
@@ -683,7 +778,7 @@ def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children) -> n
     ch = setup.idler if arm == 0 else setup.signal
     if pump.mode == "cw":
         rng = _generator(children[f"bulk{arm}"])
-        return _poisson_times(_cw_bulk_rate(rates, arm), span_s, rng)
+        return _poisson_times(_cw_bulk_rate(rates, arm), span_s, rng, arrays)
     parts = [
         _category_times(rates[f"only{arm}"], pump, span_s, n_windows,
                         _generator(children[f"only{arm}"])),
@@ -698,7 +793,7 @@ def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children) -> n
     return merged
 
 
-def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
+def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays=None):
     """Raw (arm0, arm1) timestamps of epoch e, relative to its start t0 =
     e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in [0,
     min(E, duration_s - t0)) or, pulsed, in the run's pulse windows e P to
@@ -708,8 +803,11 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
     bulk (``_cw_bulk_rate``) with ``children["bulk0"]`` on the start times
     it needs.  Events may leave the epoch after jitter or the stop-arm
     delay; they are clipped to the run, [-t0, duration_s - t0) in epoch
-    time, only, so adjacent epochs tile the full run exactly.
+    time, only, so adjacent epochs tile the full run exactly.  Arm 1 and,
+    pulsed, arm 0 are views of arrays of the recycler ``arrays`` (new ones
+    by default).
     """
+    arrays = arrays or _Recycler()
     pump = setup.pump
     epoch_s, pulses = epoch
     t0 = e * epoch_s
@@ -717,8 +815,11 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
     windows = 0
     if pump.mode == "pulsed":
         # The run's windows k/B begin in [0, duration_s).
-        run_windows = math.ceil(duration_s * pump.rep_rate_hz - 1e-9)
-        windows = min(pulses, run_windows - e * pulses)
+        run_pulses = duration_s * pump.rep_rate_hz
+        if not math.isfinite(run_pulses):
+            raise NumericsError(f"a {duration_s:.4g} s run at a {pump.rep_rate_hz:.4g} Hz "
+                                "rep rate holds more pulse windows than a float can count")
+        windows = min(pulses, math.ceil(run_pulses - 1e-9) - e * pulses)
     _check_stream_sizes(rates, pump, epoch_s, span, windows)
 
     pair_times = _category_times(rates["both"], pump, span, windows,
@@ -734,8 +835,8 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
         if arm == 0 and pump.mode == "cw":
             a = pairs
         else:
-            a = _merge_sorted(
-                _uncorrelated_arm_times(setup, rates, arm, span, windows, children), pairs)
+            a = _merge_sorted(_uncorrelated_arm_times(setup, rates, arm, span, windows,
+                                                      children, arrays), pairs, arrays)
         if arm == 1 and stop_delay_s != 0.0:
             a += stop_delay_s  # a is this epoch's own array
         lo = int(np.searchsorted(a, -t0, side="left"))
@@ -762,39 +863,48 @@ class TiaRunResult:
         return self.n_stops / self.duration
 
 
-def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry):
+def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry,
+               arrays=None):
     """Generate epoch e (``_epoch_arms``) and histogram the starts of its
     slab; all times are epoch time.
 
     ``carry`` = (starts, stops) are the explicit starts and the stops
     carried over from the epoch before.  ``slab`` = (s_lo, s_hi) is the
     start-time interval whose stops are all known once the epoch is
-    generated.  Returns (counts, n_starts, n_stops, tail): ``tail`` holds
-    the explicit starts at or after s_hi and the stops a later slab can
-    still pair with.
+    generated.  Returns (counts, n_starts, n_stops, carry): the next
+    ``carry`` holds the explicit starts at or after s_hi and the stops a
+    later slab can still pair with, in the next epoch's time.  The epoch's
+    arrays come from the recycler ``arrays`` (new ones by default) and go
+    back to it.
     """
+    arrays = arrays or _Recycler()
     s_lo, s_hi = slab
     arm0, arm1 = _epoch_arms(setup, rates, children, e, epoch, duration_s,
-                             tia.stop_delay_s)
+                             tia.stop_delay_s, arrays)
     n0, n1 = arm0.size, arm1.size
     # The carried tails are tiny (a guard interval's worth of events), so
     # merging beats a full re-sort.
-    explicit = _merge_sorted(arm0, carry[0])
-    stops = _merge_sorted(arm1, carry[1])
+    explicit = _merge_sorted(arm0, carry[0], arrays)
+    stops = _merge_sorted(arm1, carry[1], arrays)
     del arm0, arm1
     cut = int(np.searchsorted(explicit, s_hi, side="left"))
     counts = _bin_starts(explicit[:cut], stops, tia)
     if setup.pump.mode == "cw":
         bulk0_rate = _cw_bulk_rate(rates, 0)
-        seg_lo, seg_hi, block = _start_domain(stops, tia, s_lo, s_hi)
+        seg_lo, seg_hi, block = _start_domain(stops, tia, s_lo, s_hi, arrays)
         rng = _generator(children["bulk0"])
-        bulk, cum, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng)
+        bulk, cum, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng, arrays)
         del seg_lo
         # Bulk starts outside the domain are only counted.
         n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
         counts += _bin_starts(bulk, stops, tia, (cum, seg_hi, block))
+        arrays.release(bulk, cum, seg_hi)
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
-    return counts, n0, n1, (explicit[cut:], stops[keep:])
+    # Shifting by the epoch length is exact (``_epoch_length``).
+    epoch_s = epoch[0]
+    carry = (explicit[cut:] - epoch_s, stops[keep:] - epoch_s)
+    arrays.release(explicit, stops)
+    return counts, n0, n1, carry
 
 
 def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
@@ -835,17 +945,16 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
 
     counts = np.zeros(tia.n_bins, dtype=np.int64)
     carry = (np.empty(0), np.empty(0))
+    arrays = _Recycler(reuse=n_epochs > 1)
     n0 = 0
     n1 = 0
     s_lo = 0.0
     for e in range(n_epochs):
         end = duration_s - e * epoch_s  # the run's end in epoch time
         s_hi = end if e + 1 == n_epochs else min(epoch_s + lag, end)
-        c, dn0, dn1, (starts, stops) = _tia_epoch(
+        c, dn0, dn1, carry = _tia_epoch(
             setup, rates, tia, _epoch_children(entropy, e), e, epoch, duration_s,
-            (s_lo, s_hi), carry)
-        carry = (starts - epoch_s, stops - epoch_s)
-        del starts, stops  # views of this epoch's arrays
+            (s_lo, s_hi), carry, arrays)
         counts += c
         n0 += dn0
         n1 += dn1

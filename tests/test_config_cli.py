@@ -439,20 +439,34 @@ class TestCli:
         assert "--duration" in capsys.readouterr().err
         assert not (tmp_path / "histogram.csv").exists()
 
-    @pytest.mark.parametrize("dark_rate, duration", [(1e300, "9"), (1e16, "0.001")])
-    def test_histogram_extreme_rate_exit_code(self, tmp_path, capsys, clean_raw, dark_rate,
-                                              duration):
+    @pytest.mark.parametrize("config, changes, duration, expected", [
         # The epoch cannot be shorter than twice the carry reach, 59.6 ns
         # here, so these dark rates would put 6e292 and 6e8 stops in one.
-        clean_raw["channels"]["signal"]["dark_rate_per_s"] = dark_rate
-        path = tmp_path / "dark.json"
-        path.write_text(json.dumps(clean_raw))
+        pytest.param("paper_cfg", {("channels", "signal", "dark_rate_per_s"): 1e300}, "9",
+                     ("rate 1e+300 /s", "5.96e-08 s epoch"), id="1e+300-9"),
+        pytest.param("paper_cfg", {("channels", "signal", "dark_rate_per_s"): 1e16}, "0.001",
+                     ("rate 1e+16 /s", "5.96e-08 s epoch"), id="1e+16-0.001"),
+        # 1e30 s at 1e296 pulses/s: the run's pulse windows overflow a float.
+        pytest.param("engineered_cfg",
+                     {("pump", "rep_rate_mhz"): 1e290, ("pump", "tau_ps"): 1e-290}, "1e30",
+                     ("1e+30 s run", "1e+296 Hz rep rate"), id="pulse-windows-1e+30"),
+    ])
+    def test_histogram_extreme_rate_exit_code(self, tmp_path, capsys, request, config,
+                                              changes, duration, expected):
+        raw = copy.deepcopy(request.getfixturevalue(config).raw)
+        for (*parents, key), value in changes.items():
+            doc = raw
+            for name in parents:
+                doc = doc[name]
+            doc[key] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(raw))
         code = main(["histogram", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--duration", duration])
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("numerical failure") and len(err.strip().splitlines()) == 1
-        assert f"rate {dark_rate:.4g} /s" in err and "5.96e-08 s epoch" in err
+        assert all(text in err for text in expected), err
         assert not (tmp_path / "out" / "histogram.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("n2_m2_per_w", -3e-18), ("n2_m2_per_w", 0.0),

@@ -97,6 +97,46 @@ class TestPoissonStream:
         assert times[0] >= 0 and times[-1] < 2.0
 
 
+class TestRecycler:
+    def test_released_array_serves_a_request_that_fills_half(self):
+        arrays = eventsim._Recycler(reuse=True)
+        a = arrays.empty(1000)
+        b = arrays.empty(1000)
+        assert not np.shares_memory(a, b)
+        arrays.release(a[:-1])  # a view of the array is enough
+        assert np.shares_memory(arrays.empty(600), a)
+        # Less than half of a released array: a new one.
+        arrays.release(b)
+        assert not np.shares_memory(arrays.empty(400), b)
+        assert np.shares_memory(arrays.empty(1010), b)  # 1/64 to spare
+
+    def test_foreign_arrays_are_ignored(self):
+        arrays = eventsim._Recycler(reuse=True)
+        x = np.zeros(1000)
+        arrays.release(x)
+        y = arrays.empty(1000)
+        assert not np.shares_memory(x, y)
+        y[:] = 1.0
+        assert not x.any()
+
+
+class TestMergeSorted:
+    # Insertions into 100000 values: below 98 each run between them is
+    # copied, above that a mask places them.
+    @pytest.mark.parametrize("n_small", [0, 1, 40, 97, 98, 5000, 100000])
+    def test_matches_insert(self, n_small):
+        gen = np.random.default_rng(n_small)
+        big = np.sort(gen.random(100000))
+        # Half the small array repeats values of the big one: ties.
+        small = np.sort(np.concatenate([gen.random(n_small - n_small // 2),
+                                        gen.choice(big, n_small // 2)]))
+        expected = np.insert(big, np.searchsorted(big, small), small)
+        for a, b in ((big, small), (small, big)):
+            merged = eventsim._merge_sorted(a.copy(), b.copy(),
+                                            eventsim._Recycler(reuse=True))
+            assert np.array_equal(merged, expected)
+
+
 def _pulsed(in_pulse_rate_hz, tau_s, rep_rate_hz, duration_s, seed):
     windows = math.ceil(duration_s * rep_rate_hz - 1e-9)
     return _pulsed_times(in_pulse_rate_hz, tau_s, rep_rate_hz, windows, _generator(seed))
@@ -314,6 +354,35 @@ class TestRunTia:
         assert abs(result.n_starts - expected0) < 4 * math.sqrt(expected0)
         assert abs(result.n_stops - expected1) < 4 * math.sqrt(expected1)
 
+    def test_epochs_reuse_the_arrays_of_earlier_ones(self, paper_cfg, monkeypatch):
+        # Three epochs of 0.5 s.  From epoch 1 on, the stops binned lie in an
+        # array handed out in an earlier epoch, not in fresh memory.
+        tia_epoch, empty = eventsim._tia_epoch, eventsim._Recycler.empty
+        bin_starts = eventsim._bin_starts
+        handed, stops = [], []
+
+        def record_epoch(*args):
+            handed.append([])
+            return tia_epoch(*args)
+
+        def record_empty(arrays, n):
+            handed[-1].append(empty(arrays, n))
+            return handed[-1][-1]
+
+        def record_stops(starts, epoch_stops, *args):
+            if len(stops) < len(handed):
+                stops.append(epoch_stops)
+            return bin_starts(starts, epoch_stops, *args)
+
+        monkeypatch.setattr(eventsim, "_tia_epoch", record_epoch)
+        monkeypatch.setattr(eventsim._Recycler, "empty", record_empty)
+        monkeypatch.setattr(eventsim, "_bin_starts", record_stops)
+        run_tia(paper_cfg.setup, 1.5, 3)
+        assert len(stops) == 3 and stops[0].size > 600000
+        for e in (1, 2):
+            earlier = [a for epoch_arrays in handed[:e] for a in epoch_arrays]
+            assert any(np.shares_memory(stops[e], a) for a in earlier)
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
     def test_rejects_bad_duration(self, paper_cfg, duration):
         with pytest.raises(ConfigError, match="duration"):
@@ -442,13 +511,16 @@ class TestEpochs:
         for duration in (2.5 * 2.0**-7, 4.5 * 2.0**-7):
             arms, bulk = [], []
 
+            # Copies: the run's recycler reuses the arrays of finished epochs.
             def record_arms(*args):
-                arms.append(epoch_arms(*args))
-                return arms[-1]
+                result = epoch_arms(*args)
+                arms.append(tuple(a.copy() for a in result))
+                return result
 
             def record_bulk(*args):
-                bulk.append(restricted_poisson(*args))
-                return bulk[-1]
+                result = restricted_poisson(*args)
+                bulk.append((result[0].copy(), result[1].copy()))
+                return result
 
             with monkeypatch.context() as m:
                 m.setattr(eventsim, "_epoch_arms", record_arms)
@@ -461,7 +533,7 @@ class TestEpochs:
             # Arm 0's and arm 1's events, the drawn offsets and the segments'
             # cumulative lengths.
             assert arms3[e][1].size > 1000 and bulk3[e][0].size > 50
-            for a, b in zip(arms3[e] + bulk3[e][:2], arms5[e] + bulk5[e][:2]):
+            for a, b in zip(arms3[e] + bulk3[e], arms5[e] + bulk5[e]):
                 assert np.array_equal(a, b)
         assert not np.array_equal(arms3[2][1], arms5[2][1])  # 3's last is short
 
@@ -1023,7 +1095,7 @@ class TestRunTiaChunking:
             t = np.sort(t)
             return t[(t >= 0.0) & (t < n)]
 
-        def epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s):
+        def epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays):
             epoch_s = epoch[0]
             t0 = e * epoch_s
             epoch_starts.append(t0)
@@ -1032,17 +1104,17 @@ class TestRunTiaChunking:
             return (clip(emit[pairs] + start_jitter[pairs]) - t0,
                     clip(stop_emit[noise] + stop_jitter[noise] + stop_delay_s) - t0)
 
-        def restricted(rate_hz, seg_lo, seg_hi, rng):
+        def restricted(rate_hz, seg_lo, seg_hi, rng, arrays):
             # One domain per CW epoch, in epoch order.
             t0 = epoch_starts[len(domains)]
             domains.append(seg_lo.size)
             if seg_lo.size == 0:
-                return np.empty(0), None, 0.0
+                return np.empty(0), np.empty(0), 0.0
             starts = bulk0 - t0
             k = np.searchsorted(seg_lo, starts, side="right") - 1
             inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
             placed[:] = [starts[inside], k[inside]]
-            return np.arange(float(inside.sum())), None, float(np.sum(seg_hi - seg_lo))
+            return np.arange(float(inside.sum())), np.empty(0), float(np.sum(seg_hi - seg_lo))
 
         def place(u, cum, seg_hi):
             # The offsets ``restricted`` returned index the epoch's bulk starts.
