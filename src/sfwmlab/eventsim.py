@@ -19,9 +19,11 @@ identical in distribution to generating every start.
 Enumeration: the stops a start matches form one contiguous index range of
 the sorted stop array, the rule a time-tag correlator applies (Wahl et al.,
 Opt. Express 11, 3583, 2003).  ``_bin_starts`` enumerates and bins every
-start of a run through it, in batches of ``_BLOCK_BATCH`` starts; a
-multi-stop bulk start takes its range from the stop block of the domain
-segment it was drawn in, every other start from a binary search.
+start of a run through it, in batches of ``_BLOCK_BATCH`` starts.  The
+start domain has one segment per stop, and a bulk start drawn in the
+segment of stop p has p as the first stop of its range; a multi-stop one
+steps its range end past the further stops it matches.  Every explicit
+start is searched.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
 generated events (``_epoch_length``).  Every random stream of epoch e is
@@ -313,59 +315,38 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
                   arrays=None):
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
-    Returns sorted, disjoint segments ``(seg_lo, seg_hi)`` and, for
-    multi-stop, their stop blocks; every start that pairs with one of
-    ``stops`` at a binnable delay lies inside one of the segments.
-    Multi-stop: the union of (p - hi, p - lo] over stops p, with windows of
-    consecutive stops merged where they overlap; segment k merges the
-    windows of ``stops[block[k]:block[k + 1]]``, so a start inside it pairs
-    only with stops of that block (up to rounding at its edges).  First-stop:
-    one window (max(prev_stop, p - hi), p - max(lo, 0)] per stop; starts
-    later than p - lo only reach delays below the range; ``block`` is None.
-    Windows are clipped to [t_lo, t_hi]; a window cut away entirely stays
-    as an empty segment.  The segment bounds are arrays of the recycler
-    ``arrays`` (new ones by default).
+    Returns sorted, disjoint segments ``(seg_lo, seg_hi)``, one per stop
+    p_k = ``stops[first + k]`` that can reach the interval, and ``first``.
+    With (lo, hi) the window of ``_match_window``, segment k is (max(p_k -
+    hi, p_{k-1} - lo), p_k - max(lo, range_lo)]: a start s inside it has
+    p_k as its first stop p >= s + lo, and p_k < s + hi (up to rounding at
+    the edges); later starts only reach delays below the range.  Every
+    start that pairs with a stop at a binnable delay lies in a segment.
+    Segments are clipped to [t_lo, t_hi]; one cut away entirely stays
+    empty.  The bounds are arrays of the recycler ``arrays`` (new ones by
+    default).
     """
     arrays = arrays or _Recycler()
-    lo, hi = cfg.range_s
-    first = cfg.policy == "first-stop"
-    if first:
-        lo = max(lo, 0.0)
-    # Only stops whose window can reach [t_lo, t_hi] matter.
-    i0 = int(np.searchsorted(stops, t_lo + lo, side="left"))
-    i1 = int(np.searchsorted(stops, t_hi + hi, side="right"))
-    p = stops[i0:i1]
+    (lo, hi), _ = _match_window(cfg)
+    top = max(lo, cfg.range_s[0])
+    # Only stops whose segment can reach [t_lo, t_hi] matter.
+    first = int(np.searchsorted(stops, t_lo + top, side="left"))
+    end = int(np.searchsorted(stops, t_hi + hi, side="right"))
+    p = stops[first:end]
     seg_lo = np.subtract(p, hi, out=arrays.empty(p.size))
     seg_hi = np.subtract(p, lo, out=arrays.empty(p.size))
-    block = None
-    if first:
-        np.maximum(seg_lo[1:], p[:-1], out=seg_lo[1:])
-        if i0 > 0 and p.size:
-            seg_lo[0] = max(seg_lo[0], stops[i0 - 1])
-    else:
-        # A segment begins at window 0, ends at the last window, and
-        # window g + 1 begins a new one where it does not overlap window g.
-        begins = np.ones(p.size + 1, dtype=bool)
-        np.greater(seg_lo[1:], seg_hi[:-1], out=begins[1:-1])
-        block = np.flatnonzero(begins)
-        del begins
-        seg_lo = _take(seg_lo, block[:-1], arrays)
-        seg_hi = _take(seg_hi, block[1:] - 1, arrays)
-        block += i0
+    # Stop p_{k-1} is the first match of the starts up to p_{k-1} - lo.
+    np.maximum(seg_lo[1:], seg_hi[:-1], out=seg_lo[1:])
+    if first > 0 and p.size:
+        seg_lo[0] = max(seg_lo[0], stops[first - 1] - lo)
+    if top != lo:
+        np.subtract(p, top, out=seg_hi)
     # Both bounds are non-decreasing, so clipping sets a prefix and a suffix.
     seg_lo[:np.searchsorted(seg_lo, t_lo, side="left")] = t_lo
     seg_lo[np.searchsorted(seg_lo, t_hi, side="right"):] = t_hi
     np.maximum(seg_hi, seg_lo, out=seg_hi)
     seg_hi[np.searchsorted(seg_hi, t_hi, side="right"):] = t_hi
-    return seg_lo, seg_hi, block
-
-
-def _take(x, index, arrays):
-    """``x[index]`` in an array of ``arrays``, which takes ``x`` back."""
-    # mode="raise" would copy through a buffer of its own.
-    taken = np.take(x, index, out=arrays.empty(index.size), mode="clip")
-    arrays.release(x)
-    return taken
+    return seg_lo, seg_hi, first
 
 
 def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng, arrays=None):
@@ -392,7 +373,8 @@ def _place(u, cum, seg_hi):
     """Times and segment indices of the offsets ``u`` of
     ``_restricted_poisson``: segment k holds the offsets [cum[k-1], cum[k]),
     so an offset u maps to seg_lo[k] + u - cum[k-1] = u + (seg_hi[k] -
-    cum[k]) (up to rounding; every histogram rests on this grouping)."""
+    cum[k]) (up to rounding; every histogram rests on this grouping).  On
+    ``_start_domain``'s segments, stop first + k is the start's first."""
     k = np.searchsorted(cum, u, side="right")
     np.minimum(k, cum.size - 1, out=k)
     return u + (seg_hi[k] - cum[k]), k
@@ -473,20 +455,18 @@ def _bin_starts(starts, stops, cfg, domain=None):
     Starts are enumerated in batches of ``_BLOCK_BATCH`` on the batch pool
     (``_on_pool``); each worker sums its batches into its own counts, so
     the counts do not depend on the worker count.  Given ``domain`` = (cum,
-    seg_hi, block), ``starts`` are ``_restricted_poisson`` offsets, which
-    each batch places (``_place``).  With ``block`` (multi-stop) a start in
-    segment k takes the stop block ``stops[block[k]:block[k + 1]]`` as its
-    candidates; every other start is searched, and so is one that rounding
-    at a segment edge may have put within reach of a stop outside its block
-    (a neighbouring stop matches, or its block begins at the first stop or
-    ends at the last).  A first-stop start's one candidate is gathered and
-    binned directly.  Every start thus gets the delays of searching it in
-    all of ``stops`` (``_search_ranges`` and ``_expand_stop_ranges``).
+    seg_hi, first), ``starts`` are ``_restricted_poisson`` offsets, which
+    each batch places (``_place``): a start in segment k (``_start_domain``)
+    matches stops from ``first + k`` on, and a multi-stop start's range
+    ends at the first later stop out of its reach.  Every other start is
+    searched, and so is one that rounding at a segment edge may have put
+    beside its segment's stop (the stop before it matches, or the stop
+    itself is too early).  Every start thus gets the delays of searching it
+    in all of ``stops`` (``_search_ranges`` and ``_expand_stop_ranges``).
     """
     window, single = _match_window(cfg)
     lo, hi = window
     edges = cfg.bin_edges
-    cum, seg_hi, block = domain or (None, None, None)
     if stops.size == 0:
         return np.zeros(cfg.n_bins, dtype=np.int64)
 
@@ -494,24 +474,30 @@ def _bin_starts(starts, stops, cfg, domain=None):
         counts = np.zeros(cfg.n_bins, dtype=np.int64)
         for j in batches:
             s = starts[j:j + _BLOCK_BATCH]
-            if domain is not None:
-                s, k = _place(s, cum, seg_hi)
-            if block is None:
+            if domain is None:
                 i0, i1 = _search_ranges(s, stops, window, single)
             else:
-                i0 = block[k]
-                i1 = block[k + 1]
-                # The matching stops form one index range, so the block holds
-                # them all unless a neighbouring stop matches; out-of-range
-                # neighbour indices are clipped into the block, which can only
-                # send more starts to the search.
+                cum, seg_hi, first = domain
+                s, i0 = _place(s, cum, seg_hi)
+                i0 += first
+                i1 = i0 + 1
+                # An index clipped into the array can only send more starts
+                # to the search.
                 out = np.take(stops, i0 - 1, mode="clip") >= s + lo
-                out |= np.take(stops, i1, mode="clip") < s + hi
+                out |= np.take(stops, i0, mode="clip") < s + lo
                 if out.any():
                     i0[out], i1[out] = _search_ranges(s[out], stops, window, single)
+                if not single:
+                    # Step the range end past each further stop that
+                    # matches: no more steps than delays to expand.
+                    more = np.flatnonzero(np.take(stops, i1, mode="clip") < s + hi)
+                    while more.size:
+                        more = more[i1[more] < stops.size]
+                        i1[more] += 1
+                        more = more[np.take(stops, i1[more], mode="clip") < s[more] + hi]
             if single:
-                # The search gives stops[i0] >= s + lo, so the one candidate
-                # needs only the other comparison of ``_expand_stop_ranges``.
+                # Here stops[i0] >= s + lo, so the one candidate needs only
+                # the other comparison of ``_expand_stop_ranges``.
                 p = np.take(stops, i0, mode="clip")
                 keep = p < s + hi
                 keep &= i0 < i1
@@ -675,6 +661,10 @@ _CATEGORIES = ("both", "jitter0", "jitter1", "bulk0", "bulk1",
 _EVENTS_PER_EPOCH = 2**20
 # Most events a stream may expect in one epoch, 0.5 GiB of float64 times.
 _MAX_STREAM_EVENTS = 2**26
+# Most epochs a run may hold: every epoch index e up to 2^53 is an exact
+# float64, so the epoch start e E a run computes is exact in CW (E = 2^k s)
+# and rounded once when pulsed.
+_MAX_EPOCHS = 2**53
 
 
 def _epoch_children(entropy, e) -> dict:
@@ -814,12 +804,8 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
     span = min(epoch_s, duration_s - t0)
     windows = 0
     if pump.mode == "pulsed":
-        # The run's windows k/B begin in [0, duration_s).
-        run_pulses = duration_s * pump.rep_rate_hz
-        if not math.isfinite(run_pulses):
-            raise NumericsError(f"a {duration_s:.4g} s run at a {pump.rep_rate_hz:.4g} Hz "
-                                "rep rate holds more pulse windows than a float can count")
-        windows = min(pulses, math.ceil(run_pulses - 1e-9) - e * pulses)
+        # The run's windows k/B begin in [0, duration_s); ``run_tia`` bounds them.
+        windows = min(pulses, math.ceil(duration_s * pump.rep_rate_hz - 1e-9) - e * pulses)
     _check_stream_sizes(rates, pump, epoch_s, span, windows)
 
     pair_times = _category_times(rates["both"], pump, span, windows,
@@ -891,13 +877,13 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry,
     counts = _bin_starts(explicit[:cut], stops, tia)
     if setup.pump.mode == "cw":
         bulk0_rate = _cw_bulk_rate(rates, 0)
-        seg_lo, seg_hi, block = _start_domain(stops, tia, s_lo, s_hi, arrays)
+        seg_lo, seg_hi, first = _start_domain(stops, tia, s_lo, s_hi, arrays)
         rng = _generator(children["bulk0"])
         bulk, cum, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng, arrays)
         del seg_lo
         # Bulk starts outside the domain are only counted.
         n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
-        counts += _bin_starts(bulk, stops, tia, (cum, seg_hi, block))
+        counts += _bin_starts(bulk, stops, tia, (cum, seg_hi, first))
         arrays.release(bulk, cum, seg_hi)
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     # Shifting by the epoch length is exact (``_epoch_length``).
@@ -922,7 +908,9 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     stops they need are carried into epoch e + 1, shifted by the epoch
     length, which is exact (``_epoch_length``).  The events of one epoch
     and the carry are held at once; a stream that would expect more than
-    ``_MAX_STREAM_EVENTS`` events in an epoch raises ``NumericsError``.
+    ``_MAX_STREAM_EVENTS`` events in an epoch, a pulsed run whose pulse
+    windows a float cannot count, or a run of more than ``_MAX_EPOCHS``
+    epochs raises ``NumericsError`` before anything is drawn.
 
     In CW the start arm's bulk is drawn only on the start times that can
     reach the histogram (``_start_domain``) and the rest of it counted.
@@ -937,7 +925,16 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     rates = component_rates(setup)
     epoch = _epoch_length(setup, rates)
     epoch_s = epoch[0]
-    n_epochs = max(1, math.ceil(duration_s / epoch_s))
+    pump = setup.pump
+    if pump.mode == "pulsed" and not math.isfinite(duration_s * pump.rep_rate_hz):
+        raise NumericsError(f"a {duration_s:.4g} s run at a {pump.rep_rate_hz:.4g} Hz "
+                            "rep rate holds more pulse windows than a float can count")
+    epochs = duration_s / epoch_s
+    if not epochs <= _MAX_EPOCHS:
+        raise NumericsError(f"a {duration_s:.4g} s run holds {epochs:.4g} epochs of "
+                            f"{epoch_s:.4g} s; a run may hold at most 2^53, the count "
+                            "up to which the epoch start stays exact")
+    n_epochs = max(1, math.ceil(epochs))
     # Stops of later epochs lie at or above the epoch end + stop_delay -
     # jitter_pad; a start below that minus the range maximum cannot reach them.
     lag = tia.stop_delay_s - _jitter_pad(setup) - tia.range_s[1] - 1e-9

@@ -39,18 +39,25 @@ def write_svg(
     title: str = "",
     step: bool = False,
 ) -> None:
-    """Write a single-series line (or step) plot as a standalone SVG file."""
+    """Write a single-series line (or step) plot as a standalone SVG file.
+
+    Only the points with finite coordinates are drawn (a CAR of 0/0 is NaN,
+    say); with none, the plot is the frame alone.
+    """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
     if len(xs) != len(ys) or not xs:
         raise ValueError("x and y must be equal-length, non-empty sequences")
+    finite = [(a, b) for a, b in zip(xs, ys) if math.isfinite(a) and math.isfinite(b)]
+    xs = [a for a, _ in finite]
+    ys = [b for _, b in finite]
 
     width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 40, 55
     pw, ph = width - ml - mr, height - mt - mb
 
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = min(xs, default=0.0), max(xs, default=0.0)
+    y_lo, y_hi = min(ys, default=0.0), max(ys, default=0.0)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -83,19 +90,21 @@ def write_svg(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         'stroke="#888" stroke-width="1"/>',
     ]
-    for t in _ticks(x_lo, x_hi):
+    for t in _ticks(x_lo, x_hi) if finite else []:
         xp = px(t)
         parts.append(f'<line x1="{xp:.2f}" y1="{mt + ph}" x2="{xp:.2f}" '
                      f'y2="{mt + ph + 5}" stroke="#444"/>')
         parts.append(f'<text x="{xp:.2f}" y="{mt + ph + 20}" font-size="12" '
                      f'text-anchor="middle" font-family="sans-serif">{t:.4g}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t in _ticks(y_lo, y_hi) if finite else []:
         yp = py(t)
         parts.append(f'<line x1="{ml - 5}" y1="{yp:.2f}" x2="{ml}" y2="{yp:.2f}" '
                      'stroke="#444"/>')
         parts.append(f'<text x="{ml - 8}" y="{yp + 4:.2f}" font-size="12" '
                      f'text-anchor="end" font-family="sans-serif">{t:.4g}</text>')
-    parts.append(f'<path d="{path_d}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
+    if finite:
+        parts.append(f'<path d="{path_d}" fill="none" stroke="#1f6fb2" '
+                     'stroke-width="1.5"/>')
     if title:
         parts.append(f'<text x="{width / 2}" y="24" font-size="15" text-anchor="middle" '
                      f'font-family="sans-serif">{title}</text>')

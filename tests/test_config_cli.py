@@ -553,6 +553,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "CAR=" in out
 
+    def test_car_curve_svg_without_a_finite_car(self, tmp_path, clean_raw):
+        # No pump and no darks: C = A = 0, so every CAR is NaN.  The CSV
+        # keeps the NaNs, and the plot is drawn without them.
+        clean_raw["pump"]["power_mw"] = 0.0
+        for ch in clean_raw["channels"].values():
+            ch["dark_rate_per_s"] = 0.0
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(clean_raw))
+        out = tmp_path / "out"
+        code = main(["car-curve", "--config", str(path), "--out", str(out),
+                     "--detuning", "0.5,1.0,1.4", "--svg"])
+        assert code == 0
+        rows = (out / "car_curve.csv").read_text().splitlines()[-3:]
+        assert all(row.endswith(",nan") for row in rows)
+        svg = (out / "car_curve.svg").read_text()
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        assert "<path" not in svg
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["car_curve.csv", "car_curve.svg"]
+
     def test_car_curve_gated_mode_override(self, tmp_path, engineered_cfg):
         # --mode reaches car_vs_mu only through the config override.
         code = main([

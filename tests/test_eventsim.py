@@ -11,7 +11,7 @@ from scipy import stats
 import sfwmlab
 import sfwmlab.eventsim as eventsim
 from sfwmlab.config import load_config, set_path
-from sfwmlab.errors import ConfigError
+from sfwmlab.errors import ConfigError, NumericsError
 from sfwmlab.eventsim import (
     HistogramResult,
     TiaConfig,
@@ -388,6 +388,20 @@ class TestRunTia:
         with pytest.raises(ConfigError, match="duration"):
             run_tia(paper_cfg.setup, duration, 1)
 
+    @pytest.mark.parametrize("duration, epochs", [(1e30, "2e+30"), (1e308, "inf")])
+    def test_rejects_more_epochs_than_stay_exact(self, paper_cfg, monkeypatch, duration,
+                                                 epochs):
+        # 0.5 s epochs: refused before the first epoch is generated.
+        def generated(*args):
+            raise AssertionError("an epoch was generated")
+
+        monkeypatch.setattr(eventsim, "_tia_epoch", generated)
+        with pytest.raises(NumericsError) as raised:
+            run_tia(paper_cfg.setup, duration, 1)
+        message = str(raised.value)
+        assert f"{duration:.4g} s run holds {epochs} epochs of 0.5 s" in message
+        assert "at most 2^53" in message
+
     def test_epochs_have_equal_length(self, paper_cfg, monkeypatch):
         epochs = []
         epoch_arms = eventsim._epoch_arms
@@ -570,8 +584,17 @@ def _segments(stops, policy, rng, t_lo, t_hi, stop_delay=2.0):
 class TestStartDomain:
     def test_multi_stop_windows_merge_where_they_overlap(self):
         # Windows (p - 3, p - 1]: (2, 4] and (3, 5] overlap, (7, 9] does not.
-        assert _segments([5.0, 6.0, 10.0], "multi-stop", (1.0, 3.0), 0.0, 20.0) == [
-            (2.0, 5.0), (7.0, 9.0)]
+        # Each stop keeps its own segment, which begins where the earlier
+        # stop stops matching, and the segments cover the windows' union.
+        segments = _segments([5.0, 6.0, 10.0], "multi-stop", (1.0, 3.0), 0.0, 20.0)
+        assert segments == [(2.0, 4.0), (4.0, 5.0), (7.0, 9.0)]
+        union = [list(segments[0])]
+        for a, b in segments[1:]:
+            if a == union[-1][1]:
+                union[-1][1] = b
+            else:
+                union.append([a, b])
+        assert union == [[2.0, 5.0], [7.0, 9.0]]
 
     def test_multi_stop_negative_range_start(self):
         assert _segments([5.0], "multi-stop", (-1.0, 3.0), 0.0, 20.0,
@@ -652,9 +675,10 @@ class TestRestrictedPoisson:
 
 
 def _segment_of(starts, seg_lo, seg_hi):
-    """(index, inside) of the closed segment holding each start."""
-    k = np.searchsorted(seg_lo, starts, side="right") - 1
-    inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
+    """(index, inside) of the closed segment holding each start; a start on
+    the edge two segments share is the earlier one's, as (lo, hi] holds it."""
+    k = np.searchsorted(seg_hi, starts, side="left")
+    inside = (k < seg_hi.size) & (starts >= seg_lo[np.minimum(k, seg_hi.size - 1)])
     return k, inside
 
 
@@ -674,15 +698,14 @@ def _bin_recording_searches(starts, stops, cfg, domain=None):
 
 
 class TestBlockHistogram:
-    """Multi-stop starts paired with their segment's stop block by
-    ``_bin_starts`` give the delays, and the histogram, of ``_pair_delays``
-    over all stops."""
+    """Drawn starts settled by their segment's stop in ``_bin_starts`` give
+    the delays, and the histogram, of ``_pair_delays`` over all stops."""
 
     @staticmethod
-    def _check(starts, seg, stops, cfg, block):
-        """Block path against the search path, start j placed at
+    def _check(starts, seg, stops, cfg, first):
+        """Segment path against the search path, start j placed at
         ``starts[j]`` in segment ``seg[j]``; returns the starts that were
-        searched instead of settled by their blocks."""
+        searched instead of settled by their segment."""
         def place(u, cum, seg_hi):
             # The offsets below index the given starts.
             j = u.astype(np.intp)
@@ -691,11 +714,14 @@ class TestBlockHistogram:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(eventsim, "_place", place)
             counts, searched = _bin_recording_searches(
-                np.arange(float(starts.size)), stops, cfg, (None, None, block))
+                np.arange(float(starts.size)), stops, cfg, (None, None, first))
         assert np.array_equal(counts, _histogram(starts, stops, cfg))
         settled = ~np.isin(starts, searched)
-        delays = _expand_stop_ranges(starts[settled], stops, block[seg[settled]],
-                                     block[seg[settled] + 1], cfg.range_s)
+        i0, i1 = _search_ranges(starts[settled], stops, *_match_window(cfg))
+        # A settled start's matches begin at its segment's stop.
+        assert np.array_equal(i0, first + seg[settled])
+        delays = _expand_stop_ranges(starts[settled], stops, first + seg[settled], i1,
+                                     cfg.range_s)
         assert np.array_equal(np.sort(delays),
                               np.sort(_pair_delays(starts[settled], stops, cfg)))
         return searched
@@ -706,48 +732,50 @@ class TestBlockHistogram:
         stops = np.array(stops, dtype=float)
         cfg = TiaConfig(bin_width_s=0.25, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
-        seg_lo, seg_hi, block = _start_domain(stops, cfg, t_lo, t_hi)
+        seg_lo, seg_hi, first = _start_domain(stops, cfg, t_lo, t_hi)
         assert list(zip(seg_lo, seg_hi)) == expect_segments
         starts = np.arange(t_lo, t_hi, 0.25)
         k, inside = _segment_of(starts, seg_lo, seg_hi)
         starts, k = starts[inside], k[inside]
-        assert self._check(starts, k, stops, cfg, block).size == 0
+        assert self._check(starts, k, stops, cfg, first).size == 0
         assert _histogram(starts, stops, cfg).sum() > 0
-        return block
+        return first
 
     def test_merged_windows(self):
-        # Windows (2, 4] and (3, 5] merge into one segment with two stops.
-        block = self._grid_case([0.0, 5.0, 6.0, 10.0, 30.0], (1.0, 3.0), 1.0, 25.0,
-                                [(2.0, 5.0), (7.0, 9.0)])
-        assert list(block) == [1, 3, 4]
+        # Windows (2, 4] and (3, 5] overlap: the segment of 6 begins where 5
+        # stops matching.
+        first = self._grid_case([0.0, 5.0, 6.0, 10.0, 30.0], (1.0, 3.0), 1.0, 25.0,
+                                [(2.0, 4.0), (4.0, 5.0), (7.0, 9.0)])
+        assert first == 1
 
     def test_segment_clipped_at_slab_edge(self):
-        block = self._grid_case([0.0, 5.0, 6.0, 10.0, 30.0], (1.0, 3.0), 3.0, 8.0,
-                                [(3.0, 5.0), (7.0, 8.0)])
-        assert list(block) == [1, 3, 4]
+        first = self._grid_case([0.0, 5.0, 6.0, 10.0, 30.0], (1.0, 3.0), 3.0, 8.0,
+                                [(3.0, 4.0), (4.0, 5.0), (7.0, 8.0)])
+        assert first == 1
 
     def test_empty_segments(self):
         # The windows of 4 and 20 are cut away to [3, 3] and [17, 17]; the
         # start at 3 still pairs with the stop of its empty segment.
-        block = self._grid_case([1.0, 4.0, 10.0, 20.0, 40.0], (1.0, 3.0), 3.0, 17.0,
+        first = self._grid_case([1.0, 4.0, 10.0, 20.0, 40.0], (1.0, 3.0), 3.0, 17.0,
                                 [(3.0, 3.0), (7.0, 9.0), (17.0, 17.0)])
-        assert list(block) == [1, 2, 3, 4]
+        assert first == 1
 
     def test_negative_range_start(self):
         # Windows (p - 3, p + 2]: those of 0, 5 and 6 touch or overlap.
-        block = self._grid_case([-10.0, 0.0, 5.0, 6.0, 12.0, 30.0], (-2.0, 3.0),
-                                1.0, 25.0, [(1.0, 8.0), (9.0, 14.0)])
-        assert list(block) == [1, 4, 5]
+        first = self._grid_case([-10.0, 0.0, 5.0, 6.0, 12.0, 30.0], (-2.0, 3.0), 1.0, 25.0,
+                                [(1.0, 2.0), (2.0, 7.0), (7.0, 8.0), (9.0, 14.0)])
+        assert first == 1
 
     def test_start_in_a_wrong_block_is_searched(self):
-        # A start given the neighbouring segment, as rounding at a segment
-        # edge could, is searched instead of losing its stops.
+        # A start given a neighbouring segment, as rounding at a segment
+        # edge could, is searched instead of losing its stops: 4 belongs to
+        # 5's segment, 5 to 6's and 8 to 10's.
         stops = np.array([0.0, 5.0, 6.0, 10.0, 30.0])
         cfg = TiaConfig(bin_width_s=0.25, range_s=(1.0, 3.0), policy="multi-stop",
                         stop_delay_s=2.0)
-        seg_lo, seg_hi, block = _start_domain(stops, cfg, 1.0, 25.0)
+        seg_lo, seg_hi, first = _start_domain(stops, cfg, 1.0, 25.0)
         starts = np.array([4.0, 5.0, 8.0])
-        searched = self._check(starts, np.array([1, 1, 0]), stops, cfg, block)
+        searched = self._check(starts, np.array([1, 0, 1]), stops, cfg, first)
         assert np.array_equal(searched, starts)
 
     @pytest.mark.parametrize("range_s", [(10e-9, 330e-9), (-50e-9, 120e-9)])
@@ -757,13 +785,13 @@ class TestBlockHistogram:
         stops = 0.5 + np.sort(gen.random(4000)) * 2e-3
         cfg = TiaConfig(bin_width_s=1e-9, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
-        seg_lo, seg_hi, block = _start_domain(stops, cfg, 0.5002, 0.5018)
+        seg_lo, seg_hi, first = _start_domain(stops, cfg, 0.5002, 0.5018)
         u, cum, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32))
         starts, seg = _place(u, cum, seg_hi)
         assert starts.size > 5000
-        assert self._check(starts, seg, stops, cfg, block).size == 0
+        assert self._check(starts, seg, stops, cfg, first).size == 0
         # Each batch places its own offsets.
-        assert np.array_equal(_bin_starts(u, stops, cfg, (cum, seg_hi, block)),
+        assert np.array_equal(_bin_starts(u, stops, cfg, (cum, seg_hi, first)),
                               _histogram(starts, stops, cfg))
 
 
@@ -992,8 +1020,8 @@ class TestRunTiaPool:
 
 
 class TestRunTiaBlockPath:
-    """Runs of both policies through ``_bin_starts``: multi-stop bulk starts
-    are enumerated per stop block, every other start is searched."""
+    """Runs of both policies through ``_bin_starts``: drawn bulk starts are
+    settled by their segment's stop, explicit starts are searched."""
 
     POLICIES = ("first-stop", "multi-stop")
 
@@ -1012,8 +1040,7 @@ class TestRunTiaBlockPath:
 
             def counted(starts, stops, cfg, domain=None):
                 counts, searched = _bin_recording_searches(starts, stops, cfg, domain)
-                blocks = domain is not None and domain[2] is not None
-                calls.append((starts.size, blocks, searched.size))
+                calls.append((starts.size, domain is not None, searched.size))
                 return counts
 
             with monkeypatch.context() as m:
@@ -1033,14 +1060,13 @@ class TestRunTiaBlockPath:
             assert len(calls) == 4 * (1 + len(WORKER_COUNTS))
             assert all(calls[i:i + 4] == calls[:4] for i in range(4, len(calls), 4))
             bulk = [c for c in calls[:4] if c[1]]
-            if policy == "first-stop":
-                # No blocks: every start is searched.
-                assert not bulk and all(n == searched for n, _, searched in calls)
-            else:
-                # The blocks settle nearly every bulk start.
-                n_starts, _, n_searched = np.sum(bulk, axis=0)
-                assert len(bulk) == 2 and n_starts > 5000
-                assert n_searched < 0.01 * n_starts
+            explicit = [c for c in calls if not c[1]]
+            # The segments settle nearly every bulk start.
+            n_starts, _, n_searched = np.sum(bulk, axis=0)
+            assert len(bulk) == 2 and n_starts > 5000
+            assert n_searched < 0.01 * n_starts
+            # Every explicit start is searched.
+            assert all(n == searched for n, _, searched in explicit)
 
     def test_matches_searching_every_start(self, paper_cfg, monkeypatch):
         # The reference bins ``_pair_delays`` of all of an epoch's starts at once.
@@ -1057,6 +1083,56 @@ class TestRunTiaBlockPath:
                     searched = self._run(paper_cfg.setup, policy, m, seed)
                 assert binned.histogram.total_counts > 1000
                 assert np.array_equal(binned.histogram.counts, searched.histogram.counts)
+
+
+class TestDenseMultiStop:
+    """Multi-stop ranges holding many stops per start (r1 Δt of 5 and 11)."""
+
+    @staticmethod
+    def _setup(setup, span_s):
+        tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 10e-9 + span_s),
+                        policy="multi-stop", stop_delay_s=11.1e-9)
+        return with_analysis(setup, tia=tia)
+
+    def test_candidates_are_the_matching_stops(self, paper_cfg, monkeypatch):
+        # A start's candidate range is exact but for rounding at a segment
+        # edge, which is rarer than the starts sent to the search.  Merged
+        # stop blocks gave about 500 candidates per start at 4 µs.
+        setup = self._setup(paper_cfg.setup, 4e-6)
+        cap = 10 * setup.predict().singles1 * 4e-6  # 54 stops per start
+        expand, search = eventsim._expand_stop_ranges, eventsim._search_ranges
+        candidates, kept, searched = [], [], []
+
+        def recorded_expand(starts, stops, i0, i1, window):
+            candidates.append(int((i1 - i0).sum()))
+            # Refused before the expansion allocates for them.
+            assert candidates[-1] <= cap * starts.size
+            delays = expand(starts, stops, i0, i1, window)
+            kept.append(delays.size)
+            return delays
+
+        def recorded_search(starts, *args):
+            searched.append(starts.size)
+            return search(starts, *args)
+
+        monkeypatch.setattr(eventsim, "_expand_stop_ranges", recorded_expand)
+        monkeypatch.setattr(eventsim, "_search_ranges", recorded_search)
+        result = run_tia(setup, 0.02, 4)
+        assert sum(kept) == result.histogram.total_counts > 300000
+        assert sum(candidates) <= sum(kept) + sum(searched)
+
+    def test_flat_floor_at_eight_microseconds(self, paper_cfg):
+        # The tolerance of ``TestRunTiaStatistics``.
+        setup = self._setup(paper_cfg.setup, 8e-6)
+        duration = 0.05
+        result = run_tia(setup, duration, 1)
+        hist = result.histogram
+        lo, hi = hist.bin_edges[:-1], hist.bin_edges[1:]
+        floor = result.n_starts * (result.n_stops / duration) * (hi - lo)
+        off = np.abs(hist.bin_centers - 11.1e-9) > 400e-12
+        observed, expected = hist.counts[off].sum(), floor[off].sum()
+        assert expected > 1e6
+        assert abs(observed - expected) < 4 * math.sqrt(expected)
 
 
 class TestRunTiaChunking:
