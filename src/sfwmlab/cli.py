@@ -25,7 +25,7 @@ from .config import (
 )
 from .constants import DEFAULT_SEED
 from .errors import ConfigError, InconsistentMeasurementError, NumericsError
-from .eventsim import analyze_histogram, run_tia
+from .eventsim import analyze_histogram, check_peak_window, run_tia
 from .explore import (
     SweepSpec,
     car_vs_detuning,
@@ -212,6 +212,12 @@ def cmd_histogram(args) -> int:
         raise ConfigError(
             f"--duration must be a finite non-negative number of seconds, got {args.duration}")
     cfg = _load(args)
+    peak_window_s = 2 * cfg.setup.analysis.window_s
+    try:
+        check_peak_window(peak_window_s, cfg.setup.analysis.tia.bin_edges)
+    except ConfigError as exc:
+        raise ConfigError(f"analysis.coincidence_window_ps, analysis.tia.range_ns: {exc} "
+                          "(the peak window is twice the coincidence window)") from None
     out = _out_dir(args)
     result = run_tia(cfg.setup, args.duration, args.seed)
     hist = result.histogram
@@ -222,7 +228,7 @@ def cmd_histogram(args) -> int:
 
     analysis_path = out / "analysis.json"
     if hist.total_counts:
-        analysis = analyze_histogram(hist, peak_window_s=2 * cfg.setup.analysis.window_s)
+        analysis = analyze_histogram(hist, peak_window_s=peak_window_s)
         doc = {
             "peak_delay_s": analysis.peak_delay_s,
             "peak_fwhm_s": analysis.peak_fwhm_s,

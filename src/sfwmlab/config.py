@@ -102,7 +102,7 @@ class Setup:
         as keyword arguments of ``replace``."""
         nu = abs(detuning_hz)
         if nu <= 0.0:
-            raise ConfigError("detuning magnitude must be positive")
+            raise FieldError("detuning_hz", "detuning magnitude must be positive", detuning_hz)
         return {
             "idler": replace(self.idler, detuning_hz=-nu),
             "signal": replace(self.signal, detuning_hz=+nu),
@@ -133,19 +133,23 @@ def set_path(setup: Setup, path: str, value):
     """Return a copy of the setup with one dot-addressed field replaced.
 
     ``channels.detuning_hz`` is special-cased to move both channels
-    symmetrically (idler negative, signal positive).
+    symmetrically (idler negative, signal positive).  A value out of its
+    field's range is reported under ``path``.
     """
-    if path == "channels.detuning_hz":
-        return setup.with_detuning(value)
-    parts = path.split(".")
-    get_path(setup, path)  # validates
-    objs = [setup]
-    for part in parts[:-1]:
-        objs.append(getattr(objs[-1], part))
-    new = value
-    for obj, attr in zip(reversed(objs), reversed(parts)):
-        new = replace(obj, **{attr: new})
-    return new
+    try:
+        if path == "channels.detuning_hz":
+            return setup.with_detuning(value)
+        parts = path.split(".")
+        get_path(setup, path)  # validates
+        objs = [setup]
+        for part in parts[:-1]:
+            objs.append(getattr(objs[-1], part))
+        new = value
+        for obj, attr in zip(reversed(objs), reversed(parts)):
+            new = replace(obj, **{attr: new})
+        return new
+    except FieldError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ------------------------------------------------------------------

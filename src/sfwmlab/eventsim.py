@@ -16,14 +16,13 @@ generated (about 0.3 % of the run at the shipped range) and counts the rest
 as one Poisson number (Kingman, *Poisson Processes*, 1993).  The result is
 identical in distribution to generating every start.
 
-Enumeration: the stops a start matches form one contiguous index range of
-the sorted stop array, the rule a time-tag correlator applies (Wahl et al.,
-Opt. Express 11, 3583, 2003).  ``_bin_starts`` enumerates and bins every
-start of a run through it, in batches of ``_BLOCK_BATCH`` starts.  The
-start domain has one segment per stop, and a bulk start drawn in the
-segment of stop p has p as the first stop of its range; a multi-stop one
-steps its range end past the further stops it matches.  Every explicit
-start is searched.
+Enumeration: the stops a start s matches are consecutive in the sorted stop
+array, from its first match to the last below s plus the range maximum,
+the rule a time-tag correlator applies (Wahl et al., Opt. Express 11, 3583,
+2003).  ``_bin_starts`` bins the starts in batches of ``_BLOCK_BATCH``,
+each stepping on from its starts' first stops, so a batch's memory does not
+grow with the range.  A bulk start drawn in the start-domain segment of
+stop p has p as its first stop; every explicit start is searched.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
 generated events (``_epoch_length``).  Every random stream of epoch e is
@@ -268,47 +267,15 @@ class HistogramResult:
             fh.write("\n".join(lines) + "\n")
 
 
-def _expand_stop_ranges(starts, stops, i0, i1, window):
-    """Delays stop - start for stop indices [i0[j], i1[j]) of each start.
-
-    Only the stops p with p >= s + lo and p < s + hi, ``window`` = (lo, hi),
-    are kept: the float comparisons ``searchsorted`` makes, so a candidate
-    range that holds the matching one gives the same delays.
-    """
-    counts = i1 - i0
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.float64)
-    # flat[m] = i0[j] + (m - first output slot of start j)
-    flat = np.arange(total)
-    flat -= np.repeat(np.cumsum(counts) - counts - i0, counts)
-    delays = stops[flat]
-    del flat
-    s = np.repeat(starts, counts)
-    lo, hi = window
-    keep = delays >= s + lo
-    keep &= delays < s + hi
-    delays -= s
-    return delays[keep]
-
-
 def _match_window(cfg: TiaConfig):
     """The TIA policy as ((lo, hi), single): start s matches the stops p
-    with s + lo <= p < s + hi, or, with ``single`` (first-stop), the
-    earliest stop p >= s if p < s + hi; the histogram drops the delays below
-    its range."""
+    with s + lo <= p < s + hi, consecutive from its first p >= s + lo, or,
+    with ``single`` (first-stop), only its first stop p >= s if p < s + hi;
+    the histogram drops the delays below its range."""
     lo, hi = cfg.range_s
     if cfg.policy == "first-stop":
         return (0.0, hi), True
     return (lo, hi), False
-
-
-def _search_ranges(starts, stops, window, single):
-    """Stop-index ranges [i0, i1) holding the matches of each start."""
-    i0 = np.searchsorted(stops, starts + window[0], side="left")
-    if single:
-        return i0, np.minimum(i0 + 1, stops.size)
-    return i0, np.searchsorted(stops, starts + window[1], side="left")
 
 
 def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
@@ -449,23 +416,28 @@ def _bin_counts(values, edges):
     return np.bincount(i, minlength=n)
 
 
+def _first_stops(starts, stops, lo):
+    """Index of the first stop p >= s + lo of each start s in ``stops``."""
+    return np.searchsorted(stops, starts + lo, side="left")
+
+
 def _bin_starts(starts, stops, cfg, domain=None):
     """Histogram counts of the delays of ``starts`` against ``stops``.
 
-    Starts are enumerated in batches of ``_BLOCK_BATCH`` on the batch pool
-    (``_on_pool``); each worker sums its batches into its own counts, so
-    the counts do not depend on the worker count.  Given ``domain`` = (cum,
-    seg_hi, first), ``starts`` are ``_restricted_poisson`` offsets, which
-    each batch places (``_place``): a start in segment k (``_start_domain``)
-    matches stops from ``first + k`` on, and a multi-stop start's range
-    ends at the first later stop out of its reach.  Every other start is
-    searched, and so is one that rounding at a segment edge may have put
-    beside its segment's stop (the stop before it matches, or the stop
-    itself is too early).  Every start thus gets the delays of searching it
-    in all of ``stops`` (``_search_ranges`` and ``_expand_stop_ranges``).
+    Starts are binned in batches of ``_BLOCK_BATCH`` on the batch pool
+    (``_on_pool``), each worker into its own integer counts, which add in
+    any order.  A batch finds each start's first stop and walks: it bins
+    that stop for the starts it matches and, multi-stop, moves those on to
+    the next stop until none is left, so it bins at most ``_BLOCK_BATCH``
+    delays at a time however many stops a start matches.  Given ``domain``
+    = (cum, seg_hi, first), ``starts`` are ``_restricted_poisson`` offsets,
+    which each batch places (``_place``): the first stop of a start in
+    segment k (``_start_domain``) is ``first + k``.  Every other start is
+    searched (``_first_stops``), and so is one that rounding at a segment
+    edge may have put beside its segment's stop (the stop before it
+    matches, or the stop itself is too early).
     """
-    window, single = _match_window(cfg)
-    lo, hi = window
+    (lo, hi), single = _match_window(cfg)
     edges = cfg.bin_edges
     if stops.size == 0:
         return np.zeros(cfg.n_bins, dtype=np.int64)
@@ -475,36 +447,28 @@ def _bin_starts(starts, stops, cfg, domain=None):
         for j in batches:
             s = starts[j:j + _BLOCK_BATCH]
             if domain is None:
-                i0, i1 = _search_ranges(s, stops, window, single)
+                i = _first_stops(s, stops, lo)
             else:
                 cum, seg_hi, first = domain
-                s, i0 = _place(s, cum, seg_hi)
-                i0 += first
-                i1 = i0 + 1
+                s, i = _place(s, cum, seg_hi)
+                i += first
                 # An index clipped into the array can only send more starts
                 # to the search.
-                out = np.take(stops, i0 - 1, mode="clip") >= s + lo
-                out |= np.take(stops, i0, mode="clip") < s + lo
+                out = np.take(stops, i - 1, mode="clip") >= s + lo
+                out |= np.take(stops, i, mode="clip") < s + lo
                 if out.any():
-                    i0[out], i1[out] = _search_ranges(s[out], stops, window, single)
-                if not single:
-                    # Step the range end past each further stop that
-                    # matches: no more steps than delays to expand.
-                    more = np.flatnonzero(np.take(stops, i1, mode="clip") < s + hi)
-                    while more.size:
-                        more = more[i1[more] < stops.size]
-                        i1[more] += 1
-                        more = more[np.take(stops, i1[more], mode="clip") < s[more] + hi]
-            if single:
-                # Here stops[i0] >= s + lo, so the one candidate needs only
-                # the other comparison of ``_expand_stop_ranges``.
-                p = np.take(stops, i0, mode="clip")
+                    i[out] = _first_stops(s[out], stops, lo)
+            # Every stop from the first on is at or after s + lo, so a
+            # start's matches end at its first stop at or after s + hi.
+            while s.size:
+                p = np.take(stops, i, mode="clip")
                 keep = p < s + hi
-                keep &= i0 < i1
+                keep &= i < stops.size
                 p -= s
                 counts += _bin_counts(p[keep], edges)
-            else:
-                counts += _bin_counts(_expand_stop_ranges(s, stops, i0, i1, window), edges)
+                if single:
+                    break
+                s, i = s[keep], i[keep] + 1
         return counts
 
     return sum(_on_pool(binned, starts.size), np.zeros(cfg.n_bins, dtype=np.int64))
@@ -528,6 +492,16 @@ class AnalysisResult:
     flags: tuple = ()
 
 
+def check_peak_window(peak_window_s: float, bin_edges) -> None:
+    """Refuse a peak window ``analyze_histogram`` cannot use on a histogram
+    with ``bin_edges``: one at least as wide as the range they span."""
+    span = bin_edges[-1] - bin_edges[0]
+    if peak_window_s >= span:
+        raise ConfigError(
+            f"peak window {peak_window_s:.3g}s must be narrower than the range {span:.3g}s"
+        )
+
+
 def analyze_histogram(hist: HistogramResult, peak_window_s: float) -> AnalysisResult:
     """Extract peak position/width and the net coincidence rate.
 
@@ -537,11 +511,7 @@ def analyze_histogram(hist: HistogramResult, peak_window_s: float) -> AnalysisRe
     """
     centers = hist.bin_centers
     counts = hist.counts.astype(np.float64)
-    span = hist.bin_edges[-1] - hist.bin_edges[0]
-    if peak_window_s >= span:
-        raise ConfigError(
-            f"peak window {peak_window_s:.3g}s must be narrower than the range {span:.3g}s"
-        )
+    check_peak_window(peak_window_s, hist.bin_edges)
     if counts.sum() == 0:
         return AnalysisResult(
             peak_delay_s=math.nan,

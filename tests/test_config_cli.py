@@ -349,6 +349,21 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("param, values, requirement", [
+        ("pump.power_w", "-1,0,1", "pump power must be non-negative, got -1.0"),
+        ("noise.temperature_k", "300,0", "temperature must be positive, got 0.0"),
+        ("idler.detector_qe", "0.5,1.5", "detector QE must be in (0, 1], got 1.5"),
+        ("channels.detuning_hz", "0,1e12", "detuning magnitude must be positive, got 0.0"),
+    ])
+    def test_sweep_value_out_of_range_names_the_path(self, tmp_path, capsys, param, values,
+                                                     requirement):
+        code = main(["sweep", "--config", "paper-defaults", "--out", str(tmp_path),
+                     f"--param={param}", f"--values={values}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {param}: {requirement}\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_values_count_capped_before_allocation(self, monkeypatch):
         def allocate(*args, **kwargs):
             raise AssertionError("numpy was asked for the value array")
@@ -597,6 +612,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
         assert "analysis.accidental_mode" in err
+        assert not (tmp_path / "out" / "histogram.csv").exists()
+
+    def test_histogram_peak_window_wider_than_range_refused_before_simulating(
+            self, tmp_path, capsys, clean_raw, monkeypatch):
+        # Twice the 400 ps coincidence window is an 800 ps peak window; the
+        # bins of a 10.8-11.4 ns range span 608 ps.
+        clean_raw["analysis"]["tia"].update(range_ns=[10.8, 11.4], stop_delay_ns=11.1)
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(clean_raw))
+
+        def simulated(*args):
+            raise AssertionError("the run was simulated")
+
+        monkeypatch.setattr(cli, "run_tia", simulated)
+        code = main(["histogram", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--duration", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert "analysis.coincidence_window_ps" in err and "analysis.tia.range_ns" in err
+        assert "peak window 8e-10s must be narrower than the range 6.08e-10s" in err
         assert not (tmp_path / "out" / "histogram.csv").exists()
 
     def test_car_curve_unreachable_mu_exit_code(self, tmp_path):

@@ -21,7 +21,6 @@ from sfwmlab.eventsim import (
     _epoch_arms,
     _epoch_children,
     _epoch_length,
-    _expand_stop_ranges,
     _generator,
     _jittered,
     _match_window,
@@ -29,7 +28,6 @@ from sfwmlab.eventsim import (
     _poisson_times,
     _pulsed_times,
     _restricted_poisson,
-    _search_ranges,
     _start_domain,
     _tia_epoch,
     analyze_histogram,
@@ -44,10 +42,43 @@ def _poisson(rate_hz, duration_s, seed):
     return _poisson_times(rate_hz, duration_s, _generator(seed))
 
 
+def _search_ranges(starts, stops, window, single):
+    """Stop-index ranges [i0, i1) holding the matches of each start: two
+    searches, or one and the next index with ``single``."""
+    i0 = np.searchsorted(stops, starts + window[0], side="left")
+    if single:
+        return i0, np.minimum(i0 + 1, stops.size)
+    return i0, np.searchsorted(stops, starts + window[1], side="left")
+
+
+def _expand_stop_ranges(starts, stops, i0, i1, window):
+    """Delays stop - start for stop indices [i0[j], i1[j]) of each start.
+
+    Only the stops p with p >= s + lo and p < s + hi, ``window`` = (lo, hi),
+    are kept: the float comparisons ``searchsorted`` makes, so a candidate
+    range that holds the matching one gives the same delays.
+    """
+    counts = i1 - i0
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.float64)
+    # flat[m] = i0[j] + (m - first output slot of start j)
+    flat = np.arange(total)
+    flat -= np.repeat(np.cumsum(counts) - counts - i0, counts)
+    delays = stops[flat]
+    s = np.repeat(starts, counts)
+    lo, hi = window
+    keep = delays >= s + lo
+    keep &= delays < s + hi
+    delays -= s
+    return delays[keep]
+
+
 def _pair_delays(starts, stops, cfg):
     """Delays (stop - start) selected by the TIA policy, limited to delays
-    below the histogram range maximum: every start searched in the whole
-    stop array, the reference ``_bin_starts`` must reproduce."""
+    below the histogram range maximum: every start's index range searched
+    in the whole stop array and expanded at once, an algorithm apart from
+    the walk of ``_bin_starts``, which must reproduce it."""
     window, single = _match_window(cfg)
     i0, i1 = _search_ranges(starts, stops, window, single)
     return _expand_stop_ranges(starts, stops, i0, i1, window)
@@ -685,14 +716,14 @@ def _segment_of(starts, seg_lo, seg_hi):
 def _bin_recording_searches(starts, stops, cfg, domain=None):
     """``_bin_starts`` counts, and the starts it ranged by search."""
     searched = []
-    search_ranges = eventsim._search_ranges
+    first_stops = eventsim._first_stops
 
     def search(s, *args):
         searched.append(s.copy())
-        return search_ranges(s, *args)
+        return first_stops(s, *args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(eventsim, "_search_ranges", search)
+        m.setattr(eventsim, "_first_stops", search)
         counts = _bin_starts(starts, stops, cfg, domain)
     return counts, np.concatenate(searched) if searched else np.empty(0)
 
@@ -824,6 +855,23 @@ class TestPairDelays:
             expected = _brute_force_delays(starts, stops, cfg)
             got = np.sort(_pair_delays(starts, stops, cfg))
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("policy", ["first-stop", "multi-stop"])
+    @pytest.mark.parametrize("rng", [(10.0, 40.0), (0.0, 25.0), (-8.0, 30.0)])
+    def test_walk_matches_brute_force(self, monkeypatch, batch, policy, rng):
+        # The ties above through ``_bin_starts``, whose walks run on in
+        # batches of one or seven starts.
+        monkeypatch.setattr(eventsim, "_BLOCK_BATCH", batch)
+        gen = np.random.default_rng(11)
+        cfg = TiaConfig(bin_width_s=1.0, range_s=rng, policy=policy,
+                        stop_delay_s=max(rng[0], 0.0))
+        for _ in range(20):
+            starts = np.sort(gen.integers(0, 500, gen.integers(0, 80))).astype(float)
+            stops = np.sort(gen.integers(0, 500, gen.integers(0, 80))).astype(float)
+            expected = np.histogram(_brute_force_delays(starts, stops, cfg),
+                                    bins=cfg.bin_edges)[0]
+            assert np.array_equal(_bin_starts(starts, stops, cfg), expected)
 
     @pytest.mark.parametrize("policy", ["first-stop", "multi-stop"])
     def test_matches_brute_force_on_continuous_times(self, policy):
@@ -1094,32 +1142,22 @@ class TestDenseMultiStop:
                         policy="multi-stop", stop_delay_s=11.1e-9)
         return with_analysis(setup, tia=tia)
 
-    def test_candidates_are_the_matching_stops(self, paper_cfg, monkeypatch):
-        # A start's candidate range is exact but for rounding at a segment
-        # edge, which is rarer than the starts sent to the search.  Merged
-        # stop blocks gave about 500 candidates per start at 4 µs.
+    def test_binning_takes_at_most_a_batch_of_delays(self, paper_cfg, monkeypatch):
+        # About 5.4 stops per start at 4 µs, so a batch's expanded delays
+        # would be several batches long; the walk bins at most one batch's
+        # worth at a time, each delay once.
         setup = self._setup(paper_cfg.setup, 4e-6)
-        cap = 10 * setup.predict().singles1 * 4e-6  # 54 stops per start
-        expand, search = eventsim._expand_stop_ranges, eventsim._search_ranges
-        candidates, kept, searched = [], [], []
+        bin_counts = eventsim._bin_counts
+        sizes = []
 
-        def recorded_expand(starts, stops, i0, i1, window):
-            candidates.append(int((i1 - i0).sum()))
-            # Refused before the expansion allocates for them.
-            assert candidates[-1] <= cap * starts.size
-            delays = expand(starts, stops, i0, i1, window)
-            kept.append(delays.size)
-            return delays
+        def recorded(values, edges):
+            sizes.append(values.size)
+            return bin_counts(values, edges)
 
-        def recorded_search(starts, *args):
-            searched.append(starts.size)
-            return search(starts, *args)
-
-        monkeypatch.setattr(eventsim, "_expand_stop_ranges", recorded_expand)
-        monkeypatch.setattr(eventsim, "_search_ranges", recorded_search)
+        monkeypatch.setattr(eventsim, "_bin_counts", recorded)
         result = run_tia(setup, 0.02, 4)
-        assert sum(kept) == result.histogram.total_counts > 300000
-        assert sum(candidates) <= sum(kept) + sum(searched)
+        assert sum(sizes) == result.histogram.total_counts > 300000
+        assert max(sizes) <= eventsim._BLOCK_BATCH
 
     def test_flat_floor_at_eight_microseconds(self, paper_cfg):
         # The tolerance of ``TestRunTiaStatistics``.
