@@ -51,7 +51,6 @@ from .model import (
     ModelObservables,
     calibrate_eta_alpha,
     calibrate_raman,
-    eta_alpha_analytic,
     pair_generation_rate,
     predict_observables,
     pump_leakage_rate,
@@ -83,7 +82,6 @@ __all__ = [
     "car_vs_detuning",
     "car_vs_mu",
     "engineered_defaults",
-    "eta_alpha_analytic",
     "fit_power_law",
     "load_config",
     "optimize_car",

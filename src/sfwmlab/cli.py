@@ -340,9 +340,12 @@ def cmd_optimize(args) -> int:
         try:
             name, span = item.split("=")
             lo, hi = span.split(":")
-            bounds[name] = (float(lo), float(hi))
+            lo, hi = float(lo), float(hi)
         except ValueError as exc:
             raise ConfigError(f"bad bound {item!r}; use name=lo:hi") from exc
+        if name in bounds:
+            raise ConfigError(f"--bound {name} given more than once")
+        bounds[name] = (lo, hi)
     if args.mu_min is not None:
         constraint = ("mu_min", args.mu_min)
     elif args.c_min is not None:

@@ -2,8 +2,9 @@
 
 The on-disk format is a single JSON document with units encoded in key
 names (power_mw, detuning_thz, ...).  Unknown keys are rejected.  Loading
-converts everything to an SI ``Setup`` tree; serialization re-emits the
-validated document unchanged, so load -> save -> load is the identity.
+converts everything to an SI ``Setup`` tree and keeps the validated
+document unchanged as ``ExperimentConfig.raw``: overrides and calibrations
+edit a copy of it and load that again.
 """
 
 from __future__ import annotations
@@ -448,12 +449,6 @@ def load_config(source) -> ExperimentConfig:
     return ExperimentConfig(raw=raw, setup=validate_config(raw))
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(cfg.raw, fh, indent=2)
-        fh.write("\n")
-
-
 def config_hash(raw: dict) -> str:
     """Platform-stable digest of a configuration document."""
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -566,15 +561,6 @@ def paper_defaults(calibrated: bool = True) -> ExperimentConfig:
     if calibrated:
         return load_config("paper-defaults")
     return load_config(_uncalibrated_paper_raw())
-
-
-def tm_mode_raw() -> dict:
-    """The same chip on its higher-loss polarization (comparison case)."""
-    raw = _uncalibrated_paper_raw()
-    raw["waveguide"]["prop_loss_db_per_cm"] = 1.3
-    raw["waveguide"]["dispersion_ps_per_nm_km"] = 22.0
-    raw["coupling"]["total_insertion_loss_db"] = 18.6
-    return raw
 
 
 def engineered_defaults() -> ExperimentConfig:

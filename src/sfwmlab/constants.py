@@ -8,5 +8,5 @@ BOLTZMANN_K = 1.380649e-23    # Boltzmann constant, J/K
 # overridable from the CLI.
 DEFAULT_SEED = 1549315
 
-# Counter-based generator used for every stochastic operation.
+# Bit generator of every stochastic operation, recorded in histogram metadata.
 RNG_ALGORITHM = "philox4x64"

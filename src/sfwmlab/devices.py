@@ -60,7 +60,12 @@ class WaveguideSpec:
         return effective_length(self.alpha_np_per_m, self.length_m)
 
     def eta_alpha(self) -> float:
-        """In-waveguide survival probability of one pair photon."""
+        """In-waveguide survival probability of one pair photon.
+
+        Analytic: L_eff/L, the mean survival of a photon generated uniformly
+        along the guide, since survival from z to the output facet is
+        exp(-alpha*(L - z)).
+        """
         if self.eta_alpha_mode == "calibrated":
             return float(self.eta_alpha_value)
         return self.effective_length_m / self.length_m

@@ -25,27 +25,23 @@ grow with the range.  A bulk start drawn in the start-domain segment of
 stop p has p as its first stop; every explicit start is searched.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
-generated events (``_epoch_length``).  Every random stream of epoch e is
-keyed on (seed, e), the use counter-based generators were designed for
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and
-its times are relative to the epoch start, so a stop at 24 h carries the
-precision of one at 0 s and the carry into the next epoch shifts by the
-epoch length exactly.  An epoch's events depend only on the configuration,
-the seed and e: not on the run's duration beyond its own end.  A run holds
-one epoch's events at a time.
+generated events (``_epoch_length``).  Stream i of epoch e is seeded with
+``SeedSequence(seed, spawn_key=(e, i))``, so the epochs' streams are
+independent whatever the bit generator.  An epoch's times are relative to
+its start, so a stop at 24 h carries the precision of one at 0 s and the
+carry into the next epoch shifts by the epoch length exactly.  An epoch's
+events depend only on the configuration, the seed and e: not on the run's
+duration beyond its own end.  A run holds one epoch's events at a time.
 
 Memory: a CW epoch's arrays are megabytes each (about 670 000 stops, 5.4
 MB, in a 0.5 s epoch of paper-defaults), and the system maps and zeroes
 fresh pages for every fresh array that size.  ``run_tia`` therefore gives
-a run of more than one epoch one recycler (``_Recycler``), freed when it
-returns: the stop arm's draws and merge, the start domain's bounds and
-sums and the drawn starts are written with numpy's ``out=`` into arrays
-that earlier steps or epochs released at the point where they stopped
-using them.  A request takes a released array only if it fills at least
-half of it, and the pages past the request go back to the system, so a
-short request does not keep a long array's pages resident; at the shipped
-settings the run holds no more arrays at once than it would without
-recycling.
+every run one recycler (``_Recycler``), freed when it returns: the stop
+arm's draws and merge, the start domain's bounds and sums and the drawn
+starts are written with numpy's ``out=`` into plain numpy arrays that
+earlier steps or epochs released at the point where they stopped using
+them.  A request takes a released array only if it fills at least half
+of it, so a short request does not tie up a much longer array.
 
 Threads: the enumerate-and-bin batches, each placing its own drawn starts,
 run on a thread pool with one worker per CPU the process may run on
@@ -54,16 +50,17 @@ and sorts they spend their time in.  Each worker bins its batches into its
 own integer counts, and integer sums do not depend on order, so the output
 depends on neither the batch size nor the worker count.
 
-Determinism: every stochastic routine takes a seed and uses a counter-based
-Philox generator; identical seeds and configurations give bit-identical
-outputs.
+Determinism: every stochastic routine takes a seed and draws from numpy's
+Philox bit generator (``RNG_ALGORITHM``); identical seeds and
+configurations give bit-identical outputs.  That epochs do not depend on
+one another comes from their ``SeedSequence`` keys, not from Philox being
+counter-based.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import mmap
 import os
 from dataclasses import dataclass, field
 
@@ -90,34 +87,21 @@ class _Recycler:
     slightly longer request fits, in place of the longest released array
     too short for n.  ``release`` takes back the arrays under the given
     views and ignores arrays it did not hand out.
-
-    The arrays are mapped from the system, and ``empty`` gives the pages
-    past the n elements back to it, so a released array keeps only the
-    pages of its last use resident.  With ``reuse`` false (the default)
-    ``empty`` returns plain numpy arrays and nothing is taken back: a run
-    of one epoch has nothing to reuse, and numpy places its arrays in
-    memory the process already holds where a new map would add pages.
     """
 
-    def __init__(self, reuse=False):
-        self._reuse = reuse
+    def __init__(self):
         self._lent = {}  # id -> array, for the arrays handed out
         self._free = []  # released arrays, shortest first
 
     def empty(self, n) -> np.ndarray:
-        if not self._reuse or n == 0:
-            return np.empty(n)
         k = sum(x.size < n for x in self._free)  # the ones too short come first
         if k < len(self._free) and self._free[k].size <= 2 * n:
             x = self._free.pop(k)
         else:
             if k:
                 del self._free[k - 1]
-            x = np.frombuffer(mmap.mmap(-1, 8 * (n + n // 64)), dtype=np.float64)
+            x = np.empty(n + n // 64)
         self._lent[id(x)] = x
-        tail = -(-8 * n // mmap.PAGESIZE) * mmap.PAGESIZE  # the first page past n
-        if tail < x.nbytes and hasattr(mmap, "MADV_DONTNEED"):
-            x.base.obj.madvise(mmap.MADV_DONTNEED, tail, x.nbytes - tail)  # x.base.obj: the map
         return x[:n]
 
     def release(self, *views) -> None:
@@ -139,7 +123,8 @@ def _poisson_times(rate_hz, span_s, rng, arrays=None) -> np.ndarray:
     n = rng.poisson(rate_hz * span_s)
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    cum = rng.standard_exponential(out=(arrays or _Recycler()).empty(n + 1))
+    cum = np.empty(n + 1) if arrays is None else arrays.empty(n + 1)
+    rng.standard_exponential(out=cum)
     np.cumsum(cum, out=cum)
     np.multiply(cum, span_s / cum[-1], out=cum)
     return cum[:-1]
@@ -233,6 +218,10 @@ class TiaConfig:
         return lo + np.arange(self.n_bins + 1) * self.bin_width_s
 
 
+# Bins formatted per write: bounds the text ``write_csv`` holds at once.
+_CSV_BLOCK = 1 << 16
+
+
 @dataclass
 class HistogramResult:
     """Binned start-stop delays plus the run metadata needed to reproduce it."""
@@ -256,15 +245,16 @@ class HistogramResult:
         delay_s is the bin center; floats use shortest round-trip formatting
         and lines end with LF.  The format is byte-stable for fixed inputs.
         """
-        lines = []
-        for key in sorted(self.metadata):
-            lines.append(f"# {key}={self.metadata[key]}")
-        lines.append(f"# acquisition_time_s={self.acquisition_time!r}")
-        lines.append("delay_s,counts")
-        for center, count in zip(self.bin_centers, self.counts):
-            lines.append(f"{float(center)!r},{int(count)}")
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for key in sorted(self.metadata):
+                fh.write(f"# {key}={self.metadata[key]}\n")
+            fh.write(f"# acquisition_time_s={self.acquisition_time!r}\n")
+            fh.write("delay_s,counts\n")
+            centers = self.bin_centers
+            for j in range(0, centers.size, _CSV_BLOCK):
+                block = zip(centers[j:j + _CSV_BLOCK].tolist(),
+                            self.counts[j:j + _CSV_BLOCK].tolist())
+                fh.write("".join(f"{c!r},{int(n)}\n" for c, n in block))
 
 
 def _match_window(cfg: TiaConfig):
@@ -278,8 +268,7 @@ def _match_window(cfg: TiaConfig):
     return (lo, hi), False
 
 
-def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
-                  arrays=None):
+def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float, arrays):
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
     Returns sorted, disjoint segments ``(seg_lo, seg_hi)``, one per stop
@@ -290,10 +279,8 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
     the edges); later starts only reach delays below the range.  Every
     start that pairs with a stop at a binnable delay lies in a segment.
     Segments are clipped to [t_lo, t_hi]; one cut away entirely stays
-    empty.  The bounds are arrays of the recycler ``arrays`` (new ones by
-    default).
+    empty.  The bounds are arrays of the recycler ``arrays``.
     """
-    arrays = arrays or _Recycler()
     (lo, hi), _ = _match_window(cfg)
     top = max(lo, cfg.range_s[0])
     # Only stops whose segment can reach [t_lo, t_hi] matter.
@@ -316,7 +303,7 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
     return seg_lo, seg_hi, first
 
 
-def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng, arrays=None):
+def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng, arrays):
     """Homogeneous Poisson arrivals restricted to the given segments.
 
     By the restriction theorem (Kingman, *Poisson Processes*, 1993) the
@@ -325,10 +312,9 @@ def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng, arrays=None):
     arrivals outside.  Returns the sorted offsets of the arrivals on the
     segments laid end to end, ``cum`` (the cumulative segment lengths) and
     L; ``_place`` turns offsets into times.  The offsets and ``cum`` are
-    arrays of the recycler ``arrays`` (new ones by default), which takes
-    ``seg_lo`` back before the offsets are drawn.
+    arrays of the recycler ``arrays``, which takes ``seg_lo`` back before
+    the offsets are drawn.
     """
-    arrays = arrays or _Recycler()
     cum = np.subtract(seg_hi, seg_lo, out=arrays.empty(seg_lo.size))
     arrays.release(seg_lo)
     np.cumsum(cum, out=cum)
@@ -753,7 +739,7 @@ def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children,
     return merged
 
 
-def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays=None):
+def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays):
     """Raw (arm0, arm1) timestamps of epoch e, relative to its start t0 =
     e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in [0,
     min(E, duration_s - t0)) or, pulsed, in the run's pulse windows e P to
@@ -764,10 +750,8 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
     it needs.  Events may leave the epoch after jitter or the stop-arm
     delay; they are clipped to the run, [-t0, duration_s - t0) in epoch
     time, only, so adjacent epochs tile the full run exactly.  Arm 1 and,
-    pulsed, arm 0 are views of arrays of the recycler ``arrays`` (new ones
-    by default).
+    pulsed, arm 0 are views of arrays of the recycler ``arrays``.
     """
-    arrays = arrays or _Recycler()
     pump = setup.pump
     epoch_s, pulses = epoch
     t0 = e * epoch_s
@@ -819,8 +803,7 @@ class TiaRunResult:
         return self.n_stops / self.duration
 
 
-def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry,
-               arrays=None):
+def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, arrays):
     """Generate epoch e (``_epoch_arms``) and histogram the starts of its
     slab; all times are epoch time.
 
@@ -830,10 +813,8 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry,
     generated.  Returns (counts, n_starts, n_stops, carry): the next
     ``carry`` holds the explicit starts at or after s_hi and the stops a
     later slab can still pair with, in the next epoch's time.  The epoch's
-    arrays come from the recycler ``arrays`` (new ones by default) and go
-    back to it.
+    arrays come from the recycler ``arrays`` and go back to it.
     """
-    arrays = arrays or _Recycler()
     s_lo, s_hi = slab
     arm0, arm1 = _epoch_arms(setup, rates, children, e, epoch, duration_s,
                              tia.stop_delay_s, arrays)
@@ -912,7 +893,7 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
 
     counts = np.zeros(tia.n_bins, dtype=np.int64)
     carry = (np.empty(0), np.empty(0))
-    arrays = _Recycler(reuse=n_epochs > 1)
+    arrays = _Recycler()
     n0 = 0
     n1 = 0
     s_lo = 0.0

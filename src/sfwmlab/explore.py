@@ -315,12 +315,7 @@ def _evaluate(setup: Setup, constraint) -> tuple[float, float, float, bool]:
     obs = setup.predict()
     mu = obs.pair_rate * setup.pump.tau_s if setup.pump.mode == "pulsed" else math.nan
     kind, bound = constraint
-    if kind == "mu_min":
-        feasible = mu >= bound
-    elif kind == "c_min":
-        feasible = obs.coincidences >= bound
-    else:
-        raise ConfigError(f"unknown constraint kind {kind!r}")
+    feasible = (mu if kind == "mu_min" else obs.coincidences) >= bound
     return obs.car, mu, obs.coincidences, feasible
 
 
@@ -352,8 +347,11 @@ def optimize_car(
             raise ConfigError(f"bound {n}={lo}:{hi} must have finite endpoints")
     if np.any(highs < lows):
         raise ConfigError("each bound must satisfy lo <= hi")
-    if not math.isfinite(constraint[1]):
-        raise ConfigError(f"constraint {constraint[0]}={constraint[1]} must be finite")
+    kind, bound = constraint
+    if kind not in ("mu_min", "c_min"):
+        raise ConfigError(f"unknown constraint kind {kind!r}; use 'mu_min' or 'c_min'")
+    if not math.isfinite(bound):
+        raise ConfigError(f"constraint {kind}={bound} must be finite")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2, got {grid_points}")
     spans = highs - lows

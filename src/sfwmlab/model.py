@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from .constants import BOLTZMANN_K, PLANCK_H
 from .devices import DetectionChannel, NoiseModel, PumpConfig, WaveguideSpec
 from .errors import ConfigError, InconsistentMeasurementError, NumericsError
-from .units import effective_length
 
 if TYPE_CHECKING:
     from .config import Setup
@@ -63,15 +62,6 @@ def pair_generation_rate(
     if not math.isfinite(rate):
         raise NumericsError(f"pair generation rate overflows at pump power {pump.power_w} W")
     return rate
-
-
-def eta_alpha_analytic(alpha_np_per_m: float, length_m: float) -> float:
-    """Mean survival of one photon generated uniformly along a lossy guide.
-
-    Equals L_eff/L: generation is uniform in z while survival from z to the
-    output facet is exp(-alpha*(L - z)).
-    """
-    return effective_length(alpha_np_per_m, length_m) / length_m
 
 
 def thermal_occupancy(frequency_hz: float, temperature_k: float) -> float:

@@ -14,13 +14,6 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (-x_db / 10.0)
 
 
-def linear_to_db(fraction: float) -> float:
-    """Convert a power transmission fraction to an attenuation in dB."""
-    if fraction <= 0.0:
-        return math.inf
-    return -10.0 * math.log10(fraction)
-
-
 def wavelength_to_frequency(wavelength_m: float) -> float:
     """Vacuum wavelength in meters to frequency in Hz."""
     if wavelength_m <= 0.0:
@@ -54,14 +47,6 @@ def beta2_from_dispersion(d_ps_per_nm_km: float, wavelength_m: float) -> float:
         raise ValueError(f"wavelength must be positive, got {wavelength_m}")
     d_si = d_ps_per_nm_km * 1e-6  # ps/(nm km) -> s/m^2
     return -d_si * wavelength_m**2 / (2.0 * math.pi * C_VACUUM)
-
-
-def dispersion_from_beta2(beta2_s2_per_m: float, wavelength_m: float) -> float:
-    """Inverse of :func:`beta2_from_dispersion`; returns D in ps/nm/km."""
-    if wavelength_m <= 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength_m}")
-    d_si = -beta2_s2_per_m * 2.0 * math.pi * C_VACUUM / wavelength_m**2
-    return d_si * 1e6
 
 
 def prop_loss_to_alpha(loss_db_per_cm: float) -> float:

@@ -17,8 +17,6 @@ from sfwmlab.config import (
     engineered_defaults,
     load_config,
     paper_defaults,
-    save_config,
-    tm_mode_raw,
 )
 from sfwmlab.errors import ConfigError
 from sfwmlab.eventsim import MAX_TIA_BINS
@@ -29,13 +27,13 @@ from conftest import with_analysis
 
 class TestConfigDocument:
     def test_load_save_load_is_identity(self, tmp_path, paper_cfg):
+        # A loaded document, written out as JSON, loads back unchanged.
         path = tmp_path / "cfg.json"
-        save_config(paper_cfg, path)
+        path.write_text(json.dumps(paper_cfg.raw, indent=2))
         reloaded = load_config(path)
         assert reloaded.raw == paper_cfg.raw
         assert reloaded.config_hash == paper_cfg.config_hash
-        save_config(reloaded, tmp_path / "cfg2.json")
-        assert (tmp_path / "cfg.json").read_bytes() == (tmp_path / "cfg2.json").read_bytes()
+        assert reloaded.setup == paper_cfg.setup
 
     def test_unknown_key_rejected(self, clean_raw):
         clean_raw["waveguide"]["bogus_field"] = 1.0
@@ -254,10 +252,19 @@ class TestCalibrationFlow:
 
 
 class TestTmModeComparison:
+    @staticmethod
+    def tm_mode_raw(te_raw) -> dict:
+        """The same chip on its higher-loss polarization."""
+        raw = copy.deepcopy(te_raw)
+        raw["waveguide"]["prop_loss_db_per_cm"] = 1.3
+        raw["waveguide"]["dispersion_ps_per_nm_km"] = 22.0
+        raw["coupling"]["total_insertion_loss_db"] = 18.6
+        return raw
+
     def test_higher_loss_polarization_gives_fewer_coincidences(self,
                                                                paper_uncalibrated_cfg):
         te = paper_uncalibrated_cfg.setup.predict()
-        tm = load_config(tm_mode_raw()).setup.predict()
+        tm = load_config(self.tm_mode_raw(paper_uncalibrated_cfg.raw)).setup.predict()
         assert tm.coincidences < te.coincidences
 
 
@@ -679,6 +686,9 @@ class TestCli:
         (["--bound", "peak_power_w=0.1:1", "--bound", "tau_s=1e-12:1e-11",
           "--bound", "rep_rate_hz=1e7:1e9", "--bound", "detuning_hz=1e12:2e12",
           "--mu-min", "1e-6", "--grid-points", "1000"], "--grid-points"),
+        # A repeated name would otherwise drop all but its last bound.
+        (["--bound", "tau_s=1e-12:2e-12", "--bound", "tau_s=3e-12:4e-12", "--mu-min", "1e-6"],
+         "--bound tau_s given more than once"),
     ])
     def test_optimize_bad_input_exit_code(self, tmp_path, capsys, args, match):
         code = main(["optimize", "--config", "engineered-defaults", "--out", str(tmp_path),

@@ -15,6 +15,7 @@ from sfwmlab.errors import ConfigError, NumericsError
 from sfwmlab.eventsim import (
     HistogramResult,
     TiaConfig,
+    _Recycler,
     _bin_counts,
     _bin_starts,
     _cw_bulk_rate,
@@ -95,7 +96,7 @@ def _arms(setup, duration_s, seed):
     children = _epoch_children(seed, 0)
     return children, _epoch_arms(setup, component_rates(setup), children, 0,
                                  (duration_s, 0), duration_s,
-                                 setup.analysis.tia.stop_delay_s)
+                                 setup.analysis.tia.stop_delay_s, _Recycler())
 
 
 def _full_streams(setup, duration_s, seed):
@@ -130,7 +131,7 @@ class TestPoissonStream:
 
 class TestRecycler:
     def test_released_array_serves_a_request_that_fills_half(self):
-        arrays = eventsim._Recycler(reuse=True)
+        arrays = _Recycler()
         a = arrays.empty(1000)
         b = arrays.empty(1000)
         assert not np.shares_memory(a, b)
@@ -142,7 +143,7 @@ class TestRecycler:
         assert np.shares_memory(arrays.empty(1010), b)  # 1/64 to spare
 
     def test_foreign_arrays_are_ignored(self):
-        arrays = eventsim._Recycler(reuse=True)
+        arrays = _Recycler()
         x = np.zeros(1000)
         arrays.release(x)
         y = arrays.empty(1000)
@@ -163,8 +164,7 @@ class TestMergeSorted:
                                         gen.choice(big, n_small // 2)]))
         expected = np.insert(big, np.searchsorted(big, small), small)
         for a, b in ((big, small), (small, big)):
-            merged = eventsim._merge_sorted(a.copy(), b.copy(),
-                                            eventsim._Recycler(reuse=True))
+            merged = eventsim._merge_sorted(a.copy(), b.copy(), _Recycler())
             assert np.array_equal(merged, expected)
 
 
@@ -414,6 +414,20 @@ class TestRunTia:
             earlier = [a for epoch_arrays in handed[:e] for a in epoch_arrays]
             assert any(np.shares_memory(stops[e], a) for a in earlier)
 
+    def test_one_epoch_run_reuses_released_arrays(self, paper_cfg, monkeypatch):
+        # 0.4 s is one epoch of 0.5 s.  The start domain's bounds go into
+        # the array of the stop arm's draws, which the merge released.
+        empty = eventsim._Recycler.empty
+        handed = []
+
+        def record_empty(arrays, n):
+            handed.append(empty(arrays, n))
+            return handed[-1]
+
+        monkeypatch.setattr(eventsim._Recycler, "empty", record_empty)
+        run_tia(paper_cfg.setup, 0.4, 3)
+        assert any(np.shares_memory(a, b) for i, a in enumerate(handed) for b in handed[:i])
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
     def test_rejects_bad_duration(self, paper_cfg, duration):
         with pytest.raises(ConfigError, match="duration"):
@@ -523,7 +537,8 @@ class TestEpochs:
         assert epoch == (2**21 / 76.3e6, 2**21)
         times = []
         for e in range(1, 40):
-            arms = _epoch_arms(setup, rates, _epoch_children(3, e), e, epoch, 2.0, 0.0)
+            arms = _epoch_arms(setup, rates, _epoch_children(3, e), e, epoch, 2.0, 0.0,
+                               _Recycler())
             times.append(e * epoch[0] + np.concatenate(arms))
         times = np.concatenate(times)
         assert times.size > 50
@@ -543,7 +558,8 @@ class TestEpochs:
         rates["both"] = 2e9
         epoch = (2**10 / 1e8, 2**10)
         duration = (2**10 + 100.5) / 1e8
-        arms = _epoch_arms(setup, rates, _epoch_children(3, 1), 1, epoch, duration, 0.0)
+        arms = _epoch_arms(setup, rates, _epoch_children(3, 1), 1, epoch, duration, 0.0,
+                           _Recycler())
         windows = np.unique(np.floor(arms[1] * 1e8))
         assert np.array_equal(windows, np.arange(101))
 
@@ -596,7 +612,7 @@ class TestEpochs:
         results = []
         for e in (0, 2**17):
             results.append(_tia_epoch(setup, rates, tia, children, e, epoch,
-                                      (e + 1) * epoch_s, (0.0, epoch_s), empty))
+                                      (e + 1) * epoch_s, (0.0, epoch_s), empty, _Recycler()))
         (counts0, n00, n10, tail0), (counts1, n01, n11, tail1) = results
         assert counts0.sum() > 1000
         assert np.array_equal(counts0, counts1)
@@ -606,7 +622,8 @@ class TestEpochs:
 
 def _segments(stops, policy, rng, t_lo, t_hi, stop_delay=2.0):
     cfg = TiaConfig(bin_width_s=0.5, range_s=rng, policy=policy, stop_delay_s=stop_delay)
-    seg_lo, seg_hi, _ = _start_domain(np.array(stops, dtype=float), cfg, t_lo, t_hi)
+    seg_lo, seg_hi, _ = _start_domain(np.array(stops, dtype=float), cfg, t_lo, t_hi,
+                                      _Recycler())
     assert np.all(seg_hi >= seg_lo)
     assert np.all(seg_lo[1:] >= seg_hi[:-1])  # sorted and disjoint
     return [(a, b) for a, b in zip(seg_lo, seg_hi) if b > a]
@@ -662,7 +679,7 @@ class TestStartDomain:
         starts = np.arange(0.0, 4000.0, 0.5)
         cfg = TiaConfig(bin_width_s=1.0, range_s=rng, policy=policy,
                         stop_delay_s=max(rng[0], 0.0))
-        seg_lo, seg_hi, _ = _start_domain(stops, cfg, 0.0, 4000.0)
+        seg_lo, seg_hi, _ = _start_domain(stops, cfg, 0.0, 4000.0, _Recycler())
         k = np.searchsorted(seg_lo, starts, side="right") - 1
         inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
         assert inside.mean() < 0.9
@@ -677,7 +694,7 @@ class TestStartDomain:
 class TestRestrictedPoisson:
     def test_single_segment_is_the_plain_process(self):
         u, cum, covered = _restricted_poisson(
-            1e4, np.array([0.0]), np.array([2.0]), np.random.default_rng(5))
+            1e4, np.array([0.0]), np.array([2.0]), np.random.default_rng(5), _Recycler())
         a, seg = _place(u, cum, np.array([2.0]))
         b = _poisson_times(1e4, 2.0, np.random.default_rng(5))
         assert covered == 2.0
@@ -689,7 +706,7 @@ class TestRestrictedPoisson:
         seg_hi = np.array([1.0, 2.0, 7.0])
         rate = 1e5
         u, cum, covered = _restricted_poisson(rate, seg_lo, seg_hi,
-                                              np.random.default_rng(6))
+                                              np.random.default_rng(6), _Recycler())
         times, seg = _place(u, cum, seg_hi)
         assert covered == pytest.approx(3.0)
         assert np.all(np.diff(times) >= 0.0)
@@ -763,7 +780,7 @@ class TestBlockHistogram:
         stops = np.array(stops, dtype=float)
         cfg = TiaConfig(bin_width_s=0.25, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
-        seg_lo, seg_hi, first = _start_domain(stops, cfg, t_lo, t_hi)
+        seg_lo, seg_hi, first = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
         assert list(zip(seg_lo, seg_hi)) == expect_segments
         starts = np.arange(t_lo, t_hi, 0.25)
         k, inside = _segment_of(starts, seg_lo, seg_hi)
@@ -804,7 +821,7 @@ class TestBlockHistogram:
         stops = np.array([0.0, 5.0, 6.0, 10.0, 30.0])
         cfg = TiaConfig(bin_width_s=0.25, range_s=(1.0, 3.0), policy="multi-stop",
                         stop_delay_s=2.0)
-        seg_lo, seg_hi, first = _start_domain(stops, cfg, 1.0, 25.0)
+        seg_lo, seg_hi, first = _start_domain(stops, cfg, 1.0, 25.0, _Recycler())
         starts = np.array([4.0, 5.0, 8.0])
         searched = self._check(starts, np.array([1, 0, 1]), stops, cfg, first)
         assert np.array_equal(searched, starts)
@@ -816,8 +833,10 @@ class TestBlockHistogram:
         stops = 0.5 + np.sort(gen.random(4000)) * 2e-3
         cfg = TiaConfig(bin_width_s=1e-9, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
-        seg_lo, seg_hi, first = _start_domain(stops, cfg, 0.5002, 0.5018)
-        u, cum, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32))
+        arrays = _Recycler()
+        seg_lo, seg_hi, first = _start_domain(stops, cfg, 0.5002, 0.5018, arrays)
+        u, cum, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32),
+                                        arrays)
         starts, seg = _place(u, cum, seg_hi)
         assert starts.size > 5000
         assert self._check(starts, seg, stops, cfg, first).size == 0
@@ -1278,6 +1297,20 @@ class TestHistogramCsv:
             "1.5000000000000002e-09,5\n"
         )
         assert path.read_text() == expected
+
+    def test_blocks_write_the_one_shot_bytes(self, tmp_path):
+        # Two full blocks and part of a third, against every line formatted
+        # at once.
+        n = 2 * eventsim._CSV_BLOCK + 3
+        edges = -5e-9 + np.arange(n + 1) * 16e-12
+        counts = np.random.default_rng(8).poisson(2.0, n)
+        hist = HistogramResult(bin_edges=edges, counts=counts, acquisition_time=9.0,
+                               metadata={"seed": 7})
+        lines = ["# seed=7", "# acquisition_time_s=9.0", "delay_s,counts"]
+        lines += [f"{float(c)!r},{int(k)}" for c, k in zip(hist.bin_centers, counts)]
+        path = tmp_path / "h.csv"
+        hist.write_csv(path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_csv_is_byte_stable(self, tmp_path, paper_cfg):
         paths = []

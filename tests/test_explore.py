@@ -345,6 +345,12 @@ class TestOptimizeCar:
         with pytest.raises(ConfigError):
             optimize_car(setup, {"peak_power_w": (0.01, 0.02)}, ("mu_min", 1.0))
 
+    def test_unknown_constraint_kind_rejected(self, paper_pulsed_cfg):
+        # Named as such, not reported as a box without feasible points.
+        with pytest.raises(ConfigError, match="unknown constraint kind 'mu_max'"):
+            optimize_car(paper_pulsed_cfg.setup, {"peak_power_w": (0.1, 1.0)},
+                         ("mu_max", 0.01))
+
     def test_point_judged_on_its_final_pump(self, engineered_cfg):
         # tau * B = 0.25 at the point, but the base tau (5 ps) with the new
         # B has a duty cycle of 2: the point must not fail on that mix.

@@ -21,7 +21,6 @@ from sfwmlab.model import (
     build_raman_table,
     calibrate_eta_alpha,
     calibrate_raman,
-    eta_alpha_analytic,
     pair_generation_rate,
     phase_mismatch,
     predict_observables,
@@ -111,18 +110,20 @@ class TestPairGenerationRate:
 
 
 class TestEtaAlphaAnalytic:
+    # WaveguideSpec.eta_alpha() in its analytic mode, L_eff/L.
     def test_lossless(self):
-        assert eta_alpha_analytic(0.0, 0.071) == 1.0
+        assert replace(WG, prop_loss_db_per_cm=0.0).eta_alpha() == 1.0
 
     def test_device_value(self):
-        assert eta_alpha_analytic(16.118095650958320, 0.071) == pytest.approx(
-            0.5955866008162681, rel=1e-12
-        )
+        # 0.7 dB/cm is alpha = 16.118095650958320 /m.
+        assert WG.eta_alpha() == pytest.approx(0.5955866008162681, rel=1e-12)
 
-    @given(st.floats(min_value=0.0, max_value=200.0))
+    # 0-200 /m in alpha, steps of 1 /m (0.0434 dB/cm).
+    @given(st.floats(min_value=0.0, max_value=8.686))
     @settings(max_examples=50)
-    def test_monotone_decreasing_in_alpha(self, alpha):
-        assert eta_alpha_analytic(alpha + 1.0, 0.071) < eta_alpha_analytic(alpha, 0.071)
+    def test_monotone_decreasing_in_alpha(self, loss_db_per_cm):
+        lossy = replace(WG, prop_loss_db_per_cm=loss_db_per_cm + 0.0434)
+        assert lossy.eta_alpha() < replace(WG, prop_loss_db_per_cm=loss_db_per_cm).eta_alpha()
 
 
 class TestThermalOccupancy:
