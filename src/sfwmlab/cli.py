@@ -348,10 +348,8 @@ def cmd_optimize(args) -> int:
         bounds[name] = (lo, hi)
     if args.mu_min is not None:
         constraint = ("mu_min", args.mu_min)
-    elif args.c_min is not None:
-        constraint = ("c_min", args.c_min)
     else:
-        raise ConfigError("optimize requires --mu-min or --c-min")
+        constraint = ("c_min", args.c_min)
     kind, value = constraint
     if not (math.isfinite(value) and value > 0.0):
         flag = "--" + kind.replace("_", "-")
@@ -436,8 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bound", action="append", default=[],
                    help="name=lo:hi (detuning_hz, tau_s, rep_rate_hz, peak_power_w)")
-    p.add_argument("--mu-min", type=float, help="feasibility: pairs per pulse at least")
-    p.add_argument("--c-min", type=float, help="feasibility: coincidence rate at least")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--mu-min", type=float, help="feasibility: pairs per pulse at least")
+    group.add_argument("--c-min", type=float, help="feasibility: coincidence rate at least")
     p.add_argument("--grid-points", type=int, default=7)
     p.set_defaults(func=cmd_optimize)
 

@@ -5,6 +5,10 @@ names (power_mw, detuning_thz, ...).  Unknown keys are rejected.  Loading
 converts everything to an SI ``Setup`` tree and keeps the validated
 document unchanged as ``ExperimentConfig.raw``: overrides and calibrations
 edit a copy of it and load that again.
+
+Two documents ship in ``sfwmlab.data`` and load by name: ``paper-defaults``,
+the measured device, and ``engineered-defaults``, a pulsed design in the
+low-scattering window.  Each file is the one statement of its configuration.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import ConfigError, FieldError
 from .eventsim import TiaConfig
 from .model import (
     ModelObservables,
-    RamanWindow,
     build_raman_table,
     calibrate_eta_alpha,
     calibrate_raman,
@@ -472,6 +475,15 @@ _NAMED_CONFIGS = {
 # analyzer with a 2 m (11.1 ns) delay line on the stop arm.  The file holds
 # the calibration below; the uncalibrated device is the same document with
 # the analytic survival and no scattering.
+#
+# The engineered design is the shipped data/engineered_defaults.json: the
+# calibrated device with beta2 lowered to 1e-26 s^2/m so that phase matching
+# reaches 7.4 THz, both channels moved there, and a 5 ps, 100 MHz pulsed
+# pump.  Its noise table is the calibrated one with a reduced-scattering
+# window over 7.05-7.75 THz.  The window's coefficient was inverse-calibrated
+# once, so that the binned CAR at 0.01 pairs per pulse is 250: a design
+# target, not a measurement, as the table's note says.  Re-targeting the
+# design means editing the file's window rows.
 
 # Reference measurement used for the shipped calibration: net coincidence
 # rate and the two singles rates at 57 mW in-waveguide CW pump power and
@@ -479,21 +491,6 @@ _NAMED_CONFIGS = {
 MEASURED_COINCIDENCE_RATE = 80.0
 MEASURED_SINGLES0 = 3.45e6
 MEASURED_SINGLES1 = 1.34e6
-
-# Low-noise scattering window: reduced Raman activity around 7.4 THz.
-WINDOW_CENTER_HZ = 7.4e12
-WINDOW_HALFWIDTH_HZ = 0.35e12
-
-# Design target of the engineered configuration: the window's scattering
-# coefficient is chosen so the CAR at ENGINEERED_MU pairs per pulse is
-# ENGINEERED_TARGET_CAR.
-ENGINEERED_TARGET_CAR = 250.0
-ENGINEERED_MU = 0.01
-
-# Group-velocity dispersion of the dispersion-engineered design: small
-# enough that phase matching reaches the 7.4 THz window.
-ENGINEERED_BETA2_S2_PER_M = 1.0e-26
-
 
 def _with_calibration(raw: dict, calibration: dict) -> dict:
     """A copy of a config document with a calibration document applied.
@@ -564,54 +561,8 @@ def paper_defaults(calibrated: bool = True) -> ExperimentConfig:
 
 
 def engineered_defaults() -> ExperimentConfig:
-    """Dispersion-engineered pulsed design aimed at the low-noise window.
-
-    Starts from the calibrated defaults, lowers the dispersion so phase
-    matching reaches the window, moves the channels there, switches to a
-    pulsed pump, and inverse-calibrates the window's scattering coefficient
-    so the predicted CAR at ``ENGINEERED_MU`` pairs per pulse equals
-    ``ENGINEERED_TARGET_CAR``.  The window value is a design target, not a
-    measurement.
-    """
-    from .explore import calibrate_raman_window  # deferred: explore builds on config
-
-    base = paper_defaults()
-    raw = copy.deepcopy(base.raw)
-    raw["waveguide"].pop("dispersion_ps_per_nm_km", None)
-    raw["waveguide"]["beta2_s2_per_m"] = ENGINEERED_BETA2_S2_PER_M
-    raw["channels"]["idler"]["detuning_thz"] = -WINDOW_CENTER_HZ / 1e12
-    raw["channels"]["signal"]["detuning_thz"] = WINDOW_CENTER_HZ / 1e12
-    raw["pump"]["mode"] = "pulsed"
-    raw["pump"]["tau_ps"] = 5.0
-    raw["pump"]["rep_rate_mhz"] = 100.0
-    cfg = load_config(raw)
-
-    rho_window = calibrate_raman_window(
-        cfg.setup, mu=ENGINEERED_MU, target_car=ENGINEERED_TARGET_CAR,
-        center_hz=WINDOW_CENTER_HZ, halfwidth_hz=WINDOW_HALFWIDTH_HZ,
-    )
-    window = RamanWindow(
-        center_hz=WINDOW_CENTER_HZ, halfwidth_hz=WINDOW_HALFWIDTH_HZ, rho=rho_window
-    )
-    # Rebuild the table with the window from the same anchored coefficients.
-    anchor = abs(base.setup.idler.detuning_hz)
-    rho0 = base.setup.noise.rho(-anchor)
-    rho1 = base.setup.noise.rho(+anchor)
-    table = build_raman_table(
-        rho_stokes=rho0,
-        rho_anti_stokes=rho1,
-        anchor_hz=anchor,
-        temperature_k=base.setup.noise.temperature_k,
-        window=window,
-    )
-    calibration = base.calibration
-    calibration["raman_table"] = _table_thz(table)
-    calibration["note"] += (
-        f"; window rho at {WINDOW_CENTER_HZ/1e12} THz inverse-calibrated to "
-        f"CAR={ENGINEERED_TARGET_CAR} at {ENGINEERED_MU} pairs/pulse "
-        "(design target, not measured)"
-    )
-    return load_config(_with_calibration(raw, calibration))
+    """The dispersion-engineered pulsed design as shipped."""
+    return load_config("engineered-defaults")
 
 
 def apply_calibration_file(cfg: ExperimentConfig, path) -> ExperimentConfig:

@@ -235,42 +235,6 @@ def car_vs_detuning(setup: Setup, detunings_hz) -> CurveResult:
     return CurveResult(param="detuning_hz", values=values, observables=observables)
 
 
-def calibrate_raman_window(
-    setup: Setup,
-    mu: float,
-    target_car: float,
-    center_hz: float,
-    halfwidth_hz: float,
-) -> float:
-    """Scattering coefficient inside a spectral window that hits a CAR target.
-
-    Bisects the (monotone decreasing) CAR-vs-rho relation at ``mu`` pairs
-    per pulse with both channels inside the window.  Raises if the target
-    exceeds the zero-scattering ceiling set by pair statistics and darks.
-    """
-    power = power_for_pairs_per_pulse(setup, mu)
-    base = set_path(setup, "pump.power_w", power)
-
-    def car_for_rho(rho: float) -> float:
-        table = ((-center_hz - halfwidth_hz, rho), (-center_hz + halfwidth_hz, rho),
-                 (center_hz - halfwidth_hz, rho), (center_hz + halfwidth_hz, rho))
-        noise = replace(base.noise, raman_table=table)
-        return replace(base, noise=noise).predict().car
-
-    ceiling = car_for_rho(0.0)
-    if target_car > ceiling:
-        raise PowerSolveError(
-            f"target CAR {target_car:.4g} exceeds the zero-noise ceiling "
-            f"{ceiling:.4g} at mu={mu:.4g} in {base.analysis.accidental_mode} mode"
-        )
-    lo, hi = 0.0, 1.0
-    while car_for_rho(hi) > target_car:
-        hi *= 2.0
-        if hi > 1e12:
-            raise PowerSolveError("window calibration failed to bracket the target")
-    return _bisect(lambda rho: car_for_rho(rho) > target_car, lo, hi, 1e-14)
-
-
 # ------------------------------------------------------------------
 # Constrained design search
 

@@ -38,7 +38,10 @@ def phase_mismatch(
 ) -> float:
     """Phase argument beta2*(2*pi*nu)^2*L/2 + gamma*P*L, in radians."""
     nu = abs(detuning_hz)
-    linear = waveguide.beta2_s2_per_m * (2.0 * math.pi * nu) ** 2 * waveguide.length_m / 2.0
+    try:
+        linear = waveguide.beta2_s2_per_m * (2.0 * math.pi * nu) ** 2 * waveguide.length_m / 2.0
+    except OverflowError:
+        raise NumericsError(f"phase mismatch overflows at detuning {detuning_hz:.6g} Hz") from None
     nonlinear = waveguide.gamma_per_w_m * pump.power_w * waveguide.length_m
     return linear + nonlinear
 
@@ -70,10 +73,18 @@ def thermal_occupancy(frequency_hz: float, temperature_k: float) -> float:
         raise ValueError(f"occupancy requires a positive frequency, got {frequency_hz}")
     if temperature_k <= 0.0:
         raise ValueError(f"occupancy requires a positive temperature, got {temperature_k}")
-    x = PLANCK_H * frequency_hz / (BOLTZMANN_K * temperature_k)
+    try:
+        x = PLANCK_H * frequency_hz / (BOLTZMANN_K * temperature_k)
+    except ZeroDivisionError:
+        raise NumericsError(
+            f"thermal energy underflows at temperature {temperature_k:.6g} K") from None
     if x > 700.0:
         return 0.0  # expm1 would overflow; occupancy underflows anyway
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except ZeroDivisionError:
+        raise NumericsError(
+            f"phonon energy underflows at frequency {frequency_hz:.6g} Hz") from None
 
 
 def raman_occupancy(channel: DetectionChannel, temperature_k: float) -> float:
@@ -116,7 +127,11 @@ def pump_leakage_rate(
     channel's collection efficiency), so this rate slots into the singles
     budget exactly like a noise-generation rate.
     """
-    flux = pump.power_w / (PLANCK_H * pump.frequency_hz)
+    try:
+        flux = pump.power_w / (PLANCK_H * pump.frequency_hz)
+    except ZeroDivisionError:
+        raise NumericsError(
+            f"pump photon energy underflows at wavelength {pump.wavelength_m:.6g} m") from None
     return flux * 10.0 ** (-noise.pump_rejection.rejection_db(channel.detuning_hz) / 10.0)
 
 
@@ -314,44 +329,20 @@ def calibrate_raman(measured_n0: float, measured_n1: float, setup: Setup) -> tup
 RAMAN_TABLE_MIN_HZ = 0.05e12
 RAMAN_TABLE_SPAN_HZ = 8.5e12
 
-# Width of the linear ramp between a RamanWindow's edge and the table outside.
-RAMAN_WINDOW_RAMP_HZ = 0.15e12
-
-
-@dataclass(frozen=True)
-class RamanWindow:
-    """A reduced-noise region of the scattering spectrum, symmetric in +/-nu.
-
-    ``rho`` is the coefficient inside the window (same on both sides; the
-    Stokes/anti-Stokes asymmetry still enters through the occupancy).
-    """
-
-    center_hz: float
-    halfwidth_hz: float
-    rho: float
-
-    def __post_init__(self):
-        if self.center_hz <= 0.0 or self.halfwidth_hz <= 0.0:
-            raise ConfigError("window center and halfwidth must be positive")
-        if self.rho < 0.0:
-            raise ConfigError("window rho must be non-negative")
-
 
 def build_raman_table(
     rho_stokes: float,
     rho_anti_stokes: float,
     anchor_hz: float,
     temperature_k: float,
-    window: RamanWindow | None = None,
 ) -> tuple[tuple[float, float], ...]:
     """Build a signed-detuning rho table anchored at measured values.
 
-    Away from any window the shape is occupancy-compensated per side:
-    rho(nu) * occ(nu) is flat at the anchored level, reflecting that the
-    scattering gain grows with shift roughly as fast as the thermal
-    occupancy falls at small shifts (and matching the observed flatness of
-    the correlation quality across the measured detuning range).  A
-    ``RamanWindow`` overrides the coefficient inside its span.
+    The shape is occupancy-compensated per side: rho(nu) * occ(nu) is flat
+    at the anchored level, reflecting that the scattering gain grows with
+    shift roughly as fast as the thermal occupancy falls at small shifts
+    (and matching the observed flatness of the correlation quality across
+    the measured detuning range).
     """
     if anchor_hz < RAMAN_TABLE_MIN_HZ or anchor_hz > RAMAN_TABLE_SPAN_HZ:
         raise ConfigError("anchor detuning outside the table span")
@@ -371,26 +362,12 @@ def build_raman_table(
         nu += 0.25e12
     if grid[-1] < RAMAN_TABLE_SPAN_HZ:
         grid.append(RAMAN_TABLE_SPAN_HZ)
-    if window is not None:
-        edges = [
-            window.center_hz - window.halfwidth_hz - RAMAN_WINDOW_RAMP_HZ,
-            window.center_hz - window.halfwidth_hz,
-            window.center_hz + window.halfwidth_hz,
-            window.center_hz + window.halfwidth_hz + RAMAN_WINDOW_RAMP_HZ,
-        ]
-        grid = sorted(set(g for g in grid if not edges[0] < g < edges[3]) | set(edges))
 
     def compensated(nu: float, rho_anchor: float, stokes: bool) -> float:
         occ_anchor = thermal_occupancy(anchor_hz, temperature_k) + (1.0 if stokes else 0.0)
         occ_nu = thermal_occupancy(nu, temperature_k) + (1.0 if stokes else 0.0)
         return rho_anchor * occ_anchor / occ_nu
 
-    def value(nu: float, rho_anchor: float, stokes: bool) -> float:
-        if window is not None:
-            if window.center_hz - window.halfwidth_hz <= nu <= window.center_hz + window.halfwidth_hz:
-                return window.rho
-        return compensated(nu, rho_anchor, stokes)
-
-    table = [(-nu, value(nu, rho_stokes, True)) for nu in reversed(grid)]
-    table += [(nu, value(nu, rho_anti_stokes, False)) for nu in grid]
+    table = [(-nu, compensated(nu, rho_stokes, True)) for nu in reversed(grid)]
+    table += [(nu, compensated(nu, rho_anti_stokes, False)) for nu in grid]
     return tuple(table)

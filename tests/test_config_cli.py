@@ -14,7 +14,6 @@ from sfwmlab.config import (
     MEASURED_SINGLES1,
     calibrate_config,
     config_hash,
-    engineered_defaults,
     load_config,
     paper_defaults,
 )
@@ -228,8 +227,12 @@ class TestShippedData:
                                       MEASURED_SINGLES0, MEASURED_SINGLES1)
         assert load_config("paper-defaults").raw == calibrated.raw
 
-    def test_engineered_defaults_file_matches_factory(self):
-        assert load_config("engineered-defaults").raw == engineered_defaults().raw
+    def test_engineered_window_dips_below_surroundings(self, engineered_cfg):
+        # The design's reduced-scattering window at 7.4 THz, on both sides.
+        noise = engineered_cfg.setup.noise
+        for sign in (-1.0, 1.0):
+            assert noise.rho(sign * 7.4e12) < noise.rho(sign * 6.5e12)
+            assert noise.rho(sign * 7.4e12) < noise.rho(sign * 8.3e12)
 
 
 class TestCalibrationFlow:
@@ -452,6 +455,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure") and "accidental rate" in err
         assert not (tmp_path / "rates.csv").exists()
+
+    def test_rates_underflowing_temperature_exit_code(self, tmp_path, capsys, clean_raw):
+        # k*T underflows to zero, which divided the phonon energy by zero.
+        clean_raw["noise"]["temperature_k"] = 1e-320
+        path = tmp_path / "cold.json"
+        path.write_text(json.dumps(clean_raw))
+        code = main(["rates", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "temperature" in err
+        assert not (tmp_path / "out" / "rates.csv").exists()
 
     @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
     def test_histogram_bad_duration_exit_code(self, tmp_path, capsys, duration):
@@ -699,6 +713,15 @@ class TestCli:
         assert match in err and "no feasible point" not in err
         assert not (tmp_path / "design.json").exists()
 
+    @pytest.mark.parametrize("flags", [["--mu-min", "1e-6", "--c-min", "1e9"], []])
+    def test_optimize_needs_exactly_one_constraint(self, tmp_path, flags):
+        # With both flags, --c-min used to be dropped without a word.
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", "engineered-defaults", "--out", str(tmp_path),
+                  "--bound", "peak_power_w=0.1:1", *flags])
+        assert exc.value.code == 2
+        assert not (tmp_path / "design.json").exists()
+
     def test_optimize_point_bounds_do_not_count_toward_grid_cap(self, tmp_path):
         # 10001 points on one axis would pass the cap; a point bound has one.
         code = main([
@@ -815,6 +838,18 @@ def _argv(draw):
 @example(argv=["rates", "--config=paper-defaults", "--power-mw=1e308"])
 @example(argv=["car-curve", "--config=paper-defaults", "--detuning=1e308:1e308:2"])
 @example(argv=["car-curve", "--config=paper-defaults", "--detuning="])
+# Finite inputs whose arithmetic overflows or divides by an underflowed zero.
+@example(argv=["sweep", "--config=paper-defaults", "--param=channels.detuning_hz",
+               "--values=1e300,1e301"])
+@example(argv=["car-curve", "--config=paper-defaults", "--detuning=1e290,2e290"])
+@example(argv=["optimize", "--config=paper-defaults", "--bound=detuning_hz=1e300:1e301",
+               "--c-min=1"])
+@example(argv=["sweep", "--config=paper-defaults", "--param=noise.temperature_k",
+               "--values=1e-320,1e-310"])
+@example(argv=["sweep", "--config=paper-defaults", "--param=channels.detuning_hz",
+               "--values=1e-320,1e-310"])
+@example(argv=["sweep", "--config=paper-defaults", "--param=pump.wavelength_m",
+               "--values=1e300,1e301"])
 def test_cli_arguments_end_in_an_exit_code(tmp_path, argv):
     # Any argv drawn from the commands' flags ends in argparse's exit 2 or
     # in one of the documented exit codes, never in another exception.
