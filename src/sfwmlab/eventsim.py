@@ -386,12 +386,15 @@ def _on_pool(task, n):
 
 
 def _bin_counts(values, edges):
-    """``np.histogram(values, bins=edges)[0]`` for uniformly spaced
-    ``edges``, without sorting: bin i holds edges[i] <= v < edges[i + 1],
-    the last bin also v == edges[-1], and values outside the edges are
-    dropped.  The index from the uniform spacing is within one bin of the
-    right one (its rounding error is far below a bin while the edges' ulp
-    is), and one comparison against ``edges`` either way settles it.
+    """The counts of ``np.histogram(values, bins=edges)`` for uniformly
+    spaced ``edges``, as the bin index of each value counted, without
+    sorting: ``np.bincount`` of the result, to ``edges.size - 1`` bins, is
+    the histogram.  Bin i holds edges[i] <= v < edges[i + 1], the last bin
+    also v == edges[-1], and values outside the edges are dropped.  The
+    index from the uniform spacing is within one bin of the right one (its
+    rounding error is far below a bin while the edges' ulp is), and one
+    comparison against ``edges`` either way settles it.  Adding the indices
+    (``np.add.at``) costs what the values do, however many bins there are.
     """
     n = edges.size - 1
     values = values[(values >= edges[0]) & (values <= edges[-1])]
@@ -399,7 +402,7 @@ def _bin_counts(values, edges):
     np.minimum(i, n - 1, out=i)
     i -= values < edges[i]
     i += (values >= edges[i + 1]) & (i < n - 1)
-    return np.bincount(i, minlength=n)
+    return i
 
 
 def _first_stops(starts, stops, lo):
@@ -434,27 +437,32 @@ def _bin_starts(starts, stops, cfg, domain=None):
             s = starts[j:j + _BLOCK_BATCH]
             if domain is None:
                 i = _first_stops(s, stops, lo)
+                p = np.take(stops, i, mode="clip")
             else:
                 cum, seg_hi, first = domain
                 s, i = _place(s, cum, seg_hi)
                 i += first
                 # An index clipped into the array can only send more starts
                 # to the search.
+                p = np.take(stops, i, mode="clip")
                 out = np.take(stops, i - 1, mode="clip") >= s + lo
-                out |= np.take(stops, i, mode="clip") < s + lo
+                out |= p < s + lo
                 if out.any():
                     i[out] = _first_stops(s[out], stops, lo)
+                    p[out] = np.take(stops, i[out], mode="clip")
             # Every stop from the first on is at or after s + lo, so a
             # start's matches end at its first stop at or after s + hi.
-            while s.size:
-                p = np.take(stops, i, mode="clip")
+            while True:
                 keep = p < s + hi
                 keep &= i < stops.size
                 p -= s
-                counts += _bin_counts(p[keep], edges)
+                np.add.at(counts, _bin_counts(p[keep], edges), 1)
                 if single:
                     break
                 s, i = s[keep], i[keep] + 1
+                if not s.size:
+                    break
+                p = np.take(stops, i, mode="clip")
         return counts
 
     return sum(_on_pool(binned, starts.size), np.zeros(cfg.n_bins, dtype=np.int64))
