@@ -8,5 +8,8 @@ BOLTZMANN_K = 1.380649e-23    # Boltzmann constant, J/K
 # overridable from the CLI.
 DEFAULT_SEED = 1549315
 
-# Bit generator of every stochastic operation, recorded in histogram metadata.
-RNG_ALGORITHM = "philox4x64"
+# Bit generator of every stochastic operation (numpy's PCG64), recorded in
+# histogram metadata.  Each simulator epoch's streams are keyed by
+# SeedSequence(seed, spawn_key=(epoch, stream)), which is what keeps epochs
+# independent; changing the generator changes every simulated histogram.
+RNG_ALGORITHM = "pcg64"

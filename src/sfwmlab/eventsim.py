@@ -14,7 +14,10 @@ give a histogram entry.  ``run_tia`` therefore draws that process only on
 the start times that can reach the histogram given the stops already
 generated (about 0.3 % of the run at the shipped range) and counts the rest
 as one Poisson number (Kingman, *Poisson Processes*, 1993).  The result is
-identical in distribution to generating every start.
+identical in distribution to generating every start.  The domain is one
+segment per stop, described by the segments' cumulative lengths, which
+come from the gaps between stops; a point drawn uniformly along them is
+placed back from the end of its segment (``_start_domain``, ``_place``).
 
 Enumeration: the stops a start s matches are consecutive in the sorted stop
 array, from its first match to the last below s plus the range maximum,
@@ -37,8 +40,8 @@ Memory: a CW epoch's arrays are megabytes each (about 670 000 stops, 5.4
 MB, in a 0.5 s epoch of paper-defaults), and the system maps and zeroes
 fresh pages for every fresh array that size.  ``run_tia`` therefore gives
 every run one recycler (``_Recycler``), freed when it returns: the stop
-arm's draws and merge, the start domain's bounds and sums and the drawn
-starts are written with numpy's ``out=`` into plain numpy arrays that
+arm's draws and merge, the start domain's lengths and the drawn starts
+are written with numpy's ``out=`` into plain numpy arrays that
 earlier steps or epochs released at the point where they stopped using
 them.  A request takes a released array only if it fills at least half
 of it, so a short request does not tie up a much longer array.
@@ -51,10 +54,11 @@ own integer counts, and integer sums do not depend on order, so the output
 depends on neither the batch size nor the worker count.
 
 Determinism: every stochastic routine takes a seed and draws from numpy's
-Philox bit generator (``RNG_ALGORITHM``); identical seeds and
-configurations give bit-identical outputs.  That epochs do not depend on
-one another comes from their ``SeedSequence`` keys, not from Philox being
-counter-based.
+PCG64 bit generator (``RNG_ALGORITHM``; O'Neill, "PCG: A Family of Simple
+Fast Space-Efficient Statistically Good Algorithms for Random Number
+Generation", 2014); identical seeds and configurations give bit-identical
+outputs.  That epochs do not depend on one another comes from their
+``SeedSequence`` keys, not from the bit generator.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 def _generator(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 class _Recycler:
@@ -268,69 +272,90 @@ def _match_window(cfg: TiaConfig):
     return (lo, hi), False
 
 
+def _cut_lengths(stops, a, b, window, top, t_lo, t_hi) -> np.ndarray:
+    """Lengths of the start-domain segments of stops a to b - 1 clipped to
+    [t_lo, t_hi], from their bounds (``_start_domain``)."""
+    lo, hi = window
+    p = stops[a:b]
+    begin = p - hi
+    # Stop p_{k-1} is the first match of the starts up to p_{k-1} - lo.
+    np.maximum(begin[1:], p[:-1] - lo, out=begin[1:])
+    if 0 < a < b:
+        begin[0] = max(begin[0], stops[a - 1] - lo)
+    np.maximum(begin, t_lo, out=begin)
+    cut = np.minimum(p - top, t_hi)
+    cut -= begin
+    return np.maximum(cut, 0.0, out=cut)
+
+
 def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float, arrays):
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
-    Returns sorted, disjoint segments ``(seg_lo, seg_hi)``, one per stop
-    p_k = ``stops[first + k]`` that can reach the interval, and ``first``.
-    With (lo, hi) the window of ``_match_window``, segment k is (max(p_k -
-    hi, p_{k-1} - lo), p_k - max(lo, range_lo)]: a start s inside it has
-    p_k as its first stop p >= s + lo, and p_k < s + hi (up to rounding at
-    the edges); later starts only reach delays below the range.  Every
-    start that pairs with a stop at a binnable delay lies in a segment.
-    Segments are clipped to [t_lo, t_hi]; one cut away entirely stays
-    empty.  The bounds are arrays of the recycler ``arrays``.
+    The domain is one segment per stop p_k = ``stops[first + k]`` that can
+    reach the interval.  With (lo, hi) the window of ``_match_window`` and
+    top = max(lo, range_lo), segment k is (max(p_k - hi, p_{k-1} - lo), p_k
+    - top], clipped to [t_lo, t_hi]: a start s inside it has p_k as its
+    first stop p >= s + lo, and p_k < s + hi (up to rounding at the edges);
+    later starts only reach delays below the range.  Every start that pairs
+    with a stop at a binnable delay lies in a segment.
+
+    Returns ``(cum, first, top, t_hi)``, ``cum`` the cumulative segment
+    lengths in an array of the recycler ``arrays``; ``_place`` turns
+    offsets along them into times.  Unclipped, segment k has the length
+    min(hi - top, p_k - p_{k-1} - (top - lo)), or 0 if that is negative, so
+    the lengths come from the stop gaps; only the first segment, whose
+    earlier stop may lie before ``first``, and those the interval cuts take
+    their bounds (``_cut_lengths``).
     """
-    (lo, hi), _ = _match_window(cfg)
+    window, _ = _match_window(cfg)
+    lo, hi = window
     top = max(lo, cfg.range_s[0])
     # Only stops whose segment can reach [t_lo, t_hi] matter.
     first = int(np.searchsorted(stops, t_lo + top, side="left"))
     end = int(np.searchsorted(stops, t_hi + hi, side="right"))
-    p = stops[first:end]
-    seg_lo = np.subtract(p, hi, out=arrays.empty(p.size))
-    seg_hi = np.subtract(p, lo, out=arrays.empty(p.size))
-    # Stop p_{k-1} is the first match of the starts up to p_{k-1} - lo.
-    np.maximum(seg_lo[1:], seg_hi[:-1], out=seg_lo[1:])
-    if first > 0 and p.size:
-        seg_lo[0] = max(seg_lo[0], stops[first - 1] - lo)
-    if top != lo:
-        np.subtract(p, top, out=seg_hi)
-    # Both bounds are non-decreasing, so clipping sets a prefix and a suffix.
-    seg_lo[:np.searchsorted(seg_lo, t_lo, side="left")] = t_lo
-    seg_lo[np.searchsorted(seg_lo, t_hi, side="right"):] = t_hi
-    np.maximum(seg_hi, seg_lo, out=seg_hi)
-    seg_hi[np.searchsorted(seg_hi, t_hi, side="right"):] = t_hi
-    return seg_lo, seg_hi, first
+    cum = arrays.empty(end - first)
+    if cum.size:
+        # Bounds are non-decreasing in k, so t_lo cuts segments below the
+        # first p_k >= t_lo + hi and t_hi those from the first p_k > t_hi +
+        # top; one more on either side leaves rounding no say.
+        p = stops[first:end]
+        head = min(int(np.searchsorted(p, t_lo + hi, side="right")) + 1, p.size)
+        tail = max(int(np.searchsorted(p, t_hi + top, side="left")) - 1, head)
+        gaps = cum[head:tail]
+        np.subtract(p[head:tail], p[head - 1:tail - 1], out=gaps)
+        if top != lo:
+            np.subtract(gaps, top - lo, out=gaps)
+        # First-stop with a range below 0 has hi < top and no domain.
+        np.clip(gaps, 0.0, max(hi - top, 0.0), out=gaps)
+        cum[:head] = _cut_lengths(stops, first, first + head, window, top, t_lo, t_hi)
+        cum[tail:] = _cut_lengths(stops, first + tail, end, window, top, t_lo, t_hi)
+        np.cumsum(cum, out=cum)
+    return cum, first, top, t_hi
 
 
-def _restricted_poisson(rate_hz, seg_lo, seg_hi, rng, arrays):
-    """Homogeneous Poisson arrivals restricted to the given segments.
+def _place(u, stops, domain):
+    """Times, first-stop indices and first stops of the sorted offsets
+    ``u`` along the segments of ``domain`` (``_start_domain``).
 
-    By the restriction theorem (Kingman, *Poisson Processes*, 1993) the
-    arrivals of a rate-r process inside a set of total length L are
-    Poisson(r L) points placed uniformly on it, independent of the
-    arrivals outside.  Returns the sorted offsets of the arrivals on the
-    segments laid end to end, ``cum`` (the cumulative segment lengths) and
-    L; ``_place`` turns offsets into times.  The offsets and ``cum`` are
-    arrays of the recycler ``arrays``, which takes ``seg_lo`` back before
-    the offsets are drawn.
+    Segment k holds the offsets [cum[k-1], cum[k]) and ends at min(p_k -
+    top, t_hi), so an offset u in it maps to min(p_k - top, t_hi) - (cum[k]
+    - u) (up to rounding; every histogram rests on this grouping), and
+    stop first + k is its start's first.  By the restriction theorem
+    (Kingman, *Poisson Processes*, 1993) the points of a rate-r Poisson
+    process inside the domain are Poisson(r cum[-1]) points placed
+    uniformly on it, so uniform offsets give exactly those points.
     """
-    cum = np.subtract(seg_hi, seg_lo, out=arrays.empty(seg_lo.size))
-    arrays.release(seg_lo)
-    np.cumsum(cum, out=cum)
-    covered = float(cum[-1]) if cum.size else 0.0
-    return _poisson_times(rate_hz, covered, rng, arrays), cum, covered
-
-
-def _place(u, cum, seg_hi):
-    """Times and segment indices of the offsets ``u`` of
-    ``_restricted_poisson``: segment k holds the offsets [cum[k-1], cum[k]),
-    so an offset u maps to seg_lo[k] + u - cum[k-1] = u + (seg_hi[k] -
-    cum[k]) (up to rounding; every histogram rests on this grouping).  On
-    ``_start_domain``'s segments, stop first + k is the start's first."""
+    cum, first, top, t_hi = domain
     k = np.searchsorted(cum, u, side="right")
     np.minimum(k, cum.size - 1, out=k)
-    return u + (seg_hi[k] - cum[k]), k
+    before_end = np.take(cum, k)
+    before_end -= u
+    k += first
+    p = np.take(stops, k)
+    s = np.subtract(p, top)
+    np.minimum(s, t_hi, out=s)
+    s -= before_end
+    return s, k, p
 
 
 # Starts per batch: bounds the temporaries each worker holds.  Counts add,
@@ -419,12 +444,11 @@ def _bin_starts(starts, stops, cfg, domain=None):
     that stop for the starts it matches and, multi-stop, moves those on to
     the next stop until none is left, so it bins at most ``_BLOCK_BATCH``
     delays at a time however many stops a start matches.  Given ``domain``
-    = (cum, seg_hi, first), ``starts`` are ``_restricted_poisson`` offsets,
-    which each batch places (``_place``): the first stop of a start in
-    segment k (``_start_domain``) is ``first + k``.  Every other start is
-    searched (``_first_stops``), and so is one that rounding at a segment
-    edge may have put beside its segment's stop (the stop before it
-    matches, or the stop itself is too early).
+    (``_start_domain``), ``starts`` are offsets along its segments, which
+    each batch places (``_place``) with their segments' stops as their
+    first.  Every other start is searched (``_first_stops``), and so is one
+    that rounding at a segment edge may have put beside its segment's stop
+    (the stop before it matches, or the stop itself is too early).
     """
     (lo, hi), single = _match_window(cfg)
     edges = cfg.bin_edges
@@ -439,12 +463,9 @@ def _bin_starts(starts, stops, cfg, domain=None):
                 i = _first_stops(s, stops, lo)
                 p = np.take(stops, i, mode="clip")
             else:
-                cum, seg_hi, first = domain
-                s, i = _place(s, cum, seg_hi)
-                i += first
+                s, i, p = _place(s, stops, domain)
                 # An index clipped into the array can only send more starts
                 # to the search.
-                p = np.take(stops, i, mode="clip")
                 out = np.take(stops, i - 1, mode="clip") >= s + lo
                 out |= p < s + lo
                 if out.any():
@@ -836,14 +857,15 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     counts = _bin_starts(explicit[:cut], stops, tia)
     if setup.pump.mode == "cw":
         bulk0_rate = _cw_bulk_rate(rates, 0)
-        seg_lo, seg_hi, first = _start_domain(stops, tia, s_lo, s_hi, arrays)
+        domain = _start_domain(stops, tia, s_lo, s_hi, arrays)
+        cum = domain[0]
+        covered = float(cum[-1]) if cum.size else 0.0
         rng = _generator(children["bulk0"])
-        bulk, cum, covered = _restricted_poisson(bulk0_rate, seg_lo, seg_hi, rng, arrays)
-        del seg_lo
+        bulk = _poisson_times(bulk0_rate, covered, rng, arrays)  # offsets (``_place``)
         # Bulk starts outside the domain are only counted.
         n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
-        counts += _bin_starts(bulk, stops, tia, (cum, seg_hi, first))
-        arrays.release(bulk, cum, seg_hi)
+        counts += _bin_starts(bulk, stops, tia, domain)
+        arrays.release(bulk, cum)
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     # Shifting by the epoch length is exact (``_epoch_length``).
     epoch_s = epoch[0]

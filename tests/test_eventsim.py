@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import sfwmlab
@@ -28,7 +28,6 @@ from sfwmlab.eventsim import (
     _place,
     _poisson_times,
     _pulsed_times,
-    _restricted_poisson,
     _start_domain,
     _tia_epoch,
     analyze_histogram,
@@ -567,7 +566,7 @@ class TestEpochs:
         # Epochs of 2^-7 s; runs of three and of five share epochs 0 and 1.
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**14)
         epoch_arms = eventsim._epoch_arms
-        restricted_poisson = eventsim._restricted_poisson
+        bin_starts = eventsim._bin_starts
         runs = []
         for duration in (2.5 * 2.0**-7, 4.5 * 2.0**-7):
             arms, bulk = [], []
@@ -578,14 +577,14 @@ class TestEpochs:
                 arms.append(tuple(a.copy() for a in result))
                 return result
 
-            def record_bulk(*args):
-                result = restricted_poisson(*args)
-                bulk.append((result[0].copy(), result[1].copy()))
-                return result
+            def record_bulk(starts, stops, cfg, domain=None):
+                if domain is not None:
+                    bulk.append((starts.copy(), domain[0].copy()))
+                return bin_starts(starts, stops, cfg, domain)
 
             with monkeypatch.context() as m:
                 m.setattr(eventsim, "_epoch_arms", record_arms)
-                m.setattr(eventsim, "_restricted_poisson", record_bulk)
+                m.setattr(eventsim, "_bin_starts", record_bulk)
                 run_tia(paper_cfg.setup, duration, 9)
             runs.append((arms, bulk))
         (arms3, bulk3), (arms5, bulk5) = runs
@@ -620,13 +619,54 @@ class TestEpochs:
         assert all(np.array_equal(a, b) for a, b in zip(tail0, tail1))
 
 
+def _reference_domain(stops, cfg, t_lo, t_hi):
+    """The start domain of ``_start_domain`` as segment bounds ``(seg_lo,
+    seg_hi)`` and ``first``, each bound computed from its stops: segment k
+    of stop p_k = ``stops[first + k]`` is (max(p_k - hi, p_{k-1} - lo), p_k -
+    max(lo, range_lo)], clipped to [t_lo, t_hi], where one cut away entirely
+    stays empty.  An algorithm apart from the stop-gap lengths of
+    ``_start_domain``, which must reproduce it to rounding."""
+    (lo, hi), _ = _match_window(cfg)
+    top = max(lo, cfg.range_s[0])
+    first = int(np.searchsorted(stops, t_lo + top, side="left"))
+    end = int(np.searchsorted(stops, t_hi + hi, side="right"))
+    p = stops[first:end]
+    seg_lo = p - hi
+    seg_hi = p - lo
+    # Stop p_{k-1} is the first match of the starts up to p_{k-1} - lo.
+    np.maximum(seg_lo[1:], seg_hi[:-1], out=seg_lo[1:])
+    if first > 0 and p.size:
+        seg_lo[0] = max(seg_lo[0], stops[first - 1] - lo)
+    if top != lo:
+        np.subtract(p, top, out=seg_hi)
+    # Both bounds are non-decreasing, so clipping sets a prefix and a suffix.
+    seg_lo[:np.searchsorted(seg_lo, t_lo, side="left")] = t_lo
+    seg_lo[np.searchsorted(seg_lo, t_hi, side="right"):] = t_hi
+    np.maximum(seg_hi, seg_lo, out=seg_hi)
+    seg_hi[np.searchsorted(seg_hi, t_hi, side="right"):] = t_hi
+    return seg_lo, seg_hi, first
+
+
+def _bounds(domain, stops):
+    """(seg_lo, seg_hi) of the segments of a ``_start_domain`` domain: each
+    ends at min(p_k - top, t_hi) and is as long as its ``cum`` step."""
+    cum, first, top, t_hi = domain
+    seg_hi = np.minimum(stops[first:first + cum.size] - top, t_hi)
+    return seg_hi - np.diff(cum, prepend=0.0), seg_hi
+
+
 def _segments(stops, policy, rng, t_lo, t_hi, stop_delay=2.0):
+    """The non-empty segments of ``_start_domain`` on a grid where they are
+    exact, which the reference's must equal."""
+    stops = np.array(stops, dtype=float)
     cfg = TiaConfig(bin_width_s=0.5, range_s=rng, policy=policy, stop_delay_s=stop_delay)
-    seg_lo, seg_hi, _ = _start_domain(np.array(stops, dtype=float), cfg, t_lo, t_hi,
-                                      _Recycler())
+    seg_lo, seg_hi = _bounds(_start_domain(stops, cfg, t_lo, t_hi, _Recycler()), stops)
     assert np.all(seg_hi >= seg_lo)
     assert np.all(seg_lo[1:] >= seg_hi[:-1])  # sorted and disjoint
-    return [(a, b) for a, b in zip(seg_lo, seg_hi) if b > a]
+    segments = [(a, b) for a, b in zip(seg_lo, seg_hi) if b > a]
+    ref_lo, ref_hi, _ = _reference_domain(stops, cfg, t_lo, t_hi)
+    assert segments == [(a, b) for a, b in zip(ref_lo, ref_hi) if b > a]
+    return segments
 
 
 class TestStartDomain:
@@ -679,7 +719,7 @@ class TestStartDomain:
         starts = np.arange(0.0, 4000.0, 0.5)
         cfg = TiaConfig(bin_width_s=1.0, range_s=rng, policy=policy,
                         stop_delay_s=max(rng[0], 0.0))
-        seg_lo, seg_hi, _ = _start_domain(stops, cfg, 0.0, 4000.0, _Recycler())
+        seg_lo, seg_hi = _bounds(_start_domain(stops, cfg, 0.0, 4000.0, _Recycler()), stops)
         k = np.searchsorted(seg_lo, starts, side="right") - 1
         inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
         assert inside.mean() < 0.9
@@ -691,24 +731,42 @@ class TestStartDomain:
         assert np.array_equal(full, restricted)
 
 
+def _domain_starts(rate_hz, stops, cfg, t_lo, t_hi, rng):
+    """A rate-``rate_hz`` Poisson process on the start domain, as
+    ``_tia_epoch`` draws it: (offsets, domain, times, first-stop indices)."""
+    arrays = _Recycler()
+    domain = _start_domain(stops, cfg, t_lo, t_hi, arrays)
+    cum = domain[0]
+    u = _poisson_times(rate_hz, float(cum[-1]) if cum.size else 0.0, rng, arrays)
+    return (u, domain) + _place(u, stops, domain)[:2]
+
+
 class TestRestrictedPoisson:
+    """Offsets drawn along the domain's cumulative lengths and placed
+    (``_place``) are the Poisson process restricted to the domain."""
+
     def test_single_segment_is_the_plain_process(self):
-        u, cum, covered = _restricted_poisson(
-            1e4, np.array([0.0]), np.array([2.0]), np.random.default_rng(5), _Recycler())
-        a, seg = _place(u, cum, np.array([2.0]))
+        # The one segment of stop 3 in a (1, 3) multi-stop window is (0, 2].
+        cfg = TiaConfig(bin_width_s=0.5, range_s=(1.0, 3.0), policy="multi-stop",
+                        stop_delay_s=2.0)
+        u, domain, a, i = _domain_starts(1e4, np.array([3.0]), cfg, 0.0, 10.0,
+                                         np.random.default_rng(5))
         b = _poisson_times(1e4, 2.0, np.random.default_rng(5))
-        assert covered == 2.0
-        assert np.array_equal(a, b)
-        assert np.array_equal(seg, np.zeros(a.size))
+        assert domain[0].tolist() == [2.0]
+        # 2 - (2 - u) is u up to the rounding of 2 - u.
+        assert np.allclose(a, b, rtol=0.0, atol=np.spacing(2.0))
+        assert np.array_equal(i, np.zeros(a.size))
 
     def test_points_fill_segments_uniformly(self):
-        seg_lo = np.array([0.0, 2.0, 5.0])
-        seg_hi = np.array([1.0, 2.0, 7.0])
+        # Segments [0, 1] (cut at t_lo = 0), an empty one for the repeated
+        # stop 2, and (5, 7].
+        stops = np.array([2.0, 2.0, 8.0])
+        cfg = TiaConfig(bin_width_s=0.5, range_s=(1.0, 3.0), policy="multi-stop",
+                        stop_delay_s=2.0)
         rate = 1e5
-        u, cum, covered = _restricted_poisson(rate, seg_lo, seg_hi,
-                                              np.random.default_rng(6), _Recycler())
-        times, seg = _place(u, cum, seg_hi)
-        assert covered == pytest.approx(3.0)
+        u, domain, times, seg = _domain_starts(rate, stops, cfg, 0.0, 20.0,
+                                               np.random.default_rng(6))
+        assert domain[0].tolist() == [1.0, 1.0, 3.0]
         assert np.all(np.diff(times) >= 0.0)
         in_first = (times >= 0.0) & (times <= 1.0)
         in_last = (times >= 5.0) & (times <= 7.0)
@@ -720,6 +778,75 @@ class TestRestrictedPoisson:
         frac = in_last.sum() / n
         assert abs(frac - 2.0 / 3.0) < 4 * math.sqrt(frac * (1 - frac) / n)
         assert stats.kstest(times[in_last], "uniform", args=(5.0, 2.0)).pvalue > 1e-3
+
+
+@st.composite
+def _domain_cases(draw):
+    """Stops, a TIA window and a slab, on a grid offset far enough from 0
+    that differences round: repeated stops, gaps shorter than top - lo
+    (first-stop with a positive range start), negative range starts and
+    slabs that cut segments at either end."""
+    unit = draw(st.sampled_from([1.0, 0.37, 1e-9, 2.2e-12]))
+    origin = draw(st.sampled_from([0.0, 0.5, 37.25]))
+    grid = st.integers(-5, 60)
+    stops = origin + unit * np.sort(np.array(draw(st.lists(grid, max_size=40)), dtype=float))
+    lo = draw(st.integers(-6, 8))
+    hi = lo + draw(st.integers(1, 12))
+    t_lo, t_hi = sorted(draw(st.lists(grid, min_size=2, max_size=2)))
+    policy = draw(st.sampled_from(["first-stop", "multi-stop"]))
+    cfg = TiaConfig(bin_width_s=unit, range_s=(lo * unit, hi * unit), policy=policy,
+                    stop_delay_s=lo * unit)
+    offsets = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
+    return stops, cfg, origin + unit * t_lo, origin + unit * t_hi, offsets
+
+
+def _domain_case(stops, policy, range_s, t_lo, t_hi):
+    cfg = TiaConfig(bin_width_s=1.0, range_s=range_s, policy=policy, stop_delay_s=range_s[0])
+    return np.array(stops, dtype=float), cfg, t_lo, t_hi, [0.1, 0.5, 0.9]
+
+
+class TestStartDomainLengths:
+    """``_start_domain``'s stop-gap lengths against the bounds of
+    ``_reference_domain``."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(_domain_cases())
+    # Gaps shorter than top - lo and repeated stops between cut segments.
+    @example(_domain_case([0, 2, 3, 3, 10, 11, 11, 20, 24, 30, 31], "first-stop", (4.0, 6.0),
+                          -5.0, 40.0))
+    # A slab that cuts segments at both ends.
+    @example(_domain_case(np.arange(0.0, 30.0, 1.5), "multi-stop", (1.0, 4.0), 5.3, 20.7))
+    # Negative range starts; first-stop below 0 has no domain.
+    @example(_domain_case(np.arange(0.0, 30.0, 1.5), "multi-stop", (-3.0, 2.0), 5.3, 20.7))
+    @example(_domain_case(np.arange(0.0, 30.0, 1.5), "first-stop", (-3.0, 2.0), 5.3, 20.7))
+    @example(_domain_case(np.arange(0.0, 10.0), "first-stop", (-3.0, -1.0), 0.0, 10.0))
+    def test_matches_the_reference_bounds(self, case):
+        stops, cfg, t_lo, t_hi, offsets = case
+        seg_lo, seg_hi, first = _reference_domain(stops, cfg, t_lo, t_hi)
+        domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
+        cum = domain[0]
+        assert domain[1] == first
+        assert cum.size == seg_lo.size
+        ref_cum = np.cumsum(seg_hi - seg_lo)
+        # A length rounds a few times at the scale of the times it comes
+        # from, and a sum once per term at the scale of the total.
+        scale = max(abs(t_lo), abs(t_hi), *map(abs, cfg.range_s),
+                    np.abs(stops).max(initial=0.0), ref_cum.max(initial=0.0))
+        tol = 16 * np.finfo(float).eps * scale * (cum.size + 1)
+        assert np.allclose(cum, ref_cum, rtol=0.0, atol=tol)
+        if not cum.size or cum[-1] <= 0.0:
+            return
+        # Offsets across the domain, [0, cum[-1]), and on every segment end.
+        u = np.sort(np.concatenate([np.array(offsets) * cum[-1], cum[:-1]]))
+        u = u[u < cum[-1]]
+        s, i, p = _place(u, stops, domain)
+        k = i - first
+        assert np.array_equal(p, stops[i])
+        # Offset u lies in reference segment k, and its start in its bounds.
+        assert np.all(u >= np.concatenate([[0.0], ref_cum])[k] - tol)
+        assert np.all(u <= ref_cum[k] + tol)
+        assert np.all(s >= seg_lo[k] - tol)
+        assert np.all(s <= seg_hi[k] + tol)
 
 
 def _segment_of(starts, seg_lo, seg_hi):
@@ -754,15 +881,16 @@ class TestBlockHistogram:
         """Segment path against the search path, start j placed at
         ``starts[j]`` in segment ``seg[j]``; returns the starts that were
         searched instead of settled by their segment."""
-        def place(u, cum, seg_hi):
+        def place(u, stops, domain):
             # The offsets below index the given starts.
             j = u.astype(np.intp)
-            return starts[j], seg[j]
+            i = first + seg[j]
+            return starts[j], i, np.take(stops, i, mode="clip")
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(eventsim, "_place", place)
             counts, searched = _bin_recording_searches(
-                np.arange(float(starts.size)), stops, cfg, (None, None, first))
+                np.arange(float(starts.size)), stops, cfg, ())
         assert np.array_equal(counts, _histogram(starts, stops, cfg))
         settled = ~np.isin(starts, searched)
         i0, i1 = _search_ranges(starts[settled], stops, *_match_window(cfg))
@@ -780,8 +908,12 @@ class TestBlockHistogram:
         stops = np.array(stops, dtype=float)
         cfg = TiaConfig(bin_width_s=0.25, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
-        seg_lo, seg_hi, first = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
+        domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
+        first = domain[1]
+        seg_lo, seg_hi = _bounds(domain, stops)
         assert list(zip(seg_lo, seg_hi)) == expect_segments
+        ref_lo, ref_hi, _ = _reference_domain(stops, cfg, t_lo, t_hi)
+        assert list(zip(ref_lo, ref_hi)) == expect_segments
         starts = np.arange(t_lo, t_hi, 0.25)
         k, inside = _segment_of(starts, seg_lo, seg_hi)
         starts, k = starts[inside], k[inside]
@@ -821,7 +953,7 @@ class TestBlockHistogram:
         stops = np.array([0.0, 5.0, 6.0, 10.0, 30.0])
         cfg = TiaConfig(bin_width_s=0.25, range_s=(1.0, 3.0), policy="multi-stop",
                         stop_delay_s=2.0)
-        seg_lo, seg_hi, first = _start_domain(stops, cfg, 1.0, 25.0, _Recycler())
+        first = _start_domain(stops, cfg, 1.0, 25.0, _Recycler())[1]
         starts = np.array([4.0, 5.0, 8.0])
         searched = self._check(starts, np.array([1, 0, 1]), stops, cfg, first)
         assert np.array_equal(searched, starts)
@@ -833,15 +965,13 @@ class TestBlockHistogram:
         stops = 0.5 + np.sort(gen.random(4000)) * 2e-3
         cfg = TiaConfig(bin_width_s=1e-9, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
-        arrays = _Recycler()
-        seg_lo, seg_hi, first = _start_domain(stops, cfg, 0.5002, 0.5018, arrays)
-        u, cum, _ = _restricted_poisson(2e7, seg_lo, seg_hi, np.random.default_rng(32),
-                                        arrays)
-        starts, seg = _place(u, cum, seg_hi)
+        u, domain, starts, i = _domain_starts(2e7, stops, cfg, 0.5002, 0.5018,
+                                              np.random.default_rng(32))
+        first = domain[1]
         assert starts.size > 5000
-        assert self._check(starts, seg, stops, cfg, first).size == 0
+        assert self._check(starts, i - first, stops, cfg, first).size == 0
         # Each batch places its own offsets.
-        assert np.array_equal(_bin_starts(u, stops, cfg, (cum, seg_hi, first)),
+        assert np.array_equal(_bin_starts(u, stops, cfg, domain),
                               _histogram(starts, stops, cfg))
 
 
@@ -1139,7 +1269,7 @@ class TestRunTiaBlockPath:
         # The reference bins ``_pair_delays`` of all of an epoch's starts at once.
         def search_all(starts, stops, cfg, domain=None):
             if domain is not None:
-                starts = _place(starts, *domain[:2])[0]
+                starts = _place(starts, stops, domain)[0]
             return np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)[0]
 
         for policy in self.POLICIES:
@@ -1196,10 +1326,11 @@ class TestRunTiaChunking:
     """Epoch-by-epoch, restricted-domain runs against one pass over the same
     events.
 
-    ``_epoch_arms``, ``_restricted_poisson`` and ``_place`` are replaced by
-    views of fixed event sets, shifted into each epoch's time: pair photons
-    and stop-arm noise selected by emission time, and a start-arm bulk
-    selected by the requested domain.  The histogram must then equal one
+    ``_epoch_arms``, the bulk draw (``_poisson_times``) and ``_place`` are
+    replaced by views of fixed event sets, shifted into each epoch's time:
+    pair photons and stop-arm noise selected by emission time, and a
+    start-arm bulk selected by the bounds (``_reference_domain``) of the
+    requested domain.  The histogram must then equal one
     pass over all events exactly: no start is lost or counted twice at an
     epoch edge, and every start outside the domain is one that cannot reach
     the histogram.  Shifting by a whole epoch is exact, so the delays are
@@ -1223,6 +1354,7 @@ class TestRunTiaChunking:
         epoch_starts = []
         domains = []
         placed = []
+        start_domain = eventsim._start_domain
 
         def clip(t):
             t = np.sort(t)
@@ -1237,25 +1369,30 @@ class TestRunTiaChunking:
             return (clip(emit[pairs] + start_jitter[pairs]) - t0,
                     clip(stop_emit[noise] + stop_jitter[noise] + stop_delay_s) - t0)
 
-        def restricted(rate_hz, seg_lo, seg_hi, rng, arrays):
+        def domain(stops, cfg, t_lo, t_hi, arrays):
             # One domain per CW epoch, in epoch order.
             t0 = epoch_starts[len(domains)]
-            domains.append(seg_lo.size)
-            if seg_lo.size == 0:
-                return np.empty(0), np.empty(0), 0.0
+            domains.append((t_lo, t_hi))
+            seg_lo, seg_hi, first = _reference_domain(stops, cfg, t_lo, t_hi)
             starts = bulk0 - t0
             k = np.searchsorted(seg_lo, starts, side="right") - 1
-            inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
-            placed[:] = [starts[inside], k[inside]]
-            return np.arange(float(inside.sum())), np.empty(0), float(np.sum(seg_hi - seg_lo))
+            inside = k >= 0
+            inside[inside] = starts[inside] <= seg_hi[k[inside]]
+            placed[:] = [starts[inside], first + k[inside]]
+            return start_domain(stops, cfg, t_lo, t_hi, arrays)
 
-        def place(u, cum, seg_hi):
-            # The offsets ``restricted`` returned index the epoch's bulk starts.
+        def bulk(rate_hz, span_s, rng, arrays=None):
+            # The offsets index the epoch's bulk starts in the domain.
+            return np.arange(float(placed[0].size))
+
+        def place(u, stops, domain):
             j = u.astype(np.intp)
-            return placed[0][j], placed[1][j]
+            i = placed[1][j]
+            return placed[0][j], i, stops[i]
 
         monkeypatch.setattr(eventsim, "_epoch_arms", epoch_arms)
-        monkeypatch.setattr(eventsim, "_restricted_poisson", restricted)
+        monkeypatch.setattr(eventsim, "_start_domain", domain)
+        monkeypatch.setattr(eventsim, "_poisson_times", bulk)
         monkeypatch.setattr(eventsim, "_place", place)
         # 1.34e6 generated events/s: epochs of 2^-10 s, or longer for a long reach.
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**11)

@@ -80,7 +80,7 @@ def test_cw_optimize_console_line_has_no_pairs_per_pulse(tmp_path, capsys):
 
 
 # Simulated histograms: short fixed-seed ``histogram`` runs that cross epoch
-# edges.  Unlike the digests above, these rest on numpy's Philox
+# edges.  Unlike the digests above, these rest on numpy's PCG64
 # ``Generator`` streams (its Poisson, exponential, normal, uniform and
 # integer draws) as of numpy 2.4.6, with which they were made; a numpy
 # release that changes one of those algorithms changes them too.
@@ -88,22 +88,22 @@ SIMULATED = {
     "paper-defaults first-stop": (
         "paper-defaults", "1.0", "1000",
         {
-            "analysis.json": "d83348146b9252c285b4ee695819ade828d73722f219d7238bdedbd384ccef03",
-            "histogram.csv": "e50e616e22ec6f39f524b345178a5c60600cff37f5a84f330298b6fce3dea132",
+            "analysis.json": "68dd3827bc2ae877c60f963340025957de6b9c29bbb44695a89b5debbab6e46b",
+            "histogram.csv": "1912861b353917848e192b7d2fe542d5f37cf86dba83082d18f861bd4ca74df9",
         },
     ),
     "10-330 ns multi-stop": (
         "multi-stop", "1.0", "1000",
         {
-            "analysis.json": "e7e221e498420b760d5d8b08477ab5cfed3950a447330ba294aaa6e156c721eb",
-            "histogram.csv": "2553f42c0ba9ac6de78cc22a90215697c48517b3cff7beace7b6e88cfc44aa9a",
+            "analysis.json": "542e15c6634e90f7f993a846f76728f834284a449b2da97c7504cbd9d045110f",
+            "histogram.csv": "dde24f59fdbe8b085a2c09c9c31a7421c27fa05b3651fdfcf0060017457768ea",
         },
     ),
     "engineered-defaults": (
         "engineered-defaults", "400", "7",
         {
-            "analysis.json": "7ef39f9b1d0e3b50b36e345459cb6225297835404bb6f7c6564c3887274622c3",
-            "histogram.csv": "2faa4805c6475a7b926e13af9bba15ec51f0022440e40bdacfb2d6ebdfadfad8",
+            "analysis.json": "a9c78592713a895f479d190f96a66e6931aa31fb09ae85bb4b3a2d8d43f45011",
+            "histogram.csv": "362c72156c23b4e5c5c9d49f698493470f929e929fb89fefd7a312f582f8c2ee",
         },
     ),
 }
