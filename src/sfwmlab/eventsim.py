@@ -15,17 +15,23 @@ the start times that can reach the histogram given the stops already
 generated (about 0.3 % of the run at the shipped range) and counts the rest
 as one Poisson number (Kingman, *Poisson Processes*, 1993).  The result is
 identical in distribution to generating every start.  The domain is one
-segment per stop, described by the segments' cumulative lengths, which
-come from the gaps between stops; a point drawn uniformly along them is
-placed back from the end of its segment (``_start_domain``, ``_place``).
+segment per stop, inside the stop's window of equal length w; the process
+is drawn along the windows laid end to end, a point's window found by
+division, and thinned to the segments (Lewis and Shedler, 1979): a point
+is kept iff the stop before its window's does not match it and it lies in
+the slab (``_start_domain``, ``_thin``).  The windows hold at most about
+1.6 times the domain while r1 w <= 1; denser ranges, whose windows
+overlap more than they tile, draw the process over the whole slab
+(``_tiles``).  Either way it is drawn in runs of at most ``_BULK_RUN``
+expected starts (``_bin_bulk``).
 
 Enumeration: the stops a start s matches are consecutive in the sorted stop
 array, from its first match to the last below s plus the range maximum,
 the rule a time-tag correlator applies (Wahl et al., Opt. Express 11, 3583,
 2003).  ``_bin_starts`` bins the starts in batches of ``_BLOCK_BATCH``,
 each stepping on from its starts' first stops, so a batch's memory does not
-grow with the range.  A bulk start drawn in the start-domain segment of
-stop p has p as its first stop; every explicit start is searched.
+grow with the range.  A bulk start kept in the window of stop p has p as
+its first stop; every other start is searched.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
 generated events (``_epoch_length``).  Stream i of epoch e is seeded with
@@ -40,13 +46,15 @@ Memory: a CW epoch's arrays are megabytes each (about 670 000 stops, 5.4
 MB, in a 0.5 s epoch of paper-defaults), and the system maps and zeroes
 fresh pages for every fresh array that size.  ``run_tia`` therefore gives
 every run one recycler (``_Recycler``), freed when it returns: the stop
-arm's draws and merge, the start domain's lengths and the drawn starts
+arm's draws and merge, the start domain's stop gaps and the drawn starts
 are written with numpy's ``out=`` into plain numpy arrays that
 earlier steps or epochs released at the point where they stopped using
 them.  A request takes a released array only if it fills at least half
-of it, so a short request does not tie up a much longer array.
+of it, so a short request does not tie up a much longer array.  The
+drawn bulk starts come in runs (``_BULK_RUN``), so their array is bounded
+whatever the epoch holds.
 
-Threads: the enumerate-and-bin batches, each placing its own drawn starts,
+Threads: the enumerate-and-bin batches, each thinning its own drawn starts,
 run on a thread pool with one worker per CPU the process may run on
 (``os.sched_getaffinity``); numpy releases the GIL in the searches, gathers
 and sorts they spend their time in.  Each worker bins its batches into its
@@ -67,6 +75,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,9 +125,10 @@ class _Recycler:
                 self._free.sort(key=len)
 
 
-def _poisson_times(rate_hz, span_s, rng, arrays=None) -> np.ndarray:
-    """Sorted arrivals of a rate-``rate_hz`` Poisson process on [0, span_s),
-    in an array of the recycler ``arrays`` (a new one by default)."""
+def _poisson_times(rate_hz, span_s, rng, arrays=None, start_s=0.0) -> np.ndarray:
+    """Sorted arrivals of a rate-``rate_hz`` Poisson process on [start_s,
+    start_s + span_s), in an array of the recycler ``arrays`` (a new one by
+    default)."""
     # Exponential inter-arrival sampling, conditioned on the count:
     # normalized cumulative exponential gaps are the order statistics of
     # uniforms, so the output is sorted without an O(n log n) sort.
@@ -131,6 +141,8 @@ def _poisson_times(rate_hz, span_s, rng, arrays=None) -> np.ndarray:
     rng.standard_exponential(out=cum)
     np.cumsum(cum, out=cum)
     np.multiply(cum, span_s / cum[-1], out=cum)
+    if start_s:
+        cum += start_s
     return cum[:-1]
 
 
@@ -210,6 +222,10 @@ class TiaConfig:
                              self.stop_delay_s)
         if self.policy not in ("first-stop", "multi-stop"):
             raise FieldError("policy", "unknown TIA policy", self.policy)
+        if self.policy == "first-stop" and hi <= 0.0:
+            # A start's first stop is at or after it, so no delay is below 0.
+            raise FieldError("range_s", "a first-stop delay range must reach above 0",
+                             self.range_s)
 
     @property
     def n_bins(self) -> int:
@@ -272,6 +288,23 @@ def _match_window(cfg: TiaConfig):
     return (lo, hi), False
 
 
+def _windows(cfg: TiaConfig) -> tuple[float, float]:
+    """(top, w) of the start-domain windows (``_start_domain``): with (lo,
+    hi) the window of ``_match_window``, top = max(lo, range_lo) and w = hi
+    - top, positive for every accepted configuration."""
+    (lo, hi), _ = _match_window(cfg)
+    top = max(lo, cfg.range_s[0])
+    return top, hi - top
+
+
+def _tiles(rates, cfg: TiaConfig) -> bool:
+    """Whether the CW bulk is thinned on the windows of ``_start_domain``:
+    they overlap less than they tile while r1 w <= 1, r1 the stop arm's
+    singles rate, so the windows hold at most about 1/(1 - e^-1) = 1.6
+    times the domain.  Otherwise the bulk is drawn over the slab."""
+    return rates["observables"].singles1 * _windows(cfg)[1] <= 1.0
+
+
 def _cut_lengths(stops, a, b, window, top, t_lo, t_hi) -> np.ndarray:
     """Lengths of the start-domain segments of stops a to b - 1 clipped to
     [t_lo, t_hi], from their bounds (``_start_domain``)."""
@@ -288,74 +321,109 @@ def _cut_lengths(stops, a, b, window, top, t_lo, t_hi) -> np.ndarray:
     return np.maximum(cut, 0.0, out=cut)
 
 
-def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float, arrays):
+class _Domain(NamedTuple):
+    """The start domain of the slab [t_lo, t_hi] (``_start_domain``):
+    windows of stops ``first`` to ``first + n - 1``, ``covered`` long in
+    all."""
+
+    first: int
+    n: int
+    t_lo: float
+    t_hi: float
+    covered: float
+
+
+def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
+                  arrays) -> _Domain:
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
-    The domain is one segment per stop p_k = ``stops[first + k]`` that can
-    reach the interval.  With (lo, hi) the window of ``_match_window`` and
-    top = max(lo, range_lo), segment k is (max(p_k - hi, p_{k-1} - lo), p_k
-    - top], clipped to [t_lo, t_hi]: a start s inside it has p_k as its
-    first stop p >= s + lo, and p_k < s + hi (up to rounding at the edges);
-    later starts only reach delays below the range.  Every start that pairs
-    with a stop at a binnable delay lies in a segment.
+    The domain is one segment per stop p_k = ``stops[first + k]``, k < n,
+    that can reach the interval.  With (lo, hi) the window of
+    ``_match_window`` and (top, w) those of ``_windows``, segment k is
+    (max(p_k - hi, p_{k-1} - lo), p_k - top] cut to [t_lo, t_hi]: a
+    start s inside it has p_k as its first stop p >= s + lo, and p_k < s +
+    hi (up to rounding at the edges); later starts only reach delays below
+    the range.  Every start that pairs with a stop at a binnable delay lies
+    in a segment.  Segment k lies in window k, (p_k - hi, p_k - top], and
+    holds its points s with p_{k-1} < s + lo and t_lo < s <= t_hi; the bulk
+    is drawn on the windows and thinned to the segments (``_thin``).
 
-    Returns ``(cum, first, top, t_hi)``, ``cum`` the cumulative segment
-    lengths in an array of the recycler ``arrays``; ``_place`` turns
-    offsets along them into times.  Unclipped, segment k has the length
-    min(hi - top, p_k - p_{k-1} - (top - lo)), or 0 if that is negative, so
-    the lengths come from the stop gaps; only the first segment, whose
+    Only the domain's length, ``covered``, is summed.  Unclipped, segment k
+    is min(w, p_k - p_{k-1} - (top - lo)) long, or 0 if that is negative,
+    so the lengths come from the stop gaps; only the first segment, whose
     earlier stop may lie before ``first``, and those the interval cuts take
-    their bounds (``_cut_lengths``).
+    their bounds (``_cut_lengths``).  The gaps go into an array of the
+    recycler ``arrays``, which takes it back.
     """
     window, _ = _match_window(cfg)
     lo, hi = window
-    top = max(lo, cfg.range_s[0])
+    top, w = _windows(cfg)
     # Only stops whose segment can reach [t_lo, t_hi] matter.
     first = int(np.searchsorted(stops, t_lo + top, side="left"))
     end = int(np.searchsorted(stops, t_hi + hi, side="right"))
-    cum = arrays.empty(end - first)
-    if cum.size:
+    covered = 0.0
+    if end > first:
         # Bounds are non-decreasing in k, so t_lo cuts segments below the
         # first p_k >= t_lo + hi and t_hi those from the first p_k > t_hi +
         # top; one more on either side leaves rounding no say.
         p = stops[first:end]
         head = min(int(np.searchsorted(p, t_lo + hi, side="right")) + 1, p.size)
         tail = max(int(np.searchsorted(p, t_hi + top, side="left")) - 1, head)
-        gaps = cum[head:tail]
+        gaps = arrays.empty(tail - head)
         np.subtract(p[head:tail], p[head - 1:tail - 1], out=gaps)
-        if top != lo:
-            np.subtract(gaps, top - lo, out=gaps)
-        # First-stop with a range below 0 has hi < top and no domain.
-        np.clip(gaps, 0.0, max(hi - top, 0.0), out=gaps)
-        cum[:head] = _cut_lengths(stops, first, first + head, window, top, t_lo, t_hi)
-        cum[tail:] = _cut_lengths(stops, first + tail, end, window, top, t_lo, t_hi)
-        np.cumsum(cum, out=cum)
-    return cum, first, top, t_hi
+        # min(w, max(gap - (top - lo), 0)) summed as clip(gap, top - lo, hi - lo).
+        np.clip(gaps, top - lo, hi - lo, out=gaps)
+        covered = float(gaps.sum()) - (top - lo) * gaps.size
+        arrays.release(gaps)
+        covered += float(_cut_lengths(stops, first, first + head, window, top, t_lo,
+                                      t_hi).sum())
+        covered += float(_cut_lengths(stops, first + tail, end, window, top, t_lo,
+                                      t_hi).sum())
+    return _Domain(first, end - first, t_lo, t_hi, covered)
 
 
-def _place(u, stops, domain):
-    """Times, first-stop indices and first stops of the sorted offsets
-    ``u`` along the segments of ``domain`` (``_start_domain``).
+def _thin(u, stops, cfg, domain):
+    """Times, first-stop indices and first stops of the offsets ``u`` along
+    the windows of ``domain`` (``_start_domain``), and how many lie in the
+    domain; a point outside it gets the first stop +inf, which matches
+    nothing.
 
-    Segment k holds the offsets [cum[k-1], cum[k]) and ends at min(p_k -
-    top, t_hi), so an offset u in it maps to min(p_k - top, t_hi) - (cum[k]
-    - u) (up to rounding; every histogram rests on this grouping), and
-    stop first + k is its start's first.  By the restriction theorem
-    (Kingman, *Poisson Processes*, 1993) the points of a rate-r Poisson
-    process inside the domain are Poisson(r cum[-1]) points placed
-    uniformly on it, so uniform offsets give exactly those points.
+    Window k holds the offsets [k w, (k + 1) w), and offset u in it is the
+    start s = p_k - top - (u - k w) in (p_k - hi, p_k - top].  The point
+    stays iff s lies in segment k: the stop before p_k is below s + lo and
+    t_lo < s <= t_hi.  By the restriction theorem (Kingman, *Poisson
+    Processes*, 1993) the points of a rate-r Poisson process on the windows
+    that lie in their segments are a rate-r Poisson process on the domain:
+    thinning (Lewis and Shedler, Naval Res. Logist. Q. 26, 403, 1979).  A
+    kept start with p_k < s + lo, which rounding can give at a segment's
+    end, is searched (``_first_stops``).
     """
-    cum, first, top, t_hi = domain
-    k = np.searchsorted(cum, u, side="right")
-    np.minimum(k, cum.size - 1, out=k)
-    before_end = np.take(cum, k)
-    before_end -= u
-    k += first
+    (lo, _), _ = _match_window(cfg)
+    top, w = _windows(cfg)
+    s = np.divide(u, w)
+    k = s.astype(np.intp)  # u >= 0, so this is the floor
+    np.minimum(k, domain.n - 1, out=k)
+    np.multiply(k, w, out=s)
+    np.subtract(u, s, out=s)
+    k += domain.first
     p = np.take(stops, k)
-    s = np.subtract(p, top)
-    np.minimum(s, t_hi, out=s)
-    s -= before_end
-    return s, k, p
+    np.subtract(p, s, out=s)
+    s -= top
+    s_lo = s + lo
+    k -= 1
+    out = np.take(stops, k, mode="clip") >= s_lo
+    k += 1
+    if domain.first == 0:
+        out[k == 0] = False  # stop 0 has no stop before it
+    out |= s <= domain.t_lo
+    out |= s > domain.t_hi
+    p[out] = np.inf
+    kept = out.size - int(np.count_nonzero(out))
+    np.less(p, s_lo, out=out)
+    if out.any():
+        k[out] = _first_stops(s[out], stops, lo)
+        p[out] = np.take(stops, k[out], mode="clip")
+    return s, k, p, kept
 
 
 # Starts per batch: bounds the temporaries each worker holds.  Counts add,
@@ -436,7 +504,8 @@ def _first_stops(starts, stops, lo):
 
 
 def _bin_starts(starts, stops, cfg, domain=None):
-    """Histogram counts of the delays of ``starts`` against ``stops``.
+    """Histogram counts of the delays of ``starts`` against ``stops``, and
+    how many starts were binned.
 
     Starts are binned in batches of ``_BLOCK_BATCH`` on the batch pool
     (``_on_pool``), each worker into its own integer counts, which add in
@@ -444,33 +513,28 @@ def _bin_starts(starts, stops, cfg, domain=None):
     that stop for the starts it matches and, multi-stop, moves those on to
     the next stop until none is left, so it bins at most ``_BLOCK_BATCH``
     delays at a time however many stops a start matches.  Given ``domain``
-    (``_start_domain``), ``starts`` are offsets along its segments, which
-    each batch places (``_place``) with their segments' stops as their
-    first.  Every other start is searched (``_first_stops``), and so is one
-    that rounding at a segment edge may have put beside its segment's stop
-    (the stop before it matches, or the stop itself is too early).
+    (``_start_domain``), ``starts`` are offsets along its windows, which
+    each batch thins to the domain (``_thin``), with their windows' stops
+    as their first; only the starts in the domain count as binned.  Every
+    other start is searched (``_first_stops``).
     """
     (lo, hi), single = _match_window(cfg)
     edges = cfg.bin_edges
     if stops.size == 0:
-        return np.zeros(cfg.n_bins, dtype=np.int64)
+        return np.zeros(cfg.n_bins, dtype=np.int64), starts.size if domain is None else 0
 
     def binned(batches):
         counts = np.zeros(cfg.n_bins, dtype=np.int64)
+        n = 0
         for j in batches:
             s = starts[j:j + _BLOCK_BATCH]
             if domain is None:
+                n += s.size
                 i = _first_stops(s, stops, lo)
                 p = np.take(stops, i, mode="clip")
             else:
-                s, i, p = _place(s, stops, domain)
-                # An index clipped into the array can only send more starts
-                # to the search.
-                out = np.take(stops, i - 1, mode="clip") >= s + lo
-                out |= p < s + lo
-                if out.any():
-                    i[out] = _first_stops(s[out], stops, lo)
-                    p[out] = np.take(stops, i[out], mode="clip")
+                s, i, p, kept = _thin(s, stops, cfg, domain)
+                n += kept
             # Every stop from the first on is at or after s + lo, so a
             # start's matches end at its first stop at or after s + hi.
             while True:
@@ -484,9 +548,11 @@ def _bin_starts(starts, stops, cfg, domain=None):
                 if not s.size:
                     break
                 p = np.take(stops, i, mode="clip")
-        return counts
+        return counts, n
 
-    return sum(_on_pool(binned, starts.size), np.zeros(cfg.n_bins, dtype=np.int64))
+    results = _on_pool(binned, starts.size)
+    return (sum((c for c, _ in results), np.zeros(cfg.n_bins, dtype=np.int64)),
+            sum(n for _, n in results))
 
 
 @dataclass
@@ -670,12 +736,12 @@ def _epoch_length(setup, rates) -> tuple[float, int]:
     every epoch begins on the run's pulse grid.  k is the largest for which
     an epoch holds at most ``_EVENTS_PER_EPOCH`` generated events on average,
     a rate below 1 Hz counted as 1 Hz; generated are arm 1's singles plus,
-    in CW, arm 0's pair photons (arm 0's bulk is drawn on its restricted
-    domain) or, pulsed, arm 0's singles.  k is raised, if need be, until E
-    is at least twice the reach: the farthest an event carried into the
-    next epoch lies from the epoch end (the histogram range, the stop delay
-    and the jitter pad).  Carried times then lie in [E/2, 2E], where
-    subtracting E is exact (Sterbenz's lemma).
+    in CW, arm 0's pair photons (arm 0's bulk is drawn apart, in runs:
+    ``_bin_bulk``) or, pulsed, arm 0's singles.  k is raised, if need be,
+    until E is at least twice the reach: the farthest an event carried
+    into the next epoch lies from the epoch end (the histogram range, the
+    stop delay and the jitter pad).  Carried times then lie in [E/2, 2E],
+    where subtracting E is exact (Sterbenz's lemma).
     """
     obs = rates["observables"]
     pump = setup.pump
@@ -832,6 +898,52 @@ class TiaRunResult:
         return self.n_stops / self.duration
 
 
+# Bulk starts drawn at a time: the CW bulk is drawn in runs of windows, or
+# of the slab, expected to hold at most this many, which bounds its memory.
+# The runs depend on the configuration alone.
+_BULK_RUN = 2**18
+
+
+def _bin_bulk(rates, tia, stops, s_lo, s_hi, rng, arrays):
+    """Histogram counts of the start arm's CW bulk (``_cw_bulk_rate``) in
+    the slab [s_lo, s_hi], drawn from ``rng``, and how many starts it holds.
+
+    While the windows of ``_start_domain`` tile (``_tiles``), the bulk is
+    drawn on them and thinned to the domain, and its starts outside the
+    domain are only counted; otherwise it is drawn over the slab and every
+    start searched.  Either way it is drawn in runs expected to hold at
+    most ``_BULK_RUN`` starts, one after the other: disjoint runs of
+    windows or of time are independent pieces of one Poisson process.
+    """
+    rate = _cw_bulk_rate(rates, 0)
+    domain = None
+    if _tiles(rates, tia):
+        domain = _start_domain(stops, tia, s_lo, s_hi, arrays)
+        w = _windows(tia)[1]
+        step = max(domain.n, 1)  # windows per run
+        if rate * w * step > _BULK_RUN:
+            step = max(int(_BULK_RUN / (rate * w)), 1)
+        runs = []  # (span, start, windows) of each run
+        for a in range(0, domain.n, step):
+            windows = domain._replace(first=domain.first + a, n=min(step, domain.n - a))
+            runs.append((windows.n * w, 0.0, windows))
+    else:
+        edges = np.linspace(s_lo, s_hi, math.ceil(rate * (s_hi - s_lo) / _BULK_RUN) + 1)
+        runs = [(b - a, a, None) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
+    counts = np.zeros(tia.n_bins, dtype=np.int64)
+    n0 = 0
+    for span, start, windows in runs:
+        bulk = _poisson_times(rate, span, rng, arrays, start)
+        c, n = _bin_starts(bulk, stops, tia, windows)
+        counts += c
+        n0 += n
+        arrays.release(bulk)
+    if domain is not None:
+        # Bulk starts outside the domain are only counted.
+        n0 += int(rng.poisson(rate * max(s_hi - s_lo - domain.covered, 0.0)))
+    return counts, n0
+
+
 def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, arrays):
     """Generate epoch e (``_epoch_arms``) and histogram the starts of its
     slab; all times are epoch time.
@@ -839,7 +951,9 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     ``carry`` = (starts, stops) are the explicit starts and the stops
     carried over from the epoch before.  ``slab`` = (s_lo, s_hi) is the
     start-time interval whose stops are all known once the epoch is
-    generated.  Returns (counts, n_starts, n_stops, carry): the next
+    generated; in CW its bulk starts are drawn and binned on the stops'
+    windows or over the slab (``_bin_bulk``).  Returns (counts, n_starts,
+    n_stops, carry): the next
     ``carry`` holds the explicit starts at or after s_hi and the stops a
     later slab can still pair with, in the next epoch's time.  The epoch's
     arrays come from the recycler ``arrays`` and go back to it.
@@ -854,18 +968,12 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     stops = _merge_sorted(arm1, carry[1], arrays)
     del arm0, arm1
     cut = int(np.searchsorted(explicit, s_hi, side="left"))
-    counts = _bin_starts(explicit[:cut], stops, tia)
+    counts, _ = _bin_starts(explicit[:cut], stops, tia)
     if setup.pump.mode == "cw":
-        bulk0_rate = _cw_bulk_rate(rates, 0)
-        domain = _start_domain(stops, tia, s_lo, s_hi, arrays)
-        cum = domain[0]
-        covered = float(cum[-1]) if cum.size else 0.0
-        rng = _generator(children["bulk0"])
-        bulk = _poisson_times(bulk0_rate, covered, rng, arrays)  # offsets (``_place``)
-        # Bulk starts outside the domain are only counted.
-        n0 += bulk.size + int(rng.poisson(bulk0_rate * max(s_hi - s_lo - covered, 0.0)))
-        counts += _bin_starts(bulk, stops, tia, domain)
-        arrays.release(bulk, cum)
+        c, dn0 = _bin_bulk(rates, tia, stops, s_lo, s_hi, _generator(children["bulk0"]),
+                           arrays)
+        counts += c
+        n0 += dn0
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     # Shifting by the epoch length is exact (``_epoch_length``).
     epoch_s = epoch[0]
@@ -894,10 +1002,11 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     epochs raises ``NumericsError`` before anything is drawn.
 
     In CW the start arm's bulk is drawn only on the start times that can
-    reach the histogram (``_start_domain``) and the rest of it counted.
-    Every start histogrammed goes through ``_bin_starts``, whose batches
-    place the drawn starts and run on one worker thread per usable CPU; the
-    output does not depend on how many there are.
+    reach the histogram (``_start_domain``) and the rest of it counted, or,
+    for dense multi-stop ranges, over each slab (``_bin_bulk``).  Every
+    start histogrammed goes through ``_bin_starts``, whose batches thin the
+    drawn starts and run on one worker thread per usable CPU; the output
+    does not depend on how many there are.
     """
     tia = setup.analysis.tia
     if not math.isfinite(duration_s) or duration_s < 0.0:

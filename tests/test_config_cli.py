@@ -635,6 +635,22 @@ class TestCli:
         assert "analysis.accidental_mode" in err
         assert not (tmp_path / "out" / "histogram.csv").exists()
 
+    def test_histogram_first_stop_range_below_zero_exit_code(self, tmp_path, capsys,
+                                                            clean_raw):
+        # First-stop delays are never negative, so no entry could be binned.
+        clean_raw["analysis"]["tia"].update(policy="first-stop", range_ns=[-3, -1],
+                                            stop_delay_ns=-2)
+        path = tmp_path / "below_zero.json"
+        path.write_text(json.dumps(clean_raw))
+        code = main(["histogram", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--duration", "0.05"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert ("analysis.tia.range_ns: a first-stop delay range must reach above 0, "
+                "got [-3, -1]") in err
+        assert not (tmp_path / "out" / "histogram.csv").exists()
+
     def test_histogram_peak_window_wider_than_range_refused_before_simulating(
             self, tmp_path, capsys, clean_raw, monkeypatch):
         # Twice the 400 ps coincidence window is an 800 ps peak window; the

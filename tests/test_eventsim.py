@@ -11,7 +11,7 @@ from scipy import stats
 import sfwmlab
 import sfwmlab.eventsim as eventsim
 from sfwmlab.config import load_config, set_path
-from sfwmlab.errors import ConfigError, NumericsError
+from sfwmlab.errors import ConfigError, FieldError, NumericsError
 from sfwmlab.eventsim import (
     HistogramResult,
     TiaConfig,
@@ -25,11 +25,13 @@ from sfwmlab.eventsim import (
     _generator,
     _jittered,
     _match_window,
-    _place,
     _poisson_times,
     _pulsed_times,
     _start_domain,
+    _thin,
     _tia_epoch,
+    _tiles,
+    _windows,
     analyze_histogram,
     component_rates,
     run_tia,
@@ -321,6 +323,14 @@ class TestTiaHistogram:
         with pytest.raises(ConfigError):
             TiaConfig(bin_width_s=16e-12, range_s=(12e-9, 12e-9))
 
+    @pytest.mark.parametrize("range_s", [(-3e-9, -1e-9), (-3e-9, 0.0)])
+    def test_first_stop_range_below_zero_rejected(self, range_s):
+        # First-stop delays are never negative: no entry could be binned.
+        with pytest.raises(FieldError, match="first-stop delay range must reach above 0") as e:
+            TiaConfig(bin_width_s=16e-12, range_s=range_s, stop_delay_s=-2e-9)
+        assert e.value.field == "range_s"
+        TiaConfig(bin_width_s=16e-12, range_s=range_s, policy="multi-stop", stop_delay_s=-2e-9)
+
     def test_range_must_span_stop_delay(self):
         with pytest.raises(ConfigError):
             TiaConfig(bin_width_s=16e-12, range_s=(0.0, 5e-9), stop_delay_s=11.1e-9)
@@ -414,7 +424,7 @@ class TestRunTia:
             assert any(np.shares_memory(stops[e], a) for a in earlier)
 
     def test_one_epoch_run_reuses_released_arrays(self, paper_cfg, monkeypatch):
-        # 0.4 s is one epoch of 0.5 s.  The start domain's bounds go into
+        # 0.4 s is one epoch of 0.5 s.  The start domain's stop gaps go into
         # the array of the stop arm's draws, which the merge released.
         empty = eventsim._Recycler.empty
         handed = []
@@ -579,7 +589,7 @@ class TestEpochs:
 
             def record_bulk(starts, stops, cfg, domain=None):
                 if domain is not None:
-                    bulk.append((starts.copy(), domain[0].copy()))
+                    bulk.append((starts.copy(), np.array(domain)))
                 return bin_starts(starts, stops, cfg, domain)
 
             with monkeypatch.context() as m:
@@ -590,8 +600,8 @@ class TestEpochs:
         (arms3, bulk3), (arms5, bulk5) = runs
         assert (len(arms3), len(arms5)) == (3, 5)
         for e in (0, 1):
-            # Arm 0's and arm 1's events, the drawn offsets and the segments'
-            # cumulative lengths.
+            # Arm 0's and arm 1's events, the drawn offsets and the domain's
+            # windows and length.
             assert arms3[e][1].size > 1000 and bulk3[e][0].size > 50
             for a, b in zip(arms3[e] + bulk3[e], arms5[e] + bulk5[e]):
                 assert np.array_equal(a, b)
@@ -624,8 +634,9 @@ def _reference_domain(stops, cfg, t_lo, t_hi):
     seg_hi)`` and ``first``, each bound computed from its stops: segment k
     of stop p_k = ``stops[first + k]`` is (max(p_k - hi, p_{k-1} - lo), p_k -
     max(lo, range_lo)], clipped to [t_lo, t_hi], where one cut away entirely
-    stays empty.  An algorithm apart from the stop-gap lengths of
-    ``_start_domain``, which must reproduce it to rounding."""
+    stays empty.  An algorithm apart from the stop-gap length and the
+    thinning of ``_start_domain`` and ``_thin``, which must reproduce it
+    to rounding."""
     (lo, hi), _ = _match_window(cfg)
     top = max(lo, cfg.range_s[0])
     first = int(np.searchsorted(stops, t_lo + top, side="left"))
@@ -647,26 +658,38 @@ def _reference_domain(stops, cfg, t_lo, t_hi):
     return seg_lo, seg_hi, first
 
 
-def _bounds(domain, stops):
-    """(seg_lo, seg_hi) of the segments of a ``_start_domain`` domain: each
-    ends at min(p_k - top, t_hi) and is as long as its ``cum`` step."""
-    cum, first, top, t_hi = domain
-    seg_hi = np.minimum(stops[first:first + cum.size] - top, t_hi)
-    return seg_hi - np.diff(cum, prepend=0.0), seg_hi
+def _window_of(u, cfg, domain):
+    """The window index of each offset along the windows of ``domain``."""
+    return np.minimum((u / _windows(cfg)[1]).astype(np.intp), domain.n - 1)
+
+
+def _thinned_on_grid(stops, cfg, t_lo, t_hi, step=0.25):
+    """Reference segments (seg_lo, seg_hi) of a domain on a grid where they
+    are exact, after checking ``_start_domain`` and ``_thin`` against them:
+    the domain's windows and length, and offsets ``step`` apart along
+    every window, which put starts on every segment edge.  A start is
+    kept iff it lies in its window's segment, with the window's stop as
+    its first."""
+    seg_lo, seg_hi, first = _reference_domain(stops, cfg, t_lo, t_hi)
+    domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
+    assert (domain.first, domain.n) == (first, seg_lo.size)
+    assert domain.covered == np.sum(seg_hi - seg_lo)
+    u = np.arange(0.0, domain.n * _windows(cfg)[1], step)
+    k = _window_of(u, cfg, domain)
+    s, i, p, kept = _thin(u, stops, cfg, domain)
+    inside = (s > seg_lo[k]) & (s <= seg_hi[k])
+    assert np.array_equal(np.isfinite(p), inside) and kept == inside.sum()
+    assert np.array_equal(i[inside], first + k[inside])
+    return seg_lo, seg_hi
 
 
 def _segments(stops, policy, rng, t_lo, t_hi, stop_delay=2.0):
-    """The non-empty segments of ``_start_domain`` on a grid where they are
-    exact, which the reference's must equal."""
-    stops = np.array(stops, dtype=float)
+    """The non-empty segments of the start domain (``_thinned_on_grid``)."""
     cfg = TiaConfig(bin_width_s=0.5, range_s=rng, policy=policy, stop_delay_s=stop_delay)
-    seg_lo, seg_hi = _bounds(_start_domain(stops, cfg, t_lo, t_hi, _Recycler()), stops)
+    seg_lo, seg_hi = _thinned_on_grid(np.array(stops, dtype=float), cfg, t_lo, t_hi)
     assert np.all(seg_hi >= seg_lo)
     assert np.all(seg_lo[1:] >= seg_hi[:-1])  # sorted and disjoint
-    segments = [(a, b) for a, b in zip(seg_lo, seg_hi) if b > a]
-    ref_lo, ref_hi, _ = _reference_domain(stops, cfg, t_lo, t_hi)
-    assert segments == [(a, b) for a, b in zip(ref_lo, ref_hi) if b > a]
-    return segments
+    return [(a, b) for a, b in zip(seg_lo, seg_hi) if b > a]
 
 
 class TestStartDomain:
@@ -719,8 +742,9 @@ class TestStartDomain:
         starts = np.arange(0.0, 4000.0, 0.5)
         cfg = TiaConfig(bin_width_s=1.0, range_s=rng, policy=policy,
                         stop_delay_s=max(rng[0], 0.0))
-        seg_lo, seg_hi = _bounds(_start_domain(stops, cfg, 0.0, 4000.0, _Recycler()), stops)
-        k = np.searchsorted(seg_lo, starts, side="right") - 1
+        # The slab begins below the first start: a start on t_lo is not in it.
+        seg_lo, seg_hi = _thinned_on_grid(stops, cfg, -1.0, 4000.0)
+        k = np.searchsorted(seg_lo, starts, side="left") - 1
         inside = (k >= 0) & (starts <= seg_hi[np.maximum(k, 0)])
         assert inside.mean() < 0.9
         full = np.sort(_pair_delays(starts, stops, cfg))
@@ -733,50 +757,58 @@ class TestStartDomain:
 
 def _domain_starts(rate_hz, stops, cfg, t_lo, t_hi, rng):
     """A rate-``rate_hz`` Poisson process on the start domain, as
-    ``_tia_epoch`` draws it: (offsets, domain, times, first-stop indices)."""
+    ``_tia_epoch`` draws it on the windows and thins it: (offsets, domain,
+    kept times, their first-stop indices)."""
     arrays = _Recycler()
     domain = _start_domain(stops, cfg, t_lo, t_hi, arrays)
-    cum = domain[0]
-    u = _poisson_times(rate_hz, float(cum[-1]) if cum.size else 0.0, rng, arrays)
-    return (u, domain) + _place(u, stops, domain)[:2]
+    u = _poisson_times(rate_hz, domain.n * _windows(cfg)[1], rng, arrays)
+    s, i, p, kept = _thin(u, stops, cfg, domain)
+    inside = np.isfinite(p)
+    assert kept == inside.sum()
+    return u, domain, s[inside], i[inside]
 
 
 class TestRestrictedPoisson:
-    """Offsets drawn along the domain's cumulative lengths and placed
-    (``_place``) are the Poisson process restricted to the domain."""
+    """Offsets drawn along the domain's windows and thinned (``_thin``) are
+    the Poisson process restricted to the domain."""
 
     def test_single_segment_is_the_plain_process(self):
-        # The one segment of stop 3 in a (1, 3) multi-stop window is (0, 2].
+        # The one window of stop 3 in a (1, 3) multi-stop window is (0, 2],
+        # all of it in the domain.
         cfg = TiaConfig(bin_width_s=0.5, range_s=(1.0, 3.0), policy="multi-stop",
                         stop_delay_s=2.0)
         u, domain, a, i = _domain_starts(1e4, np.array([3.0]), cfg, 0.0, 10.0,
                                          np.random.default_rng(5))
         b = _poisson_times(1e4, 2.0, np.random.default_rng(5))
-        assert domain[0].tolist() == [2.0]
-        # 2 - (2 - u) is u up to the rounding of 2 - u.
-        assert np.allclose(a, b, rtol=0.0, atol=np.spacing(2.0))
+        assert (domain.n, domain.covered) == (1, 2.0)
+        # Offset u is the start (3 - u) - 1, which is 2 - u up to rounding.
+        assert np.allclose(a, 2.0 - b, rtol=0.0, atol=np.spacing(4.0))
         assert np.array_equal(i, np.zeros(a.size))
 
     def test_points_fill_segments_uniformly(self):
-        # Segments [0, 1] (cut at t_lo = 0), an empty one for the repeated
-        # stop 2, and (5, 7].
+        # Windows (-1, 1] and (-1, 1] of the repeated stop 2 and (5, 7] of
+        # stop 8 hold the segments (0, 1] (cut at t_lo = 0), none (the first
+        # 2 matches every start of the second window) and (5, 7].
         stops = np.array([2.0, 2.0, 8.0])
         cfg = TiaConfig(bin_width_s=0.5, range_s=(1.0, 3.0), policy="multi-stop",
                         stop_delay_s=2.0)
         rate = 1e5
         u, domain, times, seg = _domain_starts(rate, stops, cfg, 0.0, 20.0,
                                                np.random.default_rng(6))
-        assert domain[0].tolist() == [1.0, 1.0, 3.0]
-        assert np.all(np.diff(times) >= 0.0)
-        in_first = (times >= 0.0) & (times <= 1.0)
-        in_last = (times >= 5.0) & (times <= 7.0)
+        assert (domain.first, domain.n, domain.covered) == (0, 3, 3.0)
+        # Three windows of 2 are drawn on.
+        assert abs(u.size - rate * 6.0) < 4 * math.sqrt(rate * 6.0)
+        in_first = (times > 0.0) & (times <= 1.0)
+        in_last = (times > 5.0) & (times <= 7.0)
         assert np.all(in_first | in_last)
         # The empty middle segment gets no point.
         assert np.array_equal(seg, np.where(in_first, 0, 2))
+        # Poisson(r covered) points, spread over the segments by length.
         n = times.size
         assert abs(n - rate * 3.0) < 4 * math.sqrt(rate * 3.0)
         frac = in_last.sum() / n
         assert abs(frac - 2.0 / 3.0) < 4 * math.sqrt(frac * (1 - frac) / n)
+        assert stats.kstest(times[in_first], "uniform", args=(0.0, 1.0)).pvalue > 1e-3
         assert stats.kstest(times[in_last], "uniform", args=(5.0, 2.0)).pvalue > 1e-3
 
 
@@ -790,10 +822,11 @@ def _domain_cases(draw):
     origin = draw(st.sampled_from([0.0, 0.5, 37.25]))
     grid = st.integers(-5, 60)
     stops = origin + unit * np.sort(np.array(draw(st.lists(grid, max_size=40)), dtype=float))
-    lo = draw(st.integers(-6, 8))
-    hi = lo + draw(st.integers(1, 12))
-    t_lo, t_hi = sorted(draw(st.lists(grid, min_size=2, max_size=2)))
     policy = draw(st.sampled_from(["first-stop", "multi-stop"]))
+    lo = draw(st.integers(-6, 8))
+    # A first-stop range reaches above 0 (``TiaConfig``).
+    hi = (max(lo, 0) if policy == "first-stop" else lo) + draw(st.integers(1, 12))
+    t_lo, t_hi = sorted(draw(st.lists(grid, min_size=2, max_size=2)))
     cfg = TiaConfig(bin_width_s=unit, range_s=(lo * unit, hi * unit), policy=policy,
                     stop_delay_s=lo * unit)
     offsets = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30))
@@ -806,47 +839,60 @@ def _domain_case(stops, policy, range_s, t_lo, t_hi):
 
 
 class TestStartDomainLengths:
-    """``_start_domain``'s stop-gap lengths against the bounds of
-    ``_reference_domain``."""
+    """``_start_domain``'s length and ``_thin``'s kept points against the
+    bounds of ``_reference_domain``."""
 
     @settings(max_examples=400, derandomize=True, deadline=None, database=None)
     @given(_domain_cases())
     # Gaps shorter than top - lo and repeated stops between cut segments.
     @example(_domain_case([0, 2, 3, 3, 10, 11, 11, 20, 24, 30, 31], "first-stop", (4.0, 6.0),
                           -5.0, 40.0))
-    # A slab that cuts segments at both ends.
+    # A slab that cuts windows at both ends.
     @example(_domain_case(np.arange(0.0, 30.0, 1.5), "multi-stop", (1.0, 4.0), 5.3, 20.7))
-    # Negative range starts; first-stop below 0 has no domain.
+    # The stop 5 before ``first`` cuts the window (4, 6] of stop 7.
+    @example(_domain_case([0, 5, 7, 12], "first-stop", (1.0, 3.0), 4.5, 20.0))
+    # Negative range starts under both policies.
     @example(_domain_case(np.arange(0.0, 30.0, 1.5), "multi-stop", (-3.0, 2.0), 5.3, 20.7))
     @example(_domain_case(np.arange(0.0, 30.0, 1.5), "first-stop", (-3.0, 2.0), 5.3, 20.7))
-    @example(_domain_case(np.arange(0.0, 10.0), "first-stop", (-3.0, -1.0), 0.0, 10.0))
     def test_matches_the_reference_bounds(self, case):
         stops, cfg, t_lo, t_hi, offsets = case
         seg_lo, seg_hi, first = _reference_domain(stops, cfg, t_lo, t_hi)
         domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
-        cum = domain[0]
-        assert domain[1] == first
-        assert cum.size == seg_lo.size
-        ref_cum = np.cumsum(seg_hi - seg_lo)
+        assert (domain.first, domain.n, domain.t_lo, domain.t_hi) == (first, seg_lo.size,
+                                                                       t_lo, t_hi)
+        lengths = seg_hi - seg_lo
         # A length rounds a few times at the scale of the times it comes
         # from, and a sum once per term at the scale of the total.
         scale = max(abs(t_lo), abs(t_hi), *map(abs, cfg.range_s),
-                    np.abs(stops).max(initial=0.0), ref_cum.max(initial=0.0))
-        tol = 16 * np.finfo(float).eps * scale * (cum.size + 1)
-        assert np.allclose(cum, ref_cum, rtol=0.0, atol=tol)
-        if not cum.size or cum[-1] <= 0.0:
+                    np.abs(stops).max(initial=0.0), lengths.sum())
+        tol = 16 * np.finfo(float).eps * scale * (domain.n + 1)
+        assert abs(domain.covered - lengths.sum()) <= tol
+        if not domain.n:
             return
-        # Offsets across the domain, [0, cum[-1]), and on every segment end.
-        u = np.sort(np.concatenate([np.array(offsets) * cum[-1], cum[:-1]]))
-        u = u[u < cum[-1]]
-        s, i, p = _place(u, stops, domain)
-        k = i - first
-        assert np.array_equal(p, stops[i])
-        # Offset u lies in reference segment k, and its start in its bounds.
-        assert np.all(u >= np.concatenate([[0.0], ref_cum])[k] - tol)
-        assert np.all(u <= ref_cum[k] + tol)
-        assert np.all(s >= seg_lo[k] - tol)
-        assert np.all(s <= seg_hi[k] + tol)
+        # Points across every window, at its start and on its segment's
+        # two edges.
+        (lo, _), _ = _match_window(cfg)
+        top, w = _windows(cfg)
+        end = stops[first:first + domain.n] - top
+        d = np.concatenate([np.outer(np.ones(domain.n), np.append(offsets, 0.0)) * w,
+                            (end - seg_lo)[:, None], (end - seg_hi)[:, None]], axis=1)
+        u = (d + (np.arange(domain.n) * w)[:, None])[(d >= 0.0) & (d < w)]
+        u = u[u < domain.n * w]
+        k = _window_of(u, cfg, domain)
+        s, i, p, kept = _thin(u, stops, cfg, domain)
+        got = np.isfinite(p)
+        assert kept == got.sum()
+        # A point is kept iff it lies in its window's segment, up to
+        # rounding at the segment's edges.
+        assert np.all(got[(s > seg_lo[k] + tol) & (s <= seg_hi[k] - tol)])
+        assert not np.any(got[(s <= seg_lo[k] - tol) | (s > seg_hi[k] + tol)])
+        # A kept start's first stop is its window's, p_k, except where
+        # rounding put it past p_k - lo, and then it was searched.
+        assert np.array_equal(i[got], np.searchsorted(stops, s[got] + lo, side="left"))
+        assert np.array_equal(p[got], stops[i[got]])
+        settled = got & (s + lo <= stops[first + k])
+        assert np.all(i[settled] == first + k[settled])
+        assert np.all(settled[got & (s <= seg_hi[k] - tol)])
 
 
 def _segment_of(starts, seg_lo, seg_hi):
@@ -858,7 +904,8 @@ def _segment_of(starts, seg_lo, seg_hi):
 
 
 def _bin_recording_searches(starts, stops, cfg, domain=None):
-    """``_bin_starts`` counts, and the starts it ranged by search."""
+    """``_bin_starts``' counts and number binned, and the starts it
+    searched."""
     searched = []
     first_stops = eventsim._first_stops
 
@@ -868,58 +915,55 @@ def _bin_recording_searches(starts, stops, cfg, domain=None):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(eventsim, "_first_stops", search)
-        counts = _bin_starts(starts, stops, cfg, domain)
-    return counts, np.concatenate(searched) if searched else np.empty(0)
+        binned = _bin_starts(starts, stops, cfg, domain)
+    return binned, np.concatenate(searched) if searched else np.empty(0)
 
 
 class TestBlockHistogram:
-    """Drawn starts settled by their segment's stop in ``_bin_starts`` give
-    the delays, and the histogram, of ``_pair_delays`` over all stops."""
+    """Drawn starts thinned to their windows' segments and walked from the
+    windows' stops in ``_bin_starts`` give the delays, and the histogram,
+    of ``_pair_delays`` over all stops."""
 
     @staticmethod
-    def _check(starts, seg, stops, cfg, first):
-        """Segment path against the search path, start j placed at
-        ``starts[j]`` in segment ``seg[j]``; returns the starts that were
-        searched instead of settled by their segment."""
-        def place(u, stops, domain):
-            # The offsets below index the given starts.
-            j = u.astype(np.intp)
-            i = first + seg[j]
-            return starts[j], i, np.take(stops, i, mode="clip")
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(eventsim, "_place", place)
-            counts, searched = _bin_recording_searches(
-                np.arange(float(starts.size)), stops, cfg, ())
+    def _check(u, stops, cfg, domain):
+        """Window path against the search path for the offsets ``u`` along
+        the windows of ``domain``; returns the kept starts and those that
+        were searched instead of settled by their window's stop."""
+        s, i, p, kept = _thin(u, stops, cfg, domain)
+        inside = np.isfinite(p)
+        starts = s[inside]
+        (counts, n), searched = _bin_recording_searches(u, stops, cfg, domain)
+        assert n == kept == starts.size
         assert np.array_equal(counts, _histogram(starts, stops, cfg))
         settled = ~np.isin(starts, searched)
         i0, i1 = _search_ranges(starts[settled], stops, *_match_window(cfg))
-        # A settled start's matches begin at its segment's stop.
-        assert np.array_equal(i0, first + seg[settled])
-        delays = _expand_stop_ranges(starts[settled], stops, first + seg[settled], i1,
-                                     cfg.range_s)
+        # A settled start's matches begin at its window's stop.
+        first = domain.first + _window_of(u, cfg, domain)[inside][settled]
+        assert np.array_equal(i0, first)
+        delays = _expand_stop_ranges(starts[settled], stops, first, i1, cfg.range_s)
         assert np.array_equal(np.sort(delays),
                               np.sort(_pair_delays(starts[settled], stops, cfg)))
-        return searched
+        return starts, searched
 
     def _grid_case(self, stops, range_s, t_lo, t_hi, expect_segments):
-        # Integer stops and quarter-step starts put starts on window edges
+        # Integer stops and quarter-step offsets put starts on window edges
         # and give delays of exactly lo and hi.
         stops = np.array(stops, dtype=float)
         cfg = TiaConfig(bin_width_s=0.25, range_s=range_s, policy="multi-stop",
                         stop_delay_s=max(range_s[0], 0.0))
-        domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
-        first = domain[1]
-        seg_lo, seg_hi = _bounds(domain, stops)
+        seg_lo, seg_hi = _thinned_on_grid(stops, cfg, t_lo, t_hi)
         assert list(zip(seg_lo, seg_hi)) == expect_segments
-        ref_lo, ref_hi, _ = _reference_domain(stops, cfg, t_lo, t_hi)
-        assert list(zip(ref_lo, ref_hi)) == expect_segments
-        starts = np.arange(t_lo, t_hi, 0.25)
-        k, inside = _segment_of(starts, seg_lo, seg_hi)
-        starts, k = starts[inside], k[inside]
-        assert self._check(starts, k, stops, cfg, first).size == 0
+        domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
+        u = np.arange(0.0, domain.n * _windows(cfg)[1], 0.25)
+        starts, searched = self._check(u, stops, cfg, domain)
+        assert searched.size == 0
+        # The kept starts are the quarter steps in (seg_lo, seg_hi].
+        grid = np.arange(t_lo, t_hi + 0.125, 0.25)
+        k, inside = _segment_of(grid, seg_lo, seg_hi)
+        inside &= grid > seg_lo[np.minimum(k, seg_lo.size - 1)]
+        assert np.array_equal(np.sort(starts), grid[inside])
         assert _histogram(starts, stops, cfg).sum() > 0
-        return first
+        return domain.first
 
     def test_merged_windows(self):
         # Windows (2, 4] and (3, 5] overlap: the segment of 6 begins where 5
@@ -934,8 +978,8 @@ class TestBlockHistogram:
         assert first == 1
 
     def test_empty_segments(self):
-        # The windows of 4 and 20 are cut away to [3, 3] and [17, 17]; the
-        # start at 3 still pairs with the stop of its empty segment.
+        # The windows of 4 and 20 are cut away to (3, 3] and (17, 17]: no
+        # start of theirs is kept.
         first = self._grid_case([1.0, 4.0, 10.0, 20.0, 40.0], (1.0, 3.0), 3.0, 17.0,
                                 [(3.0, 3.0), (7.0, 9.0), (17.0, 17.0)])
         assert first == 1
@@ -946,17 +990,20 @@ class TestBlockHistogram:
                                 [(1.0, 2.0), (2.0, 7.0), (7.0, 8.0), (9.0, 14.0)])
         assert first == 1
 
-    def test_start_in_a_wrong_block_is_searched(self):
-        # A start given a neighbouring segment, as rounding at a segment
-        # edge could, is searched instead of losing its stops: 4 belongs to
-        # 5's segment, 5 to 6's and 8 to 10's.
+    def test_start_in_a_wrong_block_is_searched(self, monkeypatch):
+        # A start that rounding put past its window's stop minus lo matches
+        # from a later stop, and is searched instead of losing its stops.
+        # Windows that end half a unit late, (p - 2.5, p - 0.5] for the (1,
+        # 3) window, put every start within 0.5 of a window's end there.
         stops = np.array([0.0, 5.0, 6.0, 10.0, 30.0])
         cfg = TiaConfig(bin_width_s=0.25, range_s=(1.0, 3.0), policy="multi-stop",
                         stop_delay_s=2.0)
-        first = _start_domain(stops, cfg, 1.0, 25.0, _Recycler())[1]
-        starts = np.array([4.0, 5.0, 8.0])
-        searched = self._check(starts, np.array([1, 0, 1]), stops, cfg, first)
-        assert np.array_equal(searched, starts)
+        domain = _start_domain(stops, cfg, 1.0, 25.0, _Recycler())
+        assert (domain.first, domain.n) == (1, 3)
+        monkeypatch.setattr(eventsim, "_windows", lambda cfg: (0.5, 2.0))
+        starts, searched = self._check(np.array([0.25, 1.0, 2.25, 4.0]), stops, cfg, domain)
+        assert np.array_equal(starts, [4.25, 3.5, 5.25, 9.5])
+        assert np.array_equal(searched, [4.25, 5.25, 9.5])
 
     @pytest.mark.parametrize("range_s", [(10e-9, 330e-9), (-50e-9, 120e-9)])
     def test_restricted_poisson_starts(self, range_s):
@@ -967,11 +1014,11 @@ class TestBlockHistogram:
                         stop_delay_s=max(range_s[0], 0.0))
         u, domain, starts, i = _domain_starts(2e7, stops, cfg, 0.5002, 0.5018,
                                               np.random.default_rng(32))
-        first = domain[1]
         assert starts.size > 5000
-        assert self._check(starts, i - first, stops, cfg, first).size == 0
-        # Each batch places its own offsets.
-        assert np.array_equal(_bin_starts(u, stops, cfg, domain),
+        kept, searched = self._check(u, stops, cfg, domain)
+        assert np.array_equal(kept, starts) and searched.size == 0
+        # Each batch thins its own offsets.
+        assert np.array_equal(_bin_starts(u, stops, cfg, domain)[0],
                               _histogram(starts, stops, cfg))
 
 
@@ -1020,7 +1067,8 @@ class TestPairDelays:
             stops = np.sort(gen.integers(0, 500, gen.integers(0, 80))).astype(float)
             expected = np.histogram(_brute_force_delays(starts, stops, cfg),
                                     bins=cfg.bin_edges)[0]
-            assert np.array_equal(_bin_starts(starts, stops, cfg), expected)
+            counts, n = _bin_starts(starts, stops, cfg)
+            assert np.array_equal(counts, expected) and n == starts.size
 
     @pytest.mark.parametrize("policy", ["first-stop", "multi-stop"])
     def test_matches_brute_force_on_continuous_times(self, policy):
@@ -1040,7 +1088,9 @@ def _binning_cases(draw):
     lo = draw(st.integers(-200, 200)) * width * draw(st.sampled_from([1.0, 0.37, 1.013]))
     n = draw(st.integers(1, 300))
     hi = lo + (n - draw(st.sampled_from([0.0, 0.5, 0.999]))) * width
-    edges = TiaConfig(bin_width_s=width, range_s=(lo, hi), stop_delay_s=lo).bin_edges
+    # Multi-stop, which takes ranges below 0; the edges do not depend on the policy.
+    edges = TiaConfig(bin_width_s=width, range_s=(lo, hi), policy="multi-stop",
+                      stop_delay_s=lo).bin_edges
     picks = st.lists(st.integers(0, edges.size - 1), max_size=40)
     on = edges[draw(picks)]
     inside = edges[0] + (edges[-1] - edges[0]) * np.array(
@@ -1218,7 +1268,7 @@ class TestRunTiaPool:
 
 class TestRunTiaBlockPath:
     """Runs of both policies through ``_bin_starts``: drawn bulk starts are
-    settled by their segment's stop, explicit starts are searched."""
+    settled by their window's stop, explicit starts are searched."""
 
     POLICIES = ("first-stop", "multi-stop")
 
@@ -1236,9 +1286,9 @@ class TestRunTiaBlockPath:
             calls = []
 
             def counted(starts, stops, cfg, domain=None):
-                counts, searched = _bin_recording_searches(starts, stops, cfg, domain)
+                binned, searched = _bin_recording_searches(starts, stops, cfg, domain)
                 calls.append((starts.size, domain is not None, searched.size))
-                return counts
+                return binned
 
             with monkeypatch.context() as m:
                 m.setattr(eventsim, "_bin_starts", counted)
@@ -1258,7 +1308,7 @@ class TestRunTiaBlockPath:
             assert all(calls[i:i + 4] == calls[:4] for i in range(4, len(calls), 4))
             bulk = [c for c in calls[:4] if c[1]]
             explicit = [c for c in calls if not c[1]]
-            # The segments settle nearly every bulk start.
+            # The windows settle nearly every bulk start.
             n_starts, _, n_searched = np.sum(bulk, axis=0)
             assert len(bulk) == 2 and n_starts > 5000
             assert n_searched < 0.01 * n_starts
@@ -1269,8 +1319,10 @@ class TestRunTiaBlockPath:
         # The reference bins ``_pair_delays`` of all of an epoch's starts at once.
         def search_all(starts, stops, cfg, domain=None):
             if domain is not None:
-                starts = _place(starts, stops, domain)[0]
-            return np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)[0]
+                s, _, p, _ = _thin(starts, stops, cfg, domain)
+                starts = s[np.isfinite(p)]
+            return (np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)[0],
+                    starts.size)
 
         for policy in self.POLICIES:
             for seed in (8, 9):
@@ -1280,6 +1332,7 @@ class TestRunTiaBlockPath:
                     searched = self._run(paper_cfg.setup, policy, m, seed)
                 assert binned.histogram.total_counts > 1000
                 assert np.array_equal(binned.histogram.counts, searched.histogram.counts)
+                assert binned.n_starts == searched.n_starts
 
 
 class TestDenseMultiStop:
@@ -1322,19 +1375,104 @@ class TestDenseMultiStop:
         assert abs(observed - expected) < 4 * math.sqrt(expected)
 
 
+class TestBulkDraw:
+    """The CW bulk is drawn on the windows of ``_start_domain`` while they
+    overlap less than they tile (r1 w <= 1), and over the slab otherwise,
+    so the draw holds at most about 1.6 times the starts in the domain; it
+    is drawn in runs of at most ``_BULK_RUN`` expected starts."""
+
+    @staticmethod
+    def _epochs(setup, duration_s, monkeypatch):
+        """Each epoch's slab, domain (or None) and bulk draws, each draw as
+        (span, start, size)."""
+        epochs = []
+        tia_epoch, epoch_arms = eventsim._tia_epoch, eventsim._epoch_arms
+        start_domain, poisson_times = eventsim._start_domain, eventsim._poisson_times
+
+        def epoch(*args):
+            epochs.append({"slab": args[7], "domain": None, "draws": None})
+            return tia_epoch(*args)
+
+        def arms(*args):
+            result = epoch_arms(*args)
+            epochs[-1]["draws"] = []  # the draws after the arms' are the bulk's
+            return result
+
+        def domain(*args):
+            epochs[-1]["domain"] = start_domain(*args)
+            return epochs[-1]["domain"]
+
+        def draw(rate_hz, span_s, rng, arrays=None, start_s=0.0):
+            times = poisson_times(rate_hz, span_s, rng, arrays, start_s)
+            if epochs and epochs[-1]["draws"] is not None:
+                epochs[-1]["draws"].append((span_s, start_s, times.size))
+            return times
+
+        monkeypatch.setattr(eventsim, "_tia_epoch", epoch)
+        monkeypatch.setattr(eventsim, "_epoch_arms", arms)
+        monkeypatch.setattr(eventsim, "_start_domain", domain)
+        monkeypatch.setattr(eventsim, "_poisson_times", draw)
+        run_tia(setup, duration_s, 3)
+        return epochs
+
+    # r1 = 1.34e6 /s at paper-defaults: windows tile up to w = 746 ns.
+    @pytest.mark.parametrize("policy, range_s, duration_s, thinned", [
+        ("first-stop", (10e-9, 12.208e-9), 0.6, True),
+        ("multi-stop", (10e-9, 330e-9), 0.6, True),
+        ("multi-stop", (10e-9, 710e-9), 0.6, True),
+        ("multi-stop", (10e-9, 810e-9), 0.1, False),
+        ("multi-stop", (10e-9, 8010e-9), 0.02, False),
+    ])
+    def test_bulk_draw_is_bounded(self, paper_cfg, monkeypatch, policy, range_s, duration_s,
+                                  thinned):
+        tia = TiaConfig(bin_width_s=1e-9, range_s=range_s, policy=policy,
+                        stop_delay_s=11.1e-9)
+        setup = with_analysis(paper_cfg.setup, tia=tia)
+        rates = component_rates(setup)
+        assert _tiles(rates, tia) is thinned
+        r0 = _cw_bulk_rate(rates, 0)
+        epochs = self._epochs(setup, duration_s, monkeypatch)
+        assert len(epochs) == (2 if thinned else 1)
+        runs = 0
+        for epoch in epochs:
+            spans, starts, sizes = np.array(epoch["draws"]).T
+            runs += spans.size
+            s_lo, s_hi = epoch["slab"]
+            domain = epoch["domain"]
+            assert np.all(r0 * spans <= eventsim._BULK_RUN)
+            if thinned:
+                # Offsets along the windows, which hold at most 1.6 times
+                # the domain.
+                assert np.all(starts == 0.0)
+                assert spans.sum() == pytest.approx(domain.n * _windows(tia)[1], rel=1e-12)
+                assert domain.covered <= spans.sum() <= 1.6 * domain.covered
+            else:
+                # Times over the slab, run after run.
+                assert domain is None
+                assert starts[0] == s_lo
+                assert np.allclose(starts[1:], (starts + spans)[:-1], rtol=0.0, atol=1e-15)
+                assert spans.sum() == pytest.approx(s_hi - s_lo, rel=1e-12)
+                expected = r0 * (s_hi - s_lo)
+                assert abs(sizes.sum() - expected) < 5 * math.sqrt(expected)
+        # Some run of windows or time was cut short of the epoch.
+        if range_s[1] in (710e-9, 810e-9):
+            assert runs > len(epochs)
+
+
 class TestRunTiaChunking:
     """Epoch-by-epoch, restricted-domain runs against one pass over the same
     events.
 
-    ``_epoch_arms``, the bulk draw (``_poisson_times``) and ``_place`` are
+    ``_epoch_arms``, the bulk draw (``_poisson_times``) and ``_thin`` are
     replaced by views of fixed event sets, shifted into each epoch's time:
     pair photons and stop-arm noise selected by emission time, and a
     start-arm bulk selected by the bounds (``_reference_domain``) of the
-    requested domain.  The histogram must then equal one
-    pass over all events exactly: no start is lost or counted twice at an
-    epoch edge, and every start outside the domain is one that cannot reach
-    the histogram.  Shifting by a whole epoch is exact, so the delays are
-    those of the single pass.
+    requested domain or, where the bulk is drawn over the slab (the 0.5 ms
+    ranges), by the slab.  The histogram must then equal one pass over all
+    events exactly: no start is lost or counted twice at an epoch edge, and
+    every start outside the domain is one that cannot reach the histogram.
+    Shifting by a whole epoch is exact, so the delays are those of the
+    single pass.
     """
 
     # 52 epochs of 2^-10 s; 26 of 2^-9 s at the 0.5 ms ranges, whose reach
@@ -1370,8 +1508,8 @@ class TestRunTiaChunking:
                     clip(stop_emit[noise] + stop_jitter[noise] + stop_delay_s) - t0)
 
         def domain(stops, cfg, t_lo, t_hi, arrays):
-            # One domain per CW epoch, in epoch order.
-            t0 = epoch_starts[len(domains)]
+            # Built after the epoch's arms.
+            t0 = epoch_starts[-1]
             domains.append((t_lo, t_hi))
             seg_lo, seg_hi, first = _reference_domain(stops, cfg, t_lo, t_hi)
             starts = bulk0 - t0
@@ -1381,19 +1519,23 @@ class TestRunTiaChunking:
             placed[:] = [starts[inside], first + k[inside]]
             return start_domain(stops, cfg, t_lo, t_hi, arrays)
 
-        def bulk(rate_hz, span_s, rng, arrays=None):
-            # The offsets index the epoch's bulk starts in the domain.
-            return np.arange(float(placed[0].size))
+        def bulk(rate_hz, span_s, rng, arrays=None, start_s=0.0):
+            if len(domains) == len(epoch_starts):
+                # The offsets index the epoch's bulk starts in the domain.
+                return np.arange(float(placed[0].size))
+            # Drawn over the slab [start_s, start_s + span_s).
+            starts = bulk0 - epoch_starts[-1]
+            return starts[(starts >= start_s) & (starts < start_s + span_s)]
 
-        def place(u, stops, domain):
+        def thin(u, stops, cfg, domain):
             j = u.astype(np.intp)
             i = placed[1][j]
-            return placed[0][j], i, stops[i]
+            return placed[0][j], i, stops[i], j.size
 
         monkeypatch.setattr(eventsim, "_epoch_arms", epoch_arms)
         monkeypatch.setattr(eventsim, "_start_domain", domain)
         monkeypatch.setattr(eventsim, "_poisson_times", bulk)
-        monkeypatch.setattr(eventsim, "_place", place)
+        monkeypatch.setattr(eventsim, "_thin", thin)
         # 1.34e6 generated events/s: epochs of 2^-10 s, or longer for a long reach.
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**11)
         starts = clip(np.concatenate([emit + start_jitter, bulk0]))

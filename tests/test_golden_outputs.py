@@ -88,15 +88,15 @@ SIMULATED = {
     "paper-defaults first-stop": (
         "paper-defaults", "1.0", "1000",
         {
-            "analysis.json": "68dd3827bc2ae877c60f963340025957de6b9c29bbb44695a89b5debbab6e46b",
-            "histogram.csv": "1912861b353917848e192b7d2fe542d5f37cf86dba83082d18f861bd4ca74df9",
+            "analysis.json": "b7290972d9ca8bb9228fc56879cfc157d9c963f406fa77d7708b7ba919dd7d75",
+            "histogram.csv": "46134977ee912ab576acc441f8552babcbae2a0cdf419db96c0a2e3c365edbd6",
         },
     ),
     "10-330 ns multi-stop": (
         "multi-stop", "1.0", "1000",
         {
-            "analysis.json": "542e15c6634e90f7f993a846f76728f834284a449b2da97c7504cbd9d045110f",
-            "histogram.csv": "dde24f59fdbe8b085a2c09c9c31a7421c27fa05b3651fdfcf0060017457768ea",
+            "analysis.json": "6c56d7d195ce0f6e62a9b2cab461bdb2fd32402f674a3ad2cacf98aece4bd7b7",
+            "histogram.csv": "db36711fc6459eca6a1f8b0fa5ed225fcf43b4f7bf99b2c6ba949b2c87f927f5",
         },
     ),
     "engineered-defaults": (
