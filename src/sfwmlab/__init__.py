@@ -6,6 +6,7 @@ Layers:
   the analytic rate/noise/CAR model and its calibration procedures.
 * :mod:`sfwmlab.eventsim` - Monte Carlo timestamp streams and start-stop
   histograms, an independent statistical check of the model.
+* :mod:`sfwmlab.analysis` - peak, floor and CAR estimate of a histogram.
 * :mod:`sfwmlab.explore` - sweeps, power-law fits, CAR curves, design search.
 * :mod:`sfwmlab.config` / :mod:`sfwmlab.cli` - configuration documents and
   the command-line front end.
@@ -13,6 +14,7 @@ Layers:
 
 __version__ = "0.1.0"
 
+from .analysis import AnalysisResult, analyze_histogram
 from .config import (
     ExperimentConfig,
     Setup,
@@ -28,13 +30,7 @@ from .devices import (
     PumpRejection,
     WaveguideSpec,
 )
-from .eventsim import (
-    AnalysisResult,
-    HistogramResult,
-    TiaConfig,
-    analyze_histogram,
-    run_tia,
-)
+from .eventsim import HistogramResult, TiaConfig, run_tia
 from .explore import (
     CurveResult,
     DesignResult,

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .analysis import analysis_document, analyze_histogram, null_nonfinite, peak_window
 from .config import (
     ExperimentConfig,
     apply_calibration_file,
@@ -25,7 +26,7 @@ from .config import (
 )
 from .constants import DEFAULT_SEED
 from .errors import ConfigError, InconsistentMeasurementError, NumericsError
-from .eventsim import analyze_histogram, check_peak_window, run_tia
+from .eventsim import run_tia
 from .explore import (
     SweepSpec,
     car_vs_detuning,
@@ -38,18 +39,13 @@ from .svgplot import write_svg
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed, outputs):
-    manifest = {
+    _write_json(out_dir / "manifest.json", {
         "command": command,
         "config_hash": cfg.config_hash,
         "seed": seed,
         "tool_version": __version__,
         "outputs": sorted(str(p.name) for p in outputs),
-    }
-    path = out_dir / "manifest.json"
-    with open(path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
 
 
 # Command-line overrides: (argument, section, key) of the raw document.
@@ -184,27 +180,22 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _null_nonfinite(doc: dict) -> tuple[dict, list]:
-    """The document with non-finite floats replaced by None, and the dotted
-    keys of those floats, sorted."""
-    keys = []
-
-    def clean(value, path):
-        if isinstance(value, dict):
-            return {k: clean(v, f"{path}.{k}" if path else k) for k, v in value.items()}
-        if isinstance(value, float) and not math.isfinite(value):
-            keys.append(path)
-            return None
-        return value
-
-    return clean(doc, ""), sorted(keys)
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    """Strict JSON (no NaN or Infinity tokens), sorted keys, LF line end."""
+    """Strict JSON, non-finite floats written as null; sorted keys, LF line end."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(null_nonfinite(doc)[0], fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _print_analysis(analysis) -> None:
+    if "empty" in analysis.flags:
+        print("empty histogram (no counts); analysis flagged")
+        return
+    print(f"peak delay  : {analysis.peak_delay_s * 1e9:.4f} ns")
+    print(f"peak FWHM   : {analysis.peak_fwhm_s * 1e12:.1f} ps")
+    print(f"net C       : {analysis.coincidence_rate:.4g} /s "
+          f"(+- {analysis.uncertainties['coincidence_rate']:.2g})")
+    print(f"CAR estimate: {analysis.car_estimate:.4g}")
 
 
 def cmd_histogram(args) -> int:
@@ -212,59 +203,24 @@ def cmd_histogram(args) -> int:
         raise ConfigError(
             f"--duration must be a finite non-negative number of seconds, got {args.duration}")
     cfg = _load(args)
-    peak_window_s = 2 * cfg.setup.analysis.window_s
-    try:
-        check_peak_window(peak_window_s, cfg.setup.analysis.tia.bin_edges)
-    except ConfigError as exc:
-        raise ConfigError(f"analysis.coincidence_window_ps, analysis.tia.range_ns: {exc} "
-                          "(the peak window is twice the coincidence window)") from None
+    peak_window_s = peak_window(cfg.setup.analysis)
     out = _out_dir(args)
     result = run_tia(cfg.setup, args.duration, args.seed)
     hist = result.histogram
     hist.metadata["config_hash"] = cfg.config_hash
     hist_csv = out / "histogram.csv"
     hist.write_csv(hist_csv)
-    outputs = [hist_csv]
-
+    analysis = analyze_histogram(hist, peak_window_s=peak_window_s)
+    _print_analysis(analysis)
     analysis_path = out / "analysis.json"
-    if hist.total_counts:
-        analysis = analyze_histogram(hist, peak_window_s=peak_window_s)
-        doc = {
-            "peak_delay_s": analysis.peak_delay_s,
-            "peak_fwhm_s": analysis.peak_fwhm_s,
-            "coincidence_rate_per_s": analysis.coincidence_rate,
-            "accidental_rate_per_bin_per_s": analysis.accidental_rate_per_bin,
-            "car_estimate": analysis.car_estimate,
-            "uncertainties": analysis.uncertainties,
-            "flags": list(analysis.flags),
-            "singles_rate0_per_s": result.singles_rate0,
-            "singles_rate1_per_s": result.singles_rate1,
-        }
-        print(f"peak delay  : {analysis.peak_delay_s * 1e9:.4f} ns")
-        print(f"peak FWHM   : {analysis.peak_fwhm_s * 1e12:.1f} ps")
-        print(f"net C       : {analysis.coincidence_rate:.4g} /s "
-              f"(+- {analysis.uncertainties['coincidence_rate']:.2g})")
-        print(f"CAR estimate: {analysis.car_estimate:.4g}")
-    else:
-        doc = {"flags": ["empty"]}
-        print("empty histogram (no counts); analysis flagged")
-    # Non-finite values are written as null, each flagged "nonfinite:<key>".
-    doc, nonfinite = _null_nonfinite(doc)
-    doc["flags"] = list(doc.get("flags", [])) + [f"nonfinite:{key}" for key in nonfinite]
-    _write_json(analysis_path, doc)
-    outputs.append(analysis_path)
+    _write_json(analysis_path, analysis_document(analysis, result))
+    outputs = [hist_csv, analysis_path]
 
     if args.svg:
         svg_path = out / "histogram.svg"
-        write_svg(
-            svg_path,
-            hist.bin_centers * 1e9,
-            hist.counts,
-            xlabel="delay (ns)",
-            ylabel="counts per bin",
-            title=f"start-stop histogram, {args.duration:g} s",
-            step=True,
-        )
+        write_svg(svg_path, hist.bin_centers * 1e9, hist.counts, xlabel="delay (ns)",
+                  ylabel="counts per bin", title=f"start-stop histogram, {args.duration:g} s",
+                  step=True)
         outputs.append(svg_path)
     _write_manifest(out, "histogram", cfg, args.seed, outputs)
     return 0
@@ -285,18 +241,13 @@ def cmd_sweep(args) -> int:
     if len(xs) >= 3 and (xs > 0).all() and (ys > 0).all():
         fit = fit_power_law(zip(xs, ys))
         fit_path = out / "fit.json"
-        with open(fit_path, "w", newline="\n") as fh:
-            json.dump(
-                {
-                    "quantity": "C",
-                    "exponent": fit.exponent,
-                    "coefficient": fit.coefficient,
-                    "residual_rms_log": fit.residual_rms,
-                    "n_points": fit.n_points,
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
+        _write_json(fit_path, {
+            "quantity": "C",
+            "exponent": fit.exponent,
+            "coefficient": fit.coefficient,
+            "residual_rms_log": fit.residual_rms,
+            "n_points": fit.n_points,
+        })
         outputs.append(fit_path)
         print(f"C vs {args.param}: exponent {fit.exponent:.4f} "
               f"(coefficient {fit.coefficient:.6g}, rms {fit.residual_rms:.2g})")
@@ -361,15 +312,14 @@ def cmd_optimize(args) -> int:
                           f"gives {points} grid points, more than {MAX_VALUES}")
     result = optimize_car(cfg.setup, bounds, constraint, grid_points=args.grid_points)
     result_path = out / "design.json"
-    # A CW pump has no pairs per pulse: non-finite values are written as null.
-    design, _ = _null_nonfinite({
+    # A CW pump has no pairs per pulse: it is written as null.
+    _write_json(result_path, {
         "best": result.best,
         "car": result.car,
         "pairs_per_pulse": result.pairs_per_pulse,
         "coincidence_rate_per_s": result.coincidence_rate,
         "evaluations": len(result.trace),
     })
-    _write_json(result_path, design)
     print(f"best point: {result.best}")
     at = (f" at {result.pairs_per_pulse:.4g} pairs/pulse"
           if math.isfinite(result.pairs_per_pulse) else "")

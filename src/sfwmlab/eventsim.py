@@ -555,123 +555,6 @@ def _bin_starts(starts, stops, cfg, domain=None):
             sum(n for _, n in results))
 
 
-@dataclass
-class AnalysisResult:
-    """Peak and floor statistics extracted from a delay histogram.
-
-    ``coincidence_rate`` is the floor-subtracted peak-window rate (clamped
-    at zero, flagged, if the net is negative); uncertainties are Poisson,
-    propagated from raw counts.
-    """
-
-    peak_delay_s: float
-    peak_fwhm_s: float
-    coincidence_rate: float
-    accidental_rate_per_bin: float
-    car_estimate: float
-    uncertainties: dict = field(default_factory=dict)
-    flags: tuple = ()
-
-
-def check_peak_window(peak_window_s: float, bin_edges) -> None:
-    """Refuse a peak window ``analyze_histogram`` cannot use on a histogram
-    with ``bin_edges``: one at least as wide as the range they span."""
-    span = bin_edges[-1] - bin_edges[0]
-    if peak_window_s >= span:
-        raise ConfigError(
-            f"peak window {peak_window_s:.3g}s must be narrower than the range {span:.3g}s"
-        )
-
-
-def analyze_histogram(hist: HistogramResult, peak_window_s: float) -> AnalysisResult:
-    """Extract peak position/width and the net coincidence rate.
-
-    The floor is the median of bins outside ``peak_window_s`` around the
-    maximum bin (median for robustness against the peak tail); the net rate
-    is the peak-window sum minus floor times the number of window bins.
-    """
-    centers = hist.bin_centers
-    counts = hist.counts.astype(np.float64)
-    check_peak_window(peak_window_s, hist.bin_edges)
-    if counts.sum() == 0:
-        return AnalysisResult(
-            peak_delay_s=math.nan,
-            peak_fwhm_s=math.nan,
-            coincidence_rate=0.0,
-            accidental_rate_per_bin=0.0,
-            car_estimate=math.nan,
-            flags=("empty",),
-        )
-
-    imax = int(np.argmax(counts))
-    in_peak = np.abs(centers - centers[imax]) <= peak_window_s / 2.0
-    n_peak = int(in_peak.sum())
-    n_off = int((~in_peak).sum())
-    if n_off == 0:
-        raise ConfigError("peak window leaves no off-peak bins for the floor estimate")
-
-    floor = float(np.median(counts[~in_peak]))
-    net = float(counts[in_peak].sum() - floor * n_peak)
-    t_acq = hist.acquisition_time
-
-    flags = []
-    if net <= 0.0:
-        flags.append("nonpositive_net")
-        rate = 0.0
-    else:
-        rate = net / t_acq
-
-    excess = counts[in_peak] - floor
-    pos = np.clip(excess, 0.0, None)
-    if pos.sum() > 0.0:
-        centroid = float(np.sum(centers[in_peak] * pos) / pos.sum())
-        fwhm = _fwhm_interpolated(centers[in_peak], excess)
-    else:
-        centroid = float(centers[imax])
-        fwhm = math.nan
-        flags.append("no_peak_excess")
-
-    # Poisson errors: window sum plus the floor-median uncertainty
-    # (pi/2 factor for median vs mean efficiency), propagated linearly.
-    var_net = float(counts[in_peak].sum()) + n_peak**2 * (math.pi / 2.0) * max(floor, 1.0) / n_off
-    sigma_net = math.sqrt(var_net)
-    floor_counts_in_window = floor * n_peak
-    car = net / floor_counts_in_window if floor_counts_in_window > 0 else math.inf
-
-    return AnalysisResult(
-        peak_delay_s=centroid,
-        peak_fwhm_s=fwhm,
-        coincidence_rate=rate,
-        accidental_rate_per_bin=floor / t_acq,
-        car_estimate=car,
-        uncertainties={
-            "net_counts": sigma_net,
-            "coincidence_rate": sigma_net / t_acq,
-            "car": sigma_net / floor_counts_in_window if floor_counts_in_window > 0 else math.nan,
-        },
-        flags=tuple(flags),
-    )
-
-
-def _fwhm_interpolated(x: np.ndarray, y: np.ndarray) -> float:
-    """Full width at half maximum via linear interpolation of crossings."""
-    imax = int(np.argmax(y))
-    half = y[imax] / 2.0
-    left = math.nan
-    for i in range(imax, 0, -1):
-        if y[i - 1] <= half <= y[i]:
-            frac = (half - y[i - 1]) / (y[i] - y[i - 1])
-            left = x[i - 1] + frac * (x[i] - x[i - 1])
-            break
-    right = math.nan
-    for i in range(imax, y.size - 1):
-        if y[i + 1] <= half <= y[i]:
-            frac = (y[i] - half) / (y[i] - y[i + 1])
-            right = x[i] + frac * (x[i + 1] - x[i])
-            break
-    return right - left
-
-
 def component_rates(setup) -> dict:
     """Time-averaged detected rates for each independent event category.
 
@@ -888,14 +771,6 @@ class TiaRunResult:
     n_starts: int
     n_stops: int
     duration: float
-
-    @property
-    def singles_rate0(self) -> float:
-        return self.n_starts / self.duration
-
-    @property
-    def singles_rate1(self) -> float:
-        return self.n_stops / self.duration
 
 
 # Bulk starts drawn at a time: the CW bulk is drawn in runs of windows, or

@@ -92,12 +92,13 @@ def fit_power_law(points) -> FitResult:
     ly = np.log([y for _, y in pts])
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    return FitResult(
-        exponent=float(slope),
-        coefficient=float(np.exp(intercept)),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_points=len(pts),
-    )
+    with np.errstate(over="ignore"):  # a coefficient beyond the float range is inf
+        return FitResult(
+            exponent=float(slope),
+            coefficient=float(np.exp(intercept)),
+            residual_rms=float(np.sqrt(np.mean(resid**2))),
+            n_points=len(pts),
+        )
 
 
 def _rate_at_power(setup: Setup, power_w: float) -> float:

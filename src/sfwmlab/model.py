@@ -320,6 +320,9 @@ def calibrate_raman(measured_n0: float, measured_n1: float, setup: Setup) -> tup
         rho = r_n / (
             ch.bandwidth_hz * pump.power_w * waveguide.effective_length_m * occ
         )
+        if not math.isfinite(rho):
+            raise NumericsError(f"fitted scattering coefficient for {ch.label or 'channel'} is "
+                                f"not finite at measured singles {measured:.6g}/s")
         rhos.append(rho)
     return rhos[0], rhos[1]
 

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from sfwmlab import units
+from sfwmlab.analysis import analyze_histogram
 from sfwmlab.config import load_config, set_path
 from sfwmlab.devices import DetectionChannel
-from sfwmlab.eventsim import TiaConfig, analyze_histogram, run_tia
+from sfwmlab.eventsim import TiaConfig, run_tia
 from sfwmlab.explore import (
     SweepSpec,
     car_vs_mu,

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -426,6 +427,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert "bound" in err  # names the violated bound
 
+    def test_calibrate_overflowing_scattering_coefficient_exit_code(self, tmp_path, capsys):
+        code = main([
+            "calibrate", "--config", "paper-defaults", "--out", str(tmp_path),
+            "--measured-c", "80", "--measured-n0", "1e308", "--measured-n1", "1.34e6",
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and len(err.strip().splitlines()) == 1
+        assert "scattering coefficient for idler" in err and "1e+308/s" in err
+        assert not (tmp_path / "calibration.json").exists()
+
+    def test_empty_histogram_analysis_bytes(self, tmp_path, capsys):
+        code = main(["histogram", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--duration", "0"])
+        assert code == 0
+        assert capsys.readouterr().out == "empty histogram (no counts); analysis flagged\n"
+        assert (tmp_path / "analysis.json").read_bytes() == b'{\n  "flags": [\n    "empty"\n  ]\n}\n'
+
     def test_histogram_determinism_and_svg(self, tmp_path):
         args = ["histogram", "--config", "paper-defaults", "--duration", "0.05",
                 "--seed", "7", "--svg"]
@@ -578,6 +597,24 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "param,r,C,N0,N1,A,CAR"
+
+    def test_fit_json_is_strict(self, tmp_path, capsys):
+        # C falls by 290 decades over the swept losses: the fitted
+        # coefficient lies beyond the float range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", "paper-defaults", "--out", str(tmp_path),
+                         "--param", "coupling.total_insertion_loss_db",
+                         "--values", "100,1000,3000"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        fit = json.loads((tmp_path / "fit.json").read_text(), parse_constant=reject)
+        assert fit["coefficient"] is None
+        assert fit["exponent"] < 0.0
 
     def test_car_curve_command(self, tmp_path, capsys):
         code = main([
