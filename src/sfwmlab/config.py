@@ -28,7 +28,7 @@ from .devices import (
     PumpRejection,
     WaveguideSpec,
 )
-from .errors import ConfigError, FieldError
+from .errors import ConfigError, FieldError, NumericsError
 from .eventsim import TiaConfig
 from .model import (
     ModelObservables,
@@ -510,6 +510,12 @@ def _table_thz(table) -> list:
     return [[d / 1e12, r] for d, r in table]
 
 
+# Largest relative miss of a re-predicted rate that a calibration may have.
+# The reference measurement (C = 80/s, N0 = 3.45e6/s, N1 = 1.34e6/s)
+# round-trips to 1.4e-16, and acceptance criterion 3 holds it to 1e-9.
+_CALIBRATION_RTOL = 1e-9
+
+
 def calibrate_config(
     cfg: ExperimentConfig,
     measured_c: float,
@@ -521,7 +527,10 @@ def calibrate_config(
     Fits the in-waveguide survival from the coincidence rate, then the
     per-side scattering coefficients from the singles rates, and rebuilds
     the noise table anchored at the channel detuning.  Re-predicting with
-    the returned configuration reproduces the three inputs.
+    the returned configuration reproduces the three inputs to
+    ``_CALIBRATION_RTOL``; a calibration that does not, such as one whose
+    re-predicted C underflows to 0 for a subnormal measured C, raises
+    ``NumericsError`` naming the quantity.
     """
     s = cfg.setup
     eta_alpha = calibrate_eta_alpha(measured_c, s)
@@ -535,12 +544,22 @@ def calibrate_config(
         anchor_hz=abs(s.idler.detuning_hz),
         temperature_k=s.noise.temperature_k,
     )
-    return load_config(_with_calibration(cfg.raw, {
+    calibrated = load_config(_with_calibration(cfg.raw, {
         "eta_alpha": eta_alpha,
         "raman_table": _table_thz(table),
         "note": "calibrated against C={}, N0={}, N1={} at {} mW".format(
             measured_c, measured_n0, measured_n1, cfg.raw["pump"]["power_mw"]),
     }))
+    check = calibrated.setup.predict()
+    for name, measured, value in (("C", measured_c, check.coincidences),
+                                  ("N0", measured_n0, check.singles0),
+                                  ("N1", measured_n1, check.singles1)):
+        if not abs(value - measured) <= _CALIBRATION_RTOL * abs(measured):
+            raise NumericsError(
+                f"the calibration does not reproduce the measured {name}: it "
+                f"re-predicts {value:.6g}/s for {measured:.6g}/s (relative "
+                f"tolerance {_CALIBRATION_RTOL:g})")
+    return calibrated
 
 
 def _uncalibrated_paper_raw() -> dict:

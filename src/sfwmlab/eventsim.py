@@ -31,7 +31,12 @@ the rule a time-tag correlator applies (Wahl et al., Opt. Express 11, 3583,
 2003).  ``_bin_starts`` bins the starts in batches of ``_BLOCK_BATCH``,
 each stepping on from its starts' first stops, so a batch's memory does not
 grow with the range.  A bulk start kept in the window of stop p has p as
-its first stop; every other start is searched.
+its first stop; every other start is searched.  A walk step selects the
+starts that go on, their stops and their stop indices through one index
+(``np.flatnonzero`` of the step's mask, then ``np.take``), and the binning
+its in-range delays with ``np.compress``: selecting with a boolean mask
+that is partly true costs several times what building one index and
+gathering through it does, once per array.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
 generated events (``_epoch_length``).  Stream i of epoch e is seeded with
@@ -234,8 +239,16 @@ class TiaConfig:
 
     @property
     def bin_edges(self) -> np.ndarray:
-        lo, _ = self.range_s
-        return lo + np.arange(self.n_bins + 1) * self.bin_width_s
+        return _bin_edge(np.arange(self.n_bins + 1), self.range_s[0], self.bin_width_s)
+
+
+def _bin_edge(k, lo, width, out=None):
+    """Edge k of bins ``width`` wide from ``lo``, lo + k width, for an integer
+    k or an integer array of them (into ``out`` if given): every bin edge a
+    histogram uses comes from these two float operations."""
+    edge = np.multiply(k, width, out=out)
+    edge += lo
+    return edge
 
 
 # Bins formatted per write: bounds the text ``write_csv`` holds at once.
@@ -417,8 +430,9 @@ def _thin(u, stops, cfg, domain):
         out[k == 0] = False  # stop 0 has no stop before it
     out |= s <= domain.t_lo
     out |= s > domain.t_hi
-    p[out] = np.inf
-    kept = out.size - int(np.count_nonzero(out))
+    outside = np.flatnonzero(out)  # an index writes faster than the mask
+    p[outside] = np.inf
+    kept = out.size - outside.size
     np.less(p, s_lo, out=out)
     if out.any():
         k[out] = _first_stops(s[out], stops, lo)
@@ -478,24 +492,36 @@ def _on_pool(task, n):
     return [t.result() for t in tasks]
 
 
-def _bin_counts(values, edges):
-    """The counts of ``np.histogram(values, bins=edges)`` for uniformly
-    spaced ``edges``, as the bin index of each value counted, without
-    sorting: ``np.bincount`` of the result, to ``edges.size - 1`` bins, is
-    the histogram.  Bin i holds edges[i] <= v < edges[i + 1], the last bin
-    also v == edges[-1], and values outside the edges are dropped.  The
+def _bin_counts(values, lo, width, n):
+    """The counts of ``np.histogram`` of ``values`` over the ``n`` bins
+    ``width`` wide from ``lo``, as the bin index of each value counted,
+    without sorting: ``np.bincount`` of the result, to n bins, is the
+    histogram.  Bin i holds edge i <= v < edge i + 1 (``_bin_edge``), the
+    last bin also v == edge n, and values outside the edges are dropped.  The
     index from the uniform spacing is within one bin of the right one (its
     rounding error is far below a bin while the edges' ulp is), and one
-    comparison against ``edges`` either way settles it.  Adding the indices
-    (``np.add.at``) costs what the values do, however many bins there are.
+    comparison against a computed edge either way settles it.  Adding the
+    indices (``np.add.at``) costs what the values do, however many bins
+    there are.  The values in range are selected with ``np.compress``, a
+    fraction of the cost of a boolean index, and the edges are computed
+    into one buffer rather than gathered from an array of them.
     """
-    n = edges.size - 1
-    values = values[(values >= edges[0]) & (values <= edges[-1])]
-    i = ((values - edges[0]) * (n / (edges[-1] - edges[0]))).astype(np.intp)
+    top = _bin_edge(n, lo, width)
+    # Not redundant in a walk, which bins only stops p >= s + lo: fl(p - s)
+    # can still fall below lo, and its index -1 would count in the last bin.
+    keep = values >= lo
+    keep &= values <= top
+    values = np.compress(keep, values)
+    x = np.subtract(values, lo)  # the values in bins, then bin edges
+    x *= n / (top - lo)
+    i = x.astype(np.intp)
     np.minimum(i, n - 1, out=i)
-    i -= values < edges[i]
-    i += (values >= edges[i + 1]) & (i < n - 1)
-    return i
+    below = keep[:values.size]
+    i -= np.less(values, _bin_edge(i, lo, width, out=x), out=below)
+    # Up one bin where v >= edge i + 1.
+    i += 1
+    i -= np.less(values, _bin_edge(i, lo, width, out=x), out=below)
+    return np.minimum(i, n - 1, out=i)
 
 
 def _first_stops(starts, stops, lo):
@@ -512,14 +538,17 @@ def _bin_starts(starts, stops, cfg, domain=None):
     any order.  A batch finds each start's first stop and walks: it bins
     that stop for the starts it matches and, multi-stop, moves those on to
     the next stop until none is left, so it bins at most ``_BLOCK_BATCH``
-    delays at a time however many stops a start matches.  Given ``domain``
+    delays at a time however many stops a start matches.  Each step makes
+    one index of the starts that match their stop and takes their times,
+    stops and stop indices through it (``np.take``), which costs a fraction
+    of selecting each with the boolean mask.  Given ``domain``
     (``_start_domain``), ``starts`` are offsets along its windows, which
     each batch thins to the domain (``_thin``), with their windows' stops
     as their first; only the starts in the domain count as binned.  Every
     other start is searched (``_first_stops``).
     """
     (lo, hi), single = _match_window(cfg)
-    edges = cfg.bin_edges
+    bins = cfg.range_s[0], cfg.bin_width_s, cfg.n_bins
     if stops.size == 0:
         return np.zeros(cfg.n_bins, dtype=np.int64), starts.size if domain is None else 0
 
@@ -540,13 +569,17 @@ def _bin_starts(starts, stops, cfg, domain=None):
             while True:
                 keep = p < s + hi
                 keep &= i < stops.size
+                at = np.flatnonzero(keep)
+                if not at.size:
+                    break
+                s = np.take(s, at)
+                p = np.take(p, at)
                 p -= s
-                np.add.at(counts, _bin_counts(p[keep], edges), 1)
+                np.add.at(counts, _bin_counts(p, *bins), 1)
                 if single:
                     break
-                s, i = s[keep], i[keep] + 1
-                if not s.size:
-                    break
+                i = np.take(i, at)
+                i += 1
                 p = np.take(stops, i, mode="clip")
         return counts, n
 

@@ -438,6 +438,20 @@ class TestCli:
         assert "scattering coefficient for idler" in err and "1e+308/s" in err
         assert not (tmp_path / "calibration.json").exists()
 
+    def test_calibrate_unreproduced_measurement_exit_code(self, tmp_path, capsys):
+        # A subnormal C fits a survival whose re-predicted C underflows to 0.
+        code = main([
+            "calibrate", "--config", "paper-defaults", "--out", str(tmp_path),
+            "--measured-c", "1e-320", "--measured-n0", "3.45e6", "--measured-n1", "1.34e6",
+        ])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("numerical failure") and len(err.strip().splitlines()) == 1
+        assert "does not reproduce the measured C" in err and "re-predicts 0/s" in err
+        assert not (tmp_path / "calibration.json").exists()
+
     def test_empty_histogram_analysis_bytes(self, tmp_path, capsys):
         code = main(["histogram", "--config", "paper-defaults", "--out", str(tmp_path),
                      "--duration", "0"])

@@ -14,10 +14,12 @@ from sfwmlab.analysis import analyze_histogram
 from sfwmlab.config import load_config, set_path
 from sfwmlab.errors import ConfigError, FieldError, NumericsError
 from sfwmlab.eventsim import (
+    MAX_TIA_BINS,
     HistogramResult,
     TiaConfig,
     _Recycler,
     _bin_counts,
+    _bin_edge,
     _bin_starts,
     _cw_bulk_rate,
     _epoch_arms,
@@ -1043,15 +1045,18 @@ class TestPairDelays:
 
 
 @st.composite
-def _binning_cases(draw):
-    """A TiaConfig's edges plus values on, next to, between and outside them."""
+def _binning_cases(draw, bins=st.integers(1, 300)):
+    """A TiaConfig plus values on, next to, between and outside its edges."""
     width = draw(st.sampled_from([1.0, 0.1, 16e-12, 1e-9, 3.3e-12]))
     lo = draw(st.integers(-200, 200)) * width * draw(st.sampled_from([1.0, 0.37, 1.013]))
-    n = draw(st.integers(1, 300))
+    n = draw(bins)
     hi = lo + (n - draw(st.sampled_from([0.0, 0.5, 0.999]))) * width
+    while (hi - lo) / width > MAX_TIA_BINS:
+        hi = np.nextafter(hi, -np.inf)
     # Multi-stop, which takes ranges below 0; the edges do not depend on the policy.
-    edges = TiaConfig(bin_width_s=width, range_s=(lo, hi), policy="multi-stop",
-                      stop_delay_s=lo).bin_edges
+    tia = TiaConfig(bin_width_s=width, range_s=(lo, hi), policy="multi-stop",
+                    stop_delay_s=lo)
+    edges = tia.bin_edges
     picks = st.lists(st.integers(0, edges.size - 1), max_size=40)
     on = edges[draw(picks)]
     inside = edges[0] + (edges[-1] - edges[0]) * np.array(
@@ -1063,23 +1068,68 @@ def _binning_cases(draw):
         edges[0] - span * outside, edges[-1] + span * outside,
         [edges[0], edges[-1], np.nextafter(edges[-1], np.inf)],
     ])
-    return edges, draw(st.permutations(values))
+    return tia, np.array(draw(st.permutations(values)))
+
+
+def _bins(tia):
+    """``_bin_counts``' bin arguments of a TiaConfig."""
+    return tia.range_s[0], tia.bin_width_s, tia.n_bins
 
 
 class TestBinCounts:
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(_binning_cases())
     def test_matches_np_histogram(self, case):
-        edges, values = case
-        values = np.array(values)
-        expected = np.histogram(values, bins=edges)[0]
-        bins = _bin_counts(values, edges)
+        tia, values = case
+        expected = np.histogram(values, bins=tia.bin_edges)[0]
+        bins = _bin_counts(values, *_bins(tia))
         assert bins.dtype == np.intp
-        assert np.array_equal(np.bincount(bins, minlength=edges.size - 1), expected)
+        assert np.array_equal(np.bincount(bins, minlength=tia.n_bins), expected)
 
     def test_empty(self):
-        edges = TiaConfig(bin_width_s=1.0, range_s=(0.0, 5.0)).bin_edges
-        assert _bin_counts(np.empty(0), edges).size == 0
+        tia = TiaConfig(bin_width_s=1.0, range_s=(0.0, 5.0))
+        assert _bin_counts(np.empty(0), *_bins(tia)).size == 0
+
+    @pytest.mark.parametrize("policy", ["first-stop", "multi-stop"])
+    def test_delay_rounded_below_the_range_is_dropped(self, policy):
+        # A stop at fl(s + lo) is a match of start s, yet fl(p - s) falls
+        # below lo for most s in [0, 0.5).  Without the range mask of
+        # ``_bin_counts`` such a delay would take bin index -1: the last bin.
+        tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=policy,
+                        stop_delay_s=10e-9)
+        lo = tia.range_s[0]
+        starts = np.sort(_generator(5).random(2000)) * 0.5
+        stops = starts + lo
+        below = stops - starts < lo
+        assert 1000 < np.count_nonzero(below) < starts.size
+        j = int(np.argmax(below))
+        counts, n = _bin_starts(starts[j:j + 1], stops[j:j + 1], tia)
+        assert n == 1 and not counts.any()
+        # The same delays, every one of them from the reference search.
+        delays = _pair_delays(starts, stops, tia)
+        assert np.count_nonzero(delays < lo) == np.count_nonzero(below)
+        counts, n = _bin_starts(starts, stops, tia)
+        assert n == starts.size
+        assert np.array_equal(counts, np.histogram(delays, bins=tia.bin_edges)[0])
+        assert counts.sum() == np.count_nonzero(delays >= lo)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(_binning_cases(bins=st.integers(1, 300) | st.just(MAX_TIA_BINS)))
+    def test_computed_edges_are_the_config_edges(self, case):
+        # ``_bin_counts`` compares against edges it computes one at a time;
+        # each must be the config's edge bit for bit, whatever the sign of
+        # lo, the width's binary expansion or the number of bins.
+        tia, _ = case
+        lo, width, n = _bins(tia)
+        edges = tia.bin_edges
+        k = np.arange(n + 1, dtype=np.intp)
+        computed = _bin_edge(k, lo, width, out=np.empty(n + 1))
+        assert np.array_equal(computed.view(np.uint64), edges.view(np.uint64))
+        assert np.array_equal(edges.view(np.uint64),
+                              (lo + np.arange(n + 1) * width).view(np.uint64))
+        for j in (0, 1, n // 2, n - 1, n):
+            edge = np.float64(_bin_edge(j, lo, width))
+            assert edge.view(np.uint64) == edges[j].view(np.uint64)
 
 
 class TestRunTiaStatistics:
@@ -1313,9 +1363,9 @@ class TestDenseMultiStop:
         bin_counts = eventsim._bin_counts
         sizes = []
 
-        def recorded(values, edges):
+        def recorded(values, *bins):
             sizes.append(values.size)
-            return bin_counts(values, edges)
+            return bin_counts(values, *bins)
 
         monkeypatch.setattr(eventsim, "_bin_counts", recorded)
         result = run_tia(setup, 0.02, 4)
