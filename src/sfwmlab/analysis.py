@@ -32,11 +32,19 @@ class AnalysisResult:
 
 def check_peak_window(peak_window_s: float, bin_edges) -> None:
     """Refuse a peak window ``analyze_histogram`` cannot use on a histogram
-    with ``bin_edges``: one at least as wide as the range they span."""
-    span = bin_edges[-1] - bin_edges[0]
-    if peak_window_s >= span:
+    with ``bin_edges``: one that, around some maximum bin, holds every bin
+    center and leaves no off-peak bin for the floor.  The middle bin is the
+    worst case, so for n bins of width w the rule is window/2 >= floor(n/2) w,
+    evaluated on the centers and with the ``<=`` that ``analyze_histogram``
+    uses."""
+    centers = 0.5 * (bin_edges[:-1] + bin_edges[1:])
+    reach = np.maximum(centers - centers[0], centers[-1] - centers).min()
+    if reach <= peak_window_s / 2.0:
         raise ConfigError(
-            f"peak window {peak_window_s:.3g}s must be narrower than the range {span:.3g}s"
+            f"peak window {peak_window_s:.3g}s must be narrower than the range "
+            f"{bin_edges[-1] - bin_edges[0]:.3g}s and than {2 * reach:.3g}s, twice the "
+            "distance from the middle bin's center to the farthest one, to leave off-peak "
+            "bins for the floor estimate"
         )
 
 
@@ -75,8 +83,6 @@ def analyze_histogram(hist: HistogramResult, peak_window_s: float) -> AnalysisRe
     in_peak = np.abs(centers - centers[imax]) <= peak_window_s / 2.0
     n_peak = int(in_peak.sum())
     n_off = int((~in_peak).sum())
-    if n_off == 0:
-        raise ConfigError("peak window leaves no off-peak bins for the floor estimate")
 
     floor = float(np.median(counts[~in_peak]))
     net = float(counts[in_peak].sum() - floor * n_peak)

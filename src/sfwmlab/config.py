@@ -186,14 +186,18 @@ def _number(section: dict, name: str, key: str) -> float:
 def _construct(cls, section: dict, name: str, keys: dict, **fields):
     """``cls(**fields)``; a field out of range is reported by the key of
     ``section`` it was read from (``keys[field]``, else the field's own
-    name) and the value as the document gives it."""
+    name), or that key's entry at fault, and the value as the document
+    gives it."""
     try:
         return cls(**fields)
     except FieldError as exc:
         key = keys.get(exc.field, exc.field)
         if key not in section:
             raise
-        raise ConfigError(f"{name}.{key}: {exc.requirement}, got {section[key]!r}") from None
+        value = section[key]
+        if exc.index is not None:
+            key, value = f"{key}[{exc.index}]", value[exc.index]
+        raise ConfigError(f"{name}.{key}: {exc.requirement}, got {value!r}") from None
 
 
 def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:

@@ -153,7 +153,8 @@ class DetectionChannel:
         if self.jitter_fwhm_s < 0.0:
             raise FieldError("jitter_fwhm_s", "jitter must be non-negative", self.jitter_fwhm_s)
         if self.collection_efficiency <= 0.0 or self.collection_efficiency > 1.0:
-            raise ConfigError("collection efficiency out of (0, 1]")
+            raise FieldError("filter_loss_db", "filter loss must leave a collection "
+                             "efficiency in (0, 1]", self.filter_loss_db)
 
     @property
     def collection_efficiency(self) -> float:
@@ -237,7 +238,8 @@ class PumpRejection:
 
     def __post_init__(self):
         if self.floor_db < self.base_db:
-            raise ConfigError("rejection floor must be at least the base rejection")
+            raise FieldError("floor_db", "rejection floor must be at least the base rejection "
+                             f"{self.base_db!r} dB", self.floor_db)
         if self.ramp_hz <= 0.0:
             raise FieldError("ramp_hz", "rejection ramp width must be positive", self.ramp_hz)
 
@@ -264,18 +266,20 @@ class NoiseModel:
     def __post_init__(self):
         if self.temperature_k <= 0.0:
             raise FieldError("temperature_k", "temperature must be positive", self.temperature_k)
-        if len(self.raman_table) < 1:
-            raise ConfigError("raman_table must have at least one entry")
-        det = [d for d, _ in self.raman_table]
-        rho = [r for _, r in self.raman_table]
-        if any(b <= a for a, b in zip(det, det[1:])):
-            raise ConfigError("raman_table detunings must be strictly increasing")
-        if any(r < 0.0 for r in rho):
-            raise ConfigError("raman coefficients must be non-negative")
+        table = self.raman_table
+        if not table:
+            raise FieldError("raman_table", "raman table must have at least one entry", table)
+        for i, (d, r) in enumerate(table):
+            if i and d <= table[i - 1][0]:
+                raise FieldError("raman_table", "raman table detunings must be strictly "
+                                 "increasing", table[i], index=i)
+            if r < 0.0:
+                raise FieldError("raman_table", "raman coefficients must be non-negative",
+                                 table[i], index=i)
         # The interpolation nodes, built once: not fields, so equality and
         # hashing still see the table alone.
-        object.__setattr__(self, "_det", np.array(det))
-        object.__setattr__(self, "_rho", np.array(rho))
+        object.__setattr__(self, "_det", np.array([d for d, _ in table]))
+        object.__setattr__(self, "_rho", np.array([r for _, r in table]))
 
     def rho(self, detuning_hz: float) -> float:
         """Interpolated noise coefficient at a signed detuning."""

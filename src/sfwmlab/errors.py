@@ -9,12 +9,15 @@ class ConfigError(ValueError):
 
 class FieldError(ConfigError):
     """A field of a domain object is out of range.  ``field`` names it, so a
-    document loader can name the key the value was read from."""
+    document loader can name the key the value was read from; ``index``, if
+    given, is the entry of a tabulated field at fault, and ``value`` is that
+    entry."""
 
-    def __init__(self, field: str, requirement: str, value):
+    def __init__(self, field: str, requirement: str, value, index: int | None = None):
         super().__init__(f"{requirement}, got {value!r}")
         self.field = field
         self.requirement = requirement
+        self.index = index
 
 
 class InconsistentMeasurementError(ValueError):

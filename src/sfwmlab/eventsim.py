@@ -222,6 +222,14 @@ class TiaConfig:
             raise FieldError("bin_width_s",
                              f"bin width must give at most {MAX_TIA_BINS} bins over the "
                              "delay range", self.bin_width_s)
+        # ``_bin_counts`` takes a value's bin from the uniform spacing and
+        # moves it by one bin at most, which is enough only while the edges'
+        # rounding, an ulp at the range's end farther from 0, is far below a
+        # bin.  2^10 float spacings per bin keep every edge distinct and the
+        # estimate well inside one bin.
+        if self.bin_width_s < 2**10 * math.ulp(max(abs(lo), abs(hi))):
+            raise FieldError("bin_width_s", "bin width must be at least 2^10 float spacings "
+                             "at the delay range's end farther from 0", self.bin_width_s)
         if not lo <= self.stop_delay_s <= hi:
             raise FieldError("stop_delay_s", "stop delay must lie in the delay range",
                              self.stop_delay_s)

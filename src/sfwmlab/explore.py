@@ -1,7 +1,9 @@
 """Parameter sweeps, power-law fits, CAR curves and a small design search.
 
 Everything here drives the analytic model; sweeps and grid scans are pure
-functions of the configuration and are deterministic.
+functions of the configuration and are deterministic.  The one 1-D solver
+is ``_bisect``: it finds the pump-power turnover and the peak power of a
+target pairs-per-pulse.
 """
 
 from __future__ import annotations
@@ -128,39 +130,28 @@ def _turnover_power(setup: Setup) -> float:
     """Upper end of the monotone-increasing branch of rate vs peak power.
 
     The rate grows quadratically until the nonlinear phase pushes the
-    envelope over; scan geometrically for the first decrease, then golden-
-    section to the maximum.
+    envelope over. Walk a geometric grid up to the first power whose rate
+    falls, then bisect the two grid cells below it for the point where the
+    rate stops rising. Nothing past that first fall is evaluated.
     """
     grid = np.geomspace(1e-6, _TURNOVER_SCAN_MAX_W, 400)
-    rates = [_rate_at_power(setup, p) for p in grid]
     # First local maximum, not the global one: the envelope oscillates at
     # high power and only the first lobe is the monotone branch.
-    i_peak = len(grid) - 1
+    previous = _rate_at_power(setup, grid[0])
     for i in range(1, len(grid)):
-        if rates[i] < rates[i - 1]:
-            i_peak = i - 1
+        rate = _rate_at_power(setup, grid[i])
+        if rate < previous:
             break
-    if i_peak == len(grid) - 1:
+        previous = rate
+    else:
         return float(grid[-1])
-    lo = grid[max(i_peak - 1, 0)]
-    hi = grid[min(i_peak + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = _rate_at_power(setup, c), _rate_at_power(setup, d)
-    for _ in range(120):
-        if (b - a) <= 1e-12 * max(b, 1.0):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _rate_at_power(setup, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _rate_at_power(setup, d)
-    return 0.5 * (a + b)
+
+    # Within a few 1e-8 of the flat maximum the two rates round alike, so
+    # the turnover is found to about that, not to the bisection's 1e-12.
+    def rising(p):
+        return _rate_at_power(setup, p) < _rate_at_power(setup, p * (1.0 + 1e-9))
+
+    return _bisect(rising, grid[max(i - 2, 0)], grid[i], 1e-12)
 
 
 # Largest relative miss of mu a solved power may give.  The bisection
@@ -173,9 +164,10 @@ def power_for_pairs_per_pulse(setup: Setup, mu: float) -> float:
     """Peak power at which the in-pulse rate times tau equals ``mu``.
 
     Bisection on the monotone-increasing branch below the phase-envelope
-    turnover; raises if ``mu`` is unreachable there, or if the power found
-    misses ``mu`` by more than ``_MU_REL_TOL`` (a ``mu`` so small that its
-    power lies below the bisection's resolution).
+    turnover (``_turnover_power``, itself a bisection); raises if ``mu`` is
+    unreachable there, or if the power found misses ``mu`` by more than
+    ``_MU_REL_TOL`` (a ``mu`` so small that its power lies below the
+    bisection's resolution).
     """
     return next(_solve_powers(setup, (mu,)))
 

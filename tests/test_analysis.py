@@ -28,6 +28,21 @@ class TestAnalyzeHistogram:
         with pytest.raises(ConfigError):
             analyze_histogram(self._flat_histogram(), peak_window_s=1.0)
 
+    @pytest.mark.parametrize("n_bins", [1, 2, 139, 140])
+    def test_window_holding_every_bin_around_the_middle_rejected(self, n_bins):
+        # A window is refused when, around some maximum bin, it holds every
+        # center: at half a window of floor(n/2) bins, around the middle bin.
+        edges = 10e-9 + np.arange(n_bins + 1) * 16e-12
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        reach = min(np.abs(centers - c).max() for c in centers)
+        assert reach == pytest.approx(n_bins // 2 * 16e-12, rel=1e-9, abs=1e-30)
+        counts = np.arange(n_bins, dtype=np.int64) % 7 + 10
+        hist = HistogramResult(bin_edges=edges, counts=counts, acquisition_time=10.0)
+        with pytest.raises(ConfigError, match="off-peak bins"):
+            analyze_histogram(hist, peak_window_s=2 * reach)
+        if n_bins > 1:
+            analyze_histogram(hist, peak_window_s=math.nextafter(2 * reach, 0.0))
+
     def test_synthetic_peak_recovery(self):
         # A clean Gaussian peak over a flat floor: the analysis recovers
         # position, width and net rate.

@@ -22,7 +22,7 @@ from sfwmlab.errors import ConfigError
 from sfwmlab.eventsim import MAX_TIA_BINS
 from sfwmlab.explore import car_vs_mu
 
-from conftest import with_analysis
+from conftest import make_noise_free, with_analysis
 
 
 class TestConfigDocument:
@@ -722,6 +722,120 @@ class TestCli:
         assert "analysis.coincidence_window_ps" in err and "analysis.tia.range_ns" in err
         assert "peak window 8e-10s must be narrower than the range 6.08e-10s" in err
         assert not (tmp_path / "out" / "histogram.csv").exists()
+
+    @pytest.mark.parametrize("tia, window_ps", [
+        # 139 bins of 16 ps: a peak window of 2222 ps holds all 69 bins on
+        # either side of the middle one, though the bins span 2224 ps.
+        ({"range_ns": [10, 12.224], "stop_delay_ns": 11.112}, 1111),
+        # One bin leaves no other bin for the floor, however narrow the window.
+        ({"range_ns": [11.092, 11.108], "stop_delay_ns": 11.1}, 4),
+    ], ids=["139-bins", "one-bin"])
+    def test_histogram_peak_window_without_floor_refused_before_simulating(
+            self, tmp_path, capsys, paper_cfg, monkeypatch, tia, window_ps):
+        raw = make_noise_free(paper_cfg.raw)
+        raw["analysis"]["tia"].update(policy="multi-stop", **tia)
+        raw["analysis"]["coincidence_window_ps"] = window_ps
+        path = tmp_path / "no_floor.json"
+        path.write_text(json.dumps(raw))
+
+        def simulated(*args):
+            raise AssertionError("the run was simulated")
+
+        monkeypatch.setattr(cli, "run_tia", simulated)
+        code = main(["histogram", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--duration", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert "analysis.coincidence_window_ps, analysis.tia.range_ns" in err
+        assert "to leave off-peak bins for the floor estimate" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_histogram_peak_window_one_bin_narrower_runs(self, tmp_path, paper_cfg):
+        # Half of a 2190 ps peak window is below the 69 bins of 16 ps from
+        # the middle bin to either end, so each end bin is off the peak.
+        raw = make_noise_free(paper_cfg.raw)
+        raw["analysis"]["tia"].update(policy="multi-stop", range_ns=[10, 12.224],
+                                      stop_delay_ns=11.112)
+        raw["analysis"]["coincidence_window_ps"] = 1111 - 16
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = main(["histogram", "--config", str(path), "--out", str(out),
+                     "--duration", "0.5"])
+        assert code == 0
+        assert {"histogram.csv", "analysis.json", "manifest.json"} <= {
+            p.name for p in out.iterdir()}
+
+    def test_histogram_sub_ulp_bin_width_refused(self, tmp_path, capsys, clean_raw):
+        # 1e-17 s bins over [1, 1 + 1e-13] s: 9993 bins, but the spacing of
+        # floats near 1 s is 2.2e-16 s, so their edges held 451 values.
+        clean_raw["analysis"]["tia"].update(range_ns=[1e9, 1e9 + 1e-4], bin_ps=1e-5,
+                                            stop_delay_ns=1e9)
+        clean_raw["analysis"]["coincidence_window_ps"] = 1e-5
+        path = tmp_path / "sub_ulp.json"
+        path.write_text(json.dumps(clean_raw))
+        code = main(["histogram", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--duration", "0.01"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+        assert ("analysis.tia.bin_ps: bin width must be at least 2^10 float spacings at "
+                "the delay range's end farther from 0, got 1e-05") in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edits, message", [
+        ({("noise", "raman_table"): []},
+         "noise.raman_table: raman table must have at least one entry, got []"),
+        ({("noise", "raman_table"): [[-8.5, 0.1], [-8.5, 0.2], [8.5, 0.1]]},
+         "noise.raman_table[1]: raman table detunings must be strictly increasing, "
+         "got [-8.5, 0.2]"),
+        ({("noise", "raman_table"): [[-8.5, 0.1], [8.5, -0.1]]},
+         "noise.raman_table[1]: raman coefficients must be non-negative, got [8.5, -0.1]"),
+        ({("noise", "pump_rejection", "floor_db"): 30},
+         "noise.pump_rejection.floor_db: rejection floor must be at least the base "
+         "rejection 40.0 dB, got 30"),
+        ({("channels", "idler", "filter_loss_db"): 1e5},
+         "channels.idler.filter_loss_db: filter loss must leave a collection efficiency "
+         "in (0, 1], got 100000.0"),
+        ({("waveguide", "prop_loss_db_per_cm"): -1},
+         "waveguide.prop_loss_db_per_cm: propagation loss must be non-negative, got -1"),
+        ({("waveguide", "gamma_per_w_m"): 0},
+         "waveguide.gamma_per_w_m: gamma must be positive, got 0"),
+        ({("waveguide", "beta2_s2_per_m"): 0.0},
+         "waveguide needs exactly one of dispersion_ps_per_nm_km or beta2_s2_per_m"),
+        ({("pump", "mode"): "pulsed", ("pump", "tau_ps"): 5.0, ("pump", "rep_rate_mhz"): 0},
+         "pump.rep_rate_mhz: repetition rate must be positive, got 0"),
+        ({("pump", "tau_ps"): 5.0}, "cw pump takes no tau_ps/rep_rate_mhz"),
+        ({("pump", "mode"): "pulsed", ("pump", "tau_ps"): 5.0},
+         "pulsed pump requires tau_ps and rep_rate_mhz"),
+        ({("channels", "signal", "detuning_thz"): 0},
+         "channels.signal.detuning_thz must be positive (above the pump)"),
+        ({("channels", "signal", "filter_loss_db"): -1},
+         "channels.signal.filter_loss_db: filter loss must be non-negative, got -1"),
+        ({("coupling", "total_insertion_loss_db"): -1},
+         "coupling.total_insertion_loss_db: total insertion loss must be non-negative, got -1"),
+        (None, "configuration root must be a JSON object"),
+    ], ids=["empty-table", "table-not-increasing", "table-negative-rho", "rejection-floor",
+            "no-collection", "negative-prop-loss", "zero-gamma", "two-dispersion-keys",
+            "zero-rep-rate", "cw-with-tau", "pulsed-without-rep-rate", "zero-signal-detuning",
+            "negative-filter-loss", "negative-insertion-loss", "array-root"])
+    def test_document_refusals_exit_2_with_one_line(self, tmp_path, capsys, clean_raw,
+                                                    edits, message):
+        # ``None`` stands for a document whose root is an array.
+        doc = [clean_raw] if edits is None else clean_raw
+        for keys, value in (edits or {}).items():
+            target = clean_raw
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["rates", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"configuration error: {message}"
+        assert not (tmp_path / "out").exists()
 
     def test_car_curve_unreachable_mu_exit_code(self, tmp_path):
         code = main([

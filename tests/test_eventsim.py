@@ -333,6 +333,18 @@ class TestTiaHistogram:
         assert e.value.field == "range_s"
         TiaConfig(bin_width_s=16e-12, range_s=range_s, policy="multi-stop", stop_delay_s=-2e-9)
 
+    @pytest.mark.parametrize("range_s", [(1.0, 1.0 + 1e-13), (-1.0 - 1e-13, -1.0)])
+    def test_bin_width_below_float_resolution_rejected(self, range_s):
+        # 1e-17 s bins near 1 s: 9993 bins, whose edges held 451 values.
+        with pytest.raises(FieldError, match="at least 2\\^10 float spacings") as e:
+            TiaConfig(1e-17, range_s, "multi-stop", range_s[0])
+        assert e.value.field == "bin_width_s"
+        # The bound is 2^10 spacings of the end farther from 0.
+        width = 2**10 * math.ulp(1.0 + 1e-13)
+        TiaConfig(width, range_s, "multi-stop", range_s[0])
+        with pytest.raises(FieldError):
+            TiaConfig(math.nextafter(width, 0.0), range_s, "multi-stop", range_s[0])
+
     def test_range_must_span_stop_delay(self):
         with pytest.raises(ConfigError):
             TiaConfig(bin_width_s=16e-12, range_s=(0.0, 5e-9), stop_delay_s=11.1e-9)

@@ -1,9 +1,11 @@
 import copy
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sfwmlab import explore
 from sfwmlab.config import load_config, set_path
 from sfwmlab.errors import ConfigError, ExtrapolationError, NumericsError, PowerSolveError
 from sfwmlab.explore import (
@@ -16,6 +18,7 @@ from sfwmlab.explore import (
     power_for_pairs_per_pulse,
     sweep,
 )
+from sfwmlab.model import pair_generation_rate
 
 from conftest import make_noise_free, with_analysis
 
@@ -200,6 +203,64 @@ def _outcome(fn, *args):
         return fn(*args)
     except (ConfigError, NumericsError) as exc:
         return type(exc), str(exc)
+
+
+def _rate(setup, power_w):
+    """The pair rate at a peak power, computed apart from ``explore``."""
+    return pair_generation_rate(setup.waveguide, replace(setup.pump, power_w=power_w),
+                                setup.idler)
+
+
+def _first_fall(setup):
+    """The turnover scan's grid and the index of its first power whose rate
+    is below the one before."""
+    grid = np.geomspace(1e-6, explore._TURNOVER_SCAN_MAX_W, 400)
+    rates = [_rate(setup, p) for p in grid]
+    return grid, next(i for i in range(1, grid.size) if rates[i] < rates[i - 1])
+
+
+class TestTurnoverPower:
+    @pytest.mark.parametrize("cfg", ["engineered_cfg", "paper_pulsed_cfg"])
+    def test_scan_stops_at_the_first_fall(self, cfg, request, monkeypatch):
+        setup = request.getfixturevalue(cfg).setup
+        grid, i = _first_fall(setup)
+        powers = []
+
+        def recording(waveguide, pump, channel):
+            powers.append(pump.power_w)
+            return pair_generation_rate(waveguide, pump, channel)
+
+        monkeypatch.setattr(explore, "pair_generation_rate", recording)
+        car_vs_mu(setup, np.geomspace(0.01, 0.02, 4))
+        # Every grid point up to the first fall, nothing past it.
+        assert set(grid[:i + 1]) <= set(powers)
+        assert max(powers) <= grid[i]
+
+    @pytest.mark.parametrize("cfg", ["engineered_cfg", "paper_pulsed_cfg"])
+    def test_turnover_is_the_maximum_of_its_bracket(self, cfg, request):
+        setup = request.getfixturevalue(cfg).setup
+        grid, i = _first_fall(setup)
+        lo, hi = grid[i - 2], grid[i]
+        # Two dense scans, the second over the first's best two steps.
+        for _ in range(2):
+            scan = np.linspace(lo, hi, 1001)
+            k = int(np.argmax([_rate(setup, p) for p in scan]))
+            lo, hi = scan[max(k - 1, 0)], scan[min(k + 1, scan.size - 1)]
+        assert explore._turnover_power(setup) == pytest.approx(scan[k], rel=1e-6)
+
+    @pytest.mark.parametrize("cfg", ["engineered_cfg", "paper_pulsed_cfg"])
+    def test_mu_just_below_the_maximum_solves(self, cfg, request):
+        setup = request.getfixturevalue(cfg).setup
+        tau = setup.pump.tau_s
+        p_turn = explore._turnover_power(setup)
+        mu_max = _rate(setup, p_turn) * tau
+        for gap in (1e-3, 1e-6, 1e-9):
+            mu = mu_max * (1.0 - gap)
+            power = power_for_pairs_per_pulse(setup, mu)
+            assert power <= p_turn
+            assert _rate(setup, power) * tau == pytest.approx(mu, rel=1e-9)
+        with pytest.raises(PowerSolveError, match="unreachable on the monotone branch"):
+            power_for_pairs_per_pulse(setup, mu_max * (1.0 + 1e-9))
 
 
 class TestCarVsMuSharedTurnover:
