@@ -8,7 +8,6 @@ outputs; deterministic commands are byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -20,9 +19,10 @@ from . import __version__
 from .analysis import analysis_document, analyze_histogram, null_nonfinite, peak_window
 from .config import (
     ExperimentConfig,
-    apply_calibration_file,
     calibrate_config,
     load_config,
+    overlay,
+    read_calibration,
 )
 from .constants import DEFAULT_SEED
 from .errors import ConfigError, InconsistentMeasurementError, NumericsError
@@ -57,17 +57,13 @@ _OVERRIDES = (
 
 
 def _load(args) -> ExperimentConfig:
+    """The config, with ``--calibration`` and the override flags overlaid
+    on it in one edit of its document."""
     cfg = load_config(args.config)
-    if getattr(args, "calibration", None):
-        cfg = apply_calibration_file(cfg, args.calibration)
-    overrides = [(section, key, getattr(args, arg)) for arg, section, key in _OVERRIDES
-                 if getattr(args, arg, None) is not None]
-    if not overrides:
-        return cfg
-    raw = copy.deepcopy(cfg.raw)
-    for section, key, value in overrides:
-        raw[section][key] = value
-    return load_config(raw)
+    values = read_calibration(args.calibration) if args.calibration else {}
+    values.update({(section, key): getattr(args, arg) for arg, section, key in _OVERRIDES
+                   if getattr(args, arg, None) is not None})
+    return load_config(overlay(cfg.raw, values)) if values else cfg
 
 
 def _out_dir(args) -> Path:

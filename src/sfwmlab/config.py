@@ -4,7 +4,7 @@ The on-disk format is a single JSON document with units encoded in key
 names (power_mw, detuning_thz, ...).  Unknown keys are rejected.  Loading
 converts everything to an SI ``Setup`` tree and keeps the validated
 document unchanged as ``ExperimentConfig.raw``: overrides and calibrations
-edit a copy of it and load that again.
+edit a copy of it (``overlay``) and load that again.
 
 Two documents ship in ``sfwmlab.data`` and load by name: ``paper-defaults``,
 the measured device, and ``engineered-defaults``, a pulsed design in the
@@ -64,18 +64,6 @@ class AnalysisOptions:
 DETUNING_RTOL = 1e-9
 
 
-def _check_channel_pair(idler: DetectionChannel, signal: DetectionChannel) -> None:
-    if idler.detuning_hz >= 0.0 or signal.detuning_hz <= 0.0:
-        raise ConfigError(
-            "expected the idler below the pump (detuning < 0) and the signal above"
-        )
-    if not math.isclose(-idler.detuning_hz, signal.detuning_hz, rel_tol=DETUNING_RTOL):
-        raise ConfigError(
-            f"idler and signal detunings must be symmetric about the pump, got "
-            f"{idler.detuning_hz:.6g} and {signal.detuning_hz:.6g}"
-        )
-
-
 @dataclass(frozen=True)
 class Setup:
     """Full SI description of one source + detection configuration.
@@ -94,7 +82,16 @@ class Setup:
     analysis: AnalysisOptions
 
     def __post_init__(self):
-        _check_channel_pair(self.idler, self.signal)
+        idler, signal = self.idler.detuning_hz, self.signal.detuning_hz
+        if idler >= 0.0 or signal <= 0.0:
+            raise ConfigError(
+                "expected the idler below the pump (detuning < 0) and the signal above"
+            )
+        if not math.isclose(-idler, signal, rel_tol=DETUNING_RTOL):
+            raise ConfigError(
+                f"idler and signal detunings must be symmetric about the pump, got "
+                f"{idler:.6g} and {signal:.6g}"
+            )
         if self.analysis.accidental_mode == "gated" and self.pump.mode != "pulsed":
             raise ConfigError("analysis.accidental_mode 'gated' requires a pulsed pump")
 
@@ -117,25 +114,12 @@ class Setup:
         return replace(self, **self.channels_at(detuning_hz))
 
 
-def get_path(setup: Setup, path: str):
-    """Resolve a dot-addressed numeric field, e.g. ``pump.power_w``.
+def set_path(setup: Setup, path: str, value):
+    """Return a copy of the setup with one dot-addressed numeric field
+    replaced, e.g. ``pump.power_w``.
 
     Only dataclass fields are addressable: a derived property
     (``pump.duty_cycle``) or an attribute of a number cannot be set.
-    """
-    obj = setup
-    for part in path.split("."):
-        if not is_dataclass(obj) or part not in {f.name for f in fields(obj)}:
-            raise ConfigError(f"unknown parameter path {path!r} (no field {part!r})")
-        obj = getattr(obj, part)
-    if not isinstance(obj, (int, float)):
-        raise ConfigError(f"parameter path {path!r} does not address a numeric field")
-    return obj
-
-
-def set_path(setup: Setup, path: str, value):
-    """Return a copy of the setup with one dot-addressed field replaced.
-
     ``channels.detuning_hz`` is special-cased to move both channels
     symmetrically (idler negative, signal positive).  A value out of its
     field's range is reported under ``path``.
@@ -144,10 +128,13 @@ def set_path(setup: Setup, path: str, value):
         if path == "channels.detuning_hz":
             return setup.with_detuning(value)
         parts = path.split(".")
-        get_path(setup, path)  # validates
         objs = [setup]
-        for part in parts[:-1]:
+        for part in parts:
+            if not is_dataclass(objs[-1]) or part not in {f.name for f in fields(objs[-1])}:
+                raise ConfigError(f"unknown parameter path {path!r} (no field {part!r})")
             objs.append(getattr(objs[-1], part))
+        if not isinstance(objs.pop(), (int, float)):
+            raise ConfigError(f"parameter path {path!r} does not address a numeric field")
         new = value
         for obj, attr in zip(reversed(objs), reversed(parts)):
             new = replace(obj, **{attr: new})
@@ -158,17 +145,66 @@ def set_path(setup: Setup, path: str, value):
 
 # ------------------------------------------------------------------
 # JSON schema
+#
+# One key table per section.  It maps each key the section may hold to the
+# field the key fills and to how its value is read: a string by ``str``, a
+# number by its conversion to SI, one float operation (``float`` keeps the
+# number as it is).  A key without a reader is read by its section's
+# ``_build_*`` function: ``eta_alpha`` ("analytic" or a number), the lists
+# ``raman_table`` ([detuning_thz, rho] rows) and ``range_ns`` ([min, max]),
+# and the subsections.  From the tables come the keys a section may hold, the
+# fields read from it, and the key a field out of range is reported by.
 
 _TOP_KEYS = ("waveguide", "pump", "coupling", "channels", "noise", "analysis")
 
+_WAVEGUIDE = {"length_cm": ("length_m", lambda cm: cm / 100.0),
+              "prop_loss_db_per_cm": ("prop_loss_db_per_cm", float),
+              "gamma_per_w_m": ("gamma_per_w_m", float),
+              "n2_m2_per_w": ("n2_m2_per_w", float),
+              "a_eff_um2": ("a_eff_m2", lambda um2: um2 * 1e-12),
+              "dispersion_ps_per_nm_km": ("dispersion_ps_per_nm_km", float),
+              "beta2_s2_per_m": ("beta2_s2_per_m", float),
+              "eta_alpha": ("eta_alpha_value", None)}
+_PUMP = {"wavelength_nm": ("wavelength_m", lambda nm: nm * 1e-9),
+         "power_mw": ("power_w", lambda mw: mw * 1e-3),
+         "mode": ("mode", str),
+         "tau_ps": ("tau_s", lambda ps: ps * 1e-12),
+         "rep_rate_mhz": ("rep_rate_hz", lambda mhz: mhz * 1e6)}
+_COUPLING = {"total_insertion_loss_db": ("total_insertion_loss_db", float),
+             "input_split": ("input_split", float),
+             "output_scale": ("output_scale", float)}
+# The demux width fills the passband, which ``_build_channel`` narrows to
+# the bandpass filter's width.
+_CHANNEL = {"detuning_thz": ("detuning_hz", lambda thz: thz * 1e12),
+            "awg_fwhm_ghz": ("bandwidth_hz", lambda ghz: ghz * 1e9),
+            "bpf_fwhm_nm": ("bpf_fwhm_nm", float),
+            "filter_loss_db": ("filter_loss_db", float),
+            "detector_qe": ("detector_qe", float),
+            "dark_rate_per_s": ("dark_rate_hz", float),
+            "jitter_fwhm_ps": ("jitter_fwhm_s", lambda ps: ps * 1e-12)}
+_NOISE = {"temperature_k": ("temperature_k", float),
+          "raman_table": ("raman_table", None),
+          "pump_rejection": ("pump_rejection", None),
+          "note": ("note", str)}
+_PUMP_REJECTION = {"base_db": ("base_db", float),
+                   "floor_db": ("floor_db", float),
+                   "ramp_thz": ("ramp_hz", lambda thz: thz * 1e12)}
+_ANALYSIS = {"coincidence_window_ps": ("window_s", lambda ps: ps * 1e-12),
+             "accidental_mode": ("accidental_mode", str),
+             "tia": ("tia", None)}
+_TIA = {"bin_ps": ("bin_width_s", lambda ps: ps * 1e-12),
+        "range_ns": ("range_s", None),
+        "policy": ("policy", str),
+        "stop_delay_ns": ("stop_delay_s", lambda ns: ns * 1e-9)}
 
-def _require(section: dict, name: str, keys: set, optional: set = frozenset()):
+
+def _require(section: dict, name: str, keys, optional: set = frozenset()):
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be a JSON object, got {type(section).__name__}")
-    unknown = set(section) - keys - optional
+    unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
-    missing = keys - set(section)
+    missing = set(keys) - optional - set(section)
     if missing:
         raise ConfigError(f"missing key(s) in {name}: {sorted(missing)}")
 
@@ -179,19 +215,21 @@ def _finite(v, name: str, key: str) -> float:
     return float(v)
 
 
-def _number(section: dict, name: str, key: str) -> float:
-    return _finite(section[key], name, key)
+def _fields(section: dict, name: str, table: dict) -> dict:
+    """The fields ``section`` fills by the keys it gives that ``table`` can
+    read: a string by ``str``, a number checked finite and converted to SI."""
+    return {field: to_si(section[key] if to_si is str else _finite(section[key], name, key))
+            for key, (field, to_si) in table.items() if to_si and key in section}
 
 
-def _construct(cls, section: dict, name: str, keys: dict, **fields):
+def _construct(cls, section: dict, name: str, table: dict, **fields):
     """``cls(**fields)``; a field out of range is reported by the key of
-    ``section`` it was read from (``keys[field]``, else the field's own
-    name), or that key's entry at fault, and the value as the document
-    gives it."""
+    ``section`` that fills it in ``table``, or that key's entry at fault,
+    and the value as the document gives it."""
     try:
         return cls(**fields)
     except FieldError as exc:
-        key = keys.get(exc.field, exc.field)
+        key = next((key for key, (field, _) in table.items() if field == exc.field), None)
         if key not in section:
             raise
         value = section[key]
@@ -201,11 +239,8 @@ def _construct(cls, section: dict, name: str, keys: dict, **fields):
 
 
 def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
-    keys = {"length_cm", "prop_loss_db_per_cm", "eta_alpha"}
-    optional = {"gamma_per_w_m", "n2_m2_per_w", "a_eff_um2",
-                "dispersion_ps_per_nm_km", "beta2_s2_per_m"}
-    _require(raw, "waveguide", keys, optional)
-
+    _require(raw, "waveguide", _WAVEGUIDE, {"gamma_per_w_m", "n2_m2_per_w", "a_eff_um2",
+                                            "dispersion_ps_per_nm_km", "beta2_s2_per_m"})
     if ("gamma_per_w_m" in raw) == ("n2_m2_per_w" in raw):
         raise ConfigError("waveguide needs exactly one of gamma_per_w_m or n2_m2_per_w")
     if ("n2_m2_per_w" in raw) != ("a_eff_um2" in raw):
@@ -214,94 +249,68 @@ def _build_waveguide(raw: dict, pump_wavelength_m: float) -> WaveguideSpec:
         raise ConfigError(
             "waveguide needs exactly one of dispersion_ps_per_nm_km or beta2_s2_per_m"
         )
+    fields = _fields(raw, "waveguide", _WAVEGUIDE)
 
-    if "gamma_per_w_m" in raw:
-        gamma = _number(raw, "waveguide", "gamma_per_w_m")
-    else:
-        n2 = _number(raw, "waveguide", "n2_m2_per_w")
-        a_eff_um2 = _number(raw, "waveguide", "a_eff_um2")
-        for key, value in (("n2_m2_per_w", n2), ("a_eff_um2", a_eff_um2)):
-            if value <= 0.0:
+    if "n2_m2_per_w" in fields:
+        for key in ("n2_m2_per_w", "a_eff_um2"):
+            if raw[key] <= 0.0:
                 raise ConfigError(f"waveguide.{key}: must be positive, got {raw[key]!r}")
-        gamma = gamma_from_n2(n2, a_eff_um2 * 1e-12, pump_wavelength_m)
+        try:
+            gamma = gamma_from_n2(fields.pop("n2_m2_per_w"), fields.pop("a_eff_m2"),
+                                  pump_wavelength_m)
+        except (ValueError, ZeroDivisionError):  # A_eff, or lambda * A_eff, underflows to 0
+            gamma = math.inf
         if not 0.0 < gamma < math.inf:
             raise ConfigError(
                 f"waveguide.n2_m2_per_w, waveguide.a_eff_um2: must give a positive finite "
                 f"gamma, got {gamma!r} from {raw['n2_m2_per_w']!r} and {raw['a_eff_um2']!r}")
-
-    if "beta2_s2_per_m" in raw:
-        beta2 = _number(raw, "waveguide", "beta2_s2_per_m")
-    else:
-        beta2 = beta2_from_dispersion(
-            _number(raw, "waveguide", "dispersion_ps_per_nm_km"), pump_wavelength_m
-        )
+        fields["gamma_per_w_m"] = gamma
+    if "dispersion_ps_per_nm_km" in fields:
+        try:
+            fields["beta2_s2_per_m"] = beta2_from_dispersion(
+                fields.pop("dispersion_ps_per_nm_km"), pump_wavelength_m)
+        except OverflowError:  # the wavelength squared
+            raise ConfigError(f"waveguide.dispersion_ps_per_nm_km: beta2 overflows at the pump "
+                              f"wavelength, {pump_wavelength_m:g} m") from None
 
     eta_alpha = raw["eta_alpha"]
     if eta_alpha == "analytic":
-        mode, value = "analytic", None
+        mode = "analytic"
     elif isinstance(eta_alpha, (int, float)) and not isinstance(eta_alpha, bool):
-        mode, value = "calibrated", _number(raw, "waveguide", "eta_alpha")
+        mode = "calibrated"
+        fields["eta_alpha_value"] = _finite(eta_alpha, "waveguide", "eta_alpha")
     else:
         raise ConfigError("waveguide.eta_alpha must be 'analytic' or a number")
-
-    return _construct(
-        WaveguideSpec, raw, "waveguide",
-        {"length_m": "length_cm", "eta_alpha_value": "eta_alpha"},
-        length_m=_number(raw, "waveguide", "length_cm") / 100.0,
-        prop_loss_db_per_cm=_number(raw, "waveguide", "prop_loss_db_per_cm"),
-        gamma_per_w_m=gamma,
-        beta2_s2_per_m=beta2,
-        eta_alpha_mode=mode,
-        eta_alpha_value=value,
-    )
+    return _construct(WaveguideSpec, raw, "waveguide", _WAVEGUIDE, eta_alpha_mode=mode,
+                      **fields)
 
 
 def _build_pump(raw: dict) -> PumpConfig:
-    keys = {"wavelength_nm", "power_mw", "mode"}
-    optional = {"tau_ps", "rep_rate_mhz"}
-    _require(raw, "pump", keys, optional)
+    pulse = {"tau_ps", "rep_rate_mhz"}
+    _require(raw, "pump", _PUMP, pulse)
     mode = raw["mode"]
     if mode == "cw":
-        if optional & set(raw):
+        if pulse & set(raw):
             raise ConfigError("cw pump takes no tau_ps/rep_rate_mhz")
-        extra = {}
     elif mode == "pulsed":
-        if not optional <= set(raw):
+        if not pulse <= set(raw):
             raise ConfigError("pulsed pump requires tau_ps and rep_rate_mhz")
-        extra = {
-            "tau_s": _number(raw, "pump", "tau_ps") * 1e-12,
-            "rep_rate_hz": _number(raw, "pump", "rep_rate_mhz") * 1e6,
-        }
     else:
         raise ConfigError(f"pump.mode must be 'cw' or 'pulsed', got {mode!r}")
-    return _construct(
-        PumpConfig, raw, "pump",
-        {"wavelength_m": "wavelength_nm", "power_w": "power_mw", "tau_s": "tau_ps",
-         "rep_rate_hz": "rep_rate_mhz"},
-        wavelength_m=_number(raw, "pump", "wavelength_nm") * 1e-9,
-        power_w=_number(raw, "pump", "power_mw") * 1e-3,
-        mode=mode,
-        **extra,
-    )
+    return _construct(PumpConfig, raw, "pump", _PUMP, **_fields(raw, "pump", _PUMP))
 
 
 def _build_coupling(raw: dict) -> CouplingSpec:
-    keys = {"total_insertion_loss_db"}
-    optional = ("input_split", "output_scale")
-    _require(raw, "coupling", keys, set(optional))
-    return _construct(
-        CouplingSpec, raw, "coupling", {},
-        total_insertion_loss_db=_number(raw, "coupling", "total_insertion_loss_db"),
-        **{key: _number(raw, "coupling", key) for key in optional if key in raw},
-    )
+    _require(raw, "coupling", _COUPLING, {"input_split", "output_scale"})
+    return _construct(CouplingSpec, raw, "coupling", _COUPLING,
+                      **_fields(raw, "coupling", _COUPLING))
 
 
 def _build_channel(raw: dict, name: str, pump: PumpConfig, expect_sign: int) -> DetectionChannel:
-    keys = {"detuning_thz", "awg_fwhm_ghz", "bpf_fwhm_nm", "filter_loss_db",
-            "detector_qe", "dark_rate_per_s", "jitter_fwhm_ps"}
     path = f"channels.{name}"
-    _require(raw, path, keys)
-    detuning = _number(raw, path, "detuning_thz") * 1e12
+    _require(raw, path, _CHANNEL)
+    fields = _fields(raw, path, _CHANNEL)
+    detuning = fields["detuning_hz"]
     if expect_sign < 0 and detuning >= 0:
         raise ConfigError(f"{path}.detuning_thz must be negative (below the pump)")
     if expect_sign > 0 and detuning <= 0:
@@ -310,33 +319,21 @@ def _build_channel(raw: dict, name: str, pump: PumpConfig, expect_sign: int) -> 
     if not 0.0 < channel_hz < math.inf:
         raise ConfigError(f"{path}.detuning_thz must leave the channel frequency "
                           f"positive and finite, got {detuning / 1e12:g}")
-    bpf_nm = _number(raw, path, "bpf_fwhm_nm")
+    bpf_nm = fields.pop("bpf_fwhm_nm")
     if bpf_nm <= 0.0:
         raise ConfigError(f"{path}.bpf_fwhm_nm must be positive, got {bpf_nm}")
     # Effective passband: the narrower of the demux channel and the bandpass
     # filter, rectangular approximation, at the channel's own wavelength.
-    bpf_hz = filter_fwhm_to_bandwidth(bpf_nm, frequency_to_wavelength(channel_hz))
-    awg_hz = _number(raw, path, "awg_fwhm_ghz") * 1e9
     # bpf_fwhm_nm is positive, so only the demux width can leave the
     # passband empty.
-    return _construct(
-        DetectionChannel, raw, path,
-        {"bandwidth_hz": "awg_fwhm_ghz", "dark_rate_hz": "dark_rate_per_s",
-         "jitter_fwhm_s": "jitter_fwhm_ps"},
-        detuning_hz=detuning,
-        bandwidth_hz=min(awg_hz, bpf_hz),
-        filter_loss_db=_number(raw, path, "filter_loss_db"),
-        detector_qe=_number(raw, path, "detector_qe"),
-        dark_rate_hz=_number(raw, path, "dark_rate_per_s"),
-        jitter_fwhm_s=_number(raw, path, "jitter_fwhm_ps") * 1e-12,
-        label=name,
-    )
+    fields["bandwidth_hz"] = min(
+        fields["bandwidth_hz"],
+        filter_fwhm_to_bandwidth(bpf_nm, frequency_to_wavelength(channel_hz)))
+    return _construct(DetectionChannel, raw, path, _CHANNEL, label=name, **fields)
 
 
 def _build_noise(raw: dict) -> NoiseModel:
-    keys = {"temperature_k", "raman_table", "pump_rejection"}
-    optional = {"note"}
-    _require(raw, "noise", keys, optional)
+    _require(raw, "noise", _NOISE, {"note"})
     table = raw["raman_table"]
     if not isinstance(table, list) or not all(
         isinstance(row, list) and len(row) == 2 for row in table
@@ -345,42 +342,27 @@ def _build_noise(raw: dict) -> NoiseModel:
     raman_table = tuple((_finite(d, "noise", "raman_table") * 1e12,
                          _finite(r, "noise", "raman_table")) for d, r in table)
     rej = raw["pump_rejection"]
-    _require(rej, "noise.pump_rejection", {"base_db", "floor_db", "ramp_thz"})
-    return _construct(
-        NoiseModel, raw, "noise", {},
-        raman_table=raman_table,
-        temperature_k=_number(raw, "noise", "temperature_k"),
-        pump_rejection=_construct(
-            PumpRejection, rej, "noise.pump_rejection", {"ramp_hz": "ramp_thz"},
-            base_db=_number(rej, "noise.pump_rejection", "base_db"),
-            floor_db=_number(rej, "noise.pump_rejection", "floor_db"),
-            ramp_hz=_number(rej, "noise.pump_rejection", "ramp_thz") * 1e12,
-        ),
-        **{key: str(raw[key]) for key in optional if key in raw},
-    )
+    _require(rej, "noise.pump_rejection", _PUMP_REJECTION)
+    fields = _fields(raw, "noise", _NOISE)
+    fields["pump_rejection"] = _construct(
+        PumpRejection, rej, "noise.pump_rejection", _PUMP_REJECTION,
+        **_fields(rej, "noise.pump_rejection", _PUMP_REJECTION))
+    return _construct(NoiseModel, raw, "noise", _NOISE, raman_table=raman_table, **fields)
 
 
 def _build_analysis(raw: dict) -> AnalysisOptions:
-    keys = {"coincidence_window_ps", "accidental_mode", "tia"}
-    _require(raw, "analysis", keys)
+    _require(raw, "analysis", _ANALYSIS)
     tia = raw["tia"]
-    _require(tia, "analysis.tia", {"bin_ps", "range_ns", "policy", "stop_delay_ns"})
+    _require(tia, "analysis.tia", _TIA)
     rng = tia["range_ns"]
     if not isinstance(rng, list) or len(rng) != 2:
         raise ConfigError("analysis.tia.range_ns must be [min, max]")
-    return _construct(
-        AnalysisOptions, raw, "analysis", {"window_s": "coincidence_window_ps"},
-        window_s=_number(raw, "analysis", "coincidence_window_ps") * 1e-12,
-        accidental_mode=str(raw["accidental_mode"]),
-        tia=_construct(
-            TiaConfig, tia, "analysis.tia",
-            {"bin_width_s": "bin_ps", "range_s": "range_ns", "stop_delay_s": "stop_delay_ns"},
-            bin_width_s=_number(tia, "analysis.tia", "bin_ps") * 1e-12,
-            range_s=tuple(_finite(v, "analysis.tia", "range_ns") * 1e-9 for v in rng),
-            policy=str(tia["policy"]),
-            stop_delay_s=_number(tia, "analysis.tia", "stop_delay_ns") * 1e-9,
-        ),
-    )
+    fields = _fields(raw, "analysis", _ANALYSIS)
+    fields["tia"] = _construct(
+        TiaConfig, tia, "analysis.tia", _TIA,
+        range_s=tuple(_finite(v, "analysis.tia", "range_ns") * 1e-9 for v in rng),
+        **_fields(tia, "analysis.tia", _TIA))
+    return _construct(AnalysisOptions, raw, "analysis", _ANALYSIS, **fields)
 
 
 # A calibration document holds what a calibration fits: ``eta_alpha``,
@@ -410,7 +392,7 @@ class ExperimentConfig:
 def validate_config(raw: dict) -> Setup:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _require(raw, "config", set(_TOP_KEYS))
+    _require(raw, "config", _TOP_KEYS)
     pump = _build_pump(raw["pump"])
     waveguide = _build_waveguide(raw["waveguide"], pump.wavelength_m)
     coupling = _build_coupling(raw["coupling"])
@@ -496,22 +478,28 @@ MEASURED_COINCIDENCE_RATE = 80.0
 MEASURED_SINGLES0 = 3.45e6
 MEASURED_SINGLES1 = 1.34e6
 
-def _with_calibration(raw: dict, calibration: dict) -> dict:
-    """A copy of a config document with a calibration document applied.
-
-    A missing or empty ``note`` keeps the config's own note.
-    """
-    _require(calibration, "calibration file", {"eta_alpha", "raman_table"}, {"note"})
+def overlay(raw: dict, values: dict) -> dict:
+    """A copy of a config document with each ``(section, key)`` of ``values``
+    set to its value: the one route by which a document is edited."""
     raw = copy.deepcopy(raw)
-    for key, value in calibration.items():
-        if key != "note" or value:
-            raw[_CALIBRATION_SECTIONS[key]][key] = value
+    for (section, key), value in values.items():
+        raw[section][key] = value
     return raw
 
 
-def _table_thz(table) -> list:
-    """Noise table rows as the document writes them: [detuning_thz, rho]."""
-    return [[d / 1e12, r] for d, r in table]
+def _calibration_values(calibration) -> dict:
+    """A calibration document as ``(section, key)`` values for ``overlay``.
+
+    A missing or empty ``note`` keeps the config's own note.
+    """
+    _require(calibration, "calibration file", _CALIBRATION_SECTIONS, {"note"})
+    return {(_CALIBRATION_SECTIONS[key], key): value for key, value in calibration.items()
+            if key != "note" or value}
+
+
+def read_calibration(path) -> dict:
+    """A calibration file as ``(section, key)`` values for ``overlay``."""
+    return _calibration_values(_read_json(path, "calibration file"))
 
 
 # Largest relative miss of a re-predicted rate that a calibration may have.
@@ -548,12 +536,12 @@ def calibrate_config(
         anchor_hz=abs(s.idler.detuning_hz),
         temperature_k=s.noise.temperature_k,
     )
-    calibrated = load_config(_with_calibration(cfg.raw, {
+    calibrated = load_config(overlay(cfg.raw, _calibration_values({
         "eta_alpha": eta_alpha,
-        "raman_table": _table_thz(table),
+        "raman_table": [[d / 1e12, r] for d, r in table],
         "note": "calibrated against C={}, N0={}, N1={} at {} mW".format(
             measured_c, measured_n0, measured_n1, cfg.raw["pump"]["power_mw"]),
-    }))
+    })))
     check = calibrated.setup.predict()
     for name, measured, value in (("C", measured_c, check.coincidences),
                                   ("N0", measured_n0, check.singles0),
@@ -566,21 +554,16 @@ def calibrate_config(
     return calibrated
 
 
-def _uncalibrated_paper_raw() -> dict:
-    """The measured device before calibration: analytic in-guide survival
-    and no scattering."""
-    return _with_calibration(_shipped_raw("paper-defaults"), {
+def paper_defaults(calibrated: bool = True) -> ExperimentConfig:
+    """The measured-device configuration as shipped, or before calibration:
+    analytic in-guide survival and no scattering."""
+    if calibrated:
+        return load_config("paper-defaults")
+    return load_config(overlay(_shipped_raw("paper-defaults"), _calibration_values({
         "eta_alpha": "analytic",
         "raman_table": [[-8.5, 0.0], [8.5, 0.0]],
         "note": "uncalibrated",
-    })
-
-
-def paper_defaults(calibrated: bool = True) -> ExperimentConfig:
-    """The measured-device configuration as shipped, or before calibration."""
-    if calibrated:
-        return load_config("paper-defaults")
-    return load_config(_uncalibrated_paper_raw())
+    })))
 
 
 def engineered_defaults() -> ExperimentConfig:
@@ -590,4 +573,4 @@ def engineered_defaults() -> ExperimentConfig:
 
 def apply_calibration_file(cfg: ExperimentConfig, path) -> ExperimentConfig:
     """Overlay a calibration file (eta_alpha + noise table) on a config."""
-    return load_config(_with_calibration(cfg.raw, _read_json(path, "calibration file")))
+    return load_config(overlay(cfg.raw, read_calibration(path)))

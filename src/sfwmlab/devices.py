@@ -6,6 +6,7 @@ every stored quantity is in SI base units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,9 @@ class PumpConfig:
     def __post_init__(self):
         if self.wavelength_m <= 0.0:
             raise FieldError("wavelength_m", "pump wavelength must be positive",
+                             self.wavelength_m)
+        if not math.isfinite(self.frequency_hz):
+            raise FieldError("wavelength_m", "pump wavelength must give a finite frequency",
                              self.wavelength_m)
         if self.power_w < 0.0:
             raise FieldError("power_w", "pump power must be non-negative", self.power_w)

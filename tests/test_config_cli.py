@@ -365,6 +365,8 @@ class TestCli:
         ("noise.temperature_k", "300,0", "temperature must be positive, got 0.0"),
         ("idler.detector_qe", "0.5,1.5", "detector QE must be in (0, 1], got 1.5"),
         ("channels.detuning_hz", "0,1e12", "detuning magnitude must be positive, got 0.0"),
+        ("pump.wavelength_m", "1.55e-6,1e-320",
+         "pump wavelength must give a finite frequency, got 1e-320"),
     ])
     def test_sweep_value_out_of_range_names_the_path(self, tmp_path, capsys, param, values,
                                                      requirement):
@@ -553,11 +555,13 @@ class TestCli:
         assert err == f"configuration error: waveguide.{key}: must be positive, got {value!r}\n"
         assert not (tmp_path / "out" / "rates.csv").exists()
 
-    @pytest.mark.parametrize("n2, a_eff_um2", [(1e-320, 1e300), (1e300, 1e-300)])
+    @pytest.mark.parametrize("n2, a_eff_um2", [(1e-320, 1e300), (1e300, 1e-300),
+                                               (3e-18, 1e-311), (3e-18, 1e-320)])
     def test_n2_route_gamma_out_of_range_names_keys(self, tmp_path, capsys, clean_raw,
                                                     n2, a_eff_um2):
         # Each value is positive, but gamma = 2 pi n2 / (lambda A_eff) underflows
-        # to 0 or overflows to inf.
+        # to 0 or overflows to inf: lambda A_eff, or A_eff in m^2 itself, can
+        # underflow to 0.
         waveguide = clean_raw["waveguide"]
         del waveguide["gamma_per_w_m"]
         waveguide.update(n2_m2_per_w=n2, a_eff_um2=a_eff_um2)
@@ -815,11 +819,16 @@ class TestCli:
          "channels.signal.filter_loss_db: filter loss must be non-negative, got -1"),
         ({("coupling", "total_insertion_loss_db"): -1},
          "coupling.total_insertion_loss_db: total insertion loss must be non-negative, got -1"),
+        ({("pump", "wavelength_nm"): 1e-311},
+         "pump.wavelength_nm: pump wavelength must give a finite frequency, got 1e-311"),
+        ({("pump", "wavelength_nm"): 1e300},
+         "waveguide.dispersion_ps_per_nm_km: beta2 overflows at the pump wavelength, 1e+291 m"),
         (None, "configuration root must be a JSON object"),
     ], ids=["empty-table", "table-not-increasing", "table-negative-rho", "rejection-floor",
             "no-collection", "negative-prop-loss", "zero-gamma", "two-dispersion-keys",
             "zero-rep-rate", "cw-with-tau", "pulsed-without-rep-rate", "zero-signal-detuning",
-            "negative-filter-loss", "negative-insertion-loss", "array-root"])
+            "negative-filter-loss", "negative-insertion-loss", "subnormal-pump-wavelength",
+            "overflowing-beta2", "array-root"])
     def test_document_refusals_exit_2_with_one_line(self, tmp_path, capsys, clean_raw,
                                                     edits, message):
         # ``None`` stands for a document whose root is an array.

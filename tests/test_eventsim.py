@@ -14,6 +14,7 @@ from sfwmlab.analysis import analyze_histogram
 from sfwmlab.config import load_config, set_path
 from sfwmlab.errors import ConfigError, FieldError, NumericsError
 from sfwmlab.eventsim import (
+    FWHM_TO_SIGMA,
     MAX_TIA_BINS,
     HistogramResult,
     TiaConfig,
@@ -38,6 +39,7 @@ from sfwmlab.eventsim import (
     component_rates,
     run_tia,
 )
+from sfwmlab.explore import power_for_pairs_per_pulse
 
 from conftest import make_noise_free, with_analysis
 
@@ -1209,6 +1211,58 @@ class TestRunTiaStatistics:
 
     def test_multi_stop(self, paper_cfg, monkeypatch):
         self._check(paper_cfg.setup, "multi-stop", monkeypatch)
+
+
+class TestPulsedRunAgainstPulseResolvedModel:
+    """Pulsed runs at 0.01 pairs per pulse against pulse-resolved
+    accidentals, built here from the model's rates: ``predict_observables``
+    counts them as binned or gated instead.
+
+    A multi-stop histogram of a pulsed run has a peak in every pulse slot.
+    In a window of width t, a side slot holds f*N0p*N1p/B + (D0*N1p + N0p*D1
+    + D0*D1)*t accidentals per second, and the central slot C*f more: Np is
+    an arm's singles rate less its darks D, B the repetition rate and f the
+    share of the Gaussian peak of the two detectors' jitters inside the
+    window.  The expected counts are pinned to a tenth of a count.
+    """
+
+    DURATION = 600.0
+    HALF_WINDOW = 200e-12
+    DELAY = 11.1e-9
+
+    @pytest.mark.parametrize("config, side_counts, net_counts", [
+        ("paper_pulsed_cfg", 555.2, 1087.6), ("engineered_cfg", 58.1, 1087.6)])
+    def test_side_peaks_and_net_coincidences(self, request, config, side_counts, net_counts):
+        setup = request.getfixturevalue(config).setup
+        setup = set_path(setup, "pump.power_w", power_for_pairs_per_pulse(setup, 0.01))
+        tia = TiaConfig(bin_width_s=16e-12, range_s=(0.0, 25e-9), policy="multi-stop",
+                        stop_delay_s=self.DELAY)
+        setup = with_analysis(setup, tia=tia)
+        hist = run_tia(setup, self.DURATION, 3).histogram
+
+        def window(center):
+            inside = np.abs(hist.bin_centers - center) <= self.HALF_WINDOW
+            return int(hist.counts[inside].sum()), np.count_nonzero(inside) * tia.bin_width_s
+
+        central, t = window(self.DELAY)
+        period = 1.0 / setup.pump.rep_rate_hz
+        side = (window(self.DELAY - period)[0] + window(self.DELAY + period)[0]) / 2
+
+        obs = setup.predict()
+        d0, d1 = setup.idler.dark_rate_hz, setup.signal.dark_rate_hz
+        n0p, n1p = obs.singles0 - d0, obs.singles1 - d1
+        sigma = math.hypot(setup.idler.jitter_fwhm_s, setup.signal.jitter_fwhm_s) * FWHM_TO_SIGMA
+        f = math.erf(self.HALF_WINDOW / (math.sqrt(2.0) * sigma))
+        expected_side = (f * n0p * n1p * period + (d0 * n1p + n0p * d1 + d0 * d1) * t) \
+            * self.DURATION
+        expected_net = obs.coincidences * f * self.DURATION
+        assert expected_side == pytest.approx(side_counts, abs=0.05)
+        assert expected_net == pytest.approx(net_counts, abs=0.05)
+        # Poisson counts: the side estimate is the mean of two slots, and the
+        # net count is the central slot less that mean.
+        assert abs(side - expected_side) <= 3 * math.sqrt(expected_side / 2)
+        assert abs(central - side - expected_net) <= 3 * math.sqrt(expected_net
+                                                                   + 1.5 * expected_side)
 
 
 # Pool sizes the runs below are repeated with.

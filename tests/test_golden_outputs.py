@@ -48,6 +48,15 @@ GOLDEN = {
             "manifest.json": "708d9d48b652f9f9dbe95fa3bb91c85ec03b30d0cd862925ccff2959a685a0c3",
         },
     ),
+    # A short series: the plot draws every point.
+    "car-curve-svg": (
+        ["car-curve", "--detuning", "0.5,1.0,1.4", "--svg"],
+        {
+            "car_curve.csv": "9fd6f78e70b72f2b2db0f458558734aae345c09d67e7f70d131d074ae38678fe",
+            "car_curve.svg": "c2065d873033460ec7d6c9e3fa32506c0da23c94c9627f12ee01bac8bc50f78d",
+            "manifest.json": "ab00331e9e68dc5107c48021a66e9a4ff2bd18d618534487884c271e5a965396",
+        },
+    ),
     # A CW pump has no pairs per pulse: design.json writes it as null.
     "optimize": (
         ["optimize", "--bound", "detuning_hz=5e11:3e12", "--bound", "peak_power_w=0.01:0.1",
@@ -66,6 +75,22 @@ def test_output_bytes_are_pinned(tmp_path, command):
     assert main(argv + ["--config", "paper-defaults", "--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests
+
+
+def test_calibration_and_flag_overlays_bytes_are_pinned(tmp_path):
+    # paper-defaults' own calibration overlaid with every override flag: the
+    # bytes of the same flags alone.
+    calibration = tmp_path / "calibration.json"
+    calibration.write_text(json.dumps(paper_defaults().calibration))
+    out = tmp_path / "out"
+    assert main(["rates", "--config", "paper-defaults", "--calibration", str(calibration),
+                 "--power-mw", "30", "--mode", "binned", "--window-ps", "800",
+                 "--out", str(out)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == {
+        "manifest.json": "725416775dc77deb26b1f745ac82ffce41162697edf05c78e6abaa96086ea83d",
+        "rates.csv": "aa5fb3d4e823b291e3d86642b0ebabca51d069dd6c5382e9f0e9dcde31c280f6",
+    }
 
 
 def test_cw_optimize_console_line_has_no_pairs_per_pulse(tmp_path, capsys):
