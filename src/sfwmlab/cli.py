@@ -260,7 +260,11 @@ def cmd_car_curve(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     if args.detuning is not None:
-        values = tuple(v * 1e12 for v in _parse_values(args.detuning))
+        values = []
+        for thz in _parse_values(args.detuning):
+            values.append(thz * 1e12)
+            if not math.isfinite(values[-1]):
+                raise ConfigError(f"--detuning: detuning must be finite in Hz, got {thz!r} THz")
         curve = car_vs_detuning(cfg.setup, values)
     else:
         curve = car_vs_mu(cfg.setup, _parse_values(args.mu))

@@ -1,13 +1,19 @@
 """Domain types describing the source: waveguide, pump, detection arms, noise.
 
 All objects are immutable after construction and validated on construction;
-every stored quantity is in SI base units.
+every stored quantity is in SI base units.  A derived factor the model reads
+on every evaluation (the loss coefficient and effective length of the guide,
+the collection efficiency of a channel, the noise coefficient at a
+detuning) is computed once per object; it is not a field, so equality,
+hashing and ``repr`` still see the fields alone, and ``dataclasses.replace``
+builds an object that computes its factors afresh.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,11 +58,11 @@ class WaveguideSpec:
             if v is None or not 0.0 < v <= 1.0:
                 raise FieldError("eta_alpha_value", "calibrated eta_alpha must be in (0, 1]", v)
 
-    @property
+    @cached_property
     def alpha_np_per_m(self) -> float:
         return prop_loss_to_alpha(self.prop_loss_db_per_cm)
 
-    @property
+    @cached_property
     def effective_length_m(self) -> float:
         return effective_length(self.alpha_np_per_m, self.length_m)
 
@@ -160,7 +166,7 @@ class DetectionChannel:
             raise FieldError("filter_loss_db", "filter loss must leave a collection "
                              "efficiency in (0, 1]", self.filter_loss_db)
 
-    @property
+    @cached_property
     def collection_efficiency(self) -> float:
         """Filter transmission times detector QE (the eta_i of the rate model)."""
         return self.detector_qe * db_to_linear(self.filter_loss_db)
@@ -280,17 +286,25 @@ class NoiseModel:
             if r < 0.0:
                 raise FieldError("raman_table", "raman coefficients must be non-negative",
                                  table[i], index=i)
-        # The interpolation nodes, built once: not fields, so equality and
-        # hashing still see the table alone.
+        # The interpolation nodes, built once, and the coefficient at each
+        # detuning looked up so far: not fields, so equality and hashing
+        # still see the table alone.
         object.__setattr__(self, "_det", np.array([d for d, _ in table]))
         object.__setattr__(self, "_rho", np.array([r for _, r in table]))
+        object.__setattr__(self, "_rho_at", {})
 
     def rho(self, detuning_hz: float) -> float:
-        """Interpolated noise coefficient at a signed detuning."""
-        det = self._det
-        if detuning_hz < det[0] or detuning_hz > det[-1]:
-            raise ExtrapolationError(
-                f"detuning {detuning_hz:.4g} Hz outside raman table span "
-                f"[{det[0]:.4g}, {det[-1]:.4g}] Hz"
-            )
-        return float(np.interp(detuning_hz, det, self._rho))
+        """Interpolated noise coefficient at a signed detuning.
+
+        A detuning outside the table raises on every call; only values
+        found are remembered."""
+        value = self._rho_at.get(detuning_hz)
+        if value is None:
+            det = self._det
+            if detuning_hz < det[0] or detuning_hz > det[-1]:
+                raise ExtrapolationError(
+                    f"detuning {detuning_hz:.4g} Hz outside raman table span "
+                    f"[{det[0]:.4g}, {det[-1]:.4g}] Hz"
+                )
+            value = self._rho_at[detuning_hz] = float(np.interp(detuning_hz, det, self._rho))
+        return value

@@ -256,16 +256,42 @@ class DesignResult:
     trace: list = field(default_factory=list)
 
 
+def _point_builder(setup: Setup, names):
+    """A function from a search point over ``names`` to its setup.
+
+    Each setup is built by one ``replace``: the pump fields are replaced
+    together and the channels moved with them, so the pump and the setup are
+    validated on the point's final values.  The pump of each distinct set of
+    pump values and the channel pair of each detuning are built once per
+    builder and shared by every setup that uses them.  A part whose
+    construction raises is not remembered: it raises again at every point
+    that needs it.
+    """
+    pump_names = [n for n in names if _SEARCH_FIELDS[n]]
+    pump_fields = [_SEARCH_FIELDS[n] for n in pump_names]
+    pumps, channels = {}, {}
+
+    def build(point) -> Setup:
+        values = dict(zip(names, map(float, point)))
+        changes = {}
+        if pump_fields:
+            key = tuple(values[n] for n in pump_names)
+            if key not in pumps:
+                pumps[key] = replace(setup.pump, **dict(zip(pump_fields, key)))
+            changes["pump"] = pumps[key]
+        if "detuning_hz" in values:
+            nu = values["detuning_hz"]
+            if nu not in channels:
+                channels[nu] = setup.channels_at(nu)
+            changes.update(channels[nu])
+        return replace(setup, **changes)
+
+    return build
+
+
 def _apply_point(setup: Setup, names, point) -> Setup:
-    """The setup at a search point, built by one ``replace``: the pump
-    fields are replaced together and the channels moved with them, so the
-    pump and the setup are validated once, on the point's final values."""
-    values = dict(zip(names, map(float, point)))
-    pump = {_SEARCH_FIELDS[n]: v for n, v in values.items() if _SEARCH_FIELDS[n]}
-    changes = {"pump": replace(setup.pump, **pump)} if pump else {}
-    if "detuning_hz" in values:
-        changes.update(setup.channels_at(values["detuning_hz"]))
-    return replace(setup, **changes)
+    """The setup at one search point, every part built afresh."""
+    return _point_builder(setup, names)(point)
 
 
 def _evaluate(setup: Setup, constraint) -> tuple[float, float, float, bool]:
@@ -314,10 +340,11 @@ def optimize_car(
     spans = highs - lows
 
     trace = []
+    build = _point_builder(setup, names)
 
     def infeasible_safe_eval(point):
         try:
-            s = _apply_point(setup, names, point)
+            s = build(point)
             car, mu, c, feasible = _evaluate(s, constraint)
         except (ConfigError, NumericsError):
             # Out-of-domain points (noise table span, unreachable power)

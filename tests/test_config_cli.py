@@ -864,6 +864,19 @@ class TestCli:
         assert "mu=1e-300" in err and "Traceback" not in err
         assert not (tmp_path / "car_curve.csv").exists()
 
+    @pytest.mark.parametrize("spec, given", [("1e300:1e301:2", "1e+300"),
+                                             ("1.4,-3e296", "-3e+296"), ("2e296", "2e+296")])
+    def test_car_curve_detuning_beyond_hz_names_the_flag(self, tmp_path, capsys, spec, given):
+        # The THz -> Hz conversion overflowed and the refusal used to name
+        # an inf Hz detuning the command line never gave, with exit 4.
+        code = main(["car-curve", "--config", "paper-defaults", "--out", str(tmp_path),
+                     "--detuning", spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (f"configuration error: --detuning: detuning must be finite "
+                               f"in Hz, got {given} THz")
+        assert not (tmp_path / "car_curve.csv").exists()
+
     def test_optimize_point_bounds_echoes(self, tmp_path, capsys):
         code = main([
             "optimize", "--config", "engineered-defaults", "--out", str(tmp_path),

@@ -14,7 +14,7 @@ from sfwmlab.devices import (
     coupling_from_insertion,
 )
 from sfwmlab.errors import ConfigError, ExtrapolationError
-from sfwmlab.units import gamma_from_n2
+from sfwmlab.units import db_to_linear, effective_length, gamma_from_n2, prop_loss_to_alpha
 
 
 def test_waveguide_derived_quantities():
@@ -73,6 +73,48 @@ def test_channel_collection_efficiency_values():
     assert ch1.collection_efficiency == pytest.approx(0.017, rel=0.05)
     assert ch0.collection_efficiency == pytest.approx(0.18 * 10 ** -0.651, rel=1e-9)
     assert ch0.is_stokes and not ch1.is_stokes
+
+
+_WAVEGUIDE = WaveguideSpec(length_m=0.071, prop_loss_db_per_cm=0.7,
+                           gamma_per_w_m=14.0, beta2_s2_per_m=3.048e-25)
+_CHANNEL = DetectionChannel(detuning_hz=-1.4e12, bandwidth_hz=50e9,
+                            filter_loss_db=6.51, detector_qe=0.18)
+
+
+def _waveguide_factors(wg):
+    alpha = prop_loss_to_alpha(wg.prop_loss_db_per_cm)
+    return {"alpha_np_per_m": alpha,
+            "effective_length_m": effective_length(alpha, wg.length_m)}
+
+
+def _channel_factors(ch):
+    return {"collection_efficiency": ch.detector_qe * db_to_linear(ch.filter_loss_db)}
+
+
+@pytest.mark.parametrize("obj, changes, factors", [
+    (_WAVEGUIDE, {"prop_loss_db_per_cm": 1.3}, _waveguide_factors),
+    (_WAVEGUIDE, {"length_m": 0.02}, _waveguide_factors),
+    (_CHANNEL, {"filter_loss_db": 3.2}, _channel_factors),
+    (_CHANNEL, {"detector_qe": 0.6}, _channel_factors),
+])
+def test_derived_factors_are_computed_once_per_object(obj, changes, factors):
+    # A copy of the object before any factor was read, to compare against.
+    fresh = dataclasses.replace(obj)
+    before = factors(obj)
+    assert {name: getattr(obj, name) for name in before} == before
+    changed = dataclasses.replace(obj, **changes)
+    expected = factors(changed)
+    assert expected != before
+    assert set(before) <= vars(obj).keys()
+    # Read twice: the remembered value is the one computed.
+    for _ in range(2):
+        assert {name: getattr(changed, name) for name in expected} == expected
+        assert {name: getattr(obj, name) for name in before} == before
+    # The remembered factors are not fields.
+    assert obj == fresh and hash(obj) == hash(fresh) and repr(obj) == repr(fresh)
+    assert changed != obj
+    assert not set(before) & {f.name for f in dataclasses.fields(obj)}
+    assert not any(name in repr(obj) for name in before)
 
 
 def test_coupling_from_insertion_device_budget():
@@ -144,16 +186,43 @@ def test_noise_model_rho_is_interp_on_the_table():
         noise.rho(np.nextafter(det[0], -np.inf))
 
 
+def test_noise_model_remembers_rho_bit_for_bit():
+    noise = NoiseModel(raman_table=_TABLE)
+    det = np.array([d for d, _ in _TABLE])
+    rho = np.array([r for _, r in _TABLE])
+    nodes_and_midpoints = [float(d) for d in det] + [float(d) for d in (det[1:] + det[:-1]) / 2]
+    for _ in range(2):
+        for nu in nodes_and_midpoints:
+            assert noise.rho(nu) == float(np.interp(nu, det, rho))
+    # A new model built from the same table computes its own values.
+    assert dataclasses.replace(noise).rho(nodes_and_midpoints[-1]) == noise.rho(
+        nodes_and_midpoints[-1])
+
+
+@pytest.mark.parametrize("nu", [2.5e12, -3e12, float(np.nextafter(2e12, np.inf))])
+def test_noise_model_out_of_span_raises_every_time(nu):
+    noise = NoiseModel(raman_table=_TABLE)
+    for _ in range(2):
+        with pytest.raises(ExtrapolationError, match="outside raman table span"):
+            noise.rho(nu)
+    # A value found after the failure is still the table's.
+    assert noise.rho(1.5e12) == 0.2
+
+
 def test_noise_model_equality_and_hash_follow_its_fields():
     noise = NoiseModel(raman_table=_TABLE)
     same = NoiseModel(raman_table=tuple(_TABLE))
+    # Values remembered by one model and not by the other change nothing.
+    noise.rho(1.5e12)
+    noise.rho(-1.2e12)
     assert noise == same and hash(noise) == hash(same)
     assert dataclasses.replace(noise) == noise
     assert hash(dataclasses.replace(noise)) == hash(noise)
     changed = NoiseModel(raman_table=_TABLE[:-1] + ((2e12, 0.31),))
     assert noise != changed
     assert noise != dataclasses.replace(noise, temperature_k=301.0)
-    assert "_det" not in repr(noise)
+    assert "_det" not in repr(noise) and "_rho" not in repr(noise)
+    assert repr(noise) == repr(same)
     assert [f.name for f in dataclasses.fields(noise)] == [
         "raman_table", "temperature_k", "pump_rejection", "note"]
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sfwmlab import explore
-from sfwmlab.config import load_config, set_path
+from sfwmlab.config import Setup, load_config, set_path
+from sfwmlab.devices import PumpConfig
 from sfwmlab.errors import ConfigError, ExtrapolationError, NumericsError, PowerSolveError
 from sfwmlab.explore import (
     SweepSpec,
@@ -356,6 +357,24 @@ class TestWindowCalibration:
         assert obs.car == pytest.approx(250.0, rel=1e-6)
 
 
+# The box the design benchmark searches, on its 7-point grid.
+_DESIGN_BOX = {"detuning_hz": (5e11, 8.2e12), "tau_s": (2e-12, 2e-11),
+               "rep_rate_hz": (5e7, 5e8), "peak_power_w": (0.05, 5.0)}
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to count its calls; returns the one-element count."""
+    count = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return count
+
+
 class TestOptimizeCar:
     def test_detuning_search_finds_low_noise_window(self, engineered_cfg):
         setup = engineered_cfg.setup
@@ -435,10 +454,56 @@ class TestOptimizeCar:
             optimize_car(setup, {"rep_rate_hz": (4e11, 4e11), "tau_s": (5e-12, 5e-12)},
                          ("mu_min", 0.0))
 
+    def test_parts_that_raise_are_built_again(self, engineered_cfg, monkeypatch):
+        built = _count_calls(monkeypatch, PumpConfig, "__post_init__")
+        moved = _count_calls(monkeypatch, Setup, "channels_at")
+        build = explore._point_builder(engineered_cfg.setup,
+                                       ["detuning_hz", "rep_rate_hz", "tau_s"])
+        # The valid pump of the second point is built once, the invalid pump
+        # of the first and the zero detuning's channels at every call.
+        for n in (1, 2):
+            with pytest.raises(ConfigError, match="duty cycle"):
+                build([1.4e12, 4e11, 5e-12])
+            with pytest.raises(ConfigError, match="detuning magnitude"):
+                build([0.0, 4e11, 6.25e-13])
+            assert (built, moved) == ([n + 1], [n])
+        for _ in range(2):
+            build([1.4e12, 4e11, 6.25e-13])
+        assert (built, moved) == ([3], [3])
+
+    def test_grid_builds_each_pump_and_channel_pair_once(self, engineered_cfg, monkeypatch):
+        # The grid holds 7^3 = 343 distinct (tau, B, P) pumps and 7 detunings.
+        built = _count_calls(monkeypatch, PumpConfig, "__post_init__")
+        moved = _count_calls(monkeypatch, Setup, "channels_at")
+        # The constructions made so far, at each evaluation.
+        made = []
+        evaluate = explore._evaluate
+
+        def evaluate_and_count(setup, constraint):
+            made.append((built[0], moved[0]))
+            return evaluate(setup, constraint)
+
+        monkeypatch.setattr(explore, "_evaluate", evaluate_and_count)
+        result = optimize_car(engineered_cfg.setup, _DESIGN_BOX, ("mu_min", 0.005))
+        assert len(result.trace) == len(made) == 2482
+        assert made[7 ** 4 - 1] == (343, 7)
+
+    def test_trace_equals_building_every_point_afresh(self, engineered_cfg, monkeypatch):
+        setup = engineered_cfg.setup
+        shared = optimize_car(setup, _DESIGN_BOX, ("mu_min", 0.005))
+        builder = explore._point_builder
+        monkeypatch.setattr(explore, "_point_builder",
+                            lambda s, names: lambda point: builder(s, names)(point))
+        fresh = optimize_car(setup, _DESIGN_BOX, ("mu_min", 0.005))
+        assert len(shared.trace) == len(fresh.trace) == 2482
+        assert sum(not t["feasible"] for t in shared.trace) == 491
+        for a, b in zip(shared.trace, fresh.trace):
+            assert a == b
+        assert (shared.best, shared.car, shared.pairs_per_pulse, shared.coincidence_rate) == (
+            fresh.best, fresh.car, fresh.pairs_per_pulse, fresh.coincidence_rate)
+
     def test_grouped_point_equals_path_chain(self, engineered_cfg):
-        # The box the design benchmark searches, on its 7-point grid.
-        bounds = {"detuning_hz": (5e11, 8.2e12), "tau_s": (2e-12, 2e-11),
-                  "rep_rate_hz": (5e7, 5e8), "peak_power_w": (0.05, 5.0)}
+        bounds = _DESIGN_BOX
         paths = {"detuning_hz": "channels.detuning_hz", "tau_s": "pump.tau_s",
                  "rep_rate_hz": "pump.rep_rate_hz", "peak_power_w": "pump.power_w"}
         names = sorted(bounds)

@@ -1,10 +1,11 @@
 """Byte-level golden outputs of the deterministic commands.
 
-Each case runs one command on the shipped paper-defaults configuration and
-pins the sha256 of every file it writes.  The inputs avoid log-spaced values
-and the pulsed power solve, so the bytes rest on IEEE double arithmetic and
-Python's ``math`` only.  A change that moves any digest changes what the
-commands write: it must say why, and record the new digests here.
+Each case runs one command on a shipped configuration, paper-defaults unless
+it says otherwise, and pins the sha256 of every file it writes.  The inputs
+avoid log-spaced values and the pulsed power solve, so the bytes rest on IEEE
+double arithmetic and Python's ``math`` only.  A change that moves any digest
+changes what the commands write: it must say why, and record the new digests
+here.
 """
 
 import copy
@@ -75,6 +76,29 @@ def test_output_bytes_are_pinned(tmp_path, command):
     assert main(argv + ["--config", "paper-defaults", "--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests
+
+
+# The pulsed design search of the benchmark: engineered-defaults over its
+# four-parameter box on a 7-point grid, under a pairs-per-pulse floor.  The
+# grid alone makes 2401 of its 2482 model evaluations.
+PULSED_OPTIMIZE = (
+    ["optimize", "--config", "engineered-defaults",
+     "--bound", "detuning_hz=5e11:8.2e12", "--bound", "tau_s=2e-12:2e-11",
+     "--bound", "rep_rate_hz=5e7:5e8", "--bound", "peak_power_w=0.05:5.0",
+     "--mu-min", "0.005", "--grid-points", "7"],
+    {
+        "design.json": "45a1a074de95bef35ed4d88b2ec0422161a2acf1348c00140a39bfc5c0ffa46c",
+        "manifest.json": "3665ab2aa589ff6ab86c15fb57fe0cb6eeced35f386b74d3441226c49c58e35b",
+    },
+)
+
+
+def test_pulsed_optimize_bytes_are_pinned(tmp_path):
+    argv, digests = PULSED_OPTIMIZE
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == digests
+    assert json.loads((tmp_path / "design.json").read_text())["evaluations"] == 2482
 
 
 def test_calibration_and_flag_overlays_bytes_are_pinned(tmp_path):
