@@ -22,8 +22,8 @@ is kept iff the stop before its window's does not match it and it lies in
 the slab (``_start_domain``, ``_thin``).  The windows hold at most about
 1.6 times the domain while r1 w <= 1; denser ranges, whose windows
 overlap more than they tile, draw the process over the whole slab
-(``_tiles``).  Either way it is drawn in runs of at most ``_BULK_RUN``
-expected starts (``_bin_bulk``).
+(``_tiles``).  Either way it is drawn in one piece per epoch (``_bin_bulk``),
+whose expected size counts among the epoch's generated events.
 
 Enumeration: the stops a start s matches are consecutive in the sorted stop
 array, from its first match to the last below s plus the range maximum,
@@ -39,13 +39,14 @@ that is partly true costs several times what building one index and
 gathering through it does, once per array.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
-generated events (``_epoch_length``).  Stream i of epoch e is seeded with
-``SeedSequence(seed, spawn_key=(e, i))``, so the epochs' streams are
-independent whatever the bit generator.  An epoch's times are relative to
-its start, so a stop at 24 h carries the precision of one at 0 s and the
-carry into the next epoch shifts by the epoch length exactly.  An epoch's
-events depend only on the configuration, the seed and e: not on the run's
-duration beyond its own end.  A run holds one epoch's events at a time.
+generated events, the drawn CW bulk among them (``_epoch_length``).  Stream
+i of epoch e is seeded with ``SeedSequence(seed, spawn_key=(e, i))``, so the
+epochs' streams are independent whatever the bit generator.  An epoch's
+times are relative to its start, so a stop at 24 h carries the precision of
+one at 0 s and the carry into the next epoch shifts by the epoch length
+exactly.  An epoch's events depend only on the configuration, the seed and
+e: not on the run's duration beyond its own end.  A run holds one epoch's
+events at a time.
 
 Memory: a CW epoch's arrays are megabytes each (about 670 000 stops, 5.4
 MB, in a 0.5 s epoch of paper-defaults), and the system maps and zeroes
@@ -56,8 +57,8 @@ are written with numpy's ``out=`` into plain numpy arrays that
 earlier steps or epochs released at the point where they stopped using
 them.  A request takes a released array only if it fills at least half
 of it, so a short request does not tie up a much longer array.  The
-drawn bulk starts come in runs (``_BULK_RUN``), so their array is bounded
-whatever the epoch holds.
+drawn bulk starts are one of the epoch's streams, so the epoch bounds their
+array as it bounds every other.
 
 Threads: the enumerate-and-bin batches, each thinning its own drawn starts,
 run on a thread pool with one worker per CPU the process may run on
@@ -653,6 +654,14 @@ def _jitter_pad(setup) -> float:
     return 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
 
 
+def _bulk_draw_rate(rates, tia) -> float:
+    """CW bulk starts ``_bin_bulk`` draws per second of slab on average: r0 r1
+    w on the windows w long (``_tiles``), r0 over the slab; r0 is arm 0's
+    ``_cw_bulk_rate`` and r1 the stop arm's singles rate."""
+    r1w = rates["observables"].singles1 * _windows(tia)[1]
+    return _cw_bulk_rate(rates, 0) * (r1w if _tiles(rates, tia) else 1.0)
+
+
 def _epoch_length(setup, rates) -> tuple[float, int]:
     """Epoch length (E, P), a function of the configuration alone.
 
@@ -660,9 +669,9 @@ def _epoch_length(setup, rates) -> tuple[float, int]:
     every epoch begins on the run's pulse grid.  k is the largest for which
     an epoch holds at most ``_EVENTS_PER_EPOCH`` generated events on average,
     a rate below 1 Hz counted as 1 Hz; generated are arm 1's singles plus,
-    in CW, arm 0's pair photons (arm 0's bulk is drawn apart, in runs:
-    ``_bin_bulk``) or, pulsed, arm 0's singles.  k is raised, if need be,
-    until E is at least twice the reach: the farthest an event carried
+    in CW, arm 0's pair photons and the bulk starts drawn for it
+    (``_bulk_draw_rate``) or, pulsed, arm 0's singles.  k is raised, if need
+    be, until E is at least twice the reach: the farthest an event carried
     into the next epoch lies from the epoch end (the histogram range, the
     stop delay and the jitter pad).  Carried times then lie in [E/2, 2E],
     where subtracting E is exact (Sterbenz's lemma).
@@ -672,7 +681,8 @@ def _epoch_length(setup, rates) -> tuple[float, int]:
     tia = setup.analysis.tia
     reach = (tia.range_s[1] - min(tia.range_s[0], 0.0) + abs(tia.stop_delay_s)
              + _jitter_pad(setup) + 1e-9)
-    generated = obs.singles1 + (rates["both"] if pump.mode == "cw" else obs.singles0)
+    generated = obs.singles1 + (rates["both"] + _bulk_draw_rate(rates, tia)
+                                if pump.mode == "cw" else obs.singles0)
     per_s = _EVENTS_PER_EPOCH / max(generated, 1.0)
     if pump.mode == "cw":
         # reach < 2^m, m = frexp(reach)[1]
@@ -686,19 +696,34 @@ def _epoch_length(setup, rates) -> tuple[float, int]:
     return (1 << k) / b, 1 << k
 
 
-def _check_stream_sizes(rates, pump, epoch_s, span, windows) -> None:
-    """Refuse an epoch (epoch 0, the longest, before anything is drawn)
-    whose pair photons or non-pair events of an arm (arm 0's CW bulk over
-    all of it) would exceed ``_MAX_STREAM_EVENTS`` on average."""
+def _epoch_extent(pump, epoch, e, duration_s) -> tuple[float, int]:
+    """(span, windows) of epoch e, ``epoch`` = (E, P): it emits in [0, span)
+    or, pulsed, in its first ``windows`` pulse windows, those of the run's
+    windows k/B that begin before ``duration_s`` (``run_tia`` bounds them)."""
+    epoch_s, pulses = epoch
+    windows = 0
+    if pump.mode == "pulsed":
+        windows = min(pulses, math.ceil(duration_s * pump.rep_rate_hz - 1e-9) - e * pulses)
+    return min(epoch_s, duration_s - e * epoch_s), windows
+
+
+def _check_stream_sizes(setup, rates, epoch, duration_s) -> None:
+    """Refuse a run whose epoch 0, the longest, would expect more than
+    ``_MAX_STREAM_EVENTS`` pair photons or non-pair events of an arm; arm 0's
+    CW bulk counts as drawn (``_bulk_draw_rate``), the rest is only counted."""
+    pump = setup.pump
+    span, windows = _epoch_extent(pump, epoch, 0, duration_s)
     # Dark counts come in [0, span), pulsed the rest in the pulse windows.
     gated = windows / pump.rep_rate_hz if pump.mode == "pulsed" else span
-    for name, rate, dark in (("pair", rates["both"], 0.0),
-                             ("arm 0 non-pair", _cw_bulk_rate(rates, 0), rates["dark0"]),
-                             ("arm 1 non-pair", _cw_bulk_rate(rates, 1), rates["dark1"])):
+    arm0 = ("arm 0 non-pair event", _cw_bulk_rate(rates, 0), rates["dark0"])
+    if pump.mode == "cw":
+        arm0 = ("arm 0 bulk draw", _bulk_draw_rate(rates, setup.analysis.tia), 0.0)
+    arm1 = ("arm 1 non-pair event", _cw_bulk_rate(rates, 1), rates["dark1"])
+    for name, rate, dark in (("pair event", rates["both"], 0.0), arm0, arm1):
         events = (rate - dark) * gated + dark * span
         if not events <= _MAX_STREAM_EVENTS:
-            raise NumericsError(f"the {name} event rate {rate:.4g} /s would put "
-                                f"{events:.4g} events in one {epoch_s:.4g} s epoch; an "
+            raise NumericsError(f"the {name} rate {rate:.4g} /s would put "
+                                f"{events:.4g} events in one {epoch[0]:.4g} s epoch; an "
                                 f"epoch may hold at most {_MAX_STREAM_EVENTS}")
 
 
@@ -760,9 +785,8 @@ def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children,
 
 def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays):
     """Raw (arm0, arm1) timestamps of epoch e, relative to its start t0 =
-    e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in [0,
-    min(E, duration_s - t0)) or, pulsed, in the run's pulse windows e P to
-    e P + P - 1 that begin before ``duration_s``.
+    e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in its span
+    or, pulsed, its pulse windows (``_epoch_extent``).
 
     In CW, arm 0 holds only its pair photons: the caller draws arm 0's
     bulk (``_cw_bulk_rate``) with ``children["bulk0"]`` on the start times
@@ -772,14 +796,8 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
     pulsed, arm 0 are views of arrays of the recycler ``arrays``.
     """
     pump = setup.pump
-    epoch_s, pulses = epoch
-    t0 = e * epoch_s
-    span = min(epoch_s, duration_s - t0)
-    windows = 0
-    if pump.mode == "pulsed":
-        # The run's windows k/B begin in [0, duration_s); ``run_tia`` bounds them.
-        windows = min(pulses, math.ceil(duration_s * pump.rep_rate_hz - 1e-9) - e * pulses)
-    _check_stream_sizes(rates, pump, epoch_s, span, windows)
+    t0 = e * epoch[0]
+    span, windows = _epoch_extent(pump, epoch, e, duration_s)
 
     pair_times = _category_times(rates["both"], pump, span, windows,
                                  _generator(children["both"]))
@@ -814,12 +832,6 @@ class TiaRunResult:
     duration: float
 
 
-# Bulk starts drawn at a time: the CW bulk is drawn in runs of windows, or
-# of the slab, expected to hold at most this many, which bounds its memory.
-# The runs depend on the configuration alone.
-_BULK_RUN = 2**18
-
-
 def _bin_bulk(rates, tia, stops, s_lo, s_hi, rng, arrays):
     """Histogram counts of the start arm's CW bulk (``_cw_bulk_rate``) in
     the slab [s_lo, s_hi], drawn from ``rng``, and how many starts it holds.
@@ -827,36 +839,21 @@ def _bin_bulk(rates, tia, stops, s_lo, s_hi, rng, arrays):
     While the windows of ``_start_domain`` tile (``_tiles``), the bulk is
     drawn on them and thinned to the domain, and its starts outside the
     domain are only counted; otherwise it is drawn over the slab and every
-    start searched.  Either way it is drawn in runs expected to hold at
-    most ``_BULK_RUN`` starts, one after the other: disjoint runs of
-    windows or of time are independent pieces of one Poisson process.
+    start searched.  Either way it is drawn in one piece, about
+    ``_bulk_draw_rate`` times the slab's length, which ``_epoch_length``
+    counts among the epoch's events.
     """
     rate = _cw_bulk_rate(rates, 0)
-    domain = None
     if _tiles(rates, tia):
         domain = _start_domain(stops, tia, s_lo, s_hi, arrays)
-        w = _windows(tia)[1]
-        step = max(domain.n, 1)  # windows per run
-        if rate * w * step > _BULK_RUN:
-            step = max(int(_BULK_RUN / (rate * w)), 1)
-        runs = []  # (span, start, windows) of each run
-        for a in range(0, domain.n, step):
-            windows = domain._replace(first=domain.first + a, n=min(step, domain.n - a))
-            runs.append((windows.n * w, 0.0, windows))
-    else:
-        edges = np.linspace(s_lo, s_hi, math.ceil(rate * (s_hi - s_lo) / _BULK_RUN) + 1)
-        runs = [(b - a, a, None) for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())]
-    counts = np.zeros(tia.n_bins, dtype=np.int64)
-    n0 = 0
-    for span, start, windows in runs:
-        bulk = _poisson_times(rate, span, rng, arrays, start)
-        c, n = _bin_starts(bulk, stops, tia, windows)
-        counts += c
-        n0 += n
-        arrays.release(bulk)
-    if domain is not None:
+        bulk = _poisson_times(rate, domain.n * _windows(tia)[1], rng, arrays)
+        counts, n0 = _bin_starts(bulk, stops, tia, domain)
         # Bulk starts outside the domain are only counted.
         n0 += int(rng.poisson(rate * max(s_hi - s_lo - domain.covered, 0.0)))
+    else:
+        bulk = _poisson_times(rate, s_hi - s_lo, rng, arrays, s_lo)
+        counts, n0 = _bin_starts(bulk, stops, tia)
+    arrays.release(bulk)
     return counts, n0
 
 
@@ -867,12 +864,12 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     ``carry`` = (starts, stops) are the explicit starts and the stops
     carried over from the epoch before.  ``slab`` = (s_lo, s_hi) is the
     start-time interval whose stops are all known once the epoch is
-    generated; in CW its bulk starts are drawn and binned on the stops'
-    windows or over the slab (``_bin_bulk``).  Returns (counts, n_starts,
-    n_stops, carry): the next
-    ``carry`` holds the explicit starts at or after s_hi and the stops a
-    later slab can still pair with, in the next epoch's time.  The epoch's
-    arrays come from the recycler ``arrays`` and go back to it.
+    generated; in CW its bulk starts are drawn in one piece and binned on
+    the stops' windows or over the slab (``_bin_bulk``).  Returns (counts,
+    n_starts, n_stops, carry): the next ``carry`` holds the explicit starts
+    at or after s_hi and the stops a later slab can still pair with, in the
+    next epoch's time.  The epoch's arrays come from the recycler ``arrays``
+    and go back to it.
     """
     s_lo, s_hi = slab
     arm0, arm1 = _epoch_arms(setup, rates, children, e, epoch, duration_s,
@@ -940,6 +937,7 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
         raise NumericsError(f"a {duration_s:.4g} s run holds {epochs:.4g} epochs of "
                             f"{epoch_s:.4g} s; a run may hold at most 2^53, the count "
                             "up to which the epoch start stays exact")
+    _check_stream_sizes(setup, rates, epoch, duration_s)
     n_epochs = max(1, math.ceil(epochs))
     # Stops of later epochs lie at or above the epoch end + stop_delay -
     # jitter_pad; a start below that minus the range maximum cannot reach them.

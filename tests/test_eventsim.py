@@ -2,6 +2,7 @@ import copy
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +433,21 @@ class TestRunTia:
         message = str(raised.value)
         assert f"{duration:.4g} s run holds {epochs} epochs of 0.5 s" in message
         assert "at most 2^53" in message
+
+    def test_rejects_a_bulk_draw_past_the_stream_bound(self, paper_cfg, monkeypatch):
+        # A 0.5 ms multi-stop range sets epochs of 2^-9 s, twice its reach,
+        # over which an idler dark rate of 1e12 /s draws 1.95e9 bulk starts.
+        tia = TiaConfig(bin_width_s=1e-6, range_s=(0.0, 5e-4), policy="multi-stop",
+                        stop_delay_s=1e-4)
+        setup = set_path(with_analysis(paper_cfg.setup, tia=tia), "idler.dark_rate_hz", 1e12)
+
+        def generated(*args):
+            raise AssertionError("an epoch was generated")
+
+        monkeypatch.setattr(eventsim, "_tia_epoch", generated)
+        with pytest.raises(NumericsError, match="the arm 0 bulk draw rate 1e\\+12 /s would "
+                           "put 1.953e\\+09 events in one 0.001953 s epoch"):
+            run_tia(setup, 1.0, 1)
 
     def test_epochs_have_equal_length(self, paper_cfg, monkeypatch):
         epochs = []
@@ -1345,21 +1361,34 @@ class TestRunTiaPool:
 
 class TestRunTiaBlockPath:
     """Runs of both policies through ``_bin_starts``: drawn bulk starts are
-    settled by their window's stop, explicit starts are searched."""
+    settled by their window's stop, explicit starts are searched, and so
+    are bulk starts drawn over the slab of a dense multi-stop range."""
 
-    POLICIES = ("first-stop", "multi-stop")
+    # (policy, range maximum, duration): epochs of 2^-9 s at 330 ns, of
+    # 2^-10 s at 810 ns, whose windows overlap (r1 w = 1.08) and whose bulk
+    # is drawn over the slab.
+    CASES = (("first-stop", 330e-9, 0.005), ("multi-stop", 330e-9, 0.005),
+             ("multi-stop", 810e-9, 0.0015))
 
     @staticmethod
-    def _run(setup, policy, monkeypatch, seed=8):
-        tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=policy,
+    def _setup(setup, policy, range_hi=330e-9):
+        tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, range_hi), policy=policy,
                         stop_delay_s=11.1e-9)
-        # Epochs of 2^-8 s: two of them.
+        return with_analysis(setup, tia=tia)
+
+    @classmethod
+    def _run(cls, setup, policy, monkeypatch, seed=8, range_hi=330e-9, duration_s=0.005):
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**13)
-        return run_tia(with_analysis(setup, tia=tia), 0.005, seed)
+        return run_tia(cls._setup(setup, policy, range_hi), duration_s, seed)
 
     @pytest.mark.parametrize("batch", [1, 7, 10**9])
     def test_histogram_does_not_depend_on_batch_size(self, paper_cfg, monkeypatch, batch):
-        for policy in self.POLICIES:
+        monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**13)
+        for policy, range_hi, duration_s in self.CASES:
+            setup = self._setup(paper_cfg.setup, policy, range_hi)
+            rates = component_rates(setup)
+            n_epochs = math.ceil(duration_s / _epoch_length(setup, rates)[0])
+            assert n_epochs > 1
             calls = []
 
             def counted(starts, stops, cfg, domain=None):
@@ -1369,28 +1398,35 @@ class TestRunTiaBlockPath:
 
             with monkeypatch.context() as m:
                 m.setattr(eventsim, "_bin_starts", counted)
-                reference = self._run(paper_cfg.setup, policy, m)
+                reference = self._run(paper_cfg.setup, policy, m, 8, range_hi, duration_s)
                 assert reference.histogram.total_counts > 1000
                 m.setattr(eventsim, "_BLOCK_BATCH", batch)
                 results = []
                 for workers in WORKER_COUNTS:
                     m.setattr(eventsim, "_WORKERS", workers)
-                    results.append(self._run(paper_cfg.setup, policy, m))
+                    results.append(self._run(paper_cfg.setup, policy, m, 8, range_hi,
+                                             duration_s))
             for result in results:
                 assert np.array_equal(result.histogram.counts, reference.histogram.counts)
                 assert (result.n_starts, result.n_stops) == (reference.n_starts,
                                                               reference.n_stops)
-            # Every run has two epochs, explicit and bulk starts in each.
-            assert len(calls) == 4 * (1 + len(WORKER_COUNTS))
-            assert all(calls[i:i + 4] == calls[:4] for i in range(4, len(calls), 4))
-            bulk = [c for c in calls[:4] if c[1]]
-            explicit = [c for c in calls if not c[1]]
-            # The windows settle nearly every bulk start.
-            n_starts, _, n_searched = np.sum(bulk, axis=0)
-            assert len(bulk) == 2 and n_starts > 5000
-            assert n_searched < 0.01 * n_starts
+            # One call for the explicit starts and one for the bulk per epoch.
+            per_run = 2 * n_epochs
+            assert len(calls) == per_run * (1 + len(WORKER_COUNTS))
+            assert all(calls[i:i + per_run] == calls[:per_run]
+                       for i in range(per_run, len(calls), per_run))
+            explicit, bulk = calls[0:per_run:2], calls[1:per_run:2]
             # Every explicit start is searched.
+            assert not any(thinned for _, thinned, _ in explicit)
             assert all(n == searched for n, _, searched in explicit)
+            n_starts, n_thinned, n_searched = np.sum(bulk, axis=0)
+            assert n_starts > 5000
+            if _tiles(rates, setup.analysis.tia):
+                # The windows settle nearly every bulk start.
+                assert n_thinned == n_epochs
+                assert n_searched < 0.01 * n_starts
+            else:
+                assert n_thinned == 0 and n_searched == n_starts
 
     def test_matches_searching_every_start(self, paper_cfg, monkeypatch):
         # The reference bins ``_pair_delays`` of all of an epoch's starts at once.
@@ -1401,12 +1437,14 @@ class TestRunTiaBlockPath:
             return (np.histogram(_pair_delays(starts, stops, cfg), bins=cfg.bin_edges)[0],
                     starts.size)
 
-        for policy in self.POLICIES:
+        for policy, range_hi, duration_s in self.CASES:
             for seed in (8, 9):
-                binned = self._run(paper_cfg.setup, policy, monkeypatch, seed)
+                binned = self._run(paper_cfg.setup, policy, monkeypatch, seed, range_hi,
+                                   duration_s)
                 with monkeypatch.context() as m:
                     m.setattr(eventsim, "_bin_starts", search_all)
-                    searched = self._run(paper_cfg.setup, policy, m, seed)
+                    searched = self._run(paper_cfg.setup, policy, m, seed, range_hi,
+                                         duration_s)
                 assert binned.histogram.total_counts > 1000
                 assert np.array_equal(binned.histogram.counts, searched.histogram.counts)
                 assert binned.n_starts == searched.n_starts
@@ -1456,7 +1494,8 @@ class TestBulkDraw:
     """The CW bulk is drawn on the windows of ``_start_domain`` while they
     overlap less than they tile (r1 w <= 1), and over the slab otherwise,
     so the draw holds at most about 1.6 times the starts in the domain; it
-    is drawn in runs of at most ``_BULK_RUN`` expected starts."""
+    is drawn in one piece per epoch, whose expected size the epoch counts
+    among its generated events."""
 
     @staticmethod
     def _epochs(setup, duration_s, monkeypatch):
@@ -1508,32 +1547,50 @@ class TestBulkDraw:
         rates = component_rates(setup)
         assert _tiles(rates, tia) is thinned
         r0 = _cw_bulk_rate(rates, 0)
+        epoch_s = _epoch_length(setup, rates)[0]
         epochs = self._epochs(setup, duration_s, monkeypatch)
-        assert len(epochs) == (2 if thinned else 1)
-        runs = 0
+        assert len(epochs) == math.ceil(duration_s / epoch_s)
         for epoch in epochs:
-            spans, starts, sizes = np.array(epoch["draws"]).T
-            runs += spans.size
+            # One draw per epoch, expected to fit the epoch's event budget.
+            [(span, start, size)] = epoch["draws"]
+            assert r0 * span <= eventsim._EVENTS_PER_EPOCH
             s_lo, s_hi = epoch["slab"]
             domain = epoch["domain"]
-            assert np.all(r0 * spans <= eventsim._BULK_RUN)
             if thinned:
                 # Offsets along the windows, which hold at most 1.6 times
                 # the domain.
-                assert np.all(starts == 0.0)
-                assert spans.sum() == pytest.approx(domain.n * _windows(tia)[1], rel=1e-12)
-                assert domain.covered <= spans.sum() <= 1.6 * domain.covered
+                assert start == 0.0
+                assert span == pytest.approx(domain.n * _windows(tia)[1], rel=1e-12)
+                assert domain.covered <= span <= 1.6 * domain.covered
             else:
-                # Times over the slab, run after run.
+                # Times over the slab.
                 assert domain is None
-                assert starts[0] == s_lo
-                assert np.allclose(starts[1:], (starts + spans)[:-1], rtol=0.0, atol=1e-15)
-                assert spans.sum() == pytest.approx(s_hi - s_lo, rel=1e-12)
+                assert start == s_lo
+                assert span == pytest.approx(s_hi - s_lo, rel=1e-12)
                 expected = r0 * (s_hi - s_lo)
-                assert abs(sizes.sum() - expected) < 5 * math.sqrt(expected)
-        # Some run of windows or time was cut short of the epoch.
-        if range_s[1] in (710e-9, 810e-9):
-            assert runs > len(epochs)
+                assert abs(size - expected) < 5 * math.sqrt(expected)
+
+    def test_dense_start_arm_is_drawn_within_the_epoch(self, paper_cfg, monkeypatch):
+        # An idler dark rate of 1e10 /s, about 7500 times the stop rate:
+        # the bulk draw, 3e7 starts/s on first-stop windows 2.2 ns long,
+        # sets epochs of 2^-5 s.  Drawing all 5e8 starts of the run would
+        # take 4 GB.
+        setup = set_path(paper_cfg.setup, "idler.dark_rate_hz", 1e10)
+        # Each worker holds one batch's temporaries.
+        monkeypatch.setattr(eventsim, "_WORKERS", 2)
+        tracemalloc.start()
+        try:
+            epochs = self._epochs(setup, 0.05, monkeypatch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = eventsim._EVENTS_PER_EPOCH
+        sizes = [size for epoch in epochs for _, _, size in epoch["draws"]]
+        assert len(epochs) == len(sizes) == 2
+        assert budget / 2 < sizes[0]
+        assert max(sizes) <= budget + 5 * math.sqrt(budget)
+        # A few epoch-sized float64 arrays.
+        assert peak < 4 * 8 * budget
 
 
 class TestRunTiaChunking:
