@@ -65,6 +65,10 @@ def analyze_histogram(hist: HistogramResult, peak_window_s: float) -> AnalysisRe
     The floor is the median of bins outside ``peak_window_s`` around the
     maximum bin (median for robustness against the peak tail); the net rate
     is the peak-window sum minus floor times the number of window bins.
+    A maximum bin more than half the peak window from the run's stop delay
+    (``stop_delay_s`` in the histogram's metadata) is flagged
+    ``peak_off_stop_delay``: over a wide range the largest floor
+    fluctuation can outgrow the coincidence excess of a bin.
     """
     centers = hist.bin_centers
     counts = hist.counts.astype(np.float64)
@@ -104,6 +108,9 @@ def analyze_histogram(hist: HistogramResult, peak_window_s: float) -> AnalysisRe
         centroid = float(centers[imax])
         fwhm = math.nan
         flags.append("no_peak_excess")
+    stop_delay = hist.metadata.get("stop_delay_s")
+    if stop_delay is not None and abs(centers[imax] - stop_delay) > peak_window_s / 2.0:
+        flags.append("peak_off_stop_delay")
 
     # Poisson errors: window sum plus the floor-median uncertainty
     # (pi/2 factor for median vs mean efficiency), propagated linearly.

@@ -8,22 +8,26 @@ The result is an independent statistical check of the analytic
 predictions.  Detector dead time is not modelled: measured singles rates
 are taken as detected rates.
 
-Restricted-domain sampling: in CW the start arm's non-pair events form a
-homogeneous Poisson process, and only starts a little before a stop can
-give a histogram entry.  ``run_tia`` therefore draws that process only on
-the start times that can reach the histogram given the stops already
-generated (about 0.3 % of the run at the shipped range) and counts the rest
-as one Poisson number (Kingman, *Poisson Processes*, 1993).  The result is
-identical in distribution to generating every start.  The domain is one
-segment per stop, inside the stop's window of equal length w; the process
-is drawn along the windows laid end to end, a point's window found by
-division, and thinned to the segments (Lewis and Shedler, 1979): a point
-is kept iff the stop before its window's does not match it and it lies in
-the slab (``_start_domain``, ``_thin``).  The windows hold at most about
-1.6 times the domain while r1 w <= 1; denser ranges, whose windows
-overlap more than they tile, draw the process over the whole slab
-(``_tiles``).  Either way it is drawn in one piece per epoch (``_bin_bulk``),
-whose expected size counts among the epoch's generated events.
+Restricted-domain sampling: each arm's homogeneous part, in CW all its
+non-pair events and pulsed its darks (``_nonpair_rates``), is one
+homogeneous Poisson process.  Gaussian timing jitter displaces such a
+process into an identically distributed one (the displacement theorem;
+Kingman, *Poisson Processes*, 1993), so it is drawn unjittered.  Only
+starts a little before a stop can give a histogram entry, so in either
+pump mode ``run_tia`` draws the start arm's homogeneous part only on the
+start times that can reach the histogram given the stops already generated
+(about 0.3 % of the run at the shipped range) and counts the rest as one
+Poisson number.  The result is identical in distribution to generating
+every start.  The domain is one segment per stop, inside the stop's window
+of equal length w; the process is drawn along the windows laid end to end,
+a point's window found by division, and thinned to the segments (Lewis and
+Shedler, 1979): a point is kept iff the stop before its window's does not
+match it and it lies in the slab (``_start_domain``, ``_thin``).  The
+windows hold at most about 1.6 times the domain while r1 w <= 1; denser
+ranges, whose windows overlap more than they tile, draw the process over
+the whole slab (``_tiles``).  Either way it is drawn in one piece per epoch
+(``_bin_bulk``), whose expected size counts among the epoch's generated
+events.
 
 Enumeration: the stops a start s matches are consecutive in the sorted stop
 array, from its first match to the last below s plus the range maximum,
@@ -39,7 +43,7 @@ that is partly true costs several times what building one index and
 gathering through it does, once per array.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
-generated events, the drawn CW bulk among them (``_epoch_length``).  Stream
+generated events, the drawn bulk among them (``_epoch_length``).  Stream
 i of epoch e is seeded with ``SeedSequence(seed, spawn_key=(e, i))``, so the
 epochs' streams are independent whatever the bit generator.  An epoch's
 times are relative to its start, so a stop at 24 h carries the precision of
@@ -181,16 +185,16 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray, arrays) -> np.ndarray:
 
 
 def _pulsed_times(rate_hz, tau_s, rep_rate_hz, n_windows, rng) -> np.ndarray:
-    """Sorted arrivals at rate ``rate_hz`` inside the pulse windows
-    [k/B, k/B + tau_s), k < ``n_windows``."""
+    """Arrivals at rate ``rate_hz`` inside the pulse windows [k/B, k/B +
+    tau_s), k < ``n_windows``, unsorted: every caller jitters and then sorts
+    them."""
     # An epoch is a whole number of pulse periods, so the window grids of
     # consecutive epochs join into the one grid k/B of the run.
     if n_windows <= 0 or rate_hz == 0.0:
         return np.empty(0, dtype=np.float64)
     n = rng.poisson(rate_hz * tau_s * n_windows)
     window = rng.integers(0, n_windows, n)
-    times = window / rep_rate_hz + rng.random(n) * tau_s
-    return np.sort(times)
+    return window / rep_rate_hz + rng.random(n) * tau_s
 
 
 # Most bins a histogram may have: each takes an int64 count per worker and
@@ -320,10 +324,11 @@ def _windows(cfg: TiaConfig) -> tuple[float, float]:
 
 
 def _tiles(rates, cfg: TiaConfig) -> bool:
-    """Whether the CW bulk is thinned on the windows of ``_start_domain``:
-    they overlap less than they tile while r1 w <= 1, r1 the stop arm's
-    singles rate, so the windows hold at most about 1/(1 - e^-1) = 1.6
-    times the domain.  Otherwise the bulk is drawn over the slab."""
+    """Whether the start arm's bulk is thinned on the windows of
+    ``_start_domain``: they overlap less than they tile while r1 w <= 1, r1
+    the stop arm's singles rate, so the windows hold at most about 1/(1 -
+    e^-1) = 1.6 times the domain.  Otherwise the bulk is drawn over the
+    slab."""
     return rates["observables"].singles1 * _windows(cfg)[1] <= 1.0
 
 
@@ -632,8 +637,7 @@ def component_rates(setup) -> dict:
 # given seed.  The epoch also bounds memory: a run holds the events of one
 # epoch and the few carried over from the epoch before.
 _CATEGORIES = ("both", "jitter0", "jitter1", "bulk0", "bulk1",
-               "only0", "only1", "noise0", "noise1", "dark0", "dark1",
-               "jbulk0", "jbulk1")
+               "only0", "only1", "noise0", "noise1", "jgated0", "jgated1")
 _EVENTS_PER_EPOCH = 2**20
 # Most events a stream may expect in one epoch, 0.5 GiB of float64 times.
 _MAX_STREAM_EVENTS = 2**26
@@ -654,12 +658,32 @@ def _jitter_pad(setup) -> float:
     return 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
 
 
-def _bulk_draw_rate(rates, tia) -> float:
-    """CW bulk starts ``_bin_bulk`` draws per second of slab on average: r0 r1
-    w on the windows w long (``_tiles``), r0 over the slab; r0 is arm 0's
-    ``_cw_bulk_rate`` and r1 the stop arm's singles rate."""
+def _nonpair_rates(pump, rates, arm) -> tuple[float, float]:
+    """(gated, homogeneous) rates of one arm's non-pair events.
+
+    The homogeneous part is a single Poisson process, drawn by
+    ``_poisson_times`` from stream ``bulk{arm}`` and never jittered: Gaussian
+    jitter displaces a homogeneous process into an identically distributed
+    one.  In CW it holds all of them, the one-arm pair leftovers,
+    scattering/leakage noise and darks; pulsed, the darks.  The gated part,
+    pulsed the one-arm pair photons and noise, follows the pulse comb, which
+    makes jitter observable (it smears the comb), so it is generated in the
+    pulse windows and jittered; in CW it is empty.
+    """
+    only, noise, dark = (rates[f"{name}{arm}"] for name in ("only", "noise", "dark"))
+    if pump.mode == "pulsed":
+        return only + noise, dark
+    return 0.0, only + noise + dark
+
+
+def _bulk_draw_rate(setup, rates) -> float:
+    """Bulk starts ``_bin_bulk`` draws per second of slab on average: r0 r1 w
+    on the windows w long (``_tiles``), r0 over the slab; r0 is the rate of
+    arm 0's homogeneous part (``_nonpair_rates``) and r1 the stop arm's
+    singles rate."""
+    tia = setup.analysis.tia
     r1w = rates["observables"].singles1 * _windows(tia)[1]
-    return _cw_bulk_rate(rates, 0) * (r1w if _tiles(rates, tia) else 1.0)
+    return _nonpair_rates(setup.pump, rates, 0)[1] * (r1w if _tiles(rates, tia) else 1.0)
 
 
 def _epoch_length(setup, rates) -> tuple[float, int]:
@@ -668,21 +692,21 @@ def _epoch_length(setup, rates) -> tuple[float, int]:
     CW: E = 2^k s and P = 0.  Pulsed: P = 2^k pulse periods and E = P/B, so
     every epoch begins on the run's pulse grid.  k is the largest for which
     an epoch holds at most ``_EVENTS_PER_EPOCH`` generated events on average,
-    a rate below 1 Hz counted as 1 Hz; generated are arm 1's singles plus,
-    in CW, arm 0's pair photons and the bulk starts drawn for it
-    (``_bulk_draw_rate``) or, pulsed, arm 0's singles.  k is raised, if need
-    be, until E is at least twice the reach: the farthest an event carried
-    into the next epoch lies from the epoch end (the histogram range, the
-    stop delay and the jitter pad).  Carried times then lie in [E/2, 2E],
-    where subtracting E is exact (Sterbenz's lemma).
+    a rate below 1 Hz counted as 1 Hz; generated are arm 1's singles, arm
+    0's explicit events (its pair photons and, pulsed, its gated non-pair
+    events, ``_nonpair_rates``) and the bulk starts drawn for its
+    homogeneous part (``_bulk_draw_rate``).  k is raised, if need be, until
+    E is at least twice the reach: the farthest an event carried into the
+    next epoch lies from the epoch end (the histogram range, the stop delay
+    and the jitter pad).  Carried times then lie in [E/2, 2E], where
+    subtracting E is exact (Sterbenz's lemma).
     """
-    obs = rates["observables"]
     pump = setup.pump
     tia = setup.analysis.tia
     reach = (tia.range_s[1] - min(tia.range_s[0], 0.0) + abs(tia.stop_delay_s)
              + _jitter_pad(setup) + 1e-9)
-    generated = obs.singles1 + (rates["both"] + _bulk_draw_rate(rates, tia)
-                                if pump.mode == "cw" else obs.singles0)
+    explicit0 = rates["both"] + _nonpair_rates(pump, rates, 0)[0]
+    generated = rates["observables"].singles1 + (explicit0 + _bulk_draw_rate(setup, rates))
     per_s = _EVENTS_PER_EPOCH / max(generated, 1.0)
     if pump.mode == "cw":
         # reach < 2^m, m = frexp(reach)[1]
@@ -709,20 +733,23 @@ def _epoch_extent(pump, epoch, e, duration_s) -> tuple[float, int]:
 
 def _check_stream_sizes(setup, rates, epoch, duration_s) -> None:
     """Refuse a run whose epoch 0, the longest, would expect more than
-    ``_MAX_STREAM_EVENTS`` pair photons or non-pair events of an arm; arm 0's
-    CW bulk counts as drawn (``_bulk_draw_rate``), the rest is only counted."""
+    ``_MAX_STREAM_EVENTS`` events in one of its arrays: the pair photons,
+    arm 0's gated non-pair events, arm 0's bulk draw (``_bulk_draw_rate``)
+    and arm 1's non-pair events, gated and homogeneous (``_nonpair_rates``).
+    The gated events come in the pulse windows, the rest in the epoch's
+    span."""
     pump = setup.pump
     span, windows = _epoch_extent(pump, epoch, 0, duration_s)
-    # Dark counts come in [0, span), pulsed the rest in the pulse windows.
     gated = windows / pump.rep_rate_hz if pump.mode == "pulsed" else span
-    arm0 = ("arm 0 non-pair event", _cw_bulk_rate(rates, 0), rates["dark0"])
-    if pump.mode == "cw":
-        arm0 = ("arm 0 bulk draw", _bulk_draw_rate(rates, setup.analysis.tia), 0.0)
-    arm1 = ("arm 1 non-pair event", _cw_bulk_rate(rates, 1), rates["dark1"])
-    for name, rate, dark in (("pair event", rates["both"], 0.0), arm0, arm1):
-        events = (rate - dark) * gated + dark * span
+    # (name, rate in the pulse windows, rate over the span)
+    rows = (("pair event", rates["both"], 0.0),
+            ("arm 0 gated non-pair event", _nonpair_rates(pump, rates, 0)[0], 0.0),
+            ("arm 0 bulk draw", 0.0, _bulk_draw_rate(setup, rates)),
+            ("arm 1 non-pair event", *_nonpair_rates(pump, rates, 1)))
+    for name, in_windows, in_span in rows:
+        events = in_windows * gated + in_span * span
         if not events <= _MAX_STREAM_EVENTS:
-            raise NumericsError(f"the {name} rate {rate:.4g} /s would put "
+            raise NumericsError(f"the {name} rate {in_windows + in_span:.4g} /s would put "
                                 f"{events:.4g} events in one {epoch[0]:.4g} s epoch; an "
                                 f"epoch may hold at most {_MAX_STREAM_EVENTS}")
 
@@ -747,40 +774,29 @@ def _jittered(times, fwhm_s, rng) -> np.ndarray:
     return smear
 
 
-def _cw_bulk_rate(rates, arm) -> float:
-    """CW rate of one arm's non-pair events: the one-arm pair leftovers,
-    scattering/leakage noise and darks, independent homogeneous processes
-    that merge into a single Poisson bulk."""
-    return rates[f"only{arm}"] + rates[f"noise{arm}"] + rates[f"dark{arm}"]
-
-
 def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children,
                             arrays) -> np.ndarray:
-    """Sorted timestamps of all non-pair events of one arm in [0, span_s)
-    (pulsed: gated ones in the first ``n_windows`` pulse windows).
-
-    CW: a single Poisson bulk (``_cw_bulk_rate``); Gaussian timing jitter
-    displaces a homogeneous process into an identically distributed one and
-    is skipped.  Pulsed: the pulse comb makes jitter observable (it smears
-    the comb), so gated components are generated and jittered explicitly.
+    """Sorted timestamps of one arm's explicit non-pair events: its gated
+    part in the first ``n_windows`` pulse windows (``_nonpair_rates``; none
+    in CW), concatenated, jittered and sorted once, and, on arm 1, its
+    homogeneous part in [0, span_s), merged in unjittered.  Arm 0's
+    homogeneous part is drawn on the stops' windows (``_bin_bulk``).
     """
     pump = setup.pump
     ch = setup.idler if arm == 0 else setup.signal
-    if pump.mode == "cw":
-        rng = _generator(children[f"bulk{arm}"])
-        return _poisson_times(_cw_bulk_rate(rates, arm), span_s, rng, arrays)
-    parts = [
-        _category_times(rates[f"only{arm}"], pump, span_s, n_windows,
-                        _generator(children[f"only{arm}"])),
-        _category_times(rates[f"noise{arm}"], pump, span_s, n_windows,
-                        _generator(children[f"noise{arm}"])),
-        _poisson_times(rates[f"dark{arm}"], span_s,
-                       _generator(children[f"dark{arm}"])),
-    ]
-    merged = np.concatenate(parts)
-    merged = _jittered(merged, ch.jitter_fwhm_s, _generator(children[f"jbulk{arm}"]))
-    merged.sort()
-    return merged
+    gated = np.empty(0)
+    if pump.mode == "pulsed":
+        gated = np.concatenate([
+            _category_times(rates[f"{name}{arm}"], pump, span_s, n_windows,
+                            _generator(children[f"{name}{arm}"]))
+            for name in ("only", "noise")])
+        gated = _jittered(gated, ch.jitter_fwhm_s, _generator(children[f"jgated{arm}"]))
+        gated.sort()
+    if arm == 0:
+        return gated
+    bulk = _poisson_times(_nonpair_rates(pump, rates, 1)[1], span_s,
+                          _generator(children["bulk1"]), arrays)
+    return _merge_sorted(bulk, gated, arrays)
 
 
 def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays):
@@ -788,12 +804,13 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
     e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in its span
     or, pulsed, its pulse windows (``_epoch_extent``).
 
-    In CW, arm 0 holds only its pair photons: the caller draws arm 0's
-    bulk (``_cw_bulk_rate``) with ``children["bulk0"]`` on the start times
-    it needs.  Events may leave the epoch after jitter or the stop-arm
-    delay; they are clipped to the run, [-t0, duration_s - t0) in epoch
-    time, only, so adjacent epochs tile the full run exactly.  Arm 1 and,
-    pulsed, arm 0 are views of arrays of the recycler ``arrays``.
+    Arm 0 holds its pair photons and its gated non-pair events
+    (``_uncorrelated_arm_times``): the caller draws arm 0's homogeneous part
+    (``_nonpair_rates``) with ``children["bulk0"]`` on the start times it
+    needs.  Events may leave the epoch after jitter or the stop-arm delay;
+    they are clipped to the run, [-t0, duration_s - t0) in epoch time, only,
+    so adjacent epochs tile the full run exactly.  Either arm may be a view
+    of an array of the recycler ``arrays``.
     """
     pump = setup.pump
     t0 = e * epoch[0]
@@ -809,11 +826,8 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
         if pairs is pair_times:
             pairs = pair_times.copy()
         pairs.sort()
-        if arm == 0 and pump.mode == "cw":
-            a = pairs
-        else:
-            a = _merge_sorted(_uncorrelated_arm_times(setup, rates, arm, span, windows,
-                                                      children, arrays), pairs, arrays)
+        a = _merge_sorted(_uncorrelated_arm_times(setup, rates, arm, span, windows,
+                                                  children, arrays), pairs, arrays)
         if arm == 1 and stop_delay_s != 0.0:
             a += stop_delay_s  # a is this epoch's own array
         lo = int(np.searchsorted(a, -t0, side="left"))
@@ -832,18 +846,19 @@ class TiaRunResult:
     duration: float
 
 
-def _bin_bulk(rates, tia, stops, s_lo, s_hi, rng, arrays):
-    """Histogram counts of the start arm's CW bulk (``_cw_bulk_rate``) in
-    the slab [s_lo, s_hi], drawn from ``rng``, and how many starts it holds.
+def _bin_bulk(setup, rates, tia, stops, s_lo, s_hi, rng, arrays):
+    """Histogram counts of the start arm's homogeneous part
+    (``_nonpair_rates``) in the slab [s_lo, s_hi], drawn from ``rng``, and
+    how many starts it holds.
 
-    While the windows of ``_start_domain`` tile (``_tiles``), the bulk is
+    While the windows of ``_start_domain`` tile (``_tiles``), the part is
     drawn on them and thinned to the domain, and its starts outside the
     domain are only counted; otherwise it is drawn over the slab and every
     start searched.  Either way it is drawn in one piece, about
     ``_bulk_draw_rate`` times the slab's length, which ``_epoch_length``
     counts among the epoch's events.
     """
-    rate = _cw_bulk_rate(rates, 0)
+    rate = _nonpair_rates(setup.pump, rates, 0)[1]
     if _tiles(rates, tia):
         domain = _start_domain(stops, tia, s_lo, s_hi, arrays)
         bulk = _poisson_times(rate, domain.n * _windows(tia)[1], rng, arrays)
@@ -864,12 +879,12 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     ``carry`` = (starts, stops) are the explicit starts and the stops
     carried over from the epoch before.  ``slab`` = (s_lo, s_hi) is the
     start-time interval whose stops are all known once the epoch is
-    generated; in CW its bulk starts are drawn in one piece and binned on
-    the stops' windows or over the slab (``_bin_bulk``).  Returns (counts,
-    n_starts, n_stops, carry): the next ``carry`` holds the explicit starts
-    at or after s_hi and the stops a later slab can still pair with, in the
-    next epoch's time.  The epoch's arrays come from the recycler ``arrays``
-    and go back to it.
+    generated; the start arm's homogeneous part is drawn on it in one piece
+    and binned on the stops' windows or over the slab (``_bin_bulk``), in
+    either pump mode.  Returns (counts, n_starts, n_stops, carry): the next
+    ``carry`` holds the explicit starts at or after s_hi and the stops a
+    later slab can still pair with, in the next epoch's time.  The epoch's
+    arrays come from the recycler ``arrays`` and go back to it.
     """
     s_lo, s_hi = slab
     arm0, arm1 = _epoch_arms(setup, rates, children, e, epoch, duration_s,
@@ -882,11 +897,10 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     del arm0, arm1
     cut = int(np.searchsorted(explicit, s_hi, side="left"))
     counts, _ = _bin_starts(explicit[:cut], stops, tia)
-    if setup.pump.mode == "cw":
-        c, dn0 = _bin_bulk(rates, tia, stops, s_lo, s_hi, _generator(children["bulk0"]),
-                           arrays)
-        counts += c
-        n0 += dn0
+    c, dn0 = _bin_bulk(setup, rates, tia, stops, s_lo, s_hi, _generator(children["bulk0"]),
+                       arrays)
+    counts += c
+    n0 += dn0
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     # Shifting by the epoch length is exact (``_epoch_length``).
     epoch_s = epoch[0]
@@ -914,12 +928,13 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     windows a float cannot count, or a run of more than ``_MAX_EPOCHS``
     epochs raises ``NumericsError`` before anything is drawn.
 
-    In CW the start arm's bulk is drawn only on the start times that can
-    reach the histogram (``_start_domain``) and the rest of it counted, or,
-    for dense multi-stop ranges, over each slab (``_bin_bulk``).  Every
-    start histogrammed goes through ``_bin_starts``, whose batches thin the
-    drawn starts and run on one worker thread per usable CPU; the output
-    does not depend on how many there are.
+    In either pump mode each arm's homogeneous part (``_nonpair_rates``) is
+    drawn unjittered: the start arm's only on the start times that can reach
+    the histogram (``_start_domain``), the rest of it counted, or, for dense
+    multi-stop ranges, over each slab (``_bin_bulk``); the stop arm's over
+    each epoch.  Every start histogrammed goes through ``_bin_starts``,
+    whose batches thin the drawn starts and run on one worker thread per
+    usable CPU; the output does not depend on how many there are.
     """
     tia = setup.analysis.tia
     if not math.isfinite(duration_s) or duration_s < 0.0:

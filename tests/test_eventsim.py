@@ -23,13 +23,13 @@ from sfwmlab.eventsim import (
     _bin_counts,
     _bin_edge,
     _bin_starts,
-    _cw_bulk_rate,
     _epoch_arms,
     _epoch_children,
     _epoch_length,
     _generator,
     _jittered,
     _match_window,
+    _nonpair_rates,
     _poisson_times,
     _pulsed_times,
     _start_domain,
@@ -109,8 +109,8 @@ def _full_streams(setup, duration_s, seed):
     """All starts and stops of a CW run in one epoch: ``_epoch_arms`` plus
     the start arm's bulk drawn over the whole run."""
     children, (arm0, arm1) = _arms(setup, duration_s, seed)
-    bulk0 = _poisson_times(_cw_bulk_rate(component_rates(setup), 0), duration_s,
-                           _generator(children["bulk0"]))
+    bulk0 = _poisson_times(_nonpair_rates(setup.pump, component_rates(setup), 0)[1],
+                           duration_s, _generator(children["bulk0"]))
     return np.sort(np.concatenate([arm0, bulk0])), arm1
 
 
@@ -491,14 +491,20 @@ class TestEpochs:
     def test_pulsed_epoch_is_whole_pulse_periods_within_the_budget(self, engineered_cfg,
                                                                    rep_rate_hz):
         # A rep rate with a fractional part in Hz gets as short an epoch as
-        # any other: the largest 2^k periods holding at most 2^20 events.
+        # any other: the largest 2^k periods holding at most 2^20 generated
+        # events.  Arm 0's darks are drawn only on the stops' windows, w long,
+        # which tile: D0 r1 w of them per second.
         setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", rep_rate_hz)
         rates = component_rates(setup)
         epoch_s, pulses = _epoch_length(setup, rates)
         assert pulses > 0 and pulses & (pulses - 1) == 0  # a power of two
         assert epoch_s == pulses / rep_rate_hz
         obs = rates["observables"]
-        events = (obs.singles0 + obs.singles1) * epoch_s
+        tia = setup.analysis.tia
+        assert _tiles(rates, tia)
+        d0 = setup.idler.dark_rate_hz
+        events = (obs.singles0 - d0 + obs.singles1 + d0 * obs.singles1 * _windows(tia)[1]) \
+            * epoch_s
         assert eventsim._EVENTS_PER_EPOCH / 2 < events <= eventsim._EVENTS_PER_EPOCH
 
     def test_vanishing_rep_rate_gives_one_pulse_period(self, engineered_cfg):
@@ -1281,6 +1287,77 @@ class TestPulsedRunAgainstPulseResolvedModel:
                                                                    + 1.5 * expected_side)
 
 
+class TestPulsedHomogeneousPart:
+    """Pulsed darks are each arm's homogeneous part: drawn by
+    ``_poisson_times`` from stream ``bulk{arm}`` and never jittered, arm 0's
+    only on the stops' windows (``_bin_bulk``), arm 1's merged into its
+    gated events."""
+
+    def test_dense_start_arm_darks_are_drawn_on_the_windows(self, engineered_cfg,
+                                                            monkeypatch):
+        # An idler dark rate of 1e10 /s: 5e8 starts in 0.05 s, which as
+        # explicit starts would take 4 GB.  Drawn on first-stop windows 2.2
+        # ns long at 1100 stops/s, they are about 2.4e4 per second and leave
+        # the epoch at 2^31 periods, 21.5 s.
+        setup = set_path(engineered_cfg.setup, "idler.dark_rate_hz", 1e10)
+        duration = 0.05
+        epoch_s = _epoch_length(setup, component_rates(setup))[0]
+        assert math.ceil(duration / epoch_s) == 1
+        calls = []
+        bin_bulk = eventsim._bin_bulk
+
+        def counted(*args):
+            calls.append(args[4:6])  # the slab
+            return bin_bulk(*args)
+
+        monkeypatch.setattr(eventsim, "_bin_bulk", counted)
+        result = run_tia(setup, duration, 1)
+        assert calls == [(0.0, duration)]
+        expected = setup.predict().singles0 * duration
+        assert abs(result.n_starts - expected) < 5 * math.sqrt(expected)
+
+    def test_dark_only_floor(self, engineered_cfg):
+        # Darks of 1e5 /s on both arms and next to no pump light: a flat
+        # multi-stop floor of D0 D1 dt T, 16 counts per 16 ps bin over 0-25
+        # ns in 100 s.  Arm 1's darks are merged into its gated events and
+        # arm 0's thinned on the stops' windows.
+        setup = engineered_cfg.setup
+        for path, value in (("idler.dark_rate_hz", 1e5), ("signal.dark_rate_hz", 1e5),
+                            ("pump.power_w", 1e-6)):
+            setup = set_path(setup, path, value)
+        tia = TiaConfig(bin_width_s=16e-12, range_s=(0.0, 25e-9), policy="multi-stop",
+                        stop_delay_s=11.1e-9)
+        setup = with_analysis(setup, tia=tia)
+        assert _tiles(component_rates(setup), tia)
+        duration = 100.0
+        counts = run_tia(setup, duration, 1).histogram.counts
+        d0 = d1 = 1e5
+        # The tolerance of ``TestRunTiaStatistics``.
+        expected = d0 * d1 * 25e-9 * duration
+        assert abs(counts.sum() - expected) < 4 * math.sqrt(expected)
+        # The last bin reaches past the range's end, 25 ns.
+        full = counts[:-1]
+        per_bin = d0 * d1 * tia.bin_width_s * duration
+        chi2 = float(np.sum((full - per_bin) ** 2) / per_bin)
+        assert stats.chi2.sf(chi2, full.size) > 1e-3
+
+    def test_stop_arm_darks_are_the_unjittered_bulk_draw(self, engineered_cfg):
+        # With only darks, arm 1 is the bulk1 draw bit for bit, although
+        # its detector jitters, and arm 0 holds no explicit start.
+        setup = engineered_cfg.setup
+        assert setup.signal.jitter_fwhm_s > 0.0
+        rates = {name: 0.0 for name in component_rates(setup) if name != "observables"}
+        rates.update(dark0=1e9, dark1=1e9)
+        epoch = (2**10 / 1e8, 2**10)
+        children = _epoch_children(3, 0)
+        arm0, arm1 = _epoch_arms(setup, rates, children, 0, epoch, epoch[0], 0.0,
+                                 _Recycler())
+        bulk1 = _poisson_times(1e9, epoch[0], _generator(children["bulk1"]))
+        assert arm0.size == 0
+        assert bulk1.size > 5000
+        assert np.array_equal(arm1, bulk1)
+
+
 # Pool sizes the runs below are repeated with.
 WORKER_COUNTS = (1, 2, 3)
 
@@ -1546,7 +1623,7 @@ class TestBulkDraw:
         setup = with_analysis(paper_cfg.setup, tia=tia)
         rates = component_rates(setup)
         assert _tiles(rates, tia) is thinned
-        r0 = _cw_bulk_rate(rates, 0)
+        r0 = _nonpair_rates(setup.pump, rates, 0)[1]
         epoch_s = _epoch_length(setup, rates)[0]
         epochs = self._epochs(setup, duration_s, monkeypatch)
         assert len(epochs) == math.ceil(duration_s / epoch_s)

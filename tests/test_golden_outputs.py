@@ -142,18 +142,21 @@ SIMULATED = {
         },
     ),
     # Epochs of 0.25 s: the CW bulk draw counts among an epoch's events.
+    # The maximum bin, at 148.98 ns, is a floor fluctuation far from the
+    # 11.1 ns stop delay, which analysis.json flags.
     "10-330 ns multi-stop": (
         "multi-stop", "1.0", "1000",
         {
-            "analysis.json": "e5f08e44b39f48a32932324295b8269757181140bc6fda7814e340626632d341",
+            "analysis.json": "4171096047ba51c398a437bfa82f9f60f55c7ffb08cbf818f1203d81ada9e009",
             "histogram.csv": "06e75672c7916df2ac40436dac9af06fda710a72d12aa06c80183c8e3b131b32",
         },
     ),
+    # Darks are drawn unjittered, arm 0's on the stops' windows.
     "engineered-defaults": (
         "engineered-defaults", "400", "7",
         {
-            "analysis.json": "a9c78592713a895f479d190f96a66e6931aa31fb09ae85bb4b3a2d8d43f45011",
-            "histogram.csv": "362c72156c23b4e5c5c9d49f698493470f929e929fb89fefd7a312f582f8c2ee",
+            "analysis.json": "6bfe1528a20b057df72766b1b7b95d285b9e321151743b1425ad78437a8bf366",
+            "histogram.csv": "c90171e047facea78e699b76bb98adfb32ca3cef44c375837ebd97fd03156ec9",
         },
     ),
 }
