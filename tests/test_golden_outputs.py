@@ -2,8 +2,9 @@
 
 Each case runs one command on a shipped configuration, paper-defaults unless
 it says otherwise, and pins the sha256 of every file it writes.  The inputs
-avoid log-spaced values and the pulsed power solve, so the bytes rest on IEEE
-double arithmetic and Python's ``math`` only.  A change that moves any digest
+of ``GOLDEN`` avoid log-spaced values and the pulsed power solve, so those
+bytes rest on IEEE double arithmetic and Python's ``math`` only; the pulsed
+pins below also rest on numpy's ``geomspace``.  A change that moves any digest
 changes what the commands write: it must say why, and record the new digests
 here.
 """
@@ -15,8 +16,9 @@ import json
 import numpy as np
 import pytest
 
+from sfwmlab import explore
 from sfwmlab.cli import main
-from sfwmlab.config import paper_defaults
+from sfwmlab.config import engineered_defaults, paper_defaults
 
 GOLDEN = {
     "rates": (
@@ -99,6 +101,34 @@ def test_pulsed_optimize_bytes_are_pinned(tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == digests
     assert json.loads((tmp_path / "design.json").read_text())["evaluations"] == 2482
+
+
+# The CAR curve against pairs per pulse of the benchmark: eight log-spaced
+# values of mu, each solved for its peak power below one turnover.
+PULSED_MU_CURVE = (
+    ["car-curve", "--config", "engineered-defaults", "--mu", "0.01:0.025:8:log"],
+    {
+        "car_curve.csv": "3373c16eaafcc85f0c236a7425131298f2216026f40c144458bd70834c45cfa9",
+        "manifest.json": "315cd4b4d6c5a5b719e51c06a1aa7a0dfc8bec163756f7ca94f40faa48885db9",
+    },
+)
+
+
+def test_pulsed_mu_curve_bytes_are_pinned(tmp_path, monkeypatch):
+    argv, digests = PULSED_MU_CURVE
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == digests
+    # The turnover scan and bisection, then one bisection and one check per mu.
+    rate, calls = explore.pair_generation_rate, []
+
+    def counted(*args):
+        calls.append(args)
+        return rate(*args)
+
+    monkeypatch.setattr(explore, "pair_generation_rate", counted)
+    explore.car_vs_mu(engineered_defaults().setup, np.geomspace(0.01, 0.025, 8))
+    assert len(calls) == 658
 
 
 def test_calibration_and_flag_overlays_bytes_are_pinned(tmp_path):
