@@ -1,12 +1,13 @@
 """Domain types describing the source: waveguide, pump, detection arms, noise.
 
 All objects are immutable after construction and validated on construction;
-every stored quantity is in SI base units.  A derived factor the model reads
-on every evaluation (the loss coefficient and effective length of the guide,
-the collection efficiency of a channel, the noise coefficient at a
-detuning) is computed once per object; it is not a field, so equality,
-hashing and ``repr`` still see the fields alone, and ``dataclasses.replace``
-builds an object that computes its factors afresh.
+every stored quantity is in SI base units.  Each range check of a number
+states what a valid value satisfies, so a NaN fails it.  A derived factor
+the model reads on every evaluation (the loss coefficient and effective
+length of the guide, the collection efficiency of a channel, the noise
+coefficient at a detuning) is computed once per object; it is not a field,
+so equality, hashing and ``repr`` still see the fields alone, and
+``dataclasses.replace`` builds an object that computes its factors afresh.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ class WaveguideSpec:
     eta_alpha_value: float | None = None
 
     def __post_init__(self):
-        if self.length_m <= 0.0:
+        if not self.length_m > 0.0:
             raise FieldError("length_m", "waveguide length must be positive", self.length_m)
-        if self.prop_loss_db_per_cm < 0.0:
+        if not self.prop_loss_db_per_cm >= 0.0:
             raise FieldError("prop_loss_db_per_cm", "propagation loss must be non-negative",
                              self.prop_loss_db_per_cm)
-        if self.gamma_per_w_m <= 0.0:
+        if not self.gamma_per_w_m > 0.0:
             raise FieldError("gamma_per_w_m", "gamma must be positive", self.gamma_per_w_m)
         if self.eta_alpha_mode not in ("analytic", "calibrated"):
             raise ConfigError(f"unknown eta_alpha_mode {self.eta_alpha_mode!r}")
@@ -94,13 +95,13 @@ class PumpConfig:
     rep_rate_hz: float | None = None
 
     def __post_init__(self):
-        if self.wavelength_m <= 0.0:
+        if not self.wavelength_m > 0.0:
             raise FieldError("wavelength_m", "pump wavelength must be positive",
                              self.wavelength_m)
         if not math.isfinite(self.frequency_hz):
             raise FieldError("wavelength_m", "pump wavelength must give a finite frequency",
                              self.wavelength_m)
-        if self.power_w < 0.0:
+        if not self.power_w >= 0.0:
             raise FieldError("power_w", "pump power must be non-negative", self.power_w)
         if self.mode == "cw":
             if self.tau_s is not None or self.rep_rate_hz is not None:
@@ -108,9 +109,9 @@ class PumpConfig:
         elif self.mode == "pulsed":
             if self.tau_s is None or self.rep_rate_hz is None:
                 raise ConfigError("pulsed pump requires tau_s and rep_rate_hz")
-            if self.tau_s <= 0.0:
+            if not self.tau_s > 0.0:
                 raise FieldError("tau_s", "pulse duration must be positive", self.tau_s)
-            if self.rep_rate_hz <= 0.0:
+            if not self.rep_rate_hz > 0.0:
                 raise FieldError("rep_rate_hz", "repetition rate must be positive",
                                  self.rep_rate_hz)
             if not 0.0 < self.tau_s * self.rep_rate_hz <= 1.0:
@@ -150,19 +151,19 @@ class DetectionChannel:
     label: str = ""
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0.0:
+        if not self.bandwidth_hz > 0.0:
             raise FieldError("bandwidth_hz", "channel bandwidth must be positive",
                              self.bandwidth_hz)
         if not 0.0 < self.detector_qe <= 1.0:
             raise FieldError("detector_qe", "detector QE must be in (0, 1]", self.detector_qe)
-        if self.filter_loss_db < 0.0:
+        if not self.filter_loss_db >= 0.0:
             raise FieldError("filter_loss_db", "filter loss must be non-negative",
                              self.filter_loss_db)
-        if self.dark_rate_hz < 0.0:
+        if not self.dark_rate_hz >= 0.0:
             raise FieldError("dark_rate_hz", "dark rate must be non-negative", self.dark_rate_hz)
-        if self.jitter_fwhm_s < 0.0:
+        if not self.jitter_fwhm_s >= 0.0:
             raise FieldError("jitter_fwhm_s", "jitter must be non-negative", self.jitter_fwhm_s)
-        if self.collection_efficiency <= 0.0 or self.collection_efficiency > 1.0:
+        if not 0.0 < self.collection_efficiency <= 1.0:
             raise FieldError("filter_loss_db", "filter loss must leave a collection "
                              "efficiency in (0, 1]", self.filter_loss_db)
 
@@ -213,7 +214,7 @@ class CouplingSpec:
     output_scale: float = 1.0
 
     def __post_init__(self):
-        if self.total_insertion_loss_db < 0.0:
+        if not self.total_insertion_loss_db >= 0.0:
             raise FieldError("total_insertion_loss_db",
                              "total insertion loss must be non-negative",
                              self.total_insertion_loss_db)
@@ -247,10 +248,10 @@ class PumpRejection:
     ramp_hz: float = 0.6e12
 
     def __post_init__(self):
-        if self.floor_db < self.base_db:
+        if not self.floor_db >= self.base_db:
             raise FieldError("floor_db", "rejection floor must be at least the base rejection "
                              f"{self.base_db!r} dB", self.floor_db)
-        if self.ramp_hz <= 0.0:
+        if not self.ramp_hz > 0.0:
             raise FieldError("ramp_hz", "rejection ramp width must be positive", self.ramp_hz)
 
     def rejection_db(self, detuning_hz: float) -> float:
@@ -274,7 +275,7 @@ class NoiseModel:
     note: str = ""
 
     def __post_init__(self):
-        if self.temperature_k <= 0.0:
+        if not self.temperature_k > 0.0:
             raise FieldError("temperature_k", "temperature must be positive", self.temperature_k)
         table = self.raman_table
         if not table:
@@ -283,7 +284,7 @@ class NoiseModel:
             if i and d <= table[i - 1][0]:
                 raise FieldError("raman_table", "raman table detunings must be strictly "
                                  "increasing", table[i], index=i)
-            if r < 0.0:
+            if not r >= 0.0:
                 raise FieldError("raman_table", "raman coefficients must be non-negative",
                                  table[i], index=i)
         # The interpolation nodes, built once, and the coefficient at each

@@ -104,8 +104,7 @@ def fit_power_law(points) -> FitResult:
 
 
 def _rate_at_power(setup: Setup, power_w: float) -> float:
-    pump = replace(setup.pump, power_w=power_w)
-    return pair_generation_rate(setup.waveguide, pump, setup.idler)
+    return pair_generation_rate(setup.waveguide, power_w, setup.idler)
 
 
 def _bisect(below, lo: float, hi: float, rel_tol: float) -> float:
@@ -180,8 +179,8 @@ def _solve_powers(setup: Setup, mus):
     tau = setup.pump.tau_s
     p_turn = mu_max = None
     for mu in mus:
-        if mu <= 0.0:
-            raise ConfigError(f"pairs per pulse must be positive, got {mu}")
+        if not 0.0 < mu < math.inf:
+            raise ConfigError(f"pairs per pulse must be positive and finite, got {mu}")
         if setup.pump.mode != "pulsed":
             raise ConfigError("pairs-per-pulse solve requires a pulsed pump")
         if p_turn is None:

@@ -3,7 +3,10 @@
 The chain is: a phase-matched pair-generation rate, per-photon collection
 efficiencies, spontaneous-scattering and residual-pump noise terms, dark
 counts, and the coincidence/accidental bookkeeping that yields the CAR.
-The rate functions are pure device-level functions in SI units.
+The rate functions are pure device-level functions in SI units; the
+pair rate and the phase mismatch take the pump's in-waveguide power in W
+(the peak power when the pump is pulsed), not a pump, so a solver over
+power evaluates them without building one.
 ``predict_observables`` and the two calibrations take a validated
 ``Setup`` (``sfwmlab.config``), which owns the cross-field rules (channel
 signs and symmetry, gated accidentals only with a pulsed pump), and derive
@@ -34,36 +37,41 @@ def sinc(x: float) -> float:
 
 
 def phase_mismatch(
-    waveguide: WaveguideSpec, pump: PumpConfig, detuning_hz: float
+    waveguide: WaveguideSpec, power_w: float, detuning_hz: float
 ) -> float:
-    """Phase argument beta2*(2*pi*nu)^2*L/2 + gamma*P*L, in radians."""
+    """Phase argument beta2*(2*pi*nu)^2*L/2 + gamma*P*L, in radians.
+
+    ``power_w`` is the pump's in-waveguide power P in W, the peak power
+    when the pump is pulsed.
+    """
     nu = abs(detuning_hz)
     try:
         linear = waveguide.beta2_s2_per_m * (2.0 * math.pi * nu) ** 2 * waveguide.length_m / 2.0
     except OverflowError:
         raise NumericsError(f"phase mismatch overflows at detuning {detuning_hz:.6g} Hz") from None
-    nonlinear = waveguide.gamma_per_w_m * pump.power_w * waveguide.length_m
+    nonlinear = waveguide.gamma_per_w_m * power_w * waveguide.length_m
     return linear + nonlinear
 
 
 def pair_generation_rate(
-    waveguide: WaveguideSpec, pump: PumpConfig, channel: DetectionChannel
+    waveguide: WaveguideSpec, power_w: float, channel: DetectionChannel
 ) -> float:
     """In-waveguide pair generation rate into the channel passband, pairs/s.
 
-    rate = dnu * (gamma * P * L_eff)^2 * sinc^2(phase); P is the pump power
-    field directly, so in pulsed mode this is the in-pulse (peak) rate.
+    rate = dnu * (gamma * P * L_eff)^2 * sinc^2(phase); P is ``power_w``,
+    the pump's in-waveguide power in W.  For a pulsed pump that is the peak
+    power, so this is the in-pulse rate.
     """
     amplitude = (
-        waveguide.gamma_per_w_m * pump.power_w * waveguide.effective_length_m
+        waveguide.gamma_per_w_m * power_w * waveguide.effective_length_m
     )
-    envelope = sinc(phase_mismatch(waveguide, pump, channel.detuning_hz)) ** 2
+    envelope = sinc(phase_mismatch(waveguide, power_w, channel.detuning_hz)) ** 2
     try:
         rate = channel.bandwidth_hz * amplitude**2 * envelope
     except OverflowError:
         rate = math.inf
     if not math.isfinite(rate):
-        raise NumericsError(f"pair generation rate overflows at pump power {pump.power_w} W")
+        raise NumericsError(f"pair generation rate overflows at pump power {power_w} W")
     return rate
 
 
@@ -210,7 +218,7 @@ def predict_observables(setup: Setup) -> ModelObservables:
     sigma = pump.duty_cycle
     eta_alpha = waveguide.eta_alpha()
     eta_out = setup.coupling.output_efficiency(waveguide)
-    r = pair_generation_rate(waveguide, pump, ch0)
+    r = pair_generation_rate(waveguide, pump.power_w, ch0)
 
     coincidences = (
         sigma
@@ -224,7 +232,7 @@ def predict_observables(setup: Setup) -> ModelObservables:
     parts0 = singles_rate_parts(setup, ch0, gain, eta_alpha, r,
                                 raman_noise_rate(setup.noise, ch0, pump, waveguide))
     parts1 = singles_rate_parts(setup, ch1, gain, eta_alpha,
-                                pair_generation_rate(waveguide, pump, ch1),
+                                pair_generation_rate(waveguide, pump.power_w, ch1),
                                 raman_noise_rate(setup.noise, ch1, pump, waveguide))
     n0 = parts0["total"]
     n1 = parts1["total"]
@@ -276,7 +284,7 @@ def calibrate_eta_alpha(measured_coincidences: float, setup: Setup) -> float:
             f"measured coincidence rate must be positive, got {measured_coincidences}"
         )
     waveguide = setup.waveguide
-    r = pair_generation_rate(waveguide, setup.pump, setup.idler)
+    r = pair_generation_rate(waveguide, setup.pump.power_w, setup.idler)
     lossless = (
         setup.pump.duty_cycle
         * setup.coupling.output_efficiency(waveguide) ** 2
@@ -307,7 +315,7 @@ def calibrate_raman(measured_n0: float, measured_n1: float, setup: Setup) -> tup
 
     rhos = []
     for ch, measured in ((setup.idler, measured_n0), (setup.signal, measured_n1)):
-        r = pair_generation_rate(waveguide, pump, ch)
+        r = pair_generation_rate(waveguide, pump.power_w, ch)
         parts = singles_rate_parts(setup, ch, gain, eta_alpha, r, 0.0)
         if measured <= parts["total"]:
             raise InconsistentMeasurementError(

@@ -236,12 +236,12 @@ class TestCriterion8PropertySuites:
         nu_null = math.sqrt(
             2.0 * target / (wg.beta2_s2_per_m * wg.length_m)
         ) / (2.0 * math.pi)
-        assert phase_mismatch(wg, pump, nu_null) == pytest.approx(math.pi, rel=1e-12)
+        assert phase_mismatch(wg, pump.power_w, nu_null) == pytest.approx(math.pi, rel=1e-12)
         ch = setup.idler
         from dataclasses import replace
 
-        peak = pair_generation_rate(wg, pump, replace(ch, detuning_hz=-1e9))
-        at_null = pair_generation_rate(wg, pump, replace(ch, detuning_hz=-nu_null))
+        peak = pair_generation_rate(wg, pump.power_w, replace(ch, detuning_hz=-1e9))
+        at_null = pair_generation_rate(wg, pump.power_w, replace(ch, detuning_hz=-nu_null))
         assert at_null < 1e-9 * peak
         _report("8d phase-matching null",
                 f"r(null at {nu_null / 1e12:.3f} THz) / r(peak) = {at_null / peak:.2e}")

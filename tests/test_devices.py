@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from sfwmlab.devices import (
     WaveguideSpec,
     coupling_from_insertion,
 )
-from sfwmlab.errors import ConfigError, ExtrapolationError
+from sfwmlab.errors import ConfigError, ExtrapolationError, FieldError
+from sfwmlab.explore import SweepSpec, sweep
 from sfwmlab.units import db_to_linear, effective_length, gamma_from_n2, prop_loss_to_alpha
 
 
@@ -232,3 +235,33 @@ def test_noise_model_rejects_bad_tables():
         NoiseModel(raman_table=((1e12, 0.1), (1e12, 0.2)))
     with pytest.raises(ConfigError):
         NoiseModel(raman_table=((-1e12, -0.1), (1e12, 0.2)))
+
+
+def test_noise_model_rejects_a_nan_coefficient():
+    with pytest.raises(FieldError, match="raman coefficients must be non-negative"):
+        NoiseModel(raman_table=((-1e12, math.nan), (1e12, 0.2)))
+
+
+@pytest.mark.parametrize("path, requirement", [
+    ("pump.power_w", "pump power must be non-negative"),
+    ("pump.wavelength_m", "pump wavelength must be positive"),
+    ("pump.tau_s", "pulse duration must be positive"),
+    ("pump.rep_rate_hz", "repetition rate must be positive"),
+    ("waveguide.length_m", "waveguide length must be positive"),
+    ("waveguide.prop_loss_db_per_cm", "propagation loss must be non-negative"),
+    ("waveguide.gamma_per_w_m", "gamma must be positive"),
+    ("coupling.total_insertion_loss_db", "total insertion loss must be non-negative"),
+    ("noise.temperature_k", "temperature must be positive"),
+    ("noise.pump_rejection.floor_db", "rejection floor must be at least the base rejection "
+     "40.0 dB"),
+    ("noise.pump_rejection.ramp_hz", "rejection ramp width must be positive"),
+    ("signal.bandwidth_hz", "channel bandwidth must be positive"),
+    ("signal.filter_loss_db", "filter loss must be non-negative"),
+    ("signal.dark_rate_hz", "dark rate must be non-negative"),
+    ("signal.jitter_fwhm_s", "jitter must be non-negative"),
+])
+def test_nan_field_is_refused_under_its_path(engineered_cfg, path, requirement):
+    # A NaN fails the field's range check instead of reaching the model.
+    message = re.escape(f"{path}: {requirement}, got nan")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        sweep(engineered_cfg.setup, SweepSpec(path, (math.nan,)))

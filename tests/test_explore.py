@@ -1,6 +1,6 @@
 import copy
 import itertools
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -208,8 +208,7 @@ def _outcome(fn, *args):
 
 def _rate(setup, power_w):
     """The pair rate at a peak power, computed apart from ``explore``."""
-    return pair_generation_rate(setup.waveguide, replace(setup.pump, power_w=power_w),
-                                setup.idler)
+    return pair_generation_rate(setup.waveguide, power_w, setup.idler)
 
 
 def _first_fall(setup):
@@ -227,9 +226,9 @@ class TestTurnoverPower:
         grid, i = _first_fall(setup)
         powers = []
 
-        def recording(waveguide, pump, channel):
-            powers.append(pump.power_w)
-            return pair_generation_rate(waveguide, pump, channel)
+        def recording(waveguide, power_w, channel):
+            powers.append(power_w)
+            return pair_generation_rate(waveguide, power_w, channel)
 
         monkeypatch.setattr(explore, "pair_generation_rate", recording)
         car_vs_mu(setup, np.geomspace(0.01, 0.02, 4))
@@ -292,6 +291,22 @@ class TestCarVsMuSharedTurnover:
             assert got == expected
         else:
             assert got.observables == expected
+
+
+class TestNonFiniteMu:
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_refused_before_solving(self, engineered_cfg, monkeypatch, mu):
+        def unexpected(*args):
+            raise AssertionError("the pair rate was evaluated")
+
+        monkeypatch.setattr(explore, "pair_generation_rate", unexpected)
+        with pytest.raises(ConfigError, match="pairs per pulse must be positive and finite"):
+            power_for_pairs_per_pulse(engineered_cfg.setup, mu)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_refused_within_a_curve(self, engineered_cfg, mu):
+        with pytest.raises(ConfigError, match="pairs per pulse must be positive and finite"):
+            car_vs_mu(engineered_cfg.setup, [0.01, mu])
 
 
 class TestCarSigmaScaling:
