@@ -54,7 +54,7 @@ class AnalysisOptions:
     tia: TiaConfig
 
     def __post_init__(self):
-        if self.window_s <= 0.0:
+        if not self.window_s > 0.0:
             raise FieldError("window_s", "coincidence window must be positive", self.window_s)
         if self.accidental_mode not in ("binned", "gated"):
             raise FieldError("accidental_mode", "unknown accidental mode", self.accidental_mode)

@@ -217,7 +217,7 @@ class TiaConfig:
     stop_delay_s: float = 0.0
 
     def __post_init__(self):
-        if self.bin_width_s <= 0.0:
+        if not self.bin_width_s > 0.0:
             raise FieldError("bin_width_s", "bin width must be positive", self.bin_width_s)
         lo, hi = self.range_s
         if hi <= lo:

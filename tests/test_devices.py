@@ -259,6 +259,8 @@ def test_noise_model_rejects_a_nan_coefficient():
     ("signal.filter_loss_db", "filter loss must be non-negative"),
     ("signal.dark_rate_hz", "dark rate must be non-negative"),
     ("signal.jitter_fwhm_s", "jitter must be non-negative"),
+    ("analysis.window_s", "coincidence window must be positive"),
+    ("analysis.tia.bin_width_s", "bin width must be positive"),
 ])
 def test_nan_field_is_refused_under_its_path(engineered_cfg, path, requirement):
     # A NaN fails the field's range check instead of reaching the model.
