@@ -15,7 +15,7 @@ from sfwmlab.devices import (
     WaveguideSpec,
     coupling_from_insertion,
 )
-from sfwmlab.errors import ConfigError, ExtrapolationError, FieldError
+from sfwmlab.errors import ConfigError, ExtrapolationError
 from sfwmlab.explore import SweepSpec, sweep
 from sfwmlab.units import db_to_linear, effective_length, gamma_from_n2, prop_loss_to_alpha
 
@@ -235,10 +235,7 @@ def test_noise_model_rejects_bad_tables():
         NoiseModel(raman_table=((1e12, 0.1), (1e12, 0.2)))
     with pytest.raises(ConfigError):
         NoiseModel(raman_table=((-1e12, -0.1), (1e12, 0.2)))
-
-
-def test_noise_model_rejects_a_nan_coefficient():
-    with pytest.raises(FieldError, match="raman coefficients must be non-negative"):
+    with pytest.raises(ConfigError, match="raman coefficients must be non-negative"):
         NoiseModel(raman_table=((-1e12, math.nan), (1e12, 0.2)))
 
 
