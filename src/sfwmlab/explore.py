@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import Setup, set_path
 from .errors import ConfigError, NumericsError, PowerSolveError
-from .model import pair_generation_rate
+from .model import ModelObservables, assemble_observables, pair_generation_rate, rate_budget
 
 CURVE_COLUMNS = ("param", "r", "C", "N0", "N1", "A", "CAR")
 
@@ -258,13 +258,13 @@ class DesignResult:
 def _point_builder(setup: Setup, names):
     """A function from a search point over ``names`` to its setup.
 
-    Each setup is built by one ``replace``: the pump fields are replaced
-    together and the channels moved with them, so the pump and the setup are
-    validated on the point's final values.  The pump of each distinct set of
-    pump values and the channel pair of each detuning are built once per
-    builder and shared by every setup that uses them.  A part whose
-    construction raises is not remembered: it raises again at every point
-    that needs it.
+    The pump fields are replaced together, and each setup is built by one
+    keyword call of the ``Setup`` constructor on the point's pump and channel
+    pair, so the pump and the setup are validated on the point's final
+    values.  The pump of each distinct set of pump values and the channel
+    pair of each detuning are built once per builder and shared by every
+    setup that uses them.  A part whose construction raises is not
+    remembered: it raises again at every point that needs it.
     """
     pump_names = [n for n in names if _SEARCH_FIELDS[n]]
     pump_fields = [_SEARCH_FIELDS[n] for n in pump_names]
@@ -272,18 +272,19 @@ def _point_builder(setup: Setup, names):
 
     def build(point) -> Setup:
         values = dict(zip(names, map(float, point)))
-        changes = {}
+        pump, idler, signal = setup.pump, setup.idler, setup.signal
         if pump_fields:
             key = tuple(values[n] for n in pump_names)
             if key not in pumps:
                 pumps[key] = replace(setup.pump, **dict(zip(pump_fields, key)))
-            changes["pump"] = pumps[key]
+            pump = pumps[key]
         if "detuning_hz" in values:
             nu = values["detuning_hz"]
             if nu not in channels:
                 channels[nu] = setup.channels_at(nu)
-            changes.update(channels[nu])
-        return replace(setup, **changes)
+            idler, signal = channels[nu]["idler"], channels[nu]["signal"]
+        return Setup(waveguide=setup.waveguide, pump=pump, coupling=setup.coupling,
+                     idler=idler, signal=signal, noise=setup.noise, analysis=setup.analysis)
 
     return build
 
@@ -293,8 +294,10 @@ def _apply_point(setup: Setup, names, point) -> Setup:
     return _point_builder(setup, names)(point)
 
 
-def _evaluate(setup: Setup, constraint) -> tuple[float, float, float, bool]:
-    obs = setup.predict()
+def _evaluate(setup: Setup, obs: ModelObservables,
+              constraint) -> tuple[float, float, float, bool]:
+    """CAR, pairs per pulse, coincidence rate and feasibility of a point
+    whose setup and observables are ``setup`` and ``obs``."""
     mu = obs.pair_rate * setup.pump.tau_s if setup.pump.mode == "pulsed" else math.nan
     kind, bound = constraint
     feasible = (mu if kind == "mu_min" else obs.coincidences) >= bound
@@ -315,6 +318,13 @@ def optimize_car(
     halved until below ``_DESCENT_REL_TOL`` of each span.  The result is
     never an infeasible point and is at least as good as the best grid
     point.
+
+    Each point's setup is built afresh (``_point_builder``) and its
+    observables assembled (``model.assemble_observables``) from the rate
+    budget of its peak power and detuning, which is computed once per call
+    for each distinct pair of the two: 49 budgets for a 7^4 grid over
+    detuning, pulse duration, repetition rate and peak power.  A budget that
+    raises is not kept; it is computed again at the next point that needs it.
     """
     if not bounds:
         raise ConfigError("optimize_car needs at least one bounded parameter")
@@ -340,11 +350,18 @@ def optimize_car(
 
     trace = []
     build = _point_builder(setup, names)
+    # The search varies no part of the setup that the budget reads besides
+    # the pump's power and the channels' detuning.
+    budgets = {}
 
     def infeasible_safe_eval(point):
         try:
             s = build(point)
-            car, mu, c, feasible = _evaluate(s, constraint)
+            key = (s.pump.power_w, s.signal.detuning_hz)
+            budget = budgets.get(key)
+            if budget is None:
+                budget = budgets[key] = rate_budget(s)
+            car, mu, c, feasible = _evaluate(s, assemble_observables(s, budget), constraint)
         except (ConfigError, NumericsError):
             # Out-of-domain points (noise table span, unreachable power)
             # count as infeasible rather than aborting the search.

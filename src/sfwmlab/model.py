@@ -11,6 +11,14 @@ power evaluates them without building one.
 ``Setup`` (``sfwmlab.config``), which owns the cross-field rules (channel
 signs and symmetry, gated accidentals only with a pulsed pump), and derive
 each factor of the rate budget once.
+
+``predict_observables`` runs in two stages.  ``rate_budget`` computes the
+rates that read the pump only through its power and wavelength: eta_alpha,
+the output coupling, and each arm's pair, scattering and leakage rates.
+``assemble_observables`` applies the duty cycle, the channels' collection
+efficiencies and dark counts, and the accidental mode to a budget.  A design
+search whose points share a peak power and detuning assembles them all from
+one budget.
 """
 
 from __future__ import annotations
@@ -178,47 +186,86 @@ class ModelObservables:
         }
 
 
+@dataclass(frozen=True)
+class RateBudget:
+    """The rates of a setup that do not depend on the pump's time structure.
+
+    ``eta_alpha`` is the in-waveguide survival of one pair photon and
+    ``output_efficiency`` its chip-to-fiber survival; ``pairs``,
+    ``scattering`` and ``leakage`` hold each arm's in-pulse pair,
+    spontaneous-scattering and residual-pump rates, idler first.  It reads
+    the pump only through its power and wavelength, so pumps that differ
+    only in pulse duration and repetition rate have the same budget.
+    """
+
+    eta_alpha: float
+    output_efficiency: float
+    pairs: tuple[float, float]
+    scattering: tuple[float, float]
+    leakage: tuple[float, float]
+
+
+def rate_budget(setup: Setup) -> RateBudget:
+    """The first stage of ``predict_observables``: the setup's rate budget.
+
+    Each factor is computed in the order ``predict_observables`` has always
+    used (eta_alpha, output coupling, then per arm, idler first, the pair,
+    scattering and leakage rates), so an input out of the model's domain
+    raises the same first error.
+    """
+    waveguide, pump, noise = setup.waveguide, setup.pump, setup.noise
+    eta_alpha = waveguide.eta_alpha()
+    eta_out = setup.coupling.output_efficiency(waveguide)
+    pairs, scattering, leakage = [], [], []
+    for ch in (setup.idler, setup.signal):
+        pairs.append(pair_generation_rate(waveguide, pump.power_w, ch))
+        scattering.append(raman_noise_rate(noise, ch, pump, waveguide))
+        leakage.append(pump_leakage_rate(noise, ch, pump))
+    return RateBudget(eta_alpha, eta_out, tuple(pairs), tuple(scattering), tuple(leakage))
+
+
 def singles_rate_parts(
-    setup: Setup,
     channel: DetectionChannel,
     gain: float,
     eta_alpha: float,
     r: float,
     r_n: float,
+    leak: float,
 ) -> dict:
     """Detected singles rate for one arm, split by physical origin.
 
     ``gain`` is sigma*eta (duty cycle times output efficiency), ``r`` the
-    arm's pair rate and ``r_n`` its scattering rate.  parts: pair photons
-    sigma*eta*eta_i*eta_alpha*r, scattering noise sigma*eta*eta_i*r_n, pump
-    leakage sigma*eta*eta_i*leak, darks d_i.
+    arm's pair rate, ``r_n`` its scattering rate and ``leak`` its pump
+    leakage rate.  parts: pair photons sigma*eta*eta_i*eta_alpha*r,
+    scattering noise sigma*eta*eta_i*r_n, pump leakage sigma*eta*eta_i*leak,
+    darks d_i.
     """
     arm = gain * channel.collection_efficiency
     parts = {
         "pairs": arm * eta_alpha * r,
         "scattering": arm * r_n,
-        "leakage": arm * pump_leakage_rate(setup.noise, channel, setup.pump),
+        "leakage": arm * leak,
         "dark": channel.dark_rate_hz,
     }
     parts["total"] = parts["pairs"] + parts["scattering"] + parts["leakage"] + parts["dark"]
     return parts
 
 
-def predict_observables(setup: Setup) -> ModelObservables:
-    """Evaluate the full rate model for the setup's signal/idler pair.
+def assemble_observables(setup: Setup, budget: RateBudget) -> ModelObservables:
+    """The second stage of ``predict_observables``: the observables of
+    ``setup`` from ``budget``, the rate budget of its pump power and wavelength.
 
-    ``setup.analysis.accidental_mode``: "binned" counts accidentals in a
-    window t as A = N0*N1*t; "gated" (pulsed pump only) treats all
-    same-pulse counts as coincident, A = N0*N1/B, and ignores the window.
+    Applies the duty cycle, the channels' collection efficiencies and dark
+    counts, and the accidental mode.
     """
-    waveguide, pump, ch0, ch1 = setup.waveguide, setup.pump, setup.idler, setup.signal
+    pump, ch0, ch1 = setup.pump, setup.idler, setup.signal
     window_s = setup.analysis.window_s
     accidental_mode = setup.analysis.accidental_mode
 
     sigma = pump.duty_cycle
-    eta_alpha = waveguide.eta_alpha()
-    eta_out = setup.coupling.output_efficiency(waveguide)
-    r = pair_generation_rate(waveguide, pump.power_w, ch0)
+    eta_alpha = budget.eta_alpha
+    eta_out = budget.output_efficiency
+    r = budget.pairs[0]
 
     coincidences = (
         sigma
@@ -229,11 +276,10 @@ def predict_observables(setup: Setup) -> ModelObservables:
         * r
     )
     gain = sigma * eta_out
-    parts0 = singles_rate_parts(setup, ch0, gain, eta_alpha, r,
-                                raman_noise_rate(setup.noise, ch0, pump, waveguide))
-    parts1 = singles_rate_parts(setup, ch1, gain, eta_alpha,
-                                pair_generation_rate(waveguide, pump.power_w, ch1),
-                                raman_noise_rate(setup.noise, ch1, pump, waveguide))
+    parts0 = singles_rate_parts(ch0, gain, eta_alpha, r, budget.scattering[0],
+                                budget.leakage[0])
+    parts1 = singles_rate_parts(ch1, gain, eta_alpha, budget.pairs[1], budget.scattering[1],
+                                budget.leakage[1])
     n0 = parts0["total"]
     n1 = parts1["total"]
 
@@ -265,12 +311,25 @@ def predict_observables(setup: Setup) -> ModelObservables:
         meta={
             "duty_cycle": sigma,
             "eta_alpha": eta_alpha,
-            "eta_alpha_mode": waveguide.eta_alpha_mode,
+            "eta_alpha_mode": setup.waveguide.eta_alpha_mode,
             "output_efficiency": eta_out,
             "bandwidth0_hz": ch0.bandwidth_hz,
             "bandwidth1_hz": ch1.bandwidth_hz,
         },
     )
+
+
+def predict_observables(setup: Setup) -> ModelObservables:
+    """Evaluate the full rate model for the setup's signal/idler pair.
+
+    Two stages: ``rate_budget`` works out the rates that depend on the pump
+    only through its power and wavelength, and ``assemble_observables``
+    applies the duty cycle, coupling and accidental mode to them.
+    ``setup.analysis.accidental_mode``: "binned" counts accidentals in a
+    window t as A = N0*N1*t; "gated" (pulsed pump only) treats all
+    same-pulse counts as coincident, A = N0*N1/B, and ignores the window.
+    """
+    return assemble_observables(setup, rate_budget(setup))
 
 
 def calibrate_eta_alpha(measured_coincidences: float, setup: Setup) -> float:
@@ -316,7 +375,8 @@ def calibrate_raman(measured_n0: float, measured_n1: float, setup: Setup) -> tup
     rhos = []
     for ch, measured in ((setup.idler, measured_n0), (setup.signal, measured_n1)):
         r = pair_generation_rate(waveguide, pump.power_w, ch)
-        parts = singles_rate_parts(setup, ch, gain, eta_alpha, r, 0.0)
+        parts = singles_rate_parts(ch, gain, eta_alpha, r, 0.0,
+                                   pump_leakage_rate(setup.noise, ch, pump))
         if measured <= parts["total"]:
             raise InconsistentMeasurementError(
                 f"measured singles {measured:.6g}/s for {ch.label or 'channel'} are at or "

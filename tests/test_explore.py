@@ -19,7 +19,7 @@ from sfwmlab.explore import (
     power_for_pairs_per_pulse,
     sweep,
 )
-from sfwmlab.model import pair_generation_rate
+from sfwmlab.model import assemble_observables, pair_generation_rate, rate_budget
 
 from conftest import make_noise_free, with_analysis
 
@@ -487,28 +487,34 @@ class TestOptimizeCar:
         assert (built, moved) == ([3], [3])
 
     def test_grid_builds_each_pump_and_channel_pair_once(self, engineered_cfg, monkeypatch):
-        # The grid holds 7^3 = 343 distinct (tau, B, P) pumps and 7 detunings.
+        # The grid holds 7^3 = 343 distinct (tau, B, P) pumps, 7 detunings
+        # and 7^2 = 49 distinct (P, detuning) rate budgets.
         built = _count_calls(monkeypatch, PumpConfig, "__post_init__")
         moved = _count_calls(monkeypatch, Setup, "channels_at")
+        budgets = _count_calls(monkeypatch, explore, "rate_budget")
         # The constructions made so far, at each evaluation.
         made = []
         evaluate = explore._evaluate
 
-        def evaluate_and_count(setup, constraint):
-            made.append((built[0], moved[0]))
-            return evaluate(setup, constraint)
+        def evaluate_and_count(setup, obs, constraint):
+            made.append((built[0], moved[0], budgets[0]))
+            return evaluate(setup, obs, constraint)
 
         monkeypatch.setattr(explore, "_evaluate", evaluate_and_count)
         result = optimize_car(engineered_cfg.setup, _DESIGN_BOX, ("mu_min", 0.005))
         assert len(result.trace) == len(made) == 2482
-        assert made[7 ** 4 - 1] == (343, 7)
+        assert made[7 ** 4 - 1] == (343, 7, 49)
 
     def test_trace_equals_building_every_point_afresh(self, engineered_cfg, monkeypatch):
         setup = engineered_cfg.setup
         shared = optimize_car(setup, _DESIGN_BOX, ("mu_min", 0.005))
+        # The fresh search builds every point afresh and evaluates it through
+        # Setup.predict: it computes no rate budget, so it shares none.
         builder = explore._point_builder
         monkeypatch.setattr(explore, "_point_builder",
                             lambda s, names: lambda point: builder(s, names)(point))
+        monkeypatch.setattr(explore, "rate_budget", lambda s: None)
+        monkeypatch.setattr(explore, "assemble_observables", lambda s, budget: s.predict())
         fresh = optimize_car(setup, _DESIGN_BOX, ("mu_min", 0.005))
         assert len(shared.trace) == len(fresh.trace) == 2482
         assert sum(not t["feasible"] for t in shared.trace) == 491
@@ -516,6 +522,28 @@ class TestOptimizeCar:
             assert a == b
         assert (shared.best, shared.car, shared.pairs_per_pulse, shared.coincidence_rate) == (
             fresh.best, fresh.car, fresh.pairs_per_pulse, fresh.coincidence_rate)
+
+    def test_pulse_timing_leaves_the_budget_unchanged(self, engineered_cfg):
+        # A pump that differs only in tau and B has the same rate budget, and
+        # assembling the point from the shared budget is its full prediction.
+        setup = engineered_cfg.setup
+        other = _apply_point(setup, ["rep_rate_hz", "tau_s"], [4e11, 6.25e-13])
+        assert (other.pump.tau_s, other.pump.rep_rate_hz) != (
+            setup.pump.tau_s, setup.pump.rep_rate_hz)
+        assert rate_budget(other) == rate_budget(setup)
+        assert assemble_observables(other, rate_budget(setup)) == other.predict()
+        assert other.predict() != setup.predict()
+
+    def test_budget_that_raises_is_computed_again(self, engineered_cfg, monkeypatch):
+        # 9 THz lies beyond the noise table (8.5 THz): the one budget of the
+        # box raises at each of the 7 grid points that need it.
+        budgets = _count_calls(monkeypatch, explore, "rate_budget")
+        bounds = {"detuning_hz": (9e12, 9e12), "tau_s": (2e-12, 5e-12)}
+        with pytest.raises(ConfigError, match="no feasible point"):
+            optimize_car(engineered_cfg.setup, bounds, ("mu_min", 0.0))
+        assert budgets == [7]
+        with pytest.raises(ExtrapolationError):
+            rate_budget(_apply_point(engineered_cfg.setup, ["detuning_hz"], [9e12]))
 
     def test_grouped_point_equals_path_chain(self, engineered_cfg):
         bounds = _DESIGN_BOX
