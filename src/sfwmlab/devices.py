@@ -52,6 +52,9 @@ class WaveguideSpec:
                              self.prop_loss_db_per_cm)
         if not self.gamma_per_w_m > 0.0:
             raise FieldError("gamma_per_w_m", "gamma must be positive", self.gamma_per_w_m)
+        if not math.isfinite(self.beta2_s2_per_m):
+            raise FieldError("beta2_s2_per_m", "group-velocity dispersion must be finite",
+                             self.beta2_s2_per_m)
         if self.eta_alpha_mode not in ("analytic", "calibrated"):
             raise ConfigError(f"unknown eta_alpha_mode {self.eta_alpha_mode!r}")
         if self.eta_alpha_mode == "calibrated":
@@ -248,6 +251,10 @@ class PumpRejection:
     ramp_hz: float = 0.6e12
 
     def __post_init__(self):
+        if not math.isfinite(self.base_db):
+            raise FieldError("base_db", "base rejection must be finite", self.base_db)
+        if not math.isfinite(self.floor_db):
+            raise FieldError("floor_db", "rejection floor must be finite", self.floor_db)
         if not self.floor_db >= self.base_db:
             raise FieldError("floor_db", "rejection floor must be at least the base rejection "
                              f"{self.base_db!r} dB", self.floor_db)

@@ -220,6 +220,8 @@ class TiaConfig:
         if not self.bin_width_s > 0.0:
             raise FieldError("bin_width_s", "bin width must be positive", self.bin_width_s)
         lo, hi = self.range_s
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise FieldError("range_s", "delay range ends must be finite", self.range_s)
         if hi <= lo:
             raise FieldError("range_s", "delay range must not be empty", self.range_s)
         # Compared as a float: a span of 1e308 overflows an int conversion.

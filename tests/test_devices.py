@@ -239,7 +239,7 @@ def test_noise_model_rejects_bad_tables():
         NoiseModel(raman_table=((-1e12, math.nan), (1e12, 0.2)))
 
 
-@pytest.mark.parametrize("path, requirement", [
+_NAN_REFUSED = [
     ("pump.power_w", "pump power must be non-negative"),
     ("pump.wavelength_m", "pump wavelength must be positive"),
     ("pump.tau_s", "pulse duration must be positive"),
@@ -247,10 +247,11 @@ def test_noise_model_rejects_bad_tables():
     ("waveguide.length_m", "waveguide length must be positive"),
     ("waveguide.prop_loss_db_per_cm", "propagation loss must be non-negative"),
     ("waveguide.gamma_per_w_m", "gamma must be positive"),
+    ("waveguide.beta2_s2_per_m", "group-velocity dispersion must be finite"),
     ("coupling.total_insertion_loss_db", "total insertion loss must be non-negative"),
     ("noise.temperature_k", "temperature must be positive"),
-    ("noise.pump_rejection.floor_db", "rejection floor must be at least the base rejection "
-     "40.0 dB"),
+    ("noise.pump_rejection.base_db", "base rejection must be finite"),
+    ("noise.pump_rejection.floor_db", "rejection floor must be finite"),
     ("noise.pump_rejection.ramp_hz", "rejection ramp width must be positive"),
     ("signal.bandwidth_hz", "channel bandwidth must be positive"),
     ("signal.filter_loss_db", "filter loss must be non-negative"),
@@ -258,9 +259,24 @@ def test_noise_model_rejects_bad_tables():
     ("signal.jitter_fwhm_s", "jitter must be non-negative"),
     ("analysis.window_s", "coincidence window must be positive"),
     ("analysis.tia.bin_width_s", "bin width must be positive"),
+]
+# Fields that must be finite refuse either infinity too.
+_FINITE = ("waveguide.beta2_s2_per_m", "noise.pump_rejection.base_db",
+           "noise.pump_rejection.floor_db")
+
+
+@pytest.mark.parametrize("path, requirement, value", [
+    pytest.param(path, requirement, math.nan, id=f"{path}-{requirement}")
+    for path, requirement in _NAN_REFUSED
+] + [
+    pytest.param(path, requirement, value, id=f"{path}-{value}")
+    for path, requirement in _NAN_REFUSED if path in _FINITE
+    for value in (math.inf, -math.inf)
 ])
-def test_nan_field_is_refused_under_its_path(engineered_cfg, path, requirement):
-    # A NaN fails the field's range check instead of reaching the model.
-    message = re.escape(f"{path}: {requirement}, got nan")
+def test_nan_field_is_refused_under_its_path(engineered_cfg, path, requirement, value):
+    # A NaN fails the field's range check instead of reaching the model,
+    # and is refused under the field it was set into.
+    message = re.escape(f"{path}: {requirement}, got {value!r}")
     with pytest.raises(ConfigError, match=f"^{message}$"):
-        sweep(engineered_cfg.setup, SweepSpec(path, (math.nan,)))
+        sweep(engineered_cfg.setup, SweepSpec(path, (value,)))
+

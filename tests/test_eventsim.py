@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -351,6 +352,17 @@ class TestTiaHistogram:
     def test_range_must_span_stop_delay(self):
         with pytest.raises(ConfigError):
             TiaConfig(bin_width_s=16e-12, range_s=(0.0, 5e-9), stop_delay_s=11.1e-9)
+
+    @pytest.mark.parametrize("range_s", [(math.nan, 12e-9), (10e-9, math.nan),
+                                         (-math.inf, 12e-9), (10e-9, math.inf)])
+    def test_non_finite_range_end_rejected(self, range_s):
+        # Refused under the range, not as the stop delay (NaN) or the bin
+        # width (an infinite end).
+        message = re.escape(f"delay range ends must be finite, got {range_s!r}")
+        with pytest.raises(FieldError, match=f"^{message}$") as e:
+            TiaConfig(bin_width_s=16e-12, range_s=range_s, policy="multi-stop",
+                      stop_delay_s=11e-9)
+        assert e.value.field == "range_s"
 
 
 class TestRunTia:
