@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import BOLTZMANN_K, PLANCK_H
 from .devices import DetectionChannel, NoiseModel, PumpConfig, WaveguideSpec
@@ -186,8 +186,7 @@ class ModelObservables:
         }
 
 
-@dataclass(frozen=True)
-class RateBudget:
+class RateBudget(NamedTuple):
     """The rates of a setup that do not depend on the pump's time structure.
 
     ``eta_alpha`` is the in-waveguide survival of one pair photon and
@@ -208,20 +207,21 @@ class RateBudget:
 def rate_budget(setup: Setup) -> RateBudget:
     """The first stage of ``predict_observables``: the setup's rate budget.
 
-    Each factor is computed in the order ``predict_observables`` has always
-    used (eta_alpha, output coupling, then per arm, idler first, the pair,
-    scattering and leakage rates), so an input out of the model's domain
-    raises the same first error.
+    The factors are computed in this order: eta_alpha, the output coupling,
+    then per arm, idler first, the pair, scattering and leakage rates.  The
+    order fixes which error an input out of the model's domain raises first.
     """
     waveguide, pump, noise = setup.waveguide, setup.pump, setup.noise
+    ch0, ch1 = setup.idler, setup.signal
     eta_alpha = waveguide.eta_alpha()
     eta_out = setup.coupling.output_efficiency(waveguide)
-    pairs, scattering, leakage = [], [], []
-    for ch in (setup.idler, setup.signal):
-        pairs.append(pair_generation_rate(waveguide, pump.power_w, ch))
-        scattering.append(raman_noise_rate(noise, ch, pump, waveguide))
-        leakage.append(pump_leakage_rate(noise, ch, pump))
-    return RateBudget(eta_alpha, eta_out, tuple(pairs), tuple(scattering), tuple(leakage))
+    r0 = pair_generation_rate(waveguide, pump.power_w, ch0)
+    rn0 = raman_noise_rate(noise, ch0, pump, waveguide)
+    leak0 = pump_leakage_rate(noise, ch0, pump)
+    r1 = pair_generation_rate(waveguide, pump.power_w, ch1)
+    rn1 = raman_noise_rate(noise, ch1, pump, waveguide)
+    leak1 = pump_leakage_rate(noise, ch1, pump)
+    return RateBudget(eta_alpha, eta_out, (r0, r1), (rn0, rn1), (leak0, leak1))
 
 
 def singles_rate_parts(
