@@ -27,7 +27,16 @@ windows hold at most about 1.6 times the domain while r1 w <= 1; denser
 ranges, whose windows overlap more than they tile, draw the process over
 the whole slab (``_tiles``).  Either way it is drawn in one piece per epoch
 (``_bin_bulk``), whose expected size counts among the epoch's generated
-events.
+events.  A pulsed start arm's gated part, its one-arm pair photons and
+noise, follows the pulse comb; jittered, it is a Poisson process too, and
+its parts on disjoint slabs and pulses are independent.  ``run_tia`` draws
+it once per slab, after the slab's stops are known, only on the pulses
+whose events can land in a stop's window or cross a slab end (0.0009 % of
+the pulses at engineered-defaults, 2 % at the 500 MHz, 5 W corner of the
+design box), and counts the events of the slab's other pulses as one
+Poisson number (``_gated_pulses``, ``_bin_gated``); over a dense range the
+domain is the slab and every pulse of it is drawn.  Arm 0's explicit
+events are then its pair photons alone, in either pump mode.
 
 Enumeration: the stops a start s matches are consecutive in the sorted stop
 array, from its first match to the last below s plus the range maximum,
@@ -56,10 +65,10 @@ Memory: a CW epoch's arrays are megabytes each (about 670 000 stops, 5.4
 MB, in a 0.5 s epoch of paper-defaults), and the system maps and zeroes
 fresh pages for every fresh array that size.  ``run_tia`` therefore gives
 every run one recycler (``_Recycler``), freed when it returns: the stop
-arm's draws and merge, the start domain's stop gaps and the drawn starts
-are written with numpy's ``out=`` into plain numpy arrays that
-earlier steps or epochs released at the point where they stopped using
-them.  A request takes a released array only if it fills at least half
+arm's draws and merge, the start domain's stop gaps, the gated draw's
+pulse ranges and the drawn starts are written with numpy's ``out=`` into
+plain numpy arrays that earlier steps or epochs released at the point where
+they stopped using them.  A request takes a released array only if it fills at least half
 of it, so a short request does not tie up a much longer array.  The
 drawn bulk starts are one of the epoch's streams, so the epoch bounds their
 array as it bounds every other.
@@ -76,7 +85,11 @@ PCG64 bit generator (``RNG_ALGORITHM``; O'Neill, "PCG: A Family of Simple
 Fast Space-Efficient Statistically Good Algorithms for Random Number
 Generation", 2014); identical seeds and configurations give bit-identical
 outputs.  That epochs do not depend on one another comes from their
-``SeedSequence`` keys, not from the bit generator.
+``SeedSequence`` keys, not from the bit generator.  The start arm's
+non-pair events are drawn per slab given its stops, from the streams of
+the epoch that bins it: the bulk from ``bulk0`` and, pulsed, the gated part
+from ``only0``, ``noise0`` and ``jgated0``.  The stop arm and the epoch
+edges do not depend on them.
 """
 
 from __future__ import annotations
@@ -656,7 +669,13 @@ def _epoch_children(entropy, e) -> dict:
 
 
 def _jitter_pad(setup) -> float:
-    """How far timing jitter may move an event: 10 FWHM of both arms."""
+    """How far timing jitter may move an event: 10 FWHM of both arms.
+
+    The epoch carry assumes it, and it also bounds sampling: the start
+    arm's gated events are drawn only on the pulses whose span, widened by
+    the pad, can reach a stop's window or a slab end (``_gated_pulses``), so
+    an event more than 10 combined FWHM (over 23 sigma) from its pulse is
+    never drawn."""
     return 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
 
 
@@ -669,8 +688,11 @@ def _nonpair_rates(pump, rates, arm) -> tuple[float, float]:
     one.  In CW it holds all of them, the one-arm pair leftovers,
     scattering/leakage noise and darks; pulsed, the darks.  The gated part,
     pulsed the one-arm pair photons and noise, follows the pulse comb, which
-    makes jitter observable (it smears the comb), so it is generated in the
-    pulse windows and jittered; in CW it is empty.
+    makes jitter observable (it smears the comb), so it is drawn in the
+    pulse windows and jittered: the stop arm's in every window of the epoch
+    (``_uncorrelated_arm_times``), the start arm's per slab on the pulses
+    that can reach the stops, the rest counted (``_bin_gated``).  In CW it
+    is empty.
     """
     only, noise, dark = (rates[f"{name}{arm}"] for name in ("only", "noise", "dark"))
     if pump.mode == "pulsed":
@@ -695,9 +717,12 @@ def _epoch_length(setup, rates) -> tuple[float, int]:
     every epoch begins on the run's pulse grid.  k is the largest for which
     an epoch holds at most ``_EVENTS_PER_EPOCH`` generated events on average,
     a rate below 1 Hz counted as 1 Hz; generated are arm 1's singles, arm
-    0's explicit events (its pair photons and, pulsed, its gated non-pair
-    events, ``_nonpair_rates``) and the bulk starts drawn for its
-    homogeneous part (``_bulk_draw_rate``).  k is raised, if need be, until
+    0's pair photons and gated non-pair events (``_nonpair_rates``) and the
+    bulk starts drawn for its homogeneous part (``_bulk_draw_rate``).  Arm
+    0's gated events are counted at their full rate on purpose, though
+    ``_bin_gated`` draws only those near the stops: a dense range draws all
+    of them, and the count keeps the epoch edges, and so every stop,
+    independent of how arm 0 is drawn.  k is raised, if need be, until
     E is at least twice the reach: the farthest an event carried into the
     next epoch lies from the epoch end (the histogram range, the stop delay
     and the jitter pad).  Carried times then lie in [E/2, 2E], where
@@ -729,8 +754,14 @@ def _epoch_extent(pump, epoch, e, duration_s) -> tuple[float, int]:
     epoch_s, pulses = epoch
     windows = 0
     if pump.mode == "pulsed":
-        windows = min(pulses, math.ceil(duration_s * pump.rep_rate_hz - 1e-9) - e * pulses)
+        windows = min(pulses, _run_windows(pump, duration_s) - e * pulses)
     return min(epoch_s, duration_s - e * epoch_s), windows
+
+
+def _run_windows(pump, duration_s) -> int:
+    """How many pulse windows k/B a pulsed run of ``duration_s`` holds: those
+    that begin before it ends."""
+    return math.ceil(duration_s * pump.rep_rate_hz - 1e-9)
 
 
 def _check_stream_sizes(setup, rates, epoch, duration_s) -> None:
@@ -739,7 +770,9 @@ def _check_stream_sizes(setup, rates, epoch, duration_s) -> None:
     arm 0's gated non-pair events, arm 0's bulk draw (``_bulk_draw_rate``)
     and arm 1's non-pair events, gated and homogeneous (``_nonpair_rates``).
     The gated events come in the pulse windows, the rest in the epoch's
-    span."""
+    span.  Arm 0's gated events are counted at their full rate on purpose:
+    ``_bin_gated`` draws only those near the stops, but all of a slab's over
+    a dense range."""
     pump = setup.pump
     span, windows = _epoch_extent(pump, epoch, 0, duration_s)
     gated = windows / pump.rep_rate_hz if pump.mode == "pulsed" else span
@@ -776,26 +809,24 @@ def _jittered(times, fwhm_s, rng) -> np.ndarray:
     return smear
 
 
-def _uncorrelated_arm_times(setup, rates, arm, span_s, n_windows, children,
+def _uncorrelated_arm_times(setup, rates, span_s, n_windows, children,
                             arrays) -> np.ndarray:
-    """Sorted timestamps of one arm's explicit non-pair events: its gated
-    part in the first ``n_windows`` pulse windows (``_nonpair_rates``; none
-    in CW), concatenated, jittered and sorted once, and, on arm 1, its
-    homogeneous part in [0, span_s), merged in unjittered.  Arm 0's
-    homogeneous part is drawn on the stops' windows (``_bin_bulk``).
+    """Sorted timestamps of the stop arm's non-pair events: its gated part in
+    the first ``n_windows`` pulse windows (``_nonpair_rates``; none in CW),
+    concatenated, jittered and sorted once, and its homogeneous part in [0,
+    span_s), merged in unjittered.  Arm 0's non-pair events are drawn on the
+    start times and pulses the stops need (``_bin_bulk``, ``_bin_gated``).
     """
     pump = setup.pump
-    ch = setup.idler if arm == 0 else setup.signal
     gated = np.empty(0)
     if pump.mode == "pulsed":
         gated = np.concatenate([
-            _category_times(rates[f"{name}{arm}"], pump, span_s, n_windows,
-                            _generator(children[f"{name}{arm}"]))
+            _category_times(rates[f"{name}1"], pump, span_s, n_windows,
+                            _generator(children[f"{name}1"]))
             for name in ("only", "noise")])
-        gated = _jittered(gated, ch.jitter_fwhm_s, _generator(children[f"jgated{arm}"]))
+        gated = _jittered(gated, setup.signal.jitter_fwhm_s,
+                          _generator(children["jgated1"]))
         gated.sort()
-    if arm == 0:
-        return gated
     bulk = _poisson_times(_nonpair_rates(pump, rates, 1)[1], span_s,
                           _generator(children["bulk1"]), arrays)
     return _merge_sorted(bulk, gated, arrays)
@@ -806,13 +837,15 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
     e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in its span
     or, pulsed, its pulse windows (``_epoch_extent``).
 
-    Arm 0 holds its pair photons and its gated non-pair events
-    (``_uncorrelated_arm_times``): the caller draws arm 0's homogeneous part
-    (``_nonpair_rates``) with ``children["bulk0"]`` on the start times it
-    needs.  Events may leave the epoch after jitter or the stop-arm delay;
-    they are clipped to the run, [-t0, duration_s - t0) in epoch time, only,
-    so adjacent epochs tile the full run exactly.  Either arm may be a view
-    of an array of the recycler ``arrays``.
+    Arm 0 holds its pair photons alone: the caller draws its non-pair
+    events (``_nonpair_rates``) on the start times it needs, the
+    homogeneous part with ``children["bulk0"]`` (``_bin_bulk``) and, pulsed,
+    the gated part with ``children["only0"]``, ``children["noise0"]`` and
+    ``children["jgated0"]`` (``_bin_gated``).  Arm 1 adds its non-pair events
+    (``_uncorrelated_arm_times``).  Events may leave the epoch after jitter
+    or the stop-arm delay; they are clipped to the run, [-t0, duration_s -
+    t0) in epoch time, only, so adjacent epochs tile the full run exactly.
+    Either arm may be a view of an array of the recycler ``arrays``.
     """
     pump = setup.pump
     t0 = e * epoch[0]
@@ -828,10 +861,12 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
         if pairs is pair_times:
             pairs = pair_times.copy()
         pairs.sort()
-        a = _merge_sorted(_uncorrelated_arm_times(setup, rates, arm, span, windows,
-                                                  children, arrays), pairs, arrays)
-        if arm == 1 and stop_delay_s != 0.0:
-            a += stop_delay_s  # a is this epoch's own array
+        a = pairs
+        if arm == 1:
+            a = _merge_sorted(_uncorrelated_arm_times(setup, rates, span, windows,
+                                                      children, arrays), pairs, arrays)
+            if stop_delay_s != 0.0:
+                a += stop_delay_s  # a is this epoch's own array
         lo = int(np.searchsorted(a, -t0, side="left"))
         hi = int(np.searchsorted(a, duration_s - t0, side="left"))
         out.append(a[lo:hi])
@@ -874,6 +909,115 @@ def _bin_bulk(setup, rates, tia, stops, s_lo, s_hi, rng, arrays):
     return counts, n0
 
 
+class _Pulses(NamedTuple):
+    """The pulses of a slab (``_gated_pulses``): the u-th of the ``n``
+    drawn, u < n, is pulse u + shift[i], i the first range with ends[i] > u;
+    ``counted`` more pulses of the slab are only counted."""
+
+    shift: np.ndarray
+    ends: np.ndarray
+    n: int
+    counted: int
+
+
+def _gated_pulses(stops, cfg, pump, pad, slab, run, tiles, arrays) -> _Pulses:
+    """The pulses on which ``_bin_gated`` draws the start arm's gated events
+    for the slab [s_lo, s_hi].
+
+    Pulse j's events lie in its span [j/B - pad, j/B + tau + pad], pad the
+    jitter pad (``_jitter_pad``) and j counted from the epoch start.  Drawn
+    are the run's pulses, ``run`` = (first, last), whose span meets the slab
+    and either crosses one of its ends or meets the window (p - hi, p - top]
+    of a stop p (``_start_domain``), which takes pulses ceil((p - hi - pad -
+    tau) B) to floor((p - top + pad) B).  Both ends rise with p, so range k
+    adds the pulses from the end of range k - 1 on, and one pass over the
+    stops gives the union.  While the windows do not tile (``tiles``), the
+    domain is the slab and every pulse meeting it is drawn.  The others lie
+    inside the slab and are counted.  The ranges go into two arrays of the
+    recycler ``arrays``, ``shift`` and ``ends``, which the caller releases.
+    """
+    b, tau = pump.rep_rate_hz, pump.tau_s
+    (_, hi), _ = _match_window(cfg)
+    top, _ = _windows(cfg)
+    s_lo, s_hi = slab
+    # The run's pulses j_lo to j_hi meet the slab; m_lo to m_hi lie inside it.
+    j_lo = max(math.ceil((s_lo - tau - pad) * b), run[0])
+    j_hi = min(math.floor((s_hi + pad) * b), run[1])
+    m_lo = max(math.floor((s_lo + pad) * b) + 1, j_lo)
+    m_hi = min(math.ceil((s_hi - tau - pad) * b) - 1, j_hi)
+    if tiles and m_lo <= m_hi:
+        # A pulse period's margin leaves rounding no say.
+        near = stops[np.searchsorted(stops, s_lo + top - 1.0 / b, side="left"):
+                     np.searchsorted(stops, s_hi + hi + 1.0 / b, side="right")]
+    else:
+        m_lo, m_hi = j_hi + 1, j_hi
+        near = stops[:0]
+    # Range k is [before_k + 1, last_k]: the pulses crossing the slab's start,
+    # those near each stop, cut to the inside, and those crossing its end.
+    before = arrays.empty(near.size + 2)
+    last = arrays.empty(near.size + 2)
+    before[0], last[0] = j_lo - 1, m_lo - 1
+    before[-1], last[-1] = m_hi, j_hi
+    x = before[1:-1]
+    np.subtract(near, hi + pad + tau, out=x)
+    x *= b
+    np.ceil(x, out=x)
+    np.clip(x, m_lo, m_hi + 1, out=x)
+    x -= 1.0
+    x = last[1:-1]
+    np.subtract(near, top - pad, out=x)
+    x *= b
+    np.floor(x, out=x)
+    np.clip(x, m_lo - 1, m_hi, out=x)
+    # Range k adds the pulses after the last of range k - 1.
+    np.maximum(before[1:], last[:-1], out=before[1:])
+    np.subtract(last, before, out=before)
+    np.maximum(before, 0.0, out=before)
+    ends = np.cumsum(before, out=before)
+    shift = np.subtract(last, ends, out=last)
+    shift += 1.0
+    n = int(ends[-1])
+    return _Pulses(shift, ends, n, max(j_hi - j_lo + 1, 0) - n)
+
+
+def _bin_gated(setup, rates, tia, stops, slab, run, children, arrays):
+    """Histogram counts of the start arm's gated part (``_nonpair_rates``),
+    pulsed, in the slab [s_lo, s_hi), and how many starts it holds.
+
+    Each category, one-arm pair photons from stream ``only0`` and noise from
+    ``noise0``, has mu = rate / B events per pulse.  They are drawn, Poisson
+    mu n in all, on the n pulses that can reach the stops or cross the
+    slab's ends (``_gated_pulses``), in their windows [j/B, j/B + tau), and
+    jittered from ``jgated0``; those that land in the slab are binned as
+    searched starts.  The slab's other pulses add Poisson mu m starts, m
+    their number.  Jittered, the gated events are a Poisson process
+    (displacement theorem), and its parts in disjoint slabs and pulses are
+    independent, so this is exact in distribution.
+    """
+    pump = setup.pump
+    s_lo, s_hi = slab
+    pulses = _gated_pulses(stops, tia, pump, _jitter_pad(setup), slab, run,
+                           _tiles(rates, tia), arrays)
+    drawn = []
+    n0 = 0
+    for name in ("only", "noise"):
+        rate_hz = rates[f"{name}0"]
+        if rate_hz < 0.0:
+            raise ConfigError(f"negative component rate {rate_hz}")
+        mu = rate_hz / pump.rep_rate_hz
+        rng = _generator(children[f"{name}0"])
+        u = rng.integers(0, pulses.n, rng.poisson(mu * pulses.n))
+        j = u + np.take(pulses.shift, np.searchsorted(pulses.ends, u, side="right"))
+        drawn.append(j / pump.rep_rate_hz + rng.random(u.size) * pump.tau_s)
+        n0 += int(rng.poisson(mu * pulses.counted))
+    arrays.release(pulses.shift, pulses.ends)
+    starts = _jittered(np.concatenate(drawn), setup.idler.jitter_fwhm_s,
+                       _generator(children["jgated0"]))
+    starts = starts[(starts >= s_lo) & (starts < s_hi)]
+    counts, n = _bin_starts(starts, stops, tia)
+    return counts, n0 + n
+
+
 def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, arrays):
     """Generate epoch e (``_epoch_arms``) and histogram the starts of its
     slab; all times are epoch time.
@@ -883,10 +1027,12 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     start-time interval whose stops are all known once the epoch is
     generated; the start arm's homogeneous part is drawn on it in one piece
     and binned on the stops' windows or over the slab (``_bin_bulk``), in
-    either pump mode.  Returns (counts, n_starts, n_stops, carry): the next
-    ``carry`` holds the explicit starts at or after s_hi and the stops a
-    later slab can still pair with, in the next epoch's time.  The epoch's
-    arrays come from the recycler ``arrays`` and go back to it.
+    either pump mode, and, pulsed, its gated part on the pulses that can
+    reach the stops or the slab's ends (``_bin_gated``).  Returns (counts,
+    n_starts, n_stops, carry): the next ``carry`` holds the explicit starts
+    at or after s_hi and the stops a later slab can still pair with, in the
+    next epoch's time.  The epoch's arrays come from the recycler ``arrays``
+    and go back to it.
     """
     s_lo, s_hi = slab
     arm0, arm1 = _epoch_arms(setup, rates, children, e, epoch, duration_s,
@@ -903,6 +1049,14 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
                        arrays)
     counts += c
     n0 += dn0
+    pump = setup.pump
+    if pump.mode == "pulsed":
+        # The run's pulses, counted from the epoch start.
+        first = -e * epoch[1]
+        run = (first, first + _run_windows(pump, duration_s) - 1)
+        c, dn0 = _bin_gated(setup, rates, tia, stops, slab, run, children, arrays)
+        counts += c
+        n0 += dn0
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
     # Shifting by the epoch length is exact (``_epoch_length``).
     epoch_s = epoch[0]
@@ -934,7 +1088,9 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     drawn unjittered: the start arm's only on the start times that can reach
     the histogram (``_start_domain``), the rest of it counted, or, for dense
     multi-stop ranges, over each slab (``_bin_bulk``); the stop arm's over
-    each epoch.  Every start histogrammed goes through ``_bin_starts``,
+    each epoch.  A pulsed start arm's gated part is drawn per slab on the
+    pulses that can reach the stops, the other pulses' events counted
+    (``_bin_gated``).  Every start histogrammed goes through ``_bin_starts``,
     whose batches thin the drawn starts and run on one worker thread per
     usable CPU; the output does not depend on how many there are.
     """

@@ -23,10 +23,12 @@ from sfwmlab.eventsim import (
     _Recycler,
     _bin_counts,
     _bin_edge,
+    _bin_gated,
     _bin_starts,
     _epoch_arms,
     _epoch_children,
     _epoch_length,
+    _gated_pulses,
     _generator,
     _jittered,
     _match_window,
@@ -98,11 +100,12 @@ def _histogram(starts, stops, cfg):
     return counts
 
 
-def _arms(setup, duration_s, seed):
-    """(seeds, (arm0, arm1)) of a CW run generated as one epoch of ``duration_s``."""
+def _arms(setup, duration_s, seed, epoch=None):
+    """(seeds, (arm0, arm1)) of a run generated as one epoch of ``duration_s``,
+    ``epoch`` = (E, P) (``_epoch_length``; CW by default)."""
     children = _epoch_children(seed, 0)
     return children, _epoch_arms(setup, component_rates(setup), children, 0,
-                                 (duration_s, 0), duration_s,
+                                 epoch or (duration_s, 0), duration_s,
                                  setup.analysis.tia.stop_delay_s, _Recycler())
 
 
@@ -1370,6 +1373,200 @@ class TestPulsedHomogeneousPart:
         assert np.array_equal(arm1, bulk1)
 
 
+def _corner(setup):
+    """The (8.2 THz, 5 W, 500 MHz, 20 ps) corner of the ``PULSED_OPTIMIZE``
+    box, multi-stop over 0 to the stop delay plus 1.5 periods, 14.1 ns."""
+    setup = setup.with_detuning(8.2e12)
+    for path, value in (("pump.power_w", 5.0), ("pump.rep_rate_hz", 5e8),
+                        ("pump.tau_s", 2e-11)):
+        setup = set_path(setup, path, value)
+    return with_analysis(setup, tia=TiaConfig(bin_width_s=16e-12, range_s=(0.0, 14.1e-9),
+                                              policy="multi-stop", stop_delay_s=11.1e-9))
+
+
+def _drawn_pulses(pulses):
+    """Every pulse ``_gated_pulses`` selects, in the order they are drawn."""
+    u = np.arange(pulses.n)
+    return u + pulses.shift[np.searchsorted(pulses.ends, u, side="right")]
+
+
+def _brute_force_pulses(stops, cfg, pump, pad, slab, run, tiles):
+    """(selected, counted) pulses of ``_gated_pulses``, pulse by pulse: the
+    run's pulses whose span [j/B - pad, j/B + tau + pad] meets the slab and
+    crosses one of its ends or meets a stop's window [p - hi, p - top]
+    (every one, when the windows do not tile), and how many of the other run
+    pulses meeting the slab there are."""
+    b, tau = pump.rep_rate_hz, pump.tau_s
+    (_, hi), _ = _match_window(cfg)
+    top, _ = _windows(cfg)
+    s_lo, s_hi = slab
+    j = np.arange(max(math.floor((s_lo - tau - pad) * b) - 2, run[0]),
+                  min(math.ceil((s_hi + pad) * b) + 2, run[1]) + 1)
+    begin = j / b - pad
+    end = j / b + tau + pad
+    meets = (begin <= s_hi) & (end >= s_lo)
+    crosses = ((begin <= s_lo) & (s_lo <= end)) | ((begin <= s_hi) & (s_hi <= end))
+    near = np.searchsorted(stops, end + hi, side="right") > np.searchsorted(stops, begin + top)
+    selected = meets & (crosses | near | (not tiles))
+    return j[selected], int(np.count_nonzero(meets & ~selected))
+
+
+class TestGatedPulses:
+    """The pulses on which arm 0's gated events are drawn (``_gated_pulses``)
+    against a pulse-by-pulse search, for fixed stops."""
+
+    # (case, setup changes, policy and range, slab, run, stops and their span)
+    CASES = {
+        "engineered first-stop": ({}, None, (0.05, 0.052), (-10**9, 10**9), 300),
+        # Ranges 10 pulses long and stops 8 ns apart on average: they overlap.
+        "corner multi-stop": ("corner", None, (-2e-8, 5e-5), (-10**9, 10**9), 6000),
+        # Pulses -3 to -1 meet the slab but lie before the run.
+        "the run's first pulse": ({}, None, (-3e-8, 2e-3), (0, 10**9), 300),
+        # The run's last pulse comes at 2.1 ms, and the slab ends 35.7 ns later.
+        "the run's last pulse": ({}, None, (-3e-8, 2.1e-3 + 3.57e-8), (-3, 210000), 300),
+        "zero jitter": ({"idler.jitter_fwhm_s": 0.0, "signal.jitter_fwhm_s": 0.0}, None,
+                        (0.0123456789, 0.0143456789), (-10**9, 10**9), 300),
+        "full duty cycle": ({"pump.tau_s": 1e-8}, None, (0.0123456789, 0.0143456789),
+                            (-10**9, 10**9), 300),
+        "dense multi-stop": ({}, ("multi-stop", (0.0, 1e-3)), (1.1e-3, 2e-3), (-10**9, 10**9),
+                             30),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_brute_force(self, engineered_cfg, case):
+        changes, tia, slab, run, n_stops = self.CASES[case]
+        setup = engineered_cfg.setup
+        if changes == "corner":
+            setup = _corner(setup)
+        else:
+            for path, value in changes.items():
+                setup = set_path(setup, path, value)
+        if tia is not None:
+            setup = with_analysis(setup, tia=TiaConfig(bin_width_s=1e-6, range_s=tia[1],
+                                                       policy=tia[0], stop_delay_s=1e-6))
+        cfg = setup.analysis.tia
+        tiles = tia is None
+        pad = eventsim._jitter_pad(setup)
+        top, _ = _windows(cfg)
+        stops = np.random.default_rng(5).uniform(slab[0] - 2e-8, slab[1] + 2e-8, n_stops)
+        # A stop whose window holds the run's first or last pulse.
+        if case == "the run's first pulse":
+            stops = np.append(stops, top + 1e-9)
+        if case == "the run's last pulse":
+            stops = np.append(stops, run[1] / setup.pump.rep_rate_hz + top + 1e-9)
+        stops.sort()
+        arrays = _Recycler()
+        pulses = _gated_pulses(stops, cfg, setup.pump, pad, slab, run, tiles, arrays)
+        selected, counted = _brute_force_pulses(stops, cfg, setup.pump, pad, slab, run, tiles)
+        drawn = _drawn_pulses(pulses)
+        assert selected.size > 10
+        assert np.array_equal(drawn, selected)
+        assert pulses.counted == counted
+        if case == "the run's first pulse":
+            assert drawn[0] == 0
+        if case == "the run's last pulse":
+            assert drawn[-1] == run[1]
+        if case == "corner multi-stop":
+            # The windows' ranges overlap, and the union counts each pulse once.
+            b = setup.pump.rep_rate_hz
+            first = np.ceil((stops - 14.1e-9 - pad - setup.pump.tau_s) * b)
+            assert np.any(first[1:] <= np.floor((stops[:-1] + pad) * b))
+        arrays.release(pulses.shift, pulses.ends)
+
+    @pytest.mark.parametrize("run", [(0, 0), (0, -1)])
+    def test_vanishing_rep_rate(self, engineered_cfg, run):
+        # At 1e-294 Hz pulse 1 comes 1e294 s after pulse 0; a 10 s slab at
+        # the run's start holds pulse 0 if the run does.
+        setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", 1e-294)
+        cfg = setup.analysis.tia
+        pad = eventsim._jitter_pad(setup)
+        stops = np.sort(np.random.default_rng(5).uniform(0.0, 10.0, 100))
+        pulses = _gated_pulses(stops, cfg, setup.pump, pad, (0.0, 10.0), run, True, _Recycler())
+        selected, counted = _brute_force_pulses(stops, cfg, setup.pump, pad, (0.0, 10.0), run,
+                                                True)
+        assert np.array_equal(_drawn_pulses(pulses), selected)
+        assert selected.tolist() == list(range(run[1] + 1))
+        assert pulses.counted == counted == 0
+
+
+def _pulsed_full_streams(setup, duration_s, seed):
+    """All starts and stops of a pulsed run in one epoch: ``_epoch_arms``,
+    arm 0's gated events generated in every pulse window of the run and
+    jittered, and its darks drawn over the run."""
+    rates = component_rates(setup)
+    pump = setup.pump
+    windows = math.ceil(duration_s * pump.rep_rate_hz - 1e-9)
+    children, (arm0, arm1) = _arms(setup, duration_s, seed, (duration_s, windows))
+    gated = np.concatenate([
+        _pulsed_times(rates[f"{name}0"] / pump.duty_cycle, pump.tau_s, pump.rep_rate_hz,
+                      windows, _generator(children[f"{name}0"]))
+        for name in ("only", "noise")])
+    gated = _jittered(gated, setup.idler.jitter_fwhm_s, _generator(children["jgated0"]))
+    gated = gated[(gated >= 0.0) & (gated < duration_s)]
+    darks = _poisson_times(rates["dark0"], duration_s, _generator(children["bulk0"]))
+    return np.sort(np.concatenate([arm0, gated, darks])), arm1
+
+
+class TestPulsedGatedDraw:
+    """Pulsed runs, whose start arm's gated events are drawn only on the
+    pulses that can reach the stops, against generating every one of them
+    (``_pulsed_full_streams``), over fixed seeds: the starts, and the
+    entries of the central slot and the side slots one period either side,
+    agree within 4 Poisson sigma of their difference."""
+
+    SEEDS = (1, 2, 3, 4)
+    HALF_WINDOW = 200e-12
+
+    @pytest.mark.parametrize("case, duration_s", [("engineered", 300.0), ("corner", 0.2)])
+    def test_matches_generating_every_start(self, engineered_cfg, case, duration_s):
+        setup = engineered_cfg.setup
+        if case == "corner":
+            setup = _corner(setup)
+        else:
+            # 0.01 pairs per pulse, which fills the slots, over 0-25 ns.
+            setup = set_path(setup, "pump.power_w", power_for_pairs_per_pulse(setup, 0.01))
+            setup = with_analysis(setup, tia=TiaConfig(
+                bin_width_s=16e-12, range_s=(0.0, 25e-9), policy="multi-stop",
+                stop_delay_s=11.1e-9))
+        tia = setup.analysis.tia
+        period = 1.0 / setup.pump.rep_rate_hz
+        centers = tia.bin_edges[:-1] + tia.bin_width_s / 2
+        slots = [np.abs(centers - tia.stop_delay_s - k * period) <= self.HALF_WINDOW
+                 for k in (0, -1, 1)]
+        drawn = np.zeros(4)
+        generated = np.zeros(4)
+        for seed in self.SEEDS:
+            run = run_tia(setup, duration_s, seed)
+            drawn += [run.n_starts] + [run.histogram.counts[s].sum() for s in slots]
+            starts, stops = _pulsed_full_streams(setup, duration_s, seed)
+            counts, _ = _bin_starts(starts, stops, tia)
+            generated += [starts.size] + [counts[s].sum() for s in slots]
+        assert generated[1] > 200 and generated[2] > 20
+        assert np.all(np.abs(drawn - generated) <= 4 * np.sqrt(drawn + generated))
+
+    def test_starts_are_those_in_the_slab(self, engineered_cfg):
+        # A full duty cycle and no jitter make the gated events a homogeneous
+        # process of rate R = 1e11 /s: a slab of 10 periods from mid-pulse
+        # holds R 10/B = 10000 of them, though 11 pulses meet it.
+        setup = engineered_cfg.setup
+        for path, value in (("pump.tau_s", 1e-8), ("idler.jitter_fwhm_s", 0.0),
+                            ("signal.jitter_fwhm_s", 0.0)):
+            setup = set_path(setup, path, value)
+        rates = dict(component_rates(setup), only0=0.0, noise0=1e11)
+        n = sum(_bin_gated(setup, rates, setup.analysis.tia, np.empty(0), (0.5e-8, 10.5e-8),
+                           (-10**9, 10**9), _epoch_children(seed, 0), _Recycler())[1]
+                for seed in self.SEEDS)
+        expected = 1e4 * len(self.SEEDS)
+        assert abs(n - expected) < 4 * math.sqrt(expected)
+
+    def test_stops_are_those_of_generating_every_start(self, engineered_cfg):
+        # The stop arm's streams and the epochs do not depend on how arm 0's
+        # gated events are drawn: 329145 stops, as when every one of them
+        # was generated.
+        result = run_tia(engineered_cfg.setup, 300.0, 1)
+        assert result.n_stops == 329145
+
+
 # Pool sizes the runs below are repeated with.
 WORKER_COUNTS = (1, 2, 3)
 
@@ -1406,8 +1603,14 @@ class TestRunTiaPool:
     def test_output_does_not_depend_on_worker_count(self, paper_cfg, engineered_cfg,
                                                     monkeypatch, case):
         if case == "pulsed":
-            # Epochs of 2^31 periods, 21.5 s.
-            setup, duration_s = engineered_cfg.setup, 300.0
+            # Epochs of 2^31 periods, 21.5 s.  The windows of a 1 ms
+            # multi-stop range do not tile, so every gated start of a slab is
+            # drawn, about 13000 of them, and searched; with no idler darks
+            # these are the only starts of a call.
+            tia = TiaConfig(bin_width_s=1e-6, range_s=(0.0, 1e-3), policy="multi-stop",
+                            stop_delay_s=1e-6)
+            setup = set_path(engineered_cfg.setup, "idler.dark_rate_hz", 0.0)
+            setup, duration_s = with_analysis(setup, tia=tia), 60.0
         else:
             # Epochs of 1/32 s.
             tia = TiaConfig(bin_width_s=1e-9, range_s=(10e-9, 330e-9), policy=case,
