@@ -1415,7 +1415,8 @@ class TestGatedPulses:
     """The pulses on which arm 0's gated events are drawn (``_gated_pulses``)
     against a pulse-by-pulse search, for fixed stops."""
 
-    # (case, setup changes, policy and range, slab, run, stops and their span)
+    # case: (setup changes, (policy, range) of a range whose windows do not
+    # tile or None, slab, the run's first and last pulse, number of stops)
     CASES = {
         "engineered first-stop": ({}, None, (0.05, 0.052), (-10**9, 10**9), 300),
         # Ranges 10 pulses long and stops 8 ns apart on average: they overlap.
@@ -1467,10 +1468,11 @@ class TestGatedPulses:
         if case == "the run's last pulse":
             assert drawn[-1] == run[1]
         if case == "corner multi-stop":
-            # The windows' ranges overlap, and the union counts each pulse once.
+            # The stops' pulse ranges overlap, and the union holds each once.
             b = setup.pump.rep_rate_hz
-            first = np.ceil((stops - 14.1e-9 - pad - setup.pump.tau_s) * b)
-            assert np.any(first[1:] <= np.floor((stops[:-1] + pad) * b))
+            first = np.ceil((stops - cfg.range_s[1] - pad - setup.pump.tau_s) * b)
+            last = np.floor((stops - top + pad) * b)
+            assert np.any(first[1:] <= last[:-1])
         arrays.release(pulses.shift, pulses.ends)
 
     @pytest.mark.parametrize("run", [(0, 0), (0, -1)])
