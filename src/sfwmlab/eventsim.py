@@ -8,8 +8,16 @@ The result is an independent statistical check of the analytic
 predictions.  Detector dead time is not modelled: measured singles rates
 are taken as detected rates.
 
+Planning: ``plan_run`` decides a run before its first draw, from the
+configuration and the duration alone, and is the one place where those
+decisions and the refusals made then live: the component rates, each
+arm's non-pair rates split into gated and homogeneous parts, whether the
+start arm's bulk is thinned on the stops' windows, the jitter pad, the
+epoch, the epoch count and the run's pulse count.  ``run_tia`` builds the
+plan once and every later step reads it.
+
 Restricted-domain sampling: each arm's homogeneous part, in CW all its
-non-pair events and pulsed its darks (``_nonpair_rates``), is one
+non-pair events and pulsed its darks (``plan_run``), is one
 homogeneous Poisson process.  Gaussian timing jitter displaces such a
 process into an identically distributed one (the displacement theorem;
 Kingman, *Poisson Processes*, 1993), so it is drawn unjittered.  Only
@@ -25,7 +33,7 @@ Shedler, 1979): a point is kept iff the stop before its window's does not
 match it and it lies in the slab (``_start_domain``, ``_thin``).  The
 windows hold at most about 1.6 times the domain while r1 w <= 1; denser
 ranges, whose windows overlap more than they tile, draw the process over
-the whole slab (``_tiles``).  Either way it is drawn in one piece per epoch
+the whole slab (``plan_run``).  Either way it is drawn in one piece per epoch
 (``_bin_bulk``), whose expected size counts among the epoch's generated
 events.  A pulsed start arm's gated part, its one-arm pair photons and
 noise, follows the pulse comb; jittered, it is a Poisson process too, and
@@ -52,7 +60,7 @@ that is partly true costs several times what building one index and
 gathering through it does, once per array.
 
 Epochs: a run is cut into epochs each holding about ``_EVENTS_PER_EPOCH``
-generated events, the drawn bulk among them (``_epoch_length``).  Stream
+generated events, the drawn bulk among them (``plan_run``).  Stream
 i of epoch e is seeded with ``SeedSequence(seed, spawn_key=(e, i))``, so the
 epochs' streams are independent whatever the bit generator.  An epoch's
 times are relative to its start, so a stop at 24 h carries the precision of
@@ -318,39 +326,24 @@ class HistogramResult:
                 fh.write("".join(f"{c!r},{int(n)}\n" for c, n in block))
 
 
-def _match_window(cfg: TiaConfig):
-    """The TIA policy as ((lo, hi), single): start s matches the stops p
+def _window(cfg: TiaConfig):
+    """The TIA policy as (lo, hi, top, single): start s matches the stops p
     with s + lo <= p < s + hi, consecutive from its first p >= s + lo, or,
     with ``single`` (first-stop), only its first stop p >= s if p < s + hi;
-    the histogram drops the delays below its range."""
-    lo, hi = cfg.range_s
-    if cfg.policy == "first-stop":
-        return (0.0, hi), True
-    return (lo, hi), False
+    the histogram drops the delays below its range.  Stop p's start-domain
+    window (``_start_domain``) is (p - hi, p - top], top = max(lo,
+    range_lo), w = hi - top long, positive for every accepted
+    configuration."""
+    range_lo, hi = cfg.range_s
+    single = cfg.policy == "first-stop"
+    lo = 0.0 if single else range_lo
+    return lo, hi, max(lo, range_lo), single
 
 
-def _windows(cfg: TiaConfig) -> tuple[float, float]:
-    """(top, w) of the start-domain windows (``_start_domain``): with (lo,
-    hi) the window of ``_match_window``, top = max(lo, range_lo) and w = hi
-    - top, positive for every accepted configuration."""
-    (lo, hi), _ = _match_window(cfg)
-    top = max(lo, cfg.range_s[0])
-    return top, hi - top
-
-
-def _tiles(rates, cfg: TiaConfig) -> bool:
-    """Whether the start arm's bulk is thinned on the windows of
-    ``_start_domain``: they overlap less than they tile while r1 w <= 1, r1
-    the stop arm's singles rate, so the windows hold at most about 1/(1 -
-    e^-1) = 1.6 times the domain.  Otherwise the bulk is drawn over the
-    slab."""
-    return rates["observables"].singles1 * _windows(cfg)[1] <= 1.0
-
-
-def _cut_lengths(stops, a, b, window, top, t_lo, t_hi) -> np.ndarray:
+def _cut_lengths(stops, a, b, cfg, t_lo, t_hi) -> np.ndarray:
     """Lengths of the start-domain segments of stops a to b - 1 clipped to
     [t_lo, t_hi], from their bounds (``_start_domain``)."""
-    lo, hi = window
+    lo, hi, top, _ = _window(cfg)
     p = stops[a:b]
     begin = p - hi
     # Stop p_{k-1} is the first match of the starts up to p_{k-1} - lo.
@@ -380,8 +373,8 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
     """Start times in [t_lo, t_hi] that can give a histogram entry.
 
     The domain is one segment per stop p_k = ``stops[first + k]``, k < n,
-    that can reach the interval.  With (lo, hi) the window of
-    ``_match_window`` and (top, w) those of ``_windows``, segment k is
+    that can reach the interval.  With (lo, hi, top) those of ``_window``
+    and w = hi - top, segment k is
     (max(p_k - hi, p_{k-1} - lo), p_k - top] cut to [t_lo, t_hi]: a
     start s inside it has p_k as its first stop p >= s + lo, and p_k < s +
     hi (up to rounding at the edges); later starts only reach delays below
@@ -397,9 +390,7 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
     their bounds (``_cut_lengths``).  The gaps go into an array of the
     recycler ``arrays``, which takes it back.
     """
-    window, _ = _match_window(cfg)
-    lo, hi = window
-    top, w = _windows(cfg)
+    lo, hi, top, _ = _window(cfg)
     # Only stops whose segment can reach [t_lo, t_hi] matter.
     first = int(np.searchsorted(stops, t_lo + top, side="left"))
     end = int(np.searchsorted(stops, t_hi + hi, side="right"))
@@ -417,10 +408,8 @@ def _start_domain(stops: np.ndarray, cfg: TiaConfig, t_lo: float, t_hi: float,
         np.clip(gaps, top - lo, hi - lo, out=gaps)
         covered = float(gaps.sum()) - (top - lo) * gaps.size
         arrays.release(gaps)
-        covered += float(_cut_lengths(stops, first, first + head, window, top, t_lo,
-                                      t_hi).sum())
-        covered += float(_cut_lengths(stops, first + tail, end, window, top, t_lo,
-                                      t_hi).sum())
+        covered += float(_cut_lengths(stops, first, first + head, cfg, t_lo, t_hi).sum())
+        covered += float(_cut_lengths(stops, first + tail, end, cfg, t_lo, t_hi).sum())
     return _Domain(first, end - first, t_lo, t_hi, covered)
 
 
@@ -440,8 +429,8 @@ def _thin(u, stops, cfg, domain):
     kept start with p_k < s + lo, which rounding can give at a segment's
     end, is searched (``_first_stops``).
     """
-    (lo, _), _ = _match_window(cfg)
-    top, w = _windows(cfg)
+    lo, hi, top, _ = _window(cfg)
+    w = hi - top
     s = np.divide(u, w)
     k = s.astype(np.intp)  # u >= 0, so this is the floor
     np.minimum(k, domain.n - 1, out=k)
@@ -576,7 +565,7 @@ def _bin_starts(starts, stops, cfg, domain=None):
     as their first; only the starts in the domain count as binned.  Every
     other start is searched (``_first_stops``).
     """
-    (lo, hi), single = _match_window(cfg)
+    lo, hi, _, single = _window(cfg)
     bins = cfg.range_s[0], cfg.bin_width_s, cfg.n_bins
     if stops.size == 0:
         return np.zeros(cfg.n_bins, dtype=np.int64), starts.size if domain is None else 0
@@ -648,7 +637,7 @@ def component_rates(setup) -> dict:
 # The stream definition.  Category i of epoch e in a run with seed s is
 # drawn from ``SeedSequence(s, spawn_key=(e, i))`` in the order below, and an
 # epoch holds about ``_EVENTS_PER_EPOCH`` generated events
-# (``_epoch_length``); changing either changes every simulated stream for a
+# (``plan_run``); changing either changes every simulated stream for a
 # given seed.  The epoch also bounds memory: a run holds the events of one
 # epoch and the few carried over from the epoch before.
 _CATEGORIES = ("both", "jitter0", "jitter1", "bulk0", "bulk1",
@@ -668,136 +657,152 @@ def _epoch_children(entropy, e) -> dict:
             for i, name in enumerate(_CATEGORIES)}
 
 
-def _jitter_pad(setup) -> float:
-    """How far timing jitter may move an event: 10 FWHM of both arms.
+class RunPlan(NamedTuple):
+    """A counting run as ``plan_run`` decides it before its first draw.
 
-    The epoch carry assumes it, and it also bounds sampling: the start
+    ``rates`` are the component rates (``component_rates``) and
+    ``nonpair`` each arm's (gated, homogeneous) non-pair rates.  ``tiles``
+    says whether the start arm's bulk is thinned on the stops' windows
+    (``_start_domain``) rather than drawn over the slab, and ``pad`` is how
+    far timing jitter may move an event.  The run holds ``n_epochs`` epochs
+    of ``epoch`` = (E, P), E seconds and, pulsed, P pulse periods (0 in CW),
+    the last one possibly shorter, and ``n_pulses`` pulse windows k/B, those
+    that begin before it ends (0 in CW).
+    """
+
+    setup: object
+    duration_s: float
+    rates: dict
+    nonpair: tuple
+    tiles: bool
+    pad: float
+    epoch: tuple
+    n_epochs: int
+    n_pulses: int
+
+
+def plan_run(setup, duration_s) -> RunPlan:
+    """Everything ``run_tia`` decides about a run of ``duration_s`` before
+    its first draw, from the configuration and the duration alone.
+
+    Refused here, before anything is drawn: a duration that is not finite
+    and non-negative and a negative component rate (``ConfigError``); an
+    epoch of more pulse periods than a float can count, a pulsed run whose
+    pulse windows a float cannot count, a run of more than ``_MAX_EPOCHS``
+    epochs, and a run whose epoch 0, the longest, would expect more than
+    ``_MAX_STREAM_EVENTS`` events in one of its arrays (``NumericsError``).
+
+    Non-pair rates.  An arm's homogeneous part is a single Poisson process,
+    drawn by ``_poisson_times`` from stream ``bulk{arm}`` and never
+    jittered: Gaussian jitter displaces a homogeneous process into an
+    identically distributed one.  In CW it holds all of them, the one-arm
+    pair leftovers, scattering/leakage noise and darks; pulsed, the darks.
+    The gated part, pulsed the one-arm pair photons and noise, follows the
+    pulse comb, which makes jitter observable (it smears the comb), so it is
+    drawn in the pulse windows and jittered: the stop arm's in every window
+    of the epoch (``_uncorrelated_arm_times``), the start arm's per slab on
+    the pulses that can reach the stops, the rest counted (``_bin_gated``).
+    In CW it is empty.
+
+    Tiling.  The start arm's bulk is thinned on the windows of
+    ``_start_domain``, w long (``_window``), while r1 w <= 1, r1 the stop
+    arm's singles rate: the windows then overlap less than they tile, so
+    they hold at most about 1/(1 - e^-1) = 1.6 times the domain.  Otherwise
+    it is drawn over the slab.  ``_bin_bulk`` draws r0 r1 w or r0 bulk
+    starts per second of slab on average, r0 the rate of arm 0's
+    homogeneous part.
+
+    Jitter pad: 10 FWHM of both arms.  The epoch carry assumes that jitter
+    moves no event farther, and the pad also bounds sampling: the start
     arm's gated events are drawn only on the pulses whose span, widened by
     the pad, can reach a stop's window or a slab end (``_gated_pulses``), so
     an event more than 10 combined FWHM (over 23 sigma) from its pulse is
-    never drawn."""
-    return 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
+    never drawn.
 
+    Epoch (E, P).  CW: E = 2^k s and P = 0.  Pulsed: P = 2^k pulse periods
+    and E = P/B, so every epoch begins on the run's pulse grid.  k is the
+    largest for which an epoch holds at most ``_EVENTS_PER_EPOCH`` generated
+    events on average, a rate below 1 Hz counted as 1 Hz; generated are arm
+    1's singles, arm 0's pair photons and gated non-pair events and the bulk
+    starts drawn for its homogeneous part.  k is raised, if need be, until E
+    is at least twice the reach: the farthest an event carried into the next
+    epoch lies from the epoch end (the histogram range, the stop delay and
+    the jitter pad).  Carried times then lie in [E/2, 2E], where subtracting
+    E is exact (Sterbenz's lemma).
 
-def _nonpair_rates(pump, rates, arm) -> tuple[float, float]:
-    """(gated, homogeneous) rates of one arm's non-pair events.
+    Stream bound.  The arrays of an epoch are its pair photons, arm 0's
+    gated non-pair events, arm 0's bulk draw and arm 1's non-pair events,
+    gated and homogeneous; the gated events come in the epoch's pulse
+    windows, the rest in its span.
 
-    The homogeneous part is a single Poisson process, drawn by
-    ``_poisson_times`` from stream ``bulk{arm}`` and never jittered: Gaussian
-    jitter displaces a homogeneous process into an identically distributed
-    one.  In CW it holds all of them, the one-arm pair leftovers,
-    scattering/leakage noise and darks; pulsed, the darks.  The gated part,
-    pulsed the one-arm pair photons and noise, follows the pulse comb, which
-    makes jitter observable (it smears the comb), so it is drawn in the
-    pulse windows and jittered: the stop arm's in every window of the epoch
-    (``_uncorrelated_arm_times``), the start arm's per slab on the pulses
-    that can reach the stops, the rest counted (``_bin_gated``).  In CW it
-    is empty.
+    Arm 0's gated events count at their full rate in both the epoch and the
+    stream bound on purpose, though ``_bin_gated`` draws only those near
+    the stops: a dense range draws all of a slab's, and the count keeps the
+    epoch edges, and so every stop, independent of how arm 0 is drawn.
     """
-    only, noise, dark = (rates[f"{name}{arm}"] for name in ("only", "noise", "dark"))
-    if pump.mode == "pulsed":
-        return only + noise, dark
-    return 0.0, only + noise + dark
+    if not math.isfinite(duration_s) or duration_s < 0.0:
+        raise ConfigError(f"duration must be finite and non-negative, got {duration_s}")
+    rates = component_rates(setup)
+    for name, rate in rates.items():
+        if name != "observables" and rate < 0.0:
+            raise ConfigError(f"negative component rate {rate}")
+    pump, tia = setup.pump, setup.analysis.tia
+    pulsed = pump.mode == "pulsed"
+    nonpair = []
+    for arm in (0, 1):
+        only, noise, dark = (rates[f"{name}{arm}"] for name in ("only", "noise", "dark"))
+        nonpair.append((only + noise, dark) if pulsed else (0.0, only + noise + dark))
+    r1 = rates["observables"].singles1
+    _, hi, top, _ = _window(tia)
+    tiles = r1 * (hi - top) <= 1.0
+    bulk_draw = nonpair[0][1] * (r1 * (hi - top) if tiles else 1.0)
+    pad = 10.0 * (setup.idler.jitter_fwhm_s + setup.signal.jitter_fwhm_s)
 
-
-def _bulk_draw_rate(setup, rates) -> float:
-    """Bulk starts ``_bin_bulk`` draws per second of slab on average: r0 r1 w
-    on the windows w long (``_tiles``), r0 over the slab; r0 is the rate of
-    arm 0's homogeneous part (``_nonpair_rates``) and r1 the stop arm's
-    singles rate."""
-    tia = setup.analysis.tia
-    r1w = rates["observables"].singles1 * _windows(tia)[1]
-    return _nonpair_rates(setup.pump, rates, 0)[1] * (r1w if _tiles(rates, tia) else 1.0)
-
-
-def _epoch_length(setup, rates) -> tuple[float, int]:
-    """Epoch length (E, P), a function of the configuration alone.
-
-    CW: E = 2^k s and P = 0.  Pulsed: P = 2^k pulse periods and E = P/B, so
-    every epoch begins on the run's pulse grid.  k is the largest for which
-    an epoch holds at most ``_EVENTS_PER_EPOCH`` generated events on average,
-    a rate below 1 Hz counted as 1 Hz; generated are arm 1's singles, arm
-    0's pair photons and gated non-pair events (``_nonpair_rates``) and the
-    bulk starts drawn for its homogeneous part (``_bulk_draw_rate``).  Arm
-    0's gated events are counted at their full rate on purpose, though
-    ``_bin_gated`` draws only those near the stops: a dense range draws all
-    of them, and the count keeps the epoch edges, and so every stop,
-    independent of how arm 0 is drawn.  k is raised, if need be, until
-    E is at least twice the reach: the farthest an event carried into the
-    next epoch lies from the epoch end (the histogram range, the stop delay
-    and the jitter pad).  Carried times then lie in [E/2, 2E], where
-    subtracting E is exact (Sterbenz's lemma).
-    """
-    pump = setup.pump
-    tia = setup.analysis.tia
-    reach = (tia.range_s[1] - min(tia.range_s[0], 0.0) + abs(tia.stop_delay_s)
-             + _jitter_pad(setup) + 1e-9)
-    explicit0 = rates["both"] + _nonpair_rates(pump, rates, 0)[0]
-    generated = rates["observables"].singles1 + (explicit0 + _bulk_draw_rate(setup, rates))
+    reach = hi - min(tia.range_s[0], 0.0) + abs(tia.stop_delay_s) + pad + 1e-9
+    generated = r1 + (rates["both"] + nonpair[0][0] + bulk_draw)
     per_s = _EVENTS_PER_EPOCH / max(generated, 1.0)
-    if pump.mode == "cw":
+    n_pulses = 0
+    if not pulsed:
         # reach < 2^m, m = frexp(reach)[1]
         k = max(math.floor(math.log2(per_s)), math.frexp(reach)[1] + 1)
-        return math.ldexp(1.0, k), 0
-    b = pump.rep_rate_hz
-    # reach B < 2^(m + n), n = frexp(B)[1]; rounding P/B to the nearest float
-    # cannot take it below 2 reach, a float.
-    k = max(math.floor(math.log2(per_s * b)),
-            math.frexp(reach)[1] + math.frexp(b)[1] + 1, 0)
-    return (1 << k) / b, 1 << k
+        epoch = math.ldexp(1.0, k), 0
+    else:
+        b = pump.rep_rate_hz
+        try:
+            # reach B < 2^(m + n), n = frexp(B)[1]; rounding P/B to the
+            # nearest float cannot take it below 2 reach, a float.
+            k = max(math.floor(math.log2(per_s * b)),
+                    math.frexp(reach)[1] + math.frexp(b)[1] + 1, 0)
+            epoch = (1 << k) / b, 1 << k
+        except OverflowError:
+            raise NumericsError(f"a {b:.4g} Hz rep rate puts more pulse periods in one "
+                                "epoch than a float can count") from None
+        if not math.isfinite(duration_s * b):
+            raise NumericsError(f"a {duration_s:.4g} s run at a {b:.4g} Hz rep rate holds "
+                                "more pulse windows than a float can count")
+        n_pulses = math.ceil(duration_s * b - 1e-9)
+    epochs = duration_s / epoch[0]
+    if not epochs <= _MAX_EPOCHS:
+        raise NumericsError(f"a {duration_s:.4g} s run holds {epochs:.4g} epochs of "
+                            f"{epoch[0]:.4g} s; a run may hold at most 2^53, the count "
+                            "up to which the epoch start stays exact")
 
-
-def _epoch_extent(pump, epoch, e, duration_s) -> tuple[float, int]:
-    """(span, windows) of epoch e, ``epoch`` = (E, P): it emits in [0, span)
-    or, pulsed, in its first ``windows`` pulse windows, those of the run's
-    windows k/B that begin before ``duration_s`` (``run_tia`` bounds them)."""
-    epoch_s, pulses = epoch
-    windows = 0
-    if pump.mode == "pulsed":
-        windows = min(pulses, _run_windows(pump, duration_s) - e * pulses)
-    return min(epoch_s, duration_s - e * epoch_s), windows
-
-
-def _run_windows(pump, duration_s) -> int:
-    """How many pulse windows k/B a pulsed run of ``duration_s`` holds: those
-    that begin before it ends."""
-    return math.ceil(duration_s * pump.rep_rate_hz - 1e-9)
-
-
-def _check_stream_sizes(setup, rates, epoch, duration_s) -> None:
-    """Refuse a run whose epoch 0, the longest, would expect more than
-    ``_MAX_STREAM_EVENTS`` events in one of its arrays: the pair photons,
-    arm 0's gated non-pair events, arm 0's bulk draw (``_bulk_draw_rate``)
-    and arm 1's non-pair events, gated and homogeneous (``_nonpair_rates``).
-    The gated events come in the pulse windows, the rest in the epoch's
-    span.  Arm 0's gated events are counted at their full rate on purpose:
-    ``_bin_gated`` draws only those near the stops, but all of a slab's over
-    a dense range."""
-    pump = setup.pump
-    span, windows = _epoch_extent(pump, epoch, 0, duration_s)
-    gated = windows / pump.rep_rate_hz if pump.mode == "pulsed" else span
+    # Epoch 0 emits in [0, span) or, pulsed, in its first pulse windows.
+    span = min(epoch[0], duration_s)
+    gated = min(epoch[1], n_pulses) / pump.rep_rate_hz if pulsed else span
     # (name, rate in the pulse windows, rate over the span)
     rows = (("pair event", rates["both"], 0.0),
-            ("arm 0 gated non-pair event", _nonpair_rates(pump, rates, 0)[0], 0.0),
-            ("arm 0 bulk draw", 0.0, _bulk_draw_rate(setup, rates)),
-            ("arm 1 non-pair event", *_nonpair_rates(pump, rates, 1)))
+            ("arm 0 gated non-pair event", nonpair[0][0], 0.0),
+            ("arm 0 bulk draw", 0.0, bulk_draw),
+            ("arm 1 non-pair event", *nonpair[1]))
     for name, in_windows, in_span in rows:
         events = in_windows * gated + in_span * span
         if not events <= _MAX_STREAM_EVENTS:
             raise NumericsError(f"the {name} rate {in_windows + in_span:.4g} /s would put "
                                 f"{events:.4g} events in one {epoch[0]:.4g} s epoch; an "
                                 f"epoch may hold at most {_MAX_STREAM_EVENTS}")
-
-
-def _category_times(rate_hz, pump, span_s, n_windows, rng) -> np.ndarray:
-    """CW: arrivals on [0, span_s); pulsed: in the first ``n_windows``
-    pulse windows."""
-    if rate_hz < 0.0:
-        raise ConfigError(f"negative component rate {rate_hz}")
-    if pump.mode == "pulsed":
-        in_pulse = rate_hz / pump.duty_cycle
-        return _pulsed_times(in_pulse, pump.tau_s, pump.rep_rate_hz, n_windows, rng)
-    return _poisson_times(rate_hz, span_s, rng)
+    return RunPlan(setup, duration_s, rates, tuple(nonpair), tiles, pad, epoch,
+                   max(1, math.ceil(epochs)), n_pulses)
 
 
 def _jittered(times, fwhm_s, rng) -> np.ndarray:
@@ -809,51 +814,57 @@ def _jittered(times, fwhm_s, rng) -> np.ndarray:
     return smear
 
 
-def _uncorrelated_arm_times(setup, rates, span_s, n_windows, children,
-                            arrays) -> np.ndarray:
-    """Sorted timestamps of the stop arm's non-pair events: its gated part in
-    the first ``n_windows`` pulse windows (``_nonpair_rates``; none in CW),
+def _uncorrelated_arm_times(plan, span_s, n_windows, children, arrays) -> np.ndarray:
+    """Sorted timestamps of the stop arm's non-pair events (``plan_run``):
+    its gated part in the first ``n_windows`` pulse windows (none in CW),
     concatenated, jittered and sorted once, and its homogeneous part in [0,
     span_s), merged in unjittered.  Arm 0's non-pair events are drawn on the
     start times and pulses the stops need (``_bin_bulk``, ``_bin_gated``).
     """
+    setup = plan.setup
     pump = setup.pump
     gated = np.empty(0)
     if pump.mode == "pulsed":
         gated = np.concatenate([
-            _category_times(rates[f"{name}1"], pump, span_s, n_windows,
-                            _generator(children[f"{name}1"]))
+            _pulsed_times(plan.rates[f"{name}1"] / pump.duty_cycle, pump.tau_s,
+                          pump.rep_rate_hz, n_windows, _generator(children[f"{name}1"]))
             for name in ("only", "noise")])
         gated = _jittered(gated, setup.signal.jitter_fwhm_s,
                           _generator(children["jgated1"]))
         gated.sort()
-    bulk = _poisson_times(_nonpair_rates(pump, rates, 1)[1], span_s,
-                          _generator(children["bulk1"]), arrays)
+    bulk = _poisson_times(plan.nonpair[1][1], span_s, _generator(children["bulk1"]), arrays)
     return _merge_sorted(bulk, gated, arrays)
 
 
-def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays):
-    """Raw (arm0, arm1) timestamps of epoch e, relative to its start t0 =
-    e E, ``epoch`` = (E, P) (``_epoch_length``): the emissions in its span
-    or, pulsed, its pulse windows (``_epoch_extent``).
+def _epoch_arms(plan, children, e, arrays):
+    """Raw (arm0, arm1) timestamps of epoch e of ``plan``, relative to its
+    start t0 = e E, ``plan.epoch`` = (E, P): the emissions in its span [0,
+    min(E, duration - t0)) or, pulsed, in its first min(P, n_pulses - e P)
+    pulse windows, those of the run's that begin before it ends.
 
     Arm 0 holds its pair photons alone: the caller draws its non-pair
-    events (``_nonpair_rates``) on the start times it needs, the
-    homogeneous part with ``children["bulk0"]`` (``_bin_bulk``) and, pulsed,
-    the gated part with ``children["only0"]``, ``children["noise0"]`` and
-    ``children["jgated0"]`` (``_bin_gated``).  Arm 1 adds its non-pair events
+    events on the start times it needs, the homogeneous part with
+    ``children["bulk0"]`` (``_bin_bulk``) and, pulsed, the gated part with
+    ``children["only0"]``, ``children["noise0"]`` and ``children["jgated0"]``
+    (``_bin_gated``).  Arm 1 adds its non-pair events
     (``_uncorrelated_arm_times``).  Events may leave the epoch after jitter
-    or the stop-arm delay; they are clipped to the run, [-t0, duration_s -
+    or the stop-arm delay; they are clipped to the run, [-t0, duration -
     t0) in epoch time, only, so adjacent epochs tile the full run exactly.
     Either arm may be a view of an array of the recycler ``arrays``.
     """
+    setup = plan.setup
     pump = setup.pump
-    t0 = e * epoch[0]
-    span, windows = _epoch_extent(pump, epoch, e, duration_s)
+    epoch_s, pulses = plan.epoch
+    t0 = e * epoch_s
+    span = min(epoch_s, plan.duration_s - t0)
+    windows = min(pulses, plan.n_pulses - e * pulses)
+    if pump.mode == "pulsed":
+        pair_times = _pulsed_times(plan.rates["both"] / pump.duty_cycle, pump.tau_s,
+                                   pump.rep_rate_hz, windows, _generator(children["both"]))
+    else:
+        pair_times = _poisson_times(plan.rates["both"], span, _generator(children["both"]))
 
-    pair_times = _category_times(rates["both"], pump, span, windows,
-                                 _generator(children["both"]))
-
+    stop_delay_s = setup.analysis.tia.stop_delay_s
     out = []
     for arm, ch in ((0, setup.idler), (1, setup.signal)):
         pairs = _jittered(pair_times, ch.jitter_fwhm_s,
@@ -863,12 +874,12 @@ def _epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arra
         pairs.sort()
         a = pairs
         if arm == 1:
-            a = _merge_sorted(_uncorrelated_arm_times(setup, rates, span, windows,
-                                                      children, arrays), pairs, arrays)
+            a = _merge_sorted(_uncorrelated_arm_times(plan, span, windows, children, arrays),
+                              pairs, arrays)
             if stop_delay_s != 0.0:
                 a += stop_delay_s  # a is this epoch's own array
         lo = int(np.searchsorted(a, -t0, side="left"))
-        hi = int(np.searchsorted(a, duration_s - t0, side="left"))
+        hi = int(np.searchsorted(a, plan.duration_s - t0, side="left"))
         out.append(a[lo:hi])
     return out[0], out[1]
 
@@ -883,22 +894,24 @@ class TiaRunResult:
     duration: float
 
 
-def _bin_bulk(setup, rates, tia, stops, s_lo, s_hi, rng, arrays):
-    """Histogram counts of the start arm's homogeneous part
-    (``_nonpair_rates``) in the slab [s_lo, s_hi], drawn from ``rng``, and
-    how many starts it holds.
+def _bin_bulk(plan, stops, slab, rng, arrays):
+    """Histogram counts of the start arm's homogeneous part (``plan_run``)
+    in the slab [s_lo, s_hi], drawn from ``rng``, and how many starts it
+    holds.
 
-    While the windows of ``_start_domain`` tile (``_tiles``), the part is
-    drawn on them and thinned to the domain, and its starts outside the
+    While the windows of ``_start_domain`` tile (``plan.tiles``), the part
+    is drawn on them and thinned to the domain, and its starts outside the
     domain are only counted; otherwise it is drawn over the slab and every
-    start searched.  Either way it is drawn in one piece, about
-    ``_bulk_draw_rate`` times the slab's length, which ``_epoch_length``
-    counts among the epoch's events.
+    start searched.  Either way it is drawn in one piece, which
+    ``plan_run`` counts among the epoch's events.
     """
-    rate = _nonpair_rates(setup.pump, rates, 0)[1]
-    if _tiles(rates, tia):
+    tia = plan.setup.analysis.tia
+    s_lo, s_hi = slab
+    rate = plan.nonpair[0][1]
+    if plan.tiles:
+        _, hi, top, _ = _window(tia)
         domain = _start_domain(stops, tia, s_lo, s_hi, arrays)
-        bulk = _poisson_times(rate, domain.n * _windows(tia)[1], rng, arrays)
+        bulk = _poisson_times(rate, domain.n * (hi - top), rng, arrays)
         counts, n0 = _bin_starts(bulk, stops, tia, domain)
         # Bulk starts outside the domain are only counted.
         n0 += int(rng.poisson(rate * max(s_hi - s_lo - domain.covered, 0.0)))
@@ -920,32 +933,32 @@ class _Pulses(NamedTuple):
     counted: int
 
 
-def _gated_pulses(stops, cfg, pump, pad, slab, run, tiles, arrays) -> _Pulses:
+def _gated_pulses(plan, stops, slab, run, arrays) -> _Pulses:
     """The pulses on which ``_bin_gated`` draws the start arm's gated events
     for the slab [s_lo, s_hi].
 
     Pulse j's events lie in its span [j/B - pad, j/B + tau + pad], pad the
-    jitter pad (``_jitter_pad``) and j counted from the epoch start.  Drawn
+    jitter pad (``plan.pad``) and j counted from the epoch start.  Drawn
     are the run's pulses, ``run`` = (first, last), whose span meets the slab
     and either crosses one of its ends or meets the window (p - hi, p - top]
     of a stop p (``_start_domain``), which takes pulses ceil((p - hi - pad -
     tau) B) to floor((p - top + pad) B).  Both ends rise with p, so range k
     adds the pulses from the end of range k - 1 on, and one pass over the
-    stops gives the union.  While the windows do not tile (``tiles``), the
-    domain is the slab and every pulse meeting it is drawn.  The others lie
+    stops gives the union.  While the windows do not tile (``plan.tiles``),
+    the domain is the slab and every pulse meeting it is drawn.  The others lie
     inside the slab and are counted.  The ranges go into two arrays of the
     recycler ``arrays``, ``shift`` and ``ends``, which the caller releases.
     """
-    b, tau = pump.rep_rate_hz, pump.tau_s
-    (_, hi), _ = _match_window(cfg)
-    top, _ = _windows(cfg)
+    pump = plan.setup.pump
+    b, tau, pad = pump.rep_rate_hz, pump.tau_s, plan.pad
+    _, hi, top, _ = _window(plan.setup.analysis.tia)
     s_lo, s_hi = slab
     # The run's pulses j_lo to j_hi meet the slab; m_lo to m_hi lie inside it.
     j_lo = max(math.ceil((s_lo - tau - pad) * b), run[0])
     j_hi = min(math.floor((s_hi + pad) * b), run[1])
     m_lo = max(math.floor((s_lo + pad) * b) + 1, j_lo)
     m_hi = min(math.ceil((s_hi - tau - pad) * b) - 1, j_hi)
-    if tiles and m_lo <= m_hi:
+    if plan.tiles and m_lo <= m_hi:
         # A pulse period's margin leaves rounding no say.
         near = stops[np.searchsorted(stops, s_lo + top - 1.0 / b, side="left"):
                      np.searchsorted(stops, s_hi + hi + 1.0 / b, side="right")]
@@ -980,8 +993,8 @@ def _gated_pulses(stops, cfg, pump, pad, slab, run, tiles, arrays) -> _Pulses:
     return _Pulses(shift, ends, n, max(j_hi - j_lo + 1, 0) - n)
 
 
-def _bin_gated(setup, rates, tia, stops, slab, run, children, arrays):
-    """Histogram counts of the start arm's gated part (``_nonpair_rates``),
+def _bin_gated(plan, stops, slab, run, children, arrays):
+    """Histogram counts of the start arm's gated part (``plan_run``),
     pulsed, in the slab [s_lo, s_hi), and how many starts it holds.
 
     Each category, one-arm pair photons from stream ``only0`` and noise from
@@ -994,17 +1007,14 @@ def _bin_gated(setup, rates, tia, stops, slab, run, children, arrays):
     (displacement theorem), and its parts in disjoint slabs and pulses are
     independent, so this is exact in distribution.
     """
+    setup = plan.setup
     pump = setup.pump
     s_lo, s_hi = slab
-    pulses = _gated_pulses(stops, tia, pump, _jitter_pad(setup), slab, run,
-                           _tiles(rates, tia), arrays)
+    pulses = _gated_pulses(plan, stops, slab, run, arrays)
     drawn = []
     n0 = 0
     for name in ("only", "noise"):
-        rate_hz = rates[f"{name}0"]
-        if rate_hz < 0.0:
-            raise ConfigError(f"negative component rate {rate_hz}")
-        mu = rate_hz / pump.rep_rate_hz
+        mu = plan.rates[f"{name}0"] / pump.rep_rate_hz
         rng = _generator(children[f"{name}0"])
         u = rng.integers(0, pulses.n, rng.poisson(mu * pulses.n))
         j = u + np.take(pulses.shift, np.searchsorted(pulses.ends, u, side="right"))
@@ -1014,13 +1024,13 @@ def _bin_gated(setup, rates, tia, stops, slab, run, children, arrays):
     starts = _jittered(np.concatenate(drawn), setup.idler.jitter_fwhm_s,
                        _generator(children["jgated0"]))
     starts = starts[(starts >= s_lo) & (starts < s_hi)]
-    counts, n = _bin_starts(starts, stops, tia)
+    counts, n = _bin_starts(starts, stops, setup.analysis.tia)
     return counts, n0 + n
 
 
-def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, arrays):
-    """Generate epoch e (``_epoch_arms``) and histogram the starts of its
-    slab; all times are epoch time.
+def _tia_epoch(plan, children, e, slab, carry, arrays):
+    """Generate epoch e of ``plan`` (``_epoch_arms``) and histogram the
+    starts of its slab; all times are epoch time.
 
     ``carry`` = (starts, stops) are the explicit starts and the stops
     carried over from the epoch before.  ``slab`` = (s_lo, s_hi) is the
@@ -1034,9 +1044,9 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     next epoch's time.  The epoch's arrays come from the recycler ``arrays``
     and go back to it.
     """
-    s_lo, s_hi = slab
-    arm0, arm1 = _epoch_arms(setup, rates, children, e, epoch, duration_s,
-                             tia.stop_delay_s, arrays)
+    tia = plan.setup.analysis.tia
+    s_hi = slab[1]
+    arm0, arm1 = _epoch_arms(plan, children, e, arrays)
     n0, n1 = arm0.size, arm1.size
     # The carried tails are tiny (a guard interval's worth of events), so
     # merging beats a full re-sort.
@@ -1045,21 +1055,19 @@ def _tia_epoch(setup, rates, tia, children, e, epoch, duration_s, slab, carry, a
     del arm0, arm1
     cut = int(np.searchsorted(explicit, s_hi, side="left"))
     counts, _ = _bin_starts(explicit[:cut], stops, tia)
-    c, dn0 = _bin_bulk(setup, rates, tia, stops, s_lo, s_hi, _generator(children["bulk0"]),
-                       arrays)
+    c, dn0 = _bin_bulk(plan, stops, slab, _generator(children["bulk0"]), arrays)
     counts += c
     n0 += dn0
-    pump = setup.pump
-    if pump.mode == "pulsed":
+    if plan.setup.pump.mode == "pulsed":
         # The run's pulses, counted from the epoch start.
-        first = -e * epoch[1]
-        run = (first, first + _run_windows(pump, duration_s) - 1)
-        c, dn0 = _bin_gated(setup, rates, tia, stops, slab, run, children, arrays)
+        first = -e * plan.epoch[1]
+        run = (first, first + plan.n_pulses - 1)
+        c, dn0 = _bin_gated(plan, stops, slab, run, children, arrays)
         counts += c
         n0 += dn0
     keep = int(np.searchsorted(stops, s_hi + min(tia.range_s[0], 0.0), side="left"))
-    # Shifting by the epoch length is exact (``_epoch_length``).
-    epoch_s = epoch[0]
+    # Shifting by the epoch length is exact (``plan_run``).
+    epoch_s = plan.epoch[0]
     carry = (explicit[cut:] - epoch_s, stops[keep:] - epoch_s)
     arrays.release(explicit, stops)
     return counts, n0, n1, carry
@@ -1070,51 +1078,33 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
 
     The histogrammer settings (policy, range, bins, stop delay) come from
     ``setup.analysis.tia``; a run with other settings takes a setup whose
-    analysis is replaced.
+    analysis is replaced.  ``plan_run`` decides the run, and makes every
+    refusal, before anything is drawn.
 
-    Epochs (``_epoch_length``, the last one possibly shorter) are
-    independent intervals of the same Poisson processes, and counts add.
-    After epoch e every stop below its end + stop_delay - jitter pad is
-    final, so the starts of the slab [S_{e-1}, S_e), with S_e that bound
-    minus the range maximum, are histogrammed then; later starts and the
-    stops they need are carried into epoch e + 1, shifted by the epoch
-    length, which is exact (``_epoch_length``).  The events of one epoch
-    and the carry are held at once; a stream that would expect more than
-    ``_MAX_STREAM_EVENTS`` events in an epoch, a pulsed run whose pulse
-    windows a float cannot count, or a run of more than ``_MAX_EPOCHS``
-    epochs raises ``NumericsError`` before anything is drawn.
+    Epochs (``plan_run``, the last one possibly shorter) are independent
+    intervals of the same Poisson processes, and counts add.  After epoch e
+    every stop below its end + stop_delay - jitter pad is final, so the
+    starts of the slab [S_{e-1}, S_e), with S_e that bound minus the range
+    maximum, are histogrammed then; later starts and the stops they need are
+    carried into epoch e + 1, shifted by the epoch length, which is exact.
+    The events of one epoch and the carry are held at once.
 
-    In either pump mode each arm's homogeneous part (``_nonpair_rates``) is
-    drawn unjittered: the start arm's only on the start times that can reach
-    the histogram (``_start_domain``), the rest of it counted, or, for dense
-    multi-stop ranges, over each slab (``_bin_bulk``); the stop arm's over
-    each epoch.  A pulsed start arm's gated part is drawn per slab on the
-    pulses that can reach the stops, the other pulses' events counted
-    (``_bin_gated``).  Every start histogrammed goes through ``_bin_starts``,
-    whose batches thin the drawn starts and run on one worker thread per
-    usable CPU; the output does not depend on how many there are.
+    In either pump mode each arm's homogeneous part is drawn unjittered: the
+    start arm's only on the start times that can reach the histogram
+    (``_start_domain``), the rest of it counted, or, for dense multi-stop
+    ranges, over each slab (``_bin_bulk``); the stop arm's over each epoch.
+    A pulsed start arm's gated part is drawn per slab on the pulses that can
+    reach the stops, the other pulses' events counted (``_bin_gated``).
+    Every start histogrammed goes through ``_bin_starts``, whose batches
+    thin the drawn starts and run on one worker thread per usable CPU; the
+    output does not depend on how many there are.
     """
+    plan = plan_run(setup, duration_s)
     tia = setup.analysis.tia
-    if not math.isfinite(duration_s) or duration_s < 0.0:
-        raise ConfigError(f"duration must be finite and non-negative, got {duration_s}")
-
-    rates = component_rates(setup)
-    epoch = _epoch_length(setup, rates)
-    epoch_s = epoch[0]
-    pump = setup.pump
-    if pump.mode == "pulsed" and not math.isfinite(duration_s * pump.rep_rate_hz):
-        raise NumericsError(f"a {duration_s:.4g} s run at a {pump.rep_rate_hz:.4g} Hz "
-                            "rep rate holds more pulse windows than a float can count")
-    epochs = duration_s / epoch_s
-    if not epochs <= _MAX_EPOCHS:
-        raise NumericsError(f"a {duration_s:.4g} s run holds {epochs:.4g} epochs of "
-                            f"{epoch_s:.4g} s; a run may hold at most 2^53, the count "
-                            "up to which the epoch start stays exact")
-    _check_stream_sizes(setup, rates, epoch, duration_s)
-    n_epochs = max(1, math.ceil(epochs))
+    epoch_s = plan.epoch[0]
     # Stops of later epochs lie at or above the epoch end + stop_delay -
     # jitter_pad; a start below that minus the range maximum cannot reach them.
-    lag = tia.stop_delay_s - _jitter_pad(setup) - tia.range_s[1] - 1e-9
+    lag = tia.stop_delay_s - plan.pad - tia.range_s[1] - 1e-9
     entropy = np.random.SeedSequence(rng_seed).entropy
 
     counts = np.zeros(tia.n_bins, dtype=np.int64)
@@ -1123,12 +1113,11 @@ def run_tia(setup, duration_s: float, rng_seed) -> TiaRunResult:
     n0 = 0
     n1 = 0
     s_lo = 0.0
-    for e in range(n_epochs):
+    for e in range(plan.n_epochs):
         end = duration_s - e * epoch_s  # the run's end in epoch time
-        s_hi = end if e + 1 == n_epochs else min(epoch_s + lag, end)
-        c, dn0, dn1, carry = _tia_epoch(
-            setup, rates, tia, _epoch_children(entropy, e), e, epoch, duration_s,
-            (s_lo, s_hi), carry, arrays)
+        s_hi = end if e + 1 == plan.n_epochs else min(epoch_s + lag, end)
+        c, dn0, dn1, carry = _tia_epoch(plan, _epoch_children(entropy, e), e, (s_lo, s_hi),
+                                        carry, arrays)
         counts += c
         n0 += dn0
         n1 += dn1

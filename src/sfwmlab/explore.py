@@ -289,11 +289,6 @@ def _point_builder(setup: Setup, names):
     return build
 
 
-def _apply_point(setup: Setup, names, point) -> Setup:
-    """The setup at one search point, every part built afresh."""
-    return _point_builder(setup, names)(point)
-
-
 def _evaluate(setup: Setup, obs: ModelObservables,
               constraint) -> tuple[float, float, float, bool]:
     """CAR, pairs per pulse, coincidence rate and feasibility of a point

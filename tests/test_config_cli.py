@@ -521,6 +521,11 @@ class TestCli:
         pytest.param("engineered_cfg",
                      {("pump", "rep_rate_mhz"): 1e290, ("pump", "tau_ps"): 1e-290}, "1e30",
                      ("1e+30 s run", "1e+296 Hz rep rate"), id="pulse-windows-1e+30"),
+        # 2^20 events per epoch at 1e306 pulses/s: more pulse periods than a
+        # float can count, whatever the duration.
+        pytest.param("engineered_cfg",
+                     {("pump", "rep_rate_mhz"): 1e300, ("pump", "tau_ps"): 1e-300}, "0",
+                     ("1e+306 Hz rep rate", "pulse periods"), id="epoch-periods-1e+306"),
     ])
     def test_histogram_extreme_rate_exit_code(self, tmp_path, capsys, request, config,
                                               changes, duration, expected):

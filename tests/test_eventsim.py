@@ -27,20 +27,17 @@ from sfwmlab.eventsim import (
     _bin_starts,
     _epoch_arms,
     _epoch_children,
-    _epoch_length,
     _gated_pulses,
     _generator,
     _jittered,
-    _match_window,
-    _nonpair_rates,
     _poisson_times,
     _pulsed_times,
     _start_domain,
     _thin,
     _tia_epoch,
-    _tiles,
-    _windows,
+    _window,
     component_rates,
+    plan_run,
     run_tia,
 )
 from sfwmlab.explore import power_for_pairs_per_pulse
@@ -89,9 +86,9 @@ def _pair_delays(starts, stops, cfg):
     below the histogram range maximum: every start's index range searched
     in the whole stop array and expanded at once, an algorithm apart from
     the walk of ``_bin_starts``, which must reproduce it."""
-    window, single = _match_window(cfg)
-    i0, i1 = _search_ranges(starts, stops, window, single)
-    return _expand_stop_ranges(starts, stops, i0, i1, window)
+    lo, hi, _, single = _window(cfg)
+    i0, i1 = _search_ranges(starts, stops, (lo, hi), single)
+    return _expand_stop_ranges(starts, stops, i0, i1, (lo, hi))
 
 
 def _histogram(starts, stops, cfg):
@@ -100,20 +97,35 @@ def _histogram(starts, stops, cfg):
     return counts
 
 
+def _plan(setup, duration_s, rates=None, **fields):
+    """The plan of a run of ``setup`` (``plan_run``), made from ``rates`` in
+    place of its component rates if given, with ``fields`` replaced."""
+    with pytest.MonkeyPatch.context() as m:
+        if rates is not None:
+            m.setattr(eventsim, "component_rates", lambda setup: rates)
+        return plan_run(setup, duration_s)._replace(**fields)
+
+
+def _window_length(cfg):
+    """w, the length of every start-domain window (``_window``, looked up
+    when called, so that a replaced one counts)."""
+    _, hi, top, _ = eventsim._window(cfg)
+    return hi - top
+
+
 def _arms(setup, duration_s, seed, epoch=None):
     """(seeds, (arm0, arm1)) of a run generated as one epoch of ``duration_s``,
-    ``epoch`` = (E, P) (``_epoch_length``; CW by default)."""
+    ``epoch`` = (E, P) (``plan_run``; CW by default)."""
     children = _epoch_children(seed, 0)
-    return children, _epoch_arms(setup, component_rates(setup), children, 0,
-                                 epoch or (duration_s, 0), duration_s,
-                                 setup.analysis.tia.stop_delay_s, _Recycler())
+    plan = _plan(setup, duration_s, epoch=epoch or (duration_s, 0))
+    return children, _epoch_arms(plan, children, 0, _Recycler())
 
 
 def _full_streams(setup, duration_s, seed):
     """All starts and stops of a CW run in one epoch: ``_epoch_arms`` plus
     the start arm's bulk drawn over the whole run."""
     children, (arm0, arm1) = _arms(setup, duration_s, seed)
-    bulk0 = _poisson_times(_nonpair_rates(setup.pump, component_rates(setup), 0)[1],
+    bulk0 = _poisson_times(plan_run(setup, duration_s).nonpair[0][1],
                            duration_s, _generator(children["bulk0"]))
     return np.sort(np.concatenate([arm0, bulk0])), arm1
 
@@ -430,22 +442,32 @@ class TestRunTia:
         run_tia(paper_cfg.setup, 0.4, 3)
         assert any(np.shares_memory(a, b) for i, a in enumerate(handed) for b in handed[:i])
 
+    @staticmethod
+    def _refused(monkeypatch, setup, duration, error, match):
+        """Both ``plan_run`` and ``run_tia`` refuse the run with ``error``
+        matching ``match``, and ``run_tia`` before building any generator."""
+        with pytest.raises(error, match=match) as raised:
+            plan_run(setup, duration)
+
+        def generator(seed):
+            raise AssertionError("a generator was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(eventsim, "_generator", generator)
+            with pytest.raises(error, match=match):
+                run_tia(setup, duration, 1)
+        return str(raised.value)
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
-    def test_rejects_bad_duration(self, paper_cfg, duration):
-        with pytest.raises(ConfigError, match="duration"):
-            run_tia(paper_cfg.setup, duration, 1)
+    def test_rejects_bad_duration(self, paper_cfg, monkeypatch, duration):
+        self._refused(monkeypatch, paper_cfg.setup, duration, ConfigError, "duration")
 
     @pytest.mark.parametrize("duration, epochs", [(1e30, "2e+30"), (1e308, "inf")])
     def test_rejects_more_epochs_than_stay_exact(self, paper_cfg, monkeypatch, duration,
                                                  epochs):
         # 0.5 s epochs: refused before the first epoch is generated.
-        def generated(*args):
-            raise AssertionError("an epoch was generated")
-
-        monkeypatch.setattr(eventsim, "_tia_epoch", generated)
-        with pytest.raises(NumericsError) as raised:
-            run_tia(paper_cfg.setup, duration, 1)
-        message = str(raised.value)
+        message = self._refused(monkeypatch, paper_cfg.setup, duration, NumericsError,
+                                "at most 2\\^53")
         assert f"{duration:.4g} s run holds {epochs} epochs of 0.5 s" in message
         assert "at most 2^53" in message
 
@@ -455,22 +477,43 @@ class TestRunTia:
         tia = TiaConfig(bin_width_s=1e-6, range_s=(0.0, 5e-4), policy="multi-stop",
                         stop_delay_s=1e-4)
         setup = set_path(with_analysis(paper_cfg.setup, tia=tia), "idler.dark_rate_hz", 1e12)
+        self._refused(monkeypatch, setup, 1.0, NumericsError,
+                      "the arm 0 bulk draw rate 1e\\+12 /s would "
+                      "put 1.953e\\+09 events in one 0.001953 s epoch")
 
-        def generated(*args):
-            raise AssertionError("an epoch was generated")
+    @pytest.mark.parametrize("config", ["paper_cfg", "engineered_cfg"])
+    @pytest.mark.parametrize("name", ["both", "noise0"])
+    def test_rejects_a_negative_component_rate(self, request, monkeypatch, config, name):
+        # In either pump mode, and whichever stream the rate would feed.
+        setup = request.getfixturevalue(config).setup
+        rates = dict(component_rates(setup), **{name: -2.5})
+        monkeypatch.setattr(eventsim, "component_rates", lambda setup: rates)
+        self._refused(monkeypatch, setup, 1.0, ConfigError, "^negative component rate -2.5$")
 
-        monkeypatch.setattr(eventsim, "_tia_epoch", generated)
-        with pytest.raises(NumericsError, match="the arm 0 bulk draw rate 1e\\+12 /s would "
-                           "put 1.953e\\+09 events in one 0.001953 s epoch"):
-            run_tia(setup, 1.0, 1)
+    def test_plans_once(self, engineered_cfg, monkeypatch):
+        # One plan, and one set of component rates, per run.
+        calls = {"plan_run": 0, "component_rates": 0}
+
+        def counted(name):
+            function = getattr(eventsim, name)
+
+            def call(*args):
+                calls[name] += 1
+                return function(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(eventsim, name, counted(name))
+        run_tia(engineered_cfg.setup, 1.0, 1)
+        assert calls == {"plan_run": 1, "component_rates": 1}
 
     def test_epochs_have_equal_length(self, paper_cfg, monkeypatch):
         epochs = []
         epoch_arms = eventsim._epoch_arms
 
-        def record(setup, rates, children, e, epoch, duration_s, *args):
-            epochs.append((e, epoch, duration_s))
-            return epoch_arms(setup, rates, children, e, epoch, duration_s, *args)
+        def record(plan, children, e, *args):
+            epochs.append((e, plan.epoch, plan.duration_s))
+            return epoch_arms(plan, children, e, *args)
 
         monkeypatch.setattr(eventsim, "_epoch_arms", record)
         # 1.34e6 generated events/s and 2^17 per epoch: 0.098 s at most, so
@@ -498,9 +541,8 @@ class TestEpochs:
 
     def test_shipped_epoch_lengths(self, paper_cfg, engineered_cfg):
         # About 2^20 generated events: 1.34e6 stops/s; 2722 singles/s at 100 MHz.
-        assert _epoch_length(paper_cfg.setup, component_rates(paper_cfg.setup)) == (0.5, 0)
-        rates = component_rates(engineered_cfg.setup)
-        assert _epoch_length(engineered_cfg.setup, rates) == (2**35 / 1e8, 2**35)
+        assert plan_run(paper_cfg.setup, 1.0).epoch == (0.5, 0)
+        assert plan_run(engineered_cfg.setup, 1.0).epoch == (2**35 / 1e8, 2**35)
 
     @pytest.mark.parametrize("rep_rate_hz", [1e8, 76.3e6, 123456.7, 0.1234567e6 + 1e-9])
     def test_pulsed_epoch_is_whole_pulse_periods_within_the_budget(self, engineered_cfg,
@@ -510,21 +552,21 @@ class TestEpochs:
         # events.  Arm 0's darks are drawn only on the stops' windows, w long,
         # which tile: D0 r1 w of them per second.
         setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", rep_rate_hz)
-        rates = component_rates(setup)
-        epoch_s, pulses = _epoch_length(setup, rates)
+        plan = plan_run(setup, 1.0)
+        epoch_s, pulses = plan.epoch
         assert pulses > 0 and pulses & (pulses - 1) == 0  # a power of two
         assert epoch_s == pulses / rep_rate_hz
-        obs = rates["observables"]
+        obs = plan.rates["observables"]
         tia = setup.analysis.tia
-        assert _tiles(rates, tia)
+        assert plan.tiles
         d0 = setup.idler.dark_rate_hz
-        events = (obs.singles0 - d0 + obs.singles1 + d0 * obs.singles1 * _windows(tia)[1]) \
+        events = (obs.singles0 - d0 + obs.singles1 + d0 * obs.singles1 * _window_length(tia)) \
             * epoch_s
         assert eventsim._EVENTS_PER_EPOCH / 2 < events <= eventsim._EVENTS_PER_EPOCH
 
     def test_vanishing_rep_rate_gives_one_pulse_period(self, engineered_cfg):
         setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", 1e-294)
-        assert _epoch_length(setup, component_rates(setup)) == (1 / 1e-294, 1)
+        assert plan_run(setup, 10.0).epoch == (1 / 1e-294, 1)
         result = run_tia(setup, 10.0, 1)
         assert result.n_starts > 0 and result.histogram.total_counts == 0
 
@@ -535,10 +577,9 @@ class TestEpochs:
         tia = TiaConfig(bin_width_s=1e-6, range_s=(-2e-4, 5e-4), policy="multi-stop",
                         stop_delay_s=1e-4)
         setup = with_analysis((engineered_cfg if pulsed else paper_cfg).setup, tia=tia)
-        rates = component_rates(setup)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**4)
-            epoch_s, pulses = _epoch_length(setup, rates)
+            epoch_s, pulses = plan_run(setup, 1.0).epoch
         reach = self._reach(setup)
         assert 2 * reach <= epoch_s < 10 * reach
         if pulsed:
@@ -554,15 +595,15 @@ class TestEpochs:
             ch["jitter_fwhm_ps"] = 0.0
         setup = load_config(raw).setup
         pump = setup.pump
-        rates = component_rates(setup)
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**4)
-        epoch = _epoch_length(setup, rates)
+        plan = plan_run(setup, 2.0)
+        epoch = plan.epoch
         assert epoch == (2**21 / 76.3e6, 2**21)
+        delay = setup.analysis.tia.stop_delay_s
         times = []
         for e in range(1, 40):
-            arms = _epoch_arms(setup, rates, _epoch_children(3, e), e, epoch, 2.0, 0.0,
-                               _Recycler())
-            times.append(e * epoch[0] + np.concatenate(arms))
+            arm0, arm1 = _epoch_arms(plan, _epoch_children(3, e), e, _Recycler())
+            times.append(e * epoch[0] + np.concatenate([arm0, arm1 - delay]))
         times = np.concatenate(times)
         assert times.size > 50
         # Time since the latest pulse k/B of the run's grid, in periods.
@@ -573,16 +614,18 @@ class TestEpochs:
     def test_last_pulsed_epoch_ends_with_the_run(self, engineered_cfg):
         # Epochs of 2^10 periods at 100 MHz, 20 pairs per pulse; the run
         # ends 100.5 periods into the second epoch, which holds 101 windows.
+        # No stop delay, so that arm 1's events stay in their windows.
         raw = copy.deepcopy(engineered_cfg.raw)
         for ch in raw["channels"].values():
             ch["jitter_fwhm_ps"] = 0.0
+        raw["analysis"]["tia"].update(range_ns=[0.0, 12.208], stop_delay_ns=0.0)
         setup = load_config(raw).setup
-        rates = {name: 0.0 for name in component_rates(setup) if name != "observables"}
-        rates["both"] = 2e9
-        epoch = (2**10 / 1e8, 2**10)
+        rates = {name: 0.0 for name in component_rates(setup)}
+        rates.update(both=2e9, observables=component_rates(setup)["observables"])
         duration = (2**10 + 100.5) / 1e8
-        arms = _epoch_arms(setup, rates, _epoch_children(3, 1), 1, epoch, duration, 0.0,
-                           _Recycler())
+        plan = _plan(setup, duration, rates, epoch=(2**10 / 1e8, 2**10))
+        assert plan.n_pulses == 2**10 + 101
+        arms = _epoch_arms(plan, _epoch_children(3, 1), 1, _Recycler())
         windows = np.unique(np.floor(arms[1] * 1e8))
         assert np.array_equal(windows, np.arange(101))
 
@@ -626,16 +669,14 @@ class TestEpochs:
         # times are 7.3 ps apart.  Under epoch 0's key it gives epoch 0's
         # events, entries and carry, bit for bit.
         setup = paper_cfg.setup
-        tia = setup.analysis.tia
-        rates = component_rates(setup)
-        epoch = _epoch_length(setup, rates)
-        epoch_s = epoch[0]
+        epoch_s = plan_run(setup, 1.0).epoch[0]
         children = _epoch_children(5, 0)
         empty = (np.empty(0), np.empty(0))
         results = []
         for e in (0, 2**17):
-            results.append(_tia_epoch(setup, rates, tia, children, e, epoch,
-                                      (e + 1) * epoch_s, (0.0, epoch_s), empty, _Recycler()))
+            plan = plan_run(setup, (e + 1) * epoch_s)
+            assert plan.epoch[0] == epoch_s
+            results.append(_tia_epoch(plan, children, e, (0.0, epoch_s), empty, _Recycler()))
         (counts0, n00, n10, tail0), (counts1, n01, n11, tail1) = results
         assert counts0.sum() > 1000
         assert np.array_equal(counts0, counts1)
@@ -651,7 +692,7 @@ def _reference_domain(stops, cfg, t_lo, t_hi):
     stays empty.  An algorithm apart from the stop-gap length and the
     thinning of ``_start_domain`` and ``_thin``, which must reproduce it
     to rounding."""
-    (lo, hi), _ = _match_window(cfg)
+    lo, hi, _, _ = _window(cfg)
     top = max(lo, cfg.range_s[0])
     first = int(np.searchsorted(stops, t_lo + top, side="left"))
     end = int(np.searchsorted(stops, t_hi + hi, side="right"))
@@ -674,7 +715,7 @@ def _reference_domain(stops, cfg, t_lo, t_hi):
 
 def _window_of(u, cfg, domain):
     """The window index of each offset along the windows of ``domain``."""
-    return np.minimum((u / _windows(cfg)[1]).astype(np.intp), domain.n - 1)
+    return np.minimum((u / _window_length(cfg)).astype(np.intp), domain.n - 1)
 
 
 def _thinned_on_grid(stops, cfg, t_lo, t_hi, step=0.25):
@@ -688,7 +729,7 @@ def _thinned_on_grid(stops, cfg, t_lo, t_hi, step=0.25):
     domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
     assert (domain.first, domain.n) == (first, seg_lo.size)
     assert domain.covered == np.sum(seg_hi - seg_lo)
-    u = np.arange(0.0, domain.n * _windows(cfg)[1], step)
+    u = np.arange(0.0, domain.n * _window_length(cfg), step)
     k = _window_of(u, cfg, domain)
     s, i, p, kept = _thin(u, stops, cfg, domain)
     inside = (s > seg_lo[k]) & (s <= seg_hi[k])
@@ -775,7 +816,7 @@ def _domain_starts(rate_hz, stops, cfg, t_lo, t_hi, rng):
     kept times, their first-stop indices)."""
     arrays = _Recycler()
     domain = _start_domain(stops, cfg, t_lo, t_hi, arrays)
-    u = _poisson_times(rate_hz, domain.n * _windows(cfg)[1], rng, arrays)
+    u = _poisson_times(rate_hz, domain.n * _window_length(cfg), rng, arrays)
     s, i, p, kept = _thin(u, stops, cfg, domain)
     inside = np.isfinite(p)
     assert kept == inside.sum()
@@ -885,8 +926,8 @@ class TestStartDomainLengths:
             return
         # Points across every window, at its start and on its segment's
         # two edges.
-        (lo, _), _ = _match_window(cfg)
-        top, w = _windows(cfg)
+        lo, hi, top, _ = _window(cfg)
+        w = hi - top
         end = stops[first:first + domain.n] - top
         d = np.concatenate([np.outer(np.ones(domain.n), np.append(offsets, 0.0)) * w,
                             (end - seg_lo)[:, None], (end - seg_hi)[:, None]], axis=1)
@@ -950,7 +991,8 @@ class TestBlockHistogram:
         assert n == kept == starts.size
         assert np.array_equal(counts, _histogram(starts, stops, cfg))
         settled = ~np.isin(starts, searched)
-        i0, i1 = _search_ranges(starts[settled], stops, *_match_window(cfg))
+        lo, hi, _, single = _window(cfg)
+        i0, i1 = _search_ranges(starts[settled], stops, (lo, hi), single)
         # A settled start's matches begin at its window's stop.
         first = domain.first + _window_of(u, cfg, domain)[inside][settled]
         assert np.array_equal(i0, first)
@@ -968,7 +1010,7 @@ class TestBlockHistogram:
         seg_lo, seg_hi = _thinned_on_grid(stops, cfg, t_lo, t_hi)
         assert list(zip(seg_lo, seg_hi)) == expect_segments
         domain = _start_domain(stops, cfg, t_lo, t_hi, _Recycler())
-        u = np.arange(0.0, domain.n * _windows(cfg)[1], 0.25)
+        u = np.arange(0.0, domain.n * _window_length(cfg), 0.25)
         starts, searched = self._check(u, stops, cfg, domain)
         assert searched.size == 0
         # The kept starts are the quarter steps in (seg_lo, seg_hi].
@@ -1007,15 +1049,15 @@ class TestBlockHistogram:
     def test_start_in_a_wrong_block_is_searched(self, monkeypatch):
         # A start that rounding put past its window's stop minus lo matches
         # from a later stop, and is searched instead of losing its stops.
-        # Windows that end half a unit late, (p - 2.5, p - 0.5] for the (1,
+        # Windows that end half a unit late, (p - 3, p - 0.5] for the (1,
         # 3) window, put every start within 0.5 of a window's end there.
         stops = np.array([0.0, 5.0, 6.0, 10.0, 30.0])
         cfg = TiaConfig(bin_width_s=0.25, range_s=(1.0, 3.0), policy="multi-stop",
                         stop_delay_s=2.0)
         domain = _start_domain(stops, cfg, 1.0, 25.0, _Recycler())
         assert (domain.first, domain.n) == (1, 3)
-        monkeypatch.setattr(eventsim, "_windows", lambda cfg: (0.5, 2.0))
-        starts, searched = self._check(np.array([0.25, 1.0, 2.25, 4.0]), stops, cfg, domain)
+        monkeypatch.setattr(eventsim, "_window", lambda cfg: (1.0, 3.0, 0.5, False))
+        starts, searched = self._check(np.array([0.25, 1.0, 2.75, 5.0]), stops, cfg, domain)
         assert np.array_equal(starts, [4.25, 3.5, 5.25, 9.5])
         assert np.array_equal(searched, [4.25, 5.25, 9.5])
 
@@ -1201,7 +1243,7 @@ class TestRunTiaStatistics:
 
     def _check(self, setup, policy, monkeypatch):
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**17)
-        assert _epoch_length(setup, component_rates(setup)) == (self.DURATION / 40, 0)
+        assert plan_run(setup, self.DURATION).epoch == (self.DURATION / 40, 0)
         obs = setup.predict()
         runs = self._runs(setup, policy)
         t_total = self.DURATION * len(runs)
@@ -1316,14 +1358,13 @@ class TestPulsedHomogeneousPart:
         # the epoch at 2^31 periods, 21.5 s.
         setup = set_path(engineered_cfg.setup, "idler.dark_rate_hz", 1e10)
         duration = 0.05
-        epoch_s = _epoch_length(setup, component_rates(setup))[0]
-        assert math.ceil(duration / epoch_s) == 1
+        assert plan_run(setup, duration).n_epochs == 1
         calls = []
         bin_bulk = eventsim._bin_bulk
 
-        def counted(*args):
-            calls.append(args[4:6])  # the slab
-            return bin_bulk(*args)
+        def counted(plan, stops, slab, *args):
+            calls.append(slab)
+            return bin_bulk(plan, stops, slab, *args)
 
         monkeypatch.setattr(eventsim, "_bin_bulk", counted)
         result = run_tia(setup, duration, 1)
@@ -1343,7 +1384,7 @@ class TestPulsedHomogeneousPart:
         tia = TiaConfig(bin_width_s=16e-12, range_s=(0.0, 25e-9), policy="multi-stop",
                         stop_delay_s=11.1e-9)
         setup = with_analysis(setup, tia=tia)
-        assert _tiles(component_rates(setup), tia)
+        assert plan_run(setup, 100.0).tiles
         duration = 100.0
         counts = run_tia(setup, duration, 1).histogram.counts
         d0 = d1 = 1e5
@@ -1357,20 +1398,22 @@ class TestPulsedHomogeneousPart:
         assert stats.chi2.sf(chi2, full.size) > 1e-3
 
     def test_stop_arm_darks_are_the_unjittered_bulk_draw(self, engineered_cfg):
-        # With only darks, arm 1 is the bulk1 draw bit for bit, although
-        # its detector jitters, and arm 0 holds no explicit start.
+        # With only darks, arm 1 is the bulk1 draw bit for bit, delayed by
+        # the stop delay, although its detector jitters, and arm 0 holds no
+        # explicit start.
         setup = engineered_cfg.setup
         assert setup.signal.jitter_fwhm_s > 0.0
-        rates = {name: 0.0 for name in component_rates(setup) if name != "observables"}
-        rates.update(dark0=1e9, dark1=1e9)
+        rates = {name: 0.0 for name in component_rates(setup)}
+        rates.update(dark0=1e9, dark1=1e9, observables=component_rates(setup)["observables"])
         epoch = (2**10 / 1e8, 2**10)
         children = _epoch_children(3, 0)
-        arm0, arm1 = _epoch_arms(setup, rates, children, 0, epoch, epoch[0], 0.0,
-                                 _Recycler())
+        plan = _plan(setup, epoch[0], rates, epoch=epoch)
+        arm0, arm1 = _epoch_arms(plan, children, 0, _Recycler())
         bulk1 = _poisson_times(1e9, epoch[0], _generator(children["bulk1"]))
+        bulk1 += setup.analysis.tia.stop_delay_s
         assert arm0.size == 0
         assert bulk1.size > 5000
-        assert np.array_equal(arm1, bulk1)
+        assert np.array_equal(arm1, bulk1[bulk1 < epoch[0]])
 
 
 def _corner(setup):
@@ -1390,15 +1433,15 @@ def _drawn_pulses(pulses):
     return u + pulses.shift[np.searchsorted(pulses.ends, u, side="right")]
 
 
-def _brute_force_pulses(stops, cfg, pump, pad, slab, run, tiles):
+def _brute_force_pulses(stops, plan, slab, run):
     """(selected, counted) pulses of ``_gated_pulses``, pulse by pulse: the
     run's pulses whose span [j/B - pad, j/B + tau + pad] meets the slab and
     crosses one of its ends or meets a stop's window [p - hi, p - top]
     (every one, when the windows do not tile), and how many of the other run
     pulses meeting the slab there are."""
+    pump, pad, tiles = plan.setup.pump, plan.pad, plan.tiles
     b, tau = pump.rep_rate_hz, pump.tau_s
-    (_, hi), _ = _match_window(cfg)
-    top, _ = _windows(cfg)
+    _, hi, top, _ = _window(plan.setup.analysis.tia)
     s_lo, s_hi = slab
     j = np.arange(max(math.floor((s_lo - tau - pad) * b) - 2, run[0]),
                   min(math.ceil((s_hi + pad) * b) + 2, run[1]) + 1)
@@ -1446,9 +1489,10 @@ class TestGatedPulses:
             setup = with_analysis(setup, tia=TiaConfig(bin_width_s=1e-6, range_s=tia[1],
                                                        policy=tia[0], stop_delay_s=1e-6))
         cfg = setup.analysis.tia
-        tiles = tia is None
-        pad = eventsim._jitter_pad(setup)
-        top, _ = _windows(cfg)
+        plan = plan_run(setup, 1.0)
+        assert plan.tiles == (tia is None)
+        pad = plan.pad
+        _, _, top, _ = _window(cfg)
         stops = np.random.default_rng(5).uniform(slab[0] - 2e-8, slab[1] + 2e-8, n_stops)
         # A stop whose window holds the run's first or last pulse.
         if case == "the run's first pulse":
@@ -1457,8 +1501,8 @@ class TestGatedPulses:
             stops = np.append(stops, run[1] / setup.pump.rep_rate_hz + top + 1e-9)
         stops.sort()
         arrays = _Recycler()
-        pulses = _gated_pulses(stops, cfg, setup.pump, pad, slab, run, tiles, arrays)
-        selected, counted = _brute_force_pulses(stops, cfg, setup.pump, pad, slab, run, tiles)
+        pulses = _gated_pulses(plan, stops, slab, run, arrays)
+        selected, counted = _brute_force_pulses(stops, plan, slab, run)
         drawn = _drawn_pulses(pulses)
         assert selected.size > 10
         assert np.array_equal(drawn, selected)
@@ -1480,12 +1524,11 @@ class TestGatedPulses:
         # At 1e-294 Hz pulse 1 comes 1e294 s after pulse 0; a 10 s slab at
         # the run's start holds pulse 0 if the run does.
         setup = set_path(engineered_cfg.setup, "pump.rep_rate_hz", 1e-294)
-        cfg = setup.analysis.tia
-        pad = eventsim._jitter_pad(setup)
+        plan = plan_run(setup, 10.0)
+        assert plan.tiles
         stops = np.sort(np.random.default_rng(5).uniform(0.0, 10.0, 100))
-        pulses = _gated_pulses(stops, cfg, setup.pump, pad, (0.0, 10.0), run, True, _Recycler())
-        selected, counted = _brute_force_pulses(stops, cfg, setup.pump, pad, (0.0, 10.0), run,
-                                                True)
+        pulses = _gated_pulses(plan, stops, (0.0, 10.0), run, _Recycler())
+        selected, counted = _brute_force_pulses(stops, plan, (0.0, 10.0), run)
         assert np.array_equal(_drawn_pulses(pulses), selected)
         assert selected.tolist() == list(range(run[1] + 1))
         assert pulses.counted == counted == 0
@@ -1554,9 +1597,9 @@ class TestPulsedGatedDraw:
         for path, value in (("pump.tau_s", 1e-8), ("idler.jitter_fwhm_s", 0.0),
                             ("signal.jitter_fwhm_s", 0.0)):
             setup = set_path(setup, path, value)
-        rates = dict(component_rates(setup), only0=0.0, noise0=1e11)
-        n = sum(_bin_gated(setup, rates, setup.analysis.tia, np.empty(0), (0.5e-8, 10.5e-8),
-                           (-10**9, 10**9), _epoch_children(seed, 0), _Recycler())[1]
+        plan = _plan(setup, 1.0, dict(component_rates(setup), only0=0.0, noise0=1e11))
+        n = sum(_bin_gated(plan, np.empty(0), (0.5e-8, 10.5e-8), (-10**9, 10**9),
+                           _epoch_children(seed, 0), _Recycler())[1]
                 for seed in self.SEEDS)
         expected = 1e4 * len(self.SEEDS)
         assert abs(n - expected) < 4 * math.sqrt(expected)
@@ -1679,9 +1722,8 @@ class TestRunTiaBlockPath:
     def test_histogram_does_not_depend_on_batch_size(self, paper_cfg, monkeypatch, batch):
         monkeypatch.setattr(eventsim, "_EVENTS_PER_EPOCH", 2**13)
         for policy, range_hi, duration_s in self.CASES:
-            setup = self._setup(paper_cfg.setup, policy, range_hi)
-            rates = component_rates(setup)
-            n_epochs = math.ceil(duration_s / _epoch_length(setup, rates)[0])
+            plan = plan_run(self._setup(paper_cfg.setup, policy, range_hi), duration_s)
+            n_epochs = plan.n_epochs
             assert n_epochs > 1
             calls = []
 
@@ -1715,7 +1757,7 @@ class TestRunTiaBlockPath:
             assert all(n == searched for n, _, searched in explicit)
             n_starts, n_thinned, n_searched = np.sum(bulk, axis=0)
             assert n_starts > 5000
-            if _tiles(rates, setup.analysis.tia):
+            if plan.tiles:
                 # The windows settle nearly every bulk start.
                 assert n_thinned == n_epochs
                 assert n_searched < 0.01 * n_starts
@@ -1800,7 +1842,7 @@ class TestBulkDraw:
         start_domain, poisson_times = eventsim._start_domain, eventsim._poisson_times
 
         def epoch(*args):
-            epochs.append({"slab": args[7], "domain": None, "draws": None})
+            epochs.append({"slab": args[3], "domain": None, "draws": None})
             return tia_epoch(*args)
 
         def arms(*args):
@@ -1838,12 +1880,11 @@ class TestBulkDraw:
         tia = TiaConfig(bin_width_s=1e-9, range_s=range_s, policy=policy,
                         stop_delay_s=11.1e-9)
         setup = with_analysis(paper_cfg.setup, tia=tia)
-        rates = component_rates(setup)
-        assert _tiles(rates, tia) is thinned
-        r0 = _nonpair_rates(setup.pump, rates, 0)[1]
-        epoch_s = _epoch_length(setup, rates)[0]
+        plan = plan_run(setup, duration_s)
+        assert plan.tiles is thinned
+        r0 = plan.nonpair[0][1]
         epochs = self._epochs(setup, duration_s, monkeypatch)
-        assert len(epochs) == math.ceil(duration_s / epoch_s)
+        assert len(epochs) == plan.n_epochs == math.ceil(duration_s / plan.epoch[0])
         for epoch in epochs:
             # One draw per epoch, expected to fit the epoch's event budget.
             [(span, start, size)] = epoch["draws"]
@@ -1854,7 +1895,7 @@ class TestBulkDraw:
                 # Offsets along the windows, which hold at most 1.6 times
                 # the domain.
                 assert start == 0.0
-                assert span == pytest.approx(domain.n * _windows(tia)[1], rel=1e-12)
+                assert span == pytest.approx(domain.n * _window_length(tia), rel=1e-12)
                 assert domain.covered <= span <= 1.6 * domain.covered
             else:
                 # Times over the slab.
@@ -1904,7 +1945,7 @@ class TestRunTiaChunking:
     """
 
     # 52 epochs of 2^-10 s; 26 of 2^-9 s at the 0.5 ms ranges, whose reach
-    # (``_epoch_length``) is longer than half of 2^-10 s.
+    # (``plan_run``) is longer than half of 2^-10 s.
     DURATION = 0.05
 
     @pytest.fixture()
@@ -1926,8 +1967,9 @@ class TestRunTiaChunking:
             t = np.sort(t)
             return t[(t >= 0.0) & (t < n)]
 
-        def epoch_arms(setup, rates, children, e, epoch, duration_s, stop_delay_s, arrays):
-            epoch_s = epoch[0]
+        def epoch_arms(plan, children, e, arrays):
+            epoch_s = plan.epoch[0]
+            stop_delay_s = plan.setup.analysis.tia.stop_delay_s
             t0 = e * epoch_s
             epoch_starts.append(t0)
             pairs = (emit >= t0) & (emit < t0 + epoch_s)

@@ -11,7 +11,7 @@ from sfwmlab.devices import PumpConfig
 from sfwmlab.errors import ConfigError, ExtrapolationError, NumericsError, PowerSolveError
 from sfwmlab.explore import (
     SweepSpec,
-    _apply_point,
+    _point_builder,
     car_vs_detuning,
     car_vs_mu,
     fit_power_law,
@@ -449,7 +449,7 @@ class TestOptimizeCar:
         # B has a duty cycle of 2: the point must not fail on that mix.
         setup = engineered_cfg.setup
         assert setup.pump.tau_s * 4e11 > 1.0
-        s = _apply_point(setup, ["rep_rate_hz", "tau_s"], [4e11, 6.25e-13])
+        s = _point_builder(setup, ["rep_rate_hz", "tau_s"])([4e11, 6.25e-13])
         assert (s.pump.rep_rate_hz, s.pump.tau_s) == (4e11, 6.25e-13)
         bounds = {"rep_rate_hz": (4e11, 4e11), "tau_s": (6.25e-13, 6.25e-13)}
         result = optimize_car(setup, bounds, ("mu_min", 0.0))
@@ -458,7 +458,7 @@ class TestOptimizeCar:
     def test_invalid_final_pump_is_infeasible(self, engineered_cfg):
         setup = engineered_cfg.setup
         with pytest.raises(ConfigError, match="duty cycle"):
-            _apply_point(setup, ["rep_rate_hz", "tau_s"], [4e11, 5e-12])
+            _point_builder(setup, ["rep_rate_hz", "tau_s"])([4e11, 5e-12])
         bounds = {"rep_rate_hz": (4e11, 4e11), "tau_s": (6.25e-13, 5e-12)}
         result = optimize_car(setup, bounds, ("mu_min", 0.0), grid_points=2)
         points = [t["point"] for t in result.trace]
@@ -527,7 +527,7 @@ class TestOptimizeCar:
         # A pump that differs only in tau and B has the same rate budget, and
         # assembling the point from the shared budget is its full prediction.
         setup = engineered_cfg.setup
-        other = _apply_point(setup, ["rep_rate_hz", "tau_s"], [4e11, 6.25e-13])
+        other = _point_builder(setup, ["rep_rate_hz", "tau_s"])([4e11, 6.25e-13])
         assert (other.pump.tau_s, other.pump.rep_rate_hz) != (
             setup.pump.tau_s, setup.pump.rep_rate_hz)
         assert rate_budget(other) == rate_budget(setup)
@@ -543,7 +543,7 @@ class TestOptimizeCar:
             optimize_car(engineered_cfg.setup, bounds, ("mu_min", 0.0))
         assert budgets == [7]
         with pytest.raises(ExtrapolationError):
-            rate_budget(_apply_point(engineered_cfg.setup, ["detuning_hz"], [9e12]))
+            rate_budget(_point_builder(engineered_cfg.setup, ["detuning_hz"])([9e12]))
 
     def test_grouped_point_equals_path_chain(self, engineered_cfg):
         bounds = _DESIGN_BOX
@@ -556,7 +556,7 @@ class TestOptimizeCar:
             chained = setup
             for name, value in zip(names, point):
                 chained = set_path(chained, paths[name], float(value))
-            assert _apply_point(setup, names, np.array(point)) == chained
+            assert _point_builder(setup, names)(np.array(point)) == chained
 
     def test_unknown_parameter_rejected(self, paper_pulsed_cfg):
         with pytest.raises(ConfigError):
